@@ -32,7 +32,8 @@ from .localmodel import (
     koszul_local_cohomology,
 )
 from .monodromy import MonodromyError, jordan_type, stratum_weight, weight_filtration
-from .toric import FanError, QDivisor, divisor_cohomology, e1_sum_check, log_hodge_numbers
+from .toric import (FanError, QDivisor, divisor_cohomology, e1_sum_check, log_hodge_numbers,
+                    sweep_rows)
 from .trop import TropError, weight_filtration_ss, weighted_complex
 from .weights import WeightError, face_compatibility, validate_convexity, validate_positivity
 
@@ -248,6 +249,7 @@ def cmd_log_hodge(args) -> int:
         twist = jsonio.load_divisor(doc_t, fan)
         inputs["twist"] = meta_t
         options["twist"] = "file"
+    _check_cap(sweep_rows(fan, twist.floor()), "divisor character sweep")
     table = log_hodge_numbers(fan, twist)
     result = {"table": table.to_json_dict()}
     lines = ["log Hodge numbers h^q(forms^p twisted)"]
@@ -274,6 +276,7 @@ def cmd_divisor_cohomology(args) -> int:
     doc_d, meta_d = _read_json(args.divisor, "divisor")
     divisor = jsonio.load_divisor(doc_d, fan)
     floored = divisor.floor()
+    _check_cap(sweep_rows(fan, floored), "divisor character sweep")
     h = divisor_cohomology(fan, floored)
     result = {
         "floored_divisor": {str(i): v for i, v in floored.items()},

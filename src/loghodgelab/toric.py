@@ -1,13 +1,17 @@
 """Sheaf cohomology of divisors on smooth complete toric varieties, and the
 logarithmic Hodge tables built from it.
 
-h^q(X, O(D)) is computed character by character: for a lattice character m
-the graded piece is the reduced cohomology, one degree down, of the
-simplicial complex spanned inside each maximal cone by the rays whose
-inequality <m, v> >= -a_v fails.  Characters with a nonzero contribution lie
-in bounded sign chambers whose vertices solve n x n subsystems with right
-hand sides -a_v or -a_v - 1, so scanning the integer points of the bounding
-box of those solutions (padded by one) is exhaustive.
+h^q(X, O(D)) is a sum over lattice characters m: the graded piece at m is the
+reduced cohomology, one degree down, of the simplicial complex spanned inside
+each maximal cone by the rays whose inequality <m, v> >= -a_v fails.  That
+piece depends only on the set of violating rays, its sign chamber, so it is
+computed once per chamber met (at most 2^#rays) and reused within the call.
+Characters with a nonzero contribution lie in bounded chambers whose vertices
+solve n x n subsystems with right hand sides -a_v or -a_v - 1, so the
+bounding box of those solutions (padded by one) is exhaustive.  The box is
+swept row by row along its last coordinate: within a row each ray's
+inequality flips at most once, so the flips cut the row into segments of one
+chamber each, and a segment adds its length times that chamber's cohomology.
 
 For the full toric boundary the sheaf of logarithmic p-forms is free of rank
 C(n, p), so every row of the log Hodge table is a binomial multiple of the
@@ -18,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, floor, gcd
+from itertools import combinations, count, product
+from math import comb, floor, gcd, prod
 from typing import Optional, Sequence
 
 from .complexes import CochainComplex, cohomology_dims
-from .linalg import RationalMatrix, rank, solve_rational
+from .linalg import RationalMatrix
 from .weights import WeightFunction
 
 
@@ -38,28 +42,24 @@ def _primitive(vec: tuple[int, ...]) -> bool:
     return g == 1
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
+def _det(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
 
 
 class Fan:
@@ -94,42 +94,56 @@ class Fan:
         self._validate_smooth()
         self._validate_complete()
 
-    def _cone_matrix(self, cone: tuple[int, ...]) -> list[list[Fraction]]:
-        # columns are the ray vectors of the cone
-        return [[Fraction(self.rays[i][row]) for i in cone] for row in range(self.rank)]
-
     def _validate_smooth(self):
         n = self.rank
         for cone in self.maximal_cones:
             if len(cone) != n:
                 raise FanError(
                     f"maximal cone {cone} is not simplicial of full rank {n}")
-            if abs(_det(self._cone_matrix(cone))) != 1:
+            if abs(_det([self.rays[i] for i in cone])) != 1:
                 raise FanError(f"cone {cone} is not unimodular: fan is not smooth")
 
     def _validate_complete(self):
+        """Exact test that the maximal cones cover R^n once.  If every facet
+        lies in exactly two cones, on opposite sides of it, then the number
+        of cones over a point off every facet hyperplane is the same for all
+        such points; one such point must lie in exactly one cone."""
         n = self.rank
-        # facet pairing: every (n-1)-subset of a maximal cone lies in exactly two
-        facets: dict[tuple[int, ...], int] = {}
-        for cone in self.maximal_cones:
-            for facet in combinations(cone, n - 1):
-                facets[facet] = facets.get(facet, 0) + 1
-        for facet, count in sorted(facets.items()):
-            if count != 2:
+        # facet -> rays opposite it; side[(facet, v)] = det(facet rays, v)
+        # is nonzero (the cones are unimodular) and its sign says on which
+        # side of the facet hyperplane v lies
+        opposite: dict[tuple[int, ...], list[int]] = {}
+        cone_facets = [[(tuple(i for i in cone if i != v), v) for v in cone]
+                       for cone in self.maximal_cones]
+        for facets in cone_facets:
+            for facet, v in facets:
+                opposite.setdefault(facet, []).append(v)
+        side = {}
+        for facet, rays in sorted(opposite.items()):
+            if len(rays) != 2:
                 raise FanError(
-                    f"facet {facet} lies in {count} maximal cones (needs 2): fan "
+                    f"facet {facet} lies in {len(rays)} maximal cones (needs 2): fan "
                     f"is not complete")
-        # deterministic grid sampling: every point must lie in some cone
-        for point in product(range(-2, 3), repeat=n):
-            if all(x == 0 for x in point):
-                continue
-            if not any(self._cone_contains(cone, point) for cone in self.maximal_cones):
-                raise FanError(f"point {point} is outside every cone: fan is not complete")
-
-    def _cone_contains(self, cone: tuple[int, ...], point: Sequence[int]) -> bool:
-        m = RationalMatrix.from_rows(self._cone_matrix(cone))
-        sol = solve_rational(m, [Fraction(x) for x in point])
-        return sol is not None and all(c >= 0 for c in sol)
+            for v in rays:
+                side[facet, v] = _det([self.rays[i] for i in facet] + [self.rays[v]])
+            if (side[facet, rays[0]] > 0) == (side[facet, rays[1]] > 0):
+                raise FanError(
+                    f"the two maximal cones at facet {facet} lie on the same side of "
+                    f"it: maximal cones overlap")
+        # a point on the moment curve (1, t, t^2, ...): each facet hyperplane
+        # meets the curve at most n - 1 times, so some small t is off them all
+        for t in count(1):
+            point = tuple(t ** j for j in range(n))
+            at_point = {facet: _det([self.rays[i] for i in facet] + [point])
+                        for facet in opposite}
+            if all(at_point.values()):
+                break
+        inside = sum(all((at_point[facet] > 0) == (side[facet, v] > 0) for facet, v in facets)
+                     for facets in cone_facets)
+        if inside != 1:
+            reason = "fan is not complete" if inside == 0 else "maximal cones overlap"
+            raise FanError(
+                f"generic point {point} lies in {inside} maximal cones (needs 1): {reason}")
 
     def ray_index(self, name: str) -> int:
         try:
@@ -203,50 +217,77 @@ def _reduced_cohomology(vertex_count: int, facets: list[tuple[int, ...]]) -> dic
 
 def _character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
     """Bounding box containing every character with a nonzero contribution:
-    the chamber vertices solve n x n ray subsystems with rhs -a or -a-1."""
+    the chamber vertices solve n x n ray subsystems with rhs -a or -a-1.
+    By Cramer's rule vertex coordinate j is sum_k rhs_k C_kj / det, with C
+    the cofactors of the subsystem; only its floor and ceiling enter."""
     n = fan.rank
     lo = [0] * n
     hi = [0] * n
     for subset in combinations(range(len(fan.rays)), n):
-        m = RationalMatrix.from_rows([list(map(Fraction, fan.rays[i])) for i in subset])
-        if rank(m) < n:
+        rows = [fan.rays[i] for i in subset]
+        cof = [[(-1) ** (k + j) * _det([r[:j] + r[j + 1:] for i, r in enumerate(rows) if i != k])
+                for j in range(n)] for k in range(n)]
+        det = sum(a * c for a, c in zip(rows[0], cof[0]))
+        if det == 0:
             continue
         for signs in product((0, -1), repeat=n):
-            rhs = [Fraction(-divisor[i] + s) for i, s in zip(subset, signs)]
-            sol = solve_rational(m, rhs)
-            if sol is None:
-                continue
-            for j, v in enumerate(sol):
-                lo[j] = min(lo[j], floor(v))
-                hi[j] = max(hi[j], -floor(-v))
+            rhs = [-divisor[i] + s for i, s in zip(subset, signs)]
+            for j in range(n):
+                num = sum(b * cof[k][j] for k, b in enumerate(rhs))
+                lo[j] = min(lo[j], num // det)
+                hi[j] = max(hi[j], -(-num // det))
     return [(lo[j] - 1, hi[j] + 1) for j in range(n)]
 
 
-def divisor_cohomology(fan: Fan, divisor: dict[int, int]) -> dict[int, int]:
-    """h^q(X_Sigma, O(D)) for an integral divisor D = sum a_i D_i.
+def sweep_rows(fan: Fan, divisor: dict[int, int]) -> int:
+    """Rows swept by ``divisor_cohomology``: the product of the first n - 1
+    side lengths of the character box."""
+    return prod(hi - lo + 1 for lo, hi in _character_box(fan, divisor)[:-1])
 
-    Sums, over lattice characters m in the relevant finite box, the reduced
-    cohomology (one degree down) of the subcomplex of rays with <m, v> < -a.
-    """
+
+def divisor_cohomology(fan: Fan, divisor: dict[int, int]) -> dict[int, int]:
+    """h^q(X_Sigma, O(D)) for an integral divisor D = sum a_i D_i, by the
+    chamber cache and row sweep of the module docstring.  With m_1..m_{n-1}
+    fixed, <m, v> < -a_v reads m_n v_n < c: it holds for m_n below
+    ceil(c / v_n) when v_n > 0, from floor(c / v_n) + 1 on when v_n < 0, and
+    for all m_n or none when v_n = 0."""
     if set(divisor) != set(range(len(fan.rays))):
         raise FanError("divisor must be defined on every ray")
     n = fan.rank
     box = _character_box(fan, divisor)
+    first, stop = box[-1][0], box[-1][1] + 1
+    chambers: dict[frozenset[int], list[tuple[int, int]]] = {}
     out = {q: 0 for q in range(n + 1)}
-    for m in product(*[range(lo, hi + 1) for lo, hi in box]):
-        violating = [i for i, ray in enumerate(fan.rays)
-                     if sum(a * b for a, b in zip(m, ray)) < -divisor[i]]
-        vset = set(violating)
-        facets = []
-        for cone in fan.maximal_cones:
-            bad = tuple(i for i in cone if i in vset)
-            if bad:
-                facets.append(bad)
-        reduced = _reduced_cohomology(len(fan.rays), facets)
-        for q_tilde, dim in reduced.items():
-            q = q_tilde + 1
-            if 0 <= q <= n:
-                out[q] += dim
+    for prefix in product(*[range(lo, hi + 1) for lo, hi in box[:-1]]):
+        # ray i is violated for m_n in [begin, end), clipped to the row
+        spans = []
+        cuts = {first, stop}
+        for i, ray in enumerate(fan.rays):
+            c = -divisor[i] - sum(a * b for a, b in zip(prefix, ray))
+            vn = ray[-1]
+            if vn > 0:
+                begin, end = first, min(stop, -(-c // vn))
+            elif vn < 0:
+                begin, end = max(first, c // vn + 1), stop
+            else:
+                begin, end = first, (stop if c > 0 else first)
+            if begin < end:
+                spans.append((i, begin, end))
+                cuts.update((begin, end))
+        cuts = sorted(cuts)
+        for begin, end in zip(cuts, cuts[1:]):
+            violating = frozenset(i for i, b, e in spans if b <= begin < e)
+            if violating not in chambers:
+                facets = []
+                for cone in fan.maximal_cones:
+                    bad = tuple(i for i in cone if i in violating)
+                    if bad:
+                        facets.append(bad)
+                reduced = _reduced_cohomology(len(fan.rays), facets)
+                chambers[violating] = [(q_tilde + 1, dim) for q_tilde, dim in reduced.items()
+                                       if 0 <= q_tilde + 1 <= n]
+            for q, dim in chambers[violating]:
+                out[q] += (end - begin) * dim
     return out
 
 

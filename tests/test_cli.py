@@ -153,6 +153,33 @@ def test_divisor_cohomology_canonical(tmp_path):
     assert doc["result"]["cohomology"] == {"0": 0, "1": 0, "2": 1}
 
 
+def test_divisor_cohomology_rejects_double_cover_fan(tmp_path, capsys):
+    divisor = tmp_path / "divisor.json"
+    divisor.write_text(json.dumps({"coefficients": [0] * 6}))
+    code, _, err = run(["divisor-cohomology", "--fan", str(FIXTURES / "p2_double_cover_fan.json"),
+                        "--divisor", str(divisor)], capsys)
+    assert code == 1
+    assert "overlap" in err
+
+
+def test_divisor_sweep_charged_against_cap(tmp_path, capsys, monkeypatch):
+    # the character box of 3000 H on P^2 has 3006 rows along its first axis
+    divisor = tmp_path / "divisor.json"
+    divisor.write_text(json.dumps({"coefficients": [3000, 0, 0]}))
+    fan = str(FIXTURES / "p2_fan.json")
+    monkeypatch.delenv("LHL_MAX_DIM", raising=False)
+    for argv in (["divisor-cohomology", "--fan", fan, "--divisor", str(divisor)],
+                 ["log-hodge", "--fan", fan, "--twist", str(divisor)]):
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "divisor character sweep" in err and "LHL_MAX_DIM" in err
+    monkeypatch.setenv("LHL_MAX_DIM", "10000")
+    code, doc, _ = run_json(["divisor-cohomology", "--fan", fan, "--divisor", str(divisor)],
+                            tmp_path)
+    assert code == 0
+    assert doc["result"]["cohomology"] == {"0": 4504501, "1": 0, "2": 0}
+
+
 # --- local models --------------------------------------------------------------------
 
 

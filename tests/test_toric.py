@@ -1,8 +1,13 @@
+import json
+import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from loghodgelab import toric
 from loghodgelab.toric import (
     Fan,
     FanError,
@@ -17,8 +22,10 @@ from loghodgelab.toric import (
 )
 from loghodgelab.weights import WeightFunction
 
+FIXTURES = Path(__file__).parent / "fixtures"
 
-# closed forms on P^2 and P^1 used as oracles
+
+# closed forms on P^1, P^2 and P^3 used as oracles
 
 
 def p2_h_oracle(d: int) -> tuple[int, int, int]:
@@ -35,6 +42,41 @@ def p1_h_oracle(d: int) -> tuple[int, int]:
 
 def p2_divisor(d: int) -> dict[int, int]:
     return {0: d, 1: 0, 2: 0}
+
+
+def p3_h_oracle(d: int) -> tuple[int, int, int, int]:
+    h0 = comb(d + 3, 3) if d >= 0 else 0
+    h3 = comb(-d - 1, 3) if d <= -4 else 0
+    return (h0, 0, 0, h3)
+
+
+def projective_space_3() -> Fan:
+    return Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+               list(combinations(range(4), 3)))
+
+
+def p1_cubed() -> Fan:
+    return Fan([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+               [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)])
+
+
+def brute_force_cohomology(fan: Fan, divisor: dict[int, int]) -> dict[int, int]:
+    """The per-character sum: one reduced complex for every lattice
+    character of the box, with no cache and no sweep."""
+    n = fan.rank
+    out = {q: 0 for q in range(n + 1)}
+    for m in product(*[range(lo, hi + 1) for lo, hi in toric._character_box(fan, divisor)]):
+        vset = {i for i, ray in enumerate(fan.rays)
+                if sum(a * b for a, b in zip(m, ray)) < -divisor[i]}
+        facets = []
+        for cone in fan.maximal_cones:
+            bad = tuple(i for i in cone if i in vset)
+            if bad:
+                facets.append(bad)
+        for q_tilde, dim in toric._reduced_cohomology(len(fan.rays), facets).items():
+            if 0 <= q_tilde + 1 <= n:
+                out[q_tilde + 1] += dim
+    return out
 
 
 # --- fan validation ------------------------------------------------------------
@@ -54,6 +96,26 @@ def test_non_smooth_fan_rejected():
 def test_non_primitive_ray_rejected():
     with pytest.raises(FanError, match="primitive"):
         Fan([(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+
+
+def test_p2_double_cover_fan_rejected():
+    # every facet lies in two cones on opposite sides, but the fan wraps the
+    # plane twice
+    doc = json.loads((FIXTURES / "p2_double_cover_fan.json").read_text())
+    with pytest.raises(FanError, match="2 maximal cones.*overlap"):
+        Fan(doc["rays"], doc["cones"])
+
+
+def test_folded_fan_rejected():
+    # three unimodular cones, every facet in two of them, all in the first
+    # quadrant: at facet (0,) both cones lie on the same side
+    with pytest.raises(FanError, match="same side"):
+        Fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+
+
+def test_missing_maximal_cones_rejected():
+    with pytest.raises(FanError, match="complete"):
+        Fan([(1,), (-1,)], [])
 
 
 def test_standard_fans_construct():
@@ -125,6 +187,57 @@ def test_hirzebruch_anticanonical_h0():
     fan = hirzebruch(0)
     h = divisor_cohomology(fan, {0: 1, 1: 1, 2: 1, 3: 1})
     assert (h[0], h[1], h[2]) == (9, 0, 0)
+
+
+def test_p3_against_closed_forms():
+    fan = projective_space_3()
+    for d in range(-7, 4):
+        h = divisor_cohomology(fan, {0: d, 1: 0, 2: 0, 3: 0})
+        assert tuple(h[q] for q in range(4)) == p3_h_oracle(d), f"d={d}"
+
+
+def test_p3_serre_duality():
+    fan = projective_space_3()
+    for d in range(-6, 3):
+        h = divisor_cohomology(fan, {0: d, 1: 0, 2: 0, 3: 0})
+        hd = divisor_cohomology(fan, {0: -4 - d, 1: 0, 2: 0, 3: 0})
+        assert all(h[q] == hd[3 - q] for q in range(4)), f"d={d}"
+
+
+ORACLE_FANS = [("P1", projective_line, 20), ("P2", projective_plane, 12),
+               ("F0", lambda: hirzebruch(0), 12), ("F1", lambda: hirzebruch(1), 12),
+               ("F2", lambda: hirzebruch(2), 12), ("F3", lambda: hirzebruch(3), 12),
+               ("P3", projective_space_3, 6), ("P1^3", p1_cubed, 6)]
+
+
+@pytest.mark.parametrize("name,make,draws", ORACLE_FANS, ids=[f[0] for f in ORACLE_FANS])
+def test_sweep_matches_brute_force(name, make, draws):
+    fan = make()
+    rng = random.Random(f"sweep-{name}")
+    for _ in range(draws):
+        divisor = {i: rng.randint(-4, 4) for i in range(len(fan.rays))}
+        assert divisor_cohomology(fan, divisor) == brute_force_cohomology(fan, divisor), divisor
+
+
+def test_reduced_cohomology_computed_once_per_violating_set(monkeypatch):
+    calls = []
+    original = toric._reduced_cohomology
+
+    def counted(vertex_count, facets):
+        calls.append(tuple(facets))
+        return original(vertex_count, facets)
+
+    monkeypatch.setattr(toric, "_reduced_cohomology", counted)
+    rng = random.Random("chamber-cache")
+    for fan in (projective_plane(), hirzebruch(2), projective_space_3(), p1_cubed()):
+        for _ in range(3):
+            divisor = {i: rng.randint(-4, 4) for i in range(len(fan.rays))}
+            calls.clear()
+            divisor_cohomology(fan, divisor)
+            assert len(calls) == len(set(calls)) <= 2 ** len(fan.rays)
+    calls.clear()
+    divisor_cohomology(projective_plane(), p2_divisor(200))
+    assert len(calls) <= 2 ** 3
 
 
 # --- log Hodge tables ----------------------------------------------------------
