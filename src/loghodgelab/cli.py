@@ -365,8 +365,13 @@ def cmd_spectral_sequence(args) -> int:
     complex_, filtration = jsonio.load_generic_complex(doc)
     _check_cap(max(complex_.dims.values(), default=0), "complex")
     fc = jsonio.build_filtered(complex_, filtration)
-    pages = spectral_sequence(fc, args.r_max)
-    ok, first = degeneration_check(fc)
+    # one run serves both: the verdict reads all pages through depth + 1,
+    # the report shows the first r_max + 1
+    full = fc.depth + 1
+    shown = full if args.r_max is None else max(args.r_max, 0)
+    pages = spectral_sequence(fc, max(shown, full))
+    ok, first = degeneration_check(pages[:full + 1])
+    pages = pages[:shown + 1]
     result = {
         "pages": [p.to_json_dict() for p in pages],
         "degenerates_at_e1": ok,

@@ -524,13 +524,14 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
     return pages
 
 
-def e_infinity_totals(fc: FilteredComplex) -> dict[int, int]:
-    return spectral_sequence(fc)[-1].total_dims()
+def e_infinity_totals(pages: list[SpectralSequencePage]) -> dict[int, int]:
+    """Total dims of the last of ``pages`` (E_infinity for a full run)."""
+    return pages[-1].total_dims()
 
 
-def degeneration_check(fc: FilteredComplex) -> tuple[bool, Optional[int]]:
-    """True iff every d_r with r >= 1 vanishes; else the first nonzero page."""
-    pages = spectral_sequence(fc)
+def degeneration_check(pages: list[SpectralSequencePage]) -> tuple[bool, Optional[int]]:
+    """True iff every d_r with r >= 1 on ``pages`` vanishes; else the first
+    nonzero page."""
     for page in pages[1:]:
         if not page.is_zero_page_differential():
             return False, page.r

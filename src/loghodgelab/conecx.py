@@ -92,13 +92,6 @@ class IntersectionData:
                         f"{subset} present but no stratum for {facet}")
 
 
-def _primitive(vec: tuple[int, ...]) -> bool:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    return g == 1
-
-
 class ConeComplex:
     """Cells per dimension with signed face maps and optional ray coordinates."""
 
@@ -119,7 +112,7 @@ class ConeComplex:
             for ray in rays:
                 if ray not in ray_coordinates:
                     raise ConeComplexError(f"missing ray coordinates for {ray!r}")
-                if not _primitive(ray_coordinates[ray]):
+                if gcd(*ray_coordinates[ray]) != 1:
                     raise ConeComplexError(
                         f"ray vector for {ray!r} is not primitive: {ray_coordinates[ray]}")
         self.ray_coordinates = ray_coordinates

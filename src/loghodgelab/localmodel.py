@@ -19,14 +19,20 @@ model (the localization at z_1 ... z_r).  The same group is recomputed by
 assembling, over the nerve of the boundary components, the local cohomology
 supported on each partial intersection (a Cech / Mayer-Vietoris total
 complex); agreement of the two routes is recorded in the report.
+
+The form complexes and every complex of the assembly come from one builder,
+``_total_complex``: basis keys by degree plus a direction rule listing the
+signed arrows out of a key.  The form rule sends S to S u {j} with sign * a_j,
+the Cech rule sends a localization T <= I to T u {j}; total complexes compose
+them with the usual signs.  The direct cone shares none of this: it is
+``complexes.mapping_cone`` of ``block_inclusion``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import ChainMap, CochainComplex, cohomology_dims, mapping_cone
 from .linalg import RationalMatrix
@@ -94,13 +100,8 @@ def _flavor_allows(model: LocalModel, flavor: str, s: Subset,
 def reliable_multidegrees(model: LocalModel, flavor: str) -> Iterator[Mu]:
     """Multidegrees whose block lies entirely inside the window."""
     lo = -model.window if flavor == LAURENT else 0
-    ranges = []
-    for i in range(1, model.n + 1):
-        if i <= model.r:
-            ranges.append(range(lo, model.window + 1))
-        else:
-            ranges.append(range(0, model.window + 1))
-    return product(*ranges)
+    return product(*(range(lo if i <= model.r else 0, model.window + 1)
+                     for i in range(1, model.n + 1)))
 
 
 def _sign_insert(s: Subset, j: int) -> int:
@@ -109,34 +110,55 @@ def _sign_insert(s: Subset, j: int) -> int:
 
 def block_basis(model: LocalModel, flavor: str, mu: Mu, p: int,
                 localized: frozenset[int] = frozenset()) -> list[Subset]:
-    out = []
-    for s in combinations(range(1, model.n + 1), p):
-        a = _exponent(model, s, mu)
-        if _flavor_allows(model, flavor, s, a, localized):
-            out.append(s)
-    return out
+    return [s for s in combinations(range(1, model.n + 1), p)
+            if _flavor_allows(model, flavor, s, _exponent(model, s, mu), localized)]
+
+
+def _total_complex(basis_by_degree: dict[int, list[Hashable]],
+                   arrows: Callable[[Hashable], Iterable[tuple]]) -> CochainComplex:
+    """Complex on the keys of ``basis_by_degree`` (degree -> keys).
+
+    Keys are sorted within each degree and the degrees are filled to a
+    contiguous range.  The column of a key has ``coeff`` at ``target`` for
+    each ``(target, coeff)`` in ``arrows(key)``; targets outside the basis of
+    the next degree are dropped.
+    """
+    if not basis_by_degree:
+        return CochainComplex({0: 0}, {})
+    lo, hi = min(basis_by_degree), max(basis_by_degree)
+    basis = {k: sorted(basis_by_degree.get(k, ())) for k in range(lo, hi + 1)}
+    diffs = {}
+    for k in range(lo, hi):
+        index = {key: i for i, key in enumerate(basis[k + 1])}
+        entries: dict[tuple[int, int], int] = {}
+        for col, key in enumerate(basis[k]):
+            for target, coeff in arrows(key):
+                row = index.get(target)
+                if row is not None:
+                    entries[(row, col)] = entries.get((row, col), 0) + coeff
+        diffs[k] = RationalMatrix(len(basis[k + 1]), len(basis[k]), entries)
+    return CochainComplex({k: len(keys) for k, keys in basis.items()}, diffs)
+
+
+def _form_arrows(model: LocalModel, mu: Mu, s: Subset) -> Iterator[tuple[Subset, int]]:
+    """The form differential out of z^a frame_S at multidegree mu."""
+    a = _exponent(model, s, mu)
+    for j in range(1, model.n + 1):
+        if j not in s and a[j - 1] != 0:
+            yield tuple(sorted(s + (j,))), _sign_insert(s, j) * a[j - 1]
+
+
+def _cech_arrows(i_set: Subset, t: Subset) -> Iterator[tuple[Subset, int]]:
+    """The Cech differential out of the localization at T <= I."""
+    for j in i_set:
+        if j not in t:
+            yield tuple(sorted(t + (j,))), _sign_insert(t, j)
 
 
 def block_complex(model: LocalModel, flavor: str, mu: Mu) -> CochainComplex:
     """The multidegree-mu block of the flavor's form complex, degrees 0..n."""
-    basis = {p: block_basis(model, flavor, mu, p) for p in range(model.n + 1)}
-    dims = {p: len(basis[p]) for p in range(model.n + 1)}
-    index = {p: {s: i for i, s in enumerate(basis[p])} for p in basis}
-    diffs = {}
-    for p in range(model.n):
-        entries = {}
-        for col, s in enumerate(basis[p]):
-            a = _exponent(model, s, mu)
-            for j in range(1, model.n + 1):
-                if j in s or a[j - 1] == 0:
-                    continue
-                target = tuple(sorted(s + (j,)))
-                row = index[p + 1].get(target)
-                if row is None:
-                    continue
-                entries[(row, col)] = Fraction(_sign_insert(s, j) * a[j - 1])
-        diffs[p] = RationalMatrix(dims[p + 1], dims[p], entries)
-    return CochainComplex(dims, diffs)
+    return _total_complex({p: block_basis(model, flavor, mu, p) for p in range(model.n + 1)},
+                          lambda s: _form_arrows(model, mu, s))
 
 
 def block_inclusion(model: LocalModel, source_flavor: str, mu: Mu) -> ChainMap:
@@ -148,11 +170,9 @@ def block_inclusion(model: LocalModel, source_flavor: str, mu: Mu) -> ChainMap:
     tgt = block_complex(model, LAURENT, mu)
     components = {}
     for p in range(model.n + 1):
-        sbasis = block_basis(model, source_flavor, mu, p)
         tindex = {s: i for i, s in enumerate(block_basis(model, LAURENT, mu, p))}
-        entries = {}
-        for col, s in enumerate(sbasis):
-            entries[(tindex[s], col)] = Fraction(1)
+        entries = {(tindex[s], col): 1
+                   for col, s in enumerate(block_basis(model, source_flavor, mu, p))}
         components[p] = RationalMatrix(tgt.dim(p), src.dim(p), entries)
     return ChainMap(src, tgt, components)
 
@@ -161,20 +181,11 @@ def build_form_complex(model: LocalModel, flavor: str) -> CochainComplex:
     """Direct sum of all reliable multidegree blocks, ordered by multidegree."""
     if flavor not in FLAVORS:
         raise LocalModelError(f"unknown flavor {flavor!r}")
-    blocks = [block_complex(model, flavor, mu)
-              for mu in sorted(reliable_multidegrees(model, flavor))]
-    dims = {p: sum(b.dim(p) for b in blocks) for p in range(model.n + 1)}
-    diffs = {}
-    for p in range(model.n):
-        entries = {}
-        row_off = col_off = 0
-        for b in blocks:
-            for (i, j), v in b.differential(p).entries.items():
-                entries[(i + row_off, j + col_off)] = v
-            row_off += b.dim(p + 1)
-            col_off += b.dim(p)
-        diffs[p] = RationalMatrix(dims[p + 1], dims[p], entries)
-    return CochainComplex(dims, diffs)
+    basis = {p: [(mu, s) for mu in reliable_multidegrees(model, flavor)
+                 for s in block_basis(model, flavor, mu, p)]
+             for p in range(model.n + 1)}
+    return _total_complex(basis, lambda key: (((key[0], s2), c)
+                                              for s2, c in _form_arrows(model, *key)))
 
 
 def form_cohomology(model: LocalModel, flavor: str) -> dict[int, int]:
@@ -241,17 +252,22 @@ def obstruction_cone(model: LocalModel, source_flavor: str) -> ObstructionStalkR
 
 
 def _cech_column(model: LocalModel, flavor: str, i_set: Subset,
-                 mu: Mu) -> dict[tuple[Subset, Subset], int]:
-    """Basis (T, S) of the Cech complex of the localized form complex at mu,
-    as a map (T, S) -> Cech degree |T|."""
-    out = {}
-    for t_size in range(len(i_set) + 1):
-        for t in combinations(i_set, t_size):
-            localized = frozenset(t)
-            for p in range(model.n + 1):
-                for s in block_basis(model, flavor, mu, p, localized):
-                    out[(t, s)] = t_size
-    return out
+                 mu: Mu) -> list[tuple[Subset, Subset]]:
+    """Basis (T, S) of the Cech complex of the localized form complex at mu."""
+    return [(t, s) for size in range(len(i_set) + 1) for t in combinations(i_set, size)
+            for p in range(model.n + 1)
+            for s in block_basis(model, flavor, mu, p, frozenset(t))]
+
+
+def _cech_form_arrows(model: LocalModel, mu: Mu, i_set: Subset, t: Subset,
+                      s: Subset) -> Iterator[tuple[tuple[Subset, Subset], int]]:
+    """Arrows out of (T, S) in the totalized Cech complex of I:
+    d_form + (-1)^{|S|} cech."""
+    for s2, c in _form_arrows(model, mu, s):
+        yield (t, s2), c
+    sign = (-1) ** len(s)
+    for t2, c in _cech_arrows(i_set, t):
+        yield (t2, s), sign * c
 
 
 def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> dict[Mu, int]:
@@ -285,27 +301,11 @@ def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> 
                      for t in combinations(i_set, size)
                      if all(a[i - 1] >= 0 for i in range(1, model.n + 1)
                             if i not in t)]
-        by_deg: dict[int, list[tuple[Subset, Subset]]] = {}
+        basis: dict[int, list[tuple[Subset, Subset]]] = {d: [] for d in range(s_card + 1)}
         for t in positions:
-            for s in frames:
-                by_deg.setdefault(len(t), []).append((t, s))
-        for deg in by_deg:
-            by_deg[deg].sort()
-        dims = {d: len(by_deg.get(d, [])) for d in range(s_card + 1)}
-        index = {d: {ts: i for i, ts in enumerate(by_deg.get(d, []))} for d in dims}
-        diffs = {}
-        for d in range(s_card):
-            entries = {}
-            for col, (t, s) in enumerate(by_deg.get(d, [])):
-                for j in i_set:
-                    if j in t:
-                        continue
-                    target = (tuple(sorted(t + (j,))), s)
-                    row = index[d + 1].get(target)
-                    if row is not None:
-                        entries[(row, col)] = Fraction(_sign_insert(t, j))
-            diffs[d] = RationalMatrix(dims[d + 1], dims[d], entries)
-        coh = cohomology_dims(CochainComplex(dims, diffs))
+            basis[len(t)].extend((t, s) for s in frames)
+        coh = cohomology_dims(_total_complex(
+            basis, lambda key: (((t2, key[1]), c) for t2, c in _cech_arrows(i_set, key[0]))))
         cech_dim = coh.get(s_card, 0)
         for d, v in coh.items():
             if d != s_card and v:
@@ -334,91 +334,29 @@ def _mv_total_block(model: LocalModel, flavor: str, mu: Mu) -> CochainComplex:
     basis: dict[int, list[tuple[Subset, Subset, Subset]]] = {}
     for size in range(1, r + 1):
         for i_set in combinations(range(1, r + 1), size):
-            for (t, s), _ in _cech_column(model, flavor, i_set, mu).items():
-                k = len(s) + len(t) - len(i_set) + 1
-                basis.setdefault(k, []).append((i_set, t, s))
-    if not basis:
-        return CochainComplex({0: 0}, {})
-    lo, hi = min(basis), max(basis)
-    for k in range(lo, hi + 1):
-        basis.setdefault(k, []).sort()
-    dims = {k: len(basis[k]) for k in range(lo, hi + 1)}
-    index = {k: {key: i for i, key in enumerate(basis[k])} for k in basis}
-    diffs = {}
-    for k in range(lo, hi):
-        entries: dict[tuple[int, int], Fraction] = {}
+            for t, s in _cech_column(model, flavor, i_set, mu):
+                basis.setdefault(len(s) + len(t) - size + 1, []).append((i_set, t, s))
 
-        def add(row_key, col, value):
-            row = index[k + 1].get(row_key)
-            if row is not None and value != 0:
-                entries[(row, col)] = entries.get((row, col), Fraction(0)) + value
-
-        for col, (i_set, t, s) in enumerate(basis[k]):
-            a = _exponent(model, s, mu)
-            localized = frozenset(t)
-            # form direction
-            for j in range(1, model.n + 1):
-                if j in s or a[j - 1] == 0:
-                    continue
-                s2 = tuple(sorted(s + (j,)))
-                if _flavor_allows(model, flavor, s2, _exponent(model, s2, mu), localized):
-                    add((i_set, t, s2), col, Fraction(_sign_insert(s, j) * a[j - 1]))
-            # Cech direction, sign (-1)^{|S|}
-            for j in i_set:
-                if j in t:
-                    continue
-                t2 = tuple(sorted(t + (j,)))
-                add((i_set, t2, s), col,
-                    Fraction((-1) ** len(s) * _sign_insert(t, j)))
-            # nerve direction (restriction to smaller I), sign (-1)^{|S| + |T|}
-            for j in i_set:
-                if j in t:
-                    continue
+    def arrows(key):
+        i_set, t, s = key
+        for (t2, s2), c in _cech_form_arrows(model, mu, i_set, t, s):
+            yield (i_set, t2, s2), c
+        # nerve direction (restriction to smaller I)
+        sign = (-1) ** (len(s) + len(t))
+        for j in i_set:
+            if j not in t and len(i_set) > 1:
                 i2 = tuple(x for x in i_set if x != j)
-                if not i2:
-                    continue
-                add((i2, t, s), col,
-                    Fraction((-1) ** (len(s) + len(t)) * _sign_insert(tuple(x for x in i_set if x != j), j)))
-        diffs[k] = RationalMatrix(dims[k + 1], dims[k], entries)
-    return CochainComplex(dims, diffs)
+                yield (i2, t, s), sign * _sign_insert(i2, j)
+
+    return _total_complex(basis, arrows)
 
 
 def _subset_total_block(model: LocalModel, flavor: str, i_set: Subset, mu: Mu) -> CochainComplex:
     """Totalized Cech complex of one support subset I (degrees |S| + |T|)."""
-    cols = _cech_column(model, flavor, i_set, mu)
     basis: dict[int, list[tuple[Subset, Subset]]] = {}
-    for (t, s), _ in cols.items():
+    for t, s in _cech_column(model, flavor, i_set, mu):
         basis.setdefault(len(s) + len(t), []).append((t, s))
-    if not basis:
-        return CochainComplex({0: 0}, {})
-    lo, hi = min(basis), max(basis)
-    for k in range(lo, hi + 1):
-        basis.setdefault(k, []).sort()
-    dims = {k: len(basis[k]) for k in range(lo, hi + 1)}
-    index = {k: {key: i for i, key in enumerate(basis[k])} for k in basis}
-    diffs = {}
-    for k in range(lo, hi):
-        entries: dict[tuple[int, int], Fraction] = {}
-        for col, (t, s) in enumerate(basis[k]):
-            a = _exponent(model, s, mu)
-            localized = frozenset(t)
-            for j in range(1, model.n + 1):
-                if j in s or a[j - 1] == 0:
-                    continue
-                s2 = tuple(sorted(s + (j,)))
-                if _flavor_allows(model, flavor, s2, _exponent(model, s2, mu), localized):
-                    row = index[k + 1].get((t, s2))
-                    if row is not None:
-                        entries[(row, col)] = Fraction(_sign_insert(s, j) * a[j - 1])
-            for j in i_set:
-                if j in t:
-                    continue
-                t2 = tuple(sorted(t + (j,)))
-                row = index[k + 1].get((t2, s))
-                if row is not None:
-                    entries[(row, col)] = Fraction((-1) ** len(s) * _sign_insert(t, j))
-        diffs[k] = RationalMatrix(dims[k + 1], dims[k], entries)
-    return CochainComplex(dims, diffs)
+    return _total_complex(basis, lambda key: _cech_form_arrows(model, mu, i_set, *key))
 
 
 def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:

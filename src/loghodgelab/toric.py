@@ -35,13 +35,6 @@ class FanError(ValueError):
     pass
 
 
-def _primitive(vec: tuple[int, ...]) -> bool:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    return g == 1
-
-
 def _det(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination: every division is exact."""
@@ -78,7 +71,7 @@ class Fan:
         if len(set(self.rays)) != len(self.rays):
             raise FanError("duplicate rays")
         for ray in self.rays:
-            if not _primitive(ray):
+            if gcd(*ray) != 1:
                 raise FanError(f"ray {ray} is not primitive")
         self.maximal_cones = [tuple(sorted(int(i) for i in cone)) for cone in maximal_cones]
         for cone in self.maximal_cones:

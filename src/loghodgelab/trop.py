@@ -187,7 +187,7 @@ def weight_filtration_ss(t: WeightedTropComplex,
     levels = [full] + [_sublevel_indicator(t, threshold) for threshold in thresholds]
     fc = FilteredComplex(t.complex, levels)
     pages = spectral_sequence(fc)
-    ok, first = degeneration_check(fc)
+    ok, first = degeneration_check(pages)
     return TropSpectralReport(
         thresholds=list(thresholds),
         pages=pages,

@@ -3,9 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from loghodgelab.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -207,6 +210,21 @@ def test_local_cohomology_half_plane(tmp_path):
          "--subset", "1", "--form-degree", "0"], tmp_path)
     assert code == 0
     assert doc["result"]["total"] == 6
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("stalk_n3_r2_w1_holo.json",
+     ["obstruction-stalk", "--n", "3", "--r", "2", "--window", "1", "--flavor", "holo"]),
+    ("stalk_n2_r2_w2_log.json",
+     ["obstruction-stalk", "--n", "2", "--r", "2", "--window", "2", "--flavor", "log"]),
+    ("local_n2_r2_w2_s12_p1.json",
+     ["local-cohomology", "--n", "2", "--r", "2", "--window", "2", "--subset", "1,2",
+      "--form-degree", "1"]),
+])
+def test_local_model_golden_reports(tmp_path, golden, argv):
+    code, _, out = run_json(argv, tmp_path)
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 # --- monodromy ------------------------------------------------------------------------
