@@ -32,8 +32,8 @@ from .localmodel import (
     koszul_local_cohomology,
 )
 from .monodromy import MonodromyError, jordan_type, stratum_weight, weight_filtration
-from .toric import (FanError, QDivisor, divisor_cohomology, e1_sum_check, log_hodge_numbers,
-                    sweep_rows)
+from .toric import (FanError, QDivisor, character_box, divisor_cohomology, e1_sum_check,
+                    log_hodge_table, sweep_rows)
 from .trop import TropError, weight_filtration_ss, weighted_complex
 from .weights import WeightError, face_compatibility, validate_convexity, validate_positivity
 
@@ -249,8 +249,10 @@ def cmd_log_hodge(args) -> int:
         twist = jsonio.load_divisor(doc_t, fan)
         inputs["twist"] = meta_t
         options["twist"] = "file"
-    _check_cap(sweep_rows(fan, twist.floor()), "divisor character sweep")
-    table = log_hodge_numbers(fan, twist)
+    floored = twist.floor()
+    box = character_box(fan, floored)
+    _check_cap(sweep_rows(box), "divisor character sweep")
+    table = log_hodge_table(fan.rank, twist, divisor_cohomology(fan, floored, box))
     result = {"table": table.to_json_dict()}
     lines = ["log Hodge numbers h^q(forms^p twisted)"]
     header = "  p\\q " + " ".join(f"{q:>4}" for q in range(fan.rank + 1))
@@ -276,8 +278,9 @@ def cmd_divisor_cohomology(args) -> int:
     doc_d, meta_d = _read_json(args.divisor, "divisor")
     divisor = jsonio.load_divisor(doc_d, fan)
     floored = divisor.floor()
-    _check_cap(sweep_rows(fan, floored), "divisor character sweep")
-    h = divisor_cohomology(fan, floored)
+    box = character_box(fan, floored)
+    _check_cap(sweep_rows(box), "divisor character sweep")
+    h = divisor_cohomology(fan, floored, box)
     result = {
         "floored_divisor": {str(i): v for i, v in floored.items()},
         "cohomology": {str(q): v for q, v in sorted(h.items())},

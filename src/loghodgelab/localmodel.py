@@ -26,13 +26,28 @@ signed arrows out of a key.  The form rule sends S to S u {j} with sign * a_j,
 the Cech rule sends a localization T <= I to T u {j}; total complexes compose
 them with the usual signs.  The direct cone shares none of this: it is
 ``complexes.mapping_cone`` of ``block_inclusion``.
+
+Blocks are computed once per sign class.  At a reliable multidegree mu the
+form arrow from S to S u {j} carries sign(S, j) * mu_j (the exponent a_j is
+mu_j whenever j is not in S) and exists only when mu_j != 0.  In the basis
+f_S = (product of mu_i over i in S with mu_i != 0) * e_S it carries
+sign(S, j) alone.  Basis membership depends only on the signs of the mu_i:
+the lower bounds compare a_i with 0 or 1, and a_i = mu_i - [i in S] for
+i > r, while |a_i| <= window holds throughout a reliable block.  The Cech,
+nerve and inclusion arrows keep S, so the rescaling leaves them unchanged.
+Every block at mu (form, cone, Cech, Mayer-Vietoris) is therefore
+diagonally conjugate to the block at sign(mu), whose entries lie in
+{-1, 0, 1}; sign(mu) is itself a reliable Laurent multidegree for every
+window >= 1.  ``obstruction_cone`` and ``assemble_stalk`` build one block
+per sign class and read the dimensions at each mu off it, so their work is a
+cheap enumeration of the multidegrees plus at most 3^r * 2^(n-r) blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .complexes import ChainMap, CochainComplex, cohomology_dims, mapping_cone
 from .linalg import RationalMatrix
@@ -66,6 +81,7 @@ class LocalModel:
 
 Mu = tuple[int, ...]
 Subset = tuple[int, ...]   # sorted coordinate indices, 1-based
+Column = list[tuple[Subset, Subset]]   # Cech positions (T, S) of one support subset I
 
 
 def _exponent(model: LocalModel, s: Subset, mu: Mu) -> tuple[int, ...]:
@@ -102,6 +118,20 @@ def reliable_multidegrees(model: LocalModel, flavor: str) -> Iterator[Mu]:
     lo = -model.window if flavor == LAURENT else 0
     return product(*(range(lo if i <= model.r else 0, model.window + 1)
                      for i in range(1, model.n + 1)))
+
+
+V = TypeVar("V")
+
+
+def _by_sign_class(model: LocalModel, compute: Callable[[Mu], V]) -> Iterator[tuple[Mu, V]]:
+    """(mu, compute(sign(mu))) for every reliable Laurent multidegree mu, in
+    order; ``compute`` runs once per sign class (module docstring)."""
+    by_class: dict[Mu, V] = {}
+    for mu in reliable_multidegrees(model, LAURENT):
+        cls = tuple((m > 0) - (m < 0) for m in mu)
+        if cls not in by_class:
+            by_class[cls] = compute(cls)
+        yield mu, by_class[cls]
 
 
 def _sign_insert(s: Subset, j: int) -> int:
@@ -235,12 +265,14 @@ class ObstructionStalkReport:
 
 
 def obstruction_cone(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:
-    """Cone of (flavor -> Laurent) blockwise; H dims per degree and multidegree."""
+    """Cone of (flavor -> Laurent) blockwise, one cone per sign class; H dims
+    per degree and multidegree."""
     direct: dict[int, int] = {p: 0 for p in range(model.n + 1)}
     by_mu: dict[int, dict[Mu, int]] = {}
-    for mu in reliable_multidegrees(model, LAURENT):
-        cone = mapping_cone(block_inclusion(model, source_flavor, mu))
-        for p, dim in cohomology_dims(cone).items():
+    cones = _by_sign_class(model, lambda cls: cohomology_dims(
+        mapping_cone(block_inclusion(model, source_flavor, cls))))
+    for mu, dims in cones:
+        for p, dim in dims.items():
             if dim == 0:
                 continue
             direct[p] = direct.get(p, 0) + dim
@@ -251,8 +283,7 @@ def obstruction_cone(model: LocalModel, source_flavor: str) -> ObstructionStalkR
 # Cech positions: localizations of the module at subsets T of some I <= {1..r}
 
 
-def _cech_column(model: LocalModel, flavor: str, i_set: Subset,
-                 mu: Mu) -> list[tuple[Subset, Subset]]:
+def _cech_column(model: LocalModel, flavor: str, i_set: Subset, mu: Mu) -> Column:
     """Basis (T, S) of the Cech complex of the localized form complex at mu."""
     return [(t, s) for size in range(len(i_set) + 1) for t in combinations(i_set, size)
             for p in range(model.n + 1)
@@ -280,7 +311,8 @@ def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> 
     cochain complex on {z_i != 0, i in I}, and the closed-form stable-Koszul
     count (one class per frame at every a with a_i <= -1 exactly on I and
     a_j >= 0 off I); the two must agree, and the Cech cohomology must be
-    concentrated in degree |I|.
+    concentrated in degree |I|.  The Cech complex at a depends only on the
+    set of i with a_i < 0, so it is built once per such set (at most 2^|I|).
     """
     i_set = tuple(sorted(set(int(i) for i in i_set)))
     if not i_set:
@@ -292,25 +324,27 @@ def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> 
     s_card = len(i_set)
     frames = list(combinations(range(1, model.n + 1), p))
     out: dict[Mu, int] = {}
+    by_negative: dict[Subset, int] = {}
     ranges = [range(-model.window if i in i_set else 0, model.window + 1)
               for i in range(1, model.n + 1)]
     for a in product(*ranges):
         # Cech route: positions (T, frame) with T <= I; the monomial z^a is
-        # present at T iff a_i >= 0 for every coordinate not freed by T
-        positions = [t for size in range(s_card + 1)
-                     for t in combinations(i_set, size)
-                     if all(a[i - 1] >= 0 for i in range(1, model.n + 1)
-                            if i not in t)]
-        basis: dict[int, list[tuple[Subset, Subset]]] = {d: [] for d in range(s_card + 1)}
-        for t in positions:
-            basis[len(t)].extend((t, s) for s in frames)
-        coh = cohomology_dims(_total_complex(
-            basis, lambda key: (((t2, key[1]), c) for t2, c in _cech_arrows(i_set, key[0]))))
-        cech_dim = coh.get(s_card, 0)
-        for d, v in coh.items():
-            if d != s_card and v:
-                raise LocalModelError(
-                    "internal: local cohomology not concentrated in degree |I|")
+        # present at T iff T frees every coordinate with a_i < 0
+        negative = tuple(i for i in range(1, model.n + 1) if a[i - 1] < 0)
+        if negative not in by_negative:
+            basis: dict[int, list[tuple[Subset, Subset]]] = {d: [] for d in range(s_card + 1)}
+            for size in range(s_card + 1):
+                for t in combinations(i_set, size):
+                    if set(negative) <= set(t):
+                        basis[size].extend((t, s) for s in frames)
+            coh = cohomology_dims(_total_complex(
+                basis, lambda key: (((t2, key[1]), c) for t2, c in _cech_arrows(i_set, key[0]))))
+            for d, v in coh.items():
+                if d != s_card and v:
+                    raise LocalModelError(
+                        "internal: local cohomology not concentrated in degree |I|")
+            by_negative[negative] = coh.get(s_card, 0)
+        cech_dim = by_negative[negative]
         # stable-Koszul closed form
         valid = all(a[i - 1] <= -1 for i in i_set) and \
             all(a[j - 1] >= 0 for j in range(1, model.n + 1) if j not in i_set)
@@ -324,18 +358,24 @@ def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> 
     return dict(sorted(out.items()))
 
 
-def _mv_total_block(model: LocalModel, flavor: str, mu: Mu) -> CochainComplex:
-    """Total complex over the nerve of the boundary components:
+def _cech_columns(model: LocalModel, flavor: str, mu: Mu) -> dict[Subset, Column]:
+    """``_cech_column`` for every nonempty I <= {1..r}."""
+    return {i_set: _cech_column(model, flavor, i_set, mu)
+            for size in range(1, model.r + 1)
+            for i_set in combinations(range(1, model.r + 1), size)}
+
+
+def _mv_total_block(model: LocalModel, mu: Mu, columns: dict[Subset, Column]) -> CochainComplex:
+    """Total complex over the nerve of the boundary components, on the Cech
+    ``columns`` of every I:
 
         position (I, T, S), total degree |S| + |T| - |I| + 1,
         D = d_form + (-1)^{|S|} cech + (-1)^{|S|+|T|} nerve-restriction.
     """
-    r = model.r
     basis: dict[int, list[tuple[Subset, Subset, Subset]]] = {}
-    for size in range(1, r + 1):
-        for i_set in combinations(range(1, r + 1), size):
-            for t, s in _cech_column(model, flavor, i_set, mu):
-                basis.setdefault(len(s) + len(t) - size + 1, []).append((i_set, t, s))
+    for i_set, column in columns.items():
+        for t, s in column:
+            basis.setdefault(len(s) + len(t) - len(i_set) + 1, []).append((i_set, t, s))
 
     def arrows(key):
         i_set, t, s = key
@@ -351,10 +391,12 @@ def _mv_total_block(model: LocalModel, flavor: str, mu: Mu) -> CochainComplex:
     return _total_complex(basis, arrows)
 
 
-def _subset_total_block(model: LocalModel, flavor: str, i_set: Subset, mu: Mu) -> CochainComplex:
-    """Totalized Cech complex of one support subset I (degrees |S| + |T|)."""
+def _subset_total_block(model: LocalModel, i_set: Subset, mu: Mu,
+                        column: Column) -> CochainComplex:
+    """Totalized Cech complex of one support subset I on its Cech ``column``
+    (degrees |S| + |T|)."""
     basis: dict[int, list[tuple[Subset, Subset]]] = {}
-    for t, s in _cech_column(model, flavor, i_set, mu):
+    for t, s in column:
         basis.setdefault(len(s) + len(t), []).append((t, s))
     return _total_complex(basis, lambda key: _cech_form_arrows(model, mu, i_set, *key))
 
@@ -362,7 +404,8 @@ def _subset_total_block(model: LocalModel, flavor: str, i_set: Subset, mu: Mu) -
 def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:
     """Mayer-Vietoris assembly of the obstruction stalk, with the direct cone
     computed alongside and compared degree by degree and multidegree by
-    multidegree."""
+    multidegree.  The total block and the per-subset blocks are built once
+    per sign class, on one set of Cech columns."""
     report = obstruction_cone(model, source_flavor)
     if model.r == 0:
         # no boundary: the nerve is empty and so is the obstruction
@@ -371,26 +414,30 @@ def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkRep
         report.assembled_by_multidegree = {}
         report.matches = report.assembled == report.direct
         return report
+
+    def blocks(cls: Mu) -> tuple[dict[int, int], dict[Subset, dict[int, int]]]:
+        columns = _cech_columns(model, source_flavor, cls)
+        return (cohomology_dims(_mv_total_block(model, cls, columns)),
+                {i_set: cohomology_dims(_subset_total_block(model, i_set, cls, column))
+                 for i_set, column in columns.items()})
+
     assembled: dict[int, int] = {p: 0 for p in range(model.n + 1)}
     assembled_by_mu: dict[int, dict[Mu, int]] = {}
     per_subset: dict[Subset, dict[int, int]] = {}
-    for mu in reliable_multidegrees(model, LAURENT):
-        total = _mv_total_block(model, source_flavor, mu)
-        for k, dim in cohomology_dims(total).items():
+    for mu, (total, subsets) in _by_sign_class(model, blocks):
+        for k, dim in total.items():
             if dim == 0:
                 continue
             p = k - 1   # cone degree p corresponds to assembled degree p + 1
             assembled[p] = assembled.get(p, 0) + dim
             assembled_by_mu.setdefault(p, {})[mu] = dim
-        for size in range(1, model.r + 1):
-            for i_set in combinations(range(1, model.r + 1), size):
-                sub = _subset_total_block(model, source_flavor, i_set, mu)
-                for k, dim in cohomology_dims(sub).items():
-                    if dim == 0:
-                        continue
-                    p = k - len(i_set)   # contribution H^{p + |I|} at degree p
-                    slot = per_subset.setdefault(i_set, {})
-                    slot[p] = slot.get(p, 0) + dim
+        for i_set, dims in subsets.items():
+            for k, dim in dims.items():
+                if dim == 0:
+                    continue
+                p = k - len(i_set)   # contribution H^{p + |I|} at degree p
+                slot = per_subset.setdefault(i_set, {})
+                slot[p] = slot.get(p, 0) + dim
     report.per_subset = dict(sorted(per_subset.items()))
     report.assembled = assembled
     report.assembled_by_multidegree = assembled_by_mu

@@ -208,7 +208,7 @@ def _reduced_cohomology(vertex_count: int, facets: list[tuple[int, ...]]) -> dic
     return {k: v for k, v in cohomology_dims(complex_).items() if v}
 
 
-def _character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
+def character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
     """Bounding box containing every character with a nonzero contribution:
     the chamber vertices solve n x n ray subsystems with rhs -a or -a-1.
     By Cramer's rule vertex coordinate j is sum_k rhs_k C_kj / det, with C
@@ -232,22 +232,25 @@ def _character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
     return [(lo[j] - 1, hi[j] + 1) for j in range(n)]
 
 
-def sweep_rows(fan: Fan, divisor: dict[int, int]) -> int:
-    """Rows swept by ``divisor_cohomology``: the product of the first n - 1
-    side lengths of the character box."""
-    return prod(hi - lo + 1 for lo, hi in _character_box(fan, divisor)[:-1])
+def sweep_rows(box: list[tuple[int, int]]) -> int:
+    """Rows swept by ``divisor_cohomology`` over a character box: the product
+    of its first n - 1 side lengths."""
+    return prod(hi - lo + 1 for lo, hi in box[:-1])
 
 
-def divisor_cohomology(fan: Fan, divisor: dict[int, int]) -> dict[int, int]:
+def divisor_cohomology(fan: Fan, divisor: dict[int, int],
+                       box: Optional[list[tuple[int, int]]] = None) -> dict[int, int]:
     """h^q(X_Sigma, O(D)) for an integral divisor D = sum a_i D_i, by the
-    chamber cache and row sweep of the module docstring.  With m_1..m_{n-1}
-    fixed, <m, v> < -a_v reads m_n v_n < c: it holds for m_n below
-    ceil(c / v_n) when v_n > 0, from floor(c / v_n) + 1 on when v_n < 0, and
-    for all m_n or none when v_n = 0."""
+    chamber cache and row sweep of the module docstring, over ``box``
+    (``character_box(fan, divisor)`` unless the caller has it already).
+    With m_1..m_{n-1} fixed, <m, v> < -a_v reads m_n v_n < c: it holds for
+    m_n below ceil(c / v_n) when v_n > 0, from floor(c / v_n) + 1 on when
+    v_n < 0, and for all m_n or none when v_n = 0."""
     if set(divisor) != set(range(len(fan.rays))):
         raise FanError("divisor must be defined on every ray")
     n = fan.rank
-    box = _character_box(fan, divisor)
+    if box is None:
+        box = character_box(fan, divisor)
     first, stop = box[-1][0], box[-1][1] + 1
     chambers: dict[frozenset[int], list[tuple[int, int]]] = {}
     out = {q: 0 for q in range(n + 1)}
@@ -315,9 +318,12 @@ def log_hodge_numbers(fan: Fan, twist: QDivisor,
     """Entry (p, q) = C(n, p) * h^q(O(floor(twist))); twist zero gives the
     first-page table of the full-boundary toric triple."""
     twist.validate_on(fan)
-    floored = twist.floor()
-    h = divisor_cohomology(fan, floored)
-    n = fan.rank
+    return log_hodge_table(fan.rank, twist, divisor_cohomology(fan, twist.floor()), variety_tag)
+
+
+def log_hodge_table(n: int, twist: QDivisor, h: dict[int, int],
+                    variety_tag: str = "fan") -> LogHodgeTable:
+    """The table of ``log_hodge_numbers`` from h = h^q(O(floor(twist)))."""
     entries = {}
     for p in range(n + 1):
         for q in range(n + 1):

@@ -1,21 +1,31 @@
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from loghodgelab.complexes import (cohomology_dims, degeneration_check, spectral_sequence,
-                                   stupid_filtration)
+from loghodgelab import localmodel
+from loghodgelab.complexes import (cohomology_dims, degeneration_check, mapping_cone,
+                                   spectral_sequence, stupid_filtration)
 from loghodgelab.localmodel import (
     HOLOMORPHIC,
     LAURENT,
     LOGARITHMIC,
     LocalModel,
     LocalModelError,
+    _cech_arrows,
+    _cech_columns,
+    _mv_total_block,
+    _sign_insert,
+    _subset_total_block,
+    _total_complex,
     assemble_stalk,
     block_complex,
+    block_inclusion,
     build_form_complex,
     form_cohomology,
     koszul_local_cohomology,
     obstruction_cone,
+    reliable_multidegrees,
 )
 
 
@@ -216,6 +226,140 @@ def test_multidegree_preserved_blockwise_equals_direct_sum():
     # cohomology of the assembled global complex (tested in
     # test_global_complex_matches_blockwise); here check block d^2 = 0 holds
     model = LocalModel(2, 2, 2)
-    from loghodgelab.localmodel import reliable_multidegrees
     for mu in reliable_multidegrees(model, LAURENT):
         block_complex(model, LAURENT, mu)  # ctor enforces d^2 = 0
+
+
+def test_nerve_restriction_entries():
+    # every nerve arrow (I, T, S) -> (I - {j}, T, S) with j not in T carries
+    # (-1)^{|S|+|T|} * sign(I - {j}, j), and no other entry changes I
+    cases = [((2, 2, 2), [(0, 0), (1, -2), (-1, 2), (2, 1)]),
+             ((3, 3, 1), [(0, 0, 0), (1, -1, 0), (-1, -1, 1), (1, 1, -1)])]
+    for (n, r, w), mus in cases:
+        model = LocalModel(n, r, w)
+        for flavor in (HOLOMORPHIC, LOGARITHMIC):
+            for mu in mus:
+                columns = _cech_columns(model, flavor, mu)
+                total = _mv_total_block(model, mu, columns)
+                keys: dict[int, list] = {}
+                for i_set, column in columns.items():
+                    for t, s in column:
+                        keys.setdefault(len(s) + len(t) - len(i_set) + 1, []).append((i_set, t, s))
+                keys = {k: sorted(v) for k, v in keys.items()}
+                arrows = 0
+                for k in keys:
+                    if k + 1 not in keys:
+                        continue
+                    index = {key: i for i, key in enumerate(keys[k + 1])}
+                    expected = {}
+                    for col, (i_set, t, s) in enumerate(keys[k]):
+                        for j in i_set:
+                            if j not in t and len(i_set) > 1:
+                                i2 = tuple(x for x in i_set if x != j)
+                                row = index[(i2, t, s)]
+                                expected[(row, col)] = (-1) ** (len(s) + len(t)) * _sign_insert(i2, j)
+                    found = {(row, col): v for (row, col), v in total.differential(k).entries.items()
+                             if keys[k + 1][row][0] != keys[k][col][0]}
+                    assert found == expected, (n, r, flavor, mu, k)
+                    arrows += len(expected)
+                assert arrows, (n, r, flavor, mu)
+
+
+# --- sign classes against the per-multidegree loop -----------------------------------
+
+
+def reference_stalk(model, flavor):
+    """The per-multidegree loop: a cone, a Mayer-Vietoris total block and one
+    block per subset at every reliable multidegree, with no sign classes."""
+    direct_by_mu, assembled_by_mu, per_subset = {}, {}, {}
+    for mu in reliable_multidegrees(model, LAURENT):
+        for p, dim in cohomology_dims(mapping_cone(block_inclusion(model, flavor, mu))).items():
+            if dim:
+                direct_by_mu.setdefault(p, {})[mu] = dim
+        if model.r == 0:
+            continue
+        columns = _cech_columns(model, flavor, mu)
+        for k, dim in cohomology_dims(_mv_total_block(model, mu, columns)).items():
+            if dim:
+                assembled_by_mu.setdefault(k - 1, {})[mu] = dim
+        for i_set, column in columns.items():
+            for k, dim in cohomology_dims(_subset_total_block(model, i_set, mu, column)).items():
+                if dim:
+                    slot = per_subset.setdefault(i_set, {})
+                    slot[k - len(i_set)] = slot.get(k - len(i_set), 0) + dim
+    return direct_by_mu, assembled_by_mu, per_subset
+
+
+def reference_koszul(model, i_set, p):
+    """Cech cohomology of the p-forms supported on z_I, one complex per exponent."""
+    frames = list(combinations(range(1, model.n + 1), p))
+    out = {}
+    for a in product(*[range(-model.window if i in i_set else 0, model.window + 1)
+                       for i in range(1, model.n + 1)]):
+        basis = {d: [] for d in range(len(i_set) + 1)}
+        for size in range(len(i_set) + 1):
+            for t in combinations(i_set, size):
+                if all(a[i - 1] >= 0 for i in range(1, model.n + 1) if i not in t):
+                    basis[size].extend((t, s) for s in frames)
+        coh = cohomology_dims(_total_complex(
+            basis, lambda key: (((t2, key[1]), c) for t2, c in _cech_arrows(i_set, key[0]))))
+        if coh.get(len(i_set)):
+            out[a] = coh[len(i_set)]
+    return out
+
+
+@pytest.mark.parametrize("n,r,window", [(n, r, w) for n in (1, 2, 3) for r in range(n + 1)
+                                        for w in (1, 2, 3)])
+def test_sign_classes_match_per_multidegree_loop(n, r, window):
+    model = LocalModel(n, r, window)
+    for flavor in (HOLOMORPHIC, LOGARITHMIC):
+        report = assemble_stalk(model, flavor)
+        direct_by_mu, assembled_by_mu, per_subset = reference_stalk(model, flavor)
+        assert report.direct_by_multidegree == direct_by_mu
+        assert report.assembled_by_multidegree == assembled_by_mu
+        assert report.per_subset == per_subset
+        assert report.matches
+    for size in range(1, r + 1):
+        for i_set in combinations(range(1, r + 1), size):
+            for p in range(n + 1):
+                assert koszul_local_cohomology(model, i_set, p) == \
+                    reference_koszul(model, i_set, p), (i_set, p)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(localmodel, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(localmodel, name, counted)
+    return calls
+
+
+def test_stalk_builds_one_block_per_sign_class(monkeypatch):
+    cones = count_calls(monkeypatch, "mapping_cone")
+    totals = count_calls(monkeypatch, "_mv_total_block")
+    columns = count_calls(monkeypatch, "_cech_column")
+    for n, r, window in [(1, 1, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2), (3, 3, 2)]:
+        classes = 3 ** r * 2 ** (n - r)
+        for flavor in (HOLOMORPHIC, LOGARITHMIC):
+            for calls in (cones, totals, columns):
+                calls.clear()
+            assemble_stalk(LocalModel(n, r, window), flavor)
+            assert len(cones) <= classes, (n, r, window, flavor)
+            assert len(totals) <= classes, (n, r, window, flavor)
+            # one Cech column per (class, I), shared by both blocks
+            assert len(columns) <= classes * (2 ** r - 1), (n, r, window, flavor)
+
+
+def test_local_cohomology_builds_one_complex_per_negative_set(monkeypatch):
+    built = count_calls(monkeypatch, "_total_complex")
+    for n, r, window in [(1, 1, 5), (2, 2, 4), (3, 3, 3)]:
+        model = LocalModel(n, r, window)
+        for size in range(1, r + 1):
+            for i_set in combinations(range(1, r + 1), size):
+                built.clear()
+                koszul_local_cohomology(model, i_set, 1)
+                assert len(built) <= 2 ** len(i_set), (n, r, window, i_set)

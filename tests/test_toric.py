@@ -65,7 +65,7 @@ def brute_force_cohomology(fan: Fan, divisor: dict[int, int]) -> dict[int, int]:
     character of the box, with no cache and no sweep."""
     n = fan.rank
     out = {q: 0 for q in range(n + 1)}
-    for m in product(*[range(lo, hi + 1) for lo, hi in toric._character_box(fan, divisor)]):
+    for m in product(*[range(lo, hi + 1) for lo, hi in toric.character_box(fan, divisor)]):
         vset = {i for i, ray in enumerate(fan.rays)
                 if sum(a * b for a, b in zip(m, ray)) < -divisor[i]}
         facets = []
