@@ -372,6 +372,7 @@ def cmd_spectral_sequence(args) -> int:
     # the report shows the first r_max + 1
     full = fc.depth + 1
     shown = full if args.r_max is None else max(args.r_max, 0)
+    _check_cap(shown + 1, "spectral-sequence pages")
     pages = spectral_sequence(fc, max(shown, full))
     ok, first = degeneration_check(pages[:full + 1])
     pages = pages[:shown + 1]

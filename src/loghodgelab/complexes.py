@@ -89,9 +89,6 @@ class CochainComplex:
             return RationalMatrix.zeros(self.dim(k + 1), self.dim(k))
         return d
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in self.dims.items())
 
@@ -430,7 +427,9 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
 
     After computing d_r, the page E_{r+1} is checked against the cohomology
     of (E_r, d_r); a mismatch raises (it would indicate an internal bug).
-    Default r_max is depth + 1, past which all pages are stable.
+    Default r_max is depth + 1, past which all pages are stable: at most
+    pages 0..depth+1 are computed, and each later page is a copy of page
+    depth + 1 (whose differentials all land outside the grid) relabelled r.
     """
     c = fc.underlying
     depth = fc.depth
@@ -481,7 +480,7 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
 
     pages: list[SpectralSequencePage] = []
     prev_cohomology: Optional[dict[tuple[int, int], int]] = None
-    for r in range(0, r_max + 1):
+    for r in range(0, min(r_max, depth + 1) + 1):
         data = page_entries(r)
         entries = {pq: e.reps.cols for pq, e in data.items() if e.reps.cols}
         diffs: dict[tuple[int, int], RationalMatrix] = {}
@@ -521,6 +520,9 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
                 coh[(p, q)] = dim
         prev_cohomology = coh
         pages.append(page)
+    stable = pages[-1]
+    pages += [SpectralSequencePage(r, dict(stable.entries), dict(stable.differentials))
+              for r in range(depth + 2, r_max + 1)]
     return pages
 
 

@@ -1,21 +1,22 @@
-"""Exact rational and integer linear algebra.
+"""Exact rational linear algebra: one matrix type, one elimination.
 
 Everything downstream (cohomology, spectral sequences, weight filtrations)
 reduces to ranks, kernels, linear solves and Smith normal forms of small
-matrices over Q and Z.  All arithmetic is exact: `fractions.Fraction` for
-rationals, arbitrary-precision `int` for integers.  Elimination is
-fraction-free (Bareiss) so intermediate entries grow polynomially, and the
-pivot order is deterministic (lowest row, then column index) so every
-downstream report is reproducible bit for bit.
+matrices over Q and Z.  The one matrix type is the sparse `RationalMatrix`
+with `fractions.Fraction` entries; an integer matrix is one with integral
+entries.  The one elimination is the fraction-free `_bareiss_echelon`
+(Bareiss 1968): it serves rank, kernel, solve, pivot columns and
+determinant, and each subspace question takes one elimination of a stacked
+matrix.  Its integer rows are built straight from the sparse entries, each
+row scaled by the lcm of its denominators.  The pivot order is deterministic
+(lowest row, then column index) so every report is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
-
-Rational = Fraction
 
 
 def _as_rational(x) -> Fraction:
@@ -88,14 +89,11 @@ class RationalMatrix:
             dense[i][j] = v
         return dense
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(self.at(i, j) for j in range(self.cols))
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.at(i, j) for i in range(self.rows))
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+    def diagonal(self) -> list[Fraction]:
+        return [self.at(i, i) for i in range(min(self.rows, self.cols))]
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(self.cols, self.rows,
@@ -128,13 +126,6 @@ class RationalMatrix:
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
-
-    def scale(self, c) -> "RationalMatrix":
-        c = _as_rational(c)
-        if c == 0:
-            return RationalMatrix.zeros(self.rows, self.cols)
-        return RationalMatrix(self.rows, self.cols,
-                              {key: c * v for key, v in self.entries.items()})
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -187,85 +178,6 @@ class RationalMatrix:
         return RationalMatrix(self.rows, len(col_indices), entries)
 
 
-class IntegerMatrix:
-    """Sparse matrix over Z with arbitrary-precision entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int]):
-        if rows < 0 or cols < 0:
-            raise MatrixError("negative matrix dimensions")
-        clean: dict[tuple[int, int], int] = {}
-        for (i, j), v in entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise MatrixError(f"entry index ({i}, {j}) out of bounds for {rows}x{cols}")
-            if not isinstance(v, int):
-                raise TypeError("IntegerMatrix entries must be int")
-            if v != 0:
-                clean[(i, j)] = v
-        self.rows = rows
-        self.cols = cols
-        self.entries = clean
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise MatrixError("ragged rows")
-            for j, v in enumerate(row):
-                entries[(i, j)] = int(v)
-        return cls(rows, cols, entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
-
-    def to_dense(self) -> list[list[int]]:
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
-        return dense
-
-    def to_rational(self) -> RationalMatrix:
-        return RationalMatrix(self.rows, self.cols,
-                              {key: Fraction(v) for key, v in self.entries.items()})
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows,
-                             {(j, i): v for (i, j), v in self.entries.items()})
-
-    def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise MatrixError("shape mismatch in multiplication")
-        a, b = self.to_dense(), other.to_dense()
-        entries = {}
-        for i in range(self.rows):
-            for j in range(other.cols):
-                s = sum(a[i][k] * b[k][j] for k in range(self.cols))
-                if s:
-                    entries[(i, j)] = s
-        return IntegerMatrix(self.rows, other.cols, entries)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, IntegerMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
-
-    def diagonal(self) -> list[int]:
-        return [self.at(i, i) for i in range(min(self.rows, self.cols))]
-
-
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 # ---------------------------------------------------------------------------
@@ -274,43 +186,45 @@ class IntegerMatrix:
 def _integer_rows(m: RationalMatrix) -> list[list[int]]:
     # Row scaling by the lcm of denominators preserves rank, kernel, and the
     # column independence pattern.
-    dense = m.to_dense()
-    out = []
-    for row in dense:
-        lcm = 1
-        for v in row:
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        out.append([int(v * lcm) for v in row])
+    scale = [1] * m.rows
+    for (i, _), v in m.entries.items():
+        scale[i] = lcm(scale[i], v.denominator)
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        out[i][j] = v.numerator * (scale[i] // v.denominator)
     return out
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form.  Returns (matrix, pivot column list).
+def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], bool]:
+    """Fraction-free row echelon form of the integer rows ``m``, reduced in
+    place.  Returns (echelon rows, pivot column list, odd number of row swaps).
 
     Pivot choice is deterministic: columns scanned left to right, the first
     not-yet-used row with a nonzero entry is the pivot (lowest row, then
-    column index).
+    column index).  Every division is exact, and the k-th pivot is a k x k
+    minor of the row-permuted matrix; for a square nonsingular matrix the
+    last pivot is therefore the determinant up to the sign of the swaps.
     """
-    m = [row[:] for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots: list[int] = []
+    odd = False
     done = 0
     prev = 1
     for col in range(nc):
-        pivot_row = None
-        for i in range(done, nr):
-            if m[i][col] != 0:
-                pivot_row = i
+        for pivot_row in range(done, nr):
+            if m[pivot_row][col] != 0:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[done], m[pivot_row] = m[pivot_row], m[done]
-        p = m[done][col]
+        if pivot_row != done:
+            m[done], m[pivot_row] = m[pivot_row], m[done]
+            odd = not odd
+        mp = m[done]
+        p = mp[col]
         for i in range(done + 1, nr):
             t = m[i][col]
-            mi, mp = m[i], m[done]
+            mi = m[i]
             for j in range(col, nc):
                 mi[j] = (p * mi[j] - t * mp[j]) // prev  # exact by Bareiss
         prev = p
@@ -318,36 +232,38 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
         done += 1
         if done == nr:
             break
-    return m[:done], pivots
+    return m[:done], pivots, odd
+
+
+def _back_substitute(ech: list[list[int]], pivots: list[int],
+                     v: list[Fraction]) -> tuple[Fraction, ...]:
+    """The vector of ker(ech) that agrees with ``v`` off the pivot columns;
+    the pivot coordinates of ``v`` are overwritten, bottom row first."""
+    n = len(v)
+    for k in range(len(pivots) - 1, -1, -1):
+        pc = pivots[k]
+        row = ech[k]
+        s = Fraction(0)
+        for j in range(pc + 1, n):
+            if row[j] != 0 and v[j] != 0:
+                s += row[j] * v[j]
+        v[pc] = -s / row[pc]
+    return tuple(v)
 
 
 def rank(m: RationalMatrix) -> int:
     """Dimension of the row space of ``m`` over Q."""
-    _, pivots = _bareiss_echelon(_integer_rows(m))
+    _, pivots, _ = _bareiss_echelon(_integer_rows(m))
     return len(pivots)
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Deterministic basis of ker(m); one vector per free column, ascending."""
-    ech, pivots = _bareiss_echelon(_integer_rows(m))
-    nc = m.cols
+    ech, pivots, _ = _bareiss_echelon(_integer_rows(m))
     pivot_set = set(pivots)
-    free_cols = [j for j in range(nc) if j not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        # back-substitute pivot variables, bottom row first
-        for k in range(len(pivots) - 1, -1, -1):
-            pc = pivots[k]
-            row = ech[k]
-            s = Fraction(0)
-            for j in range(pc + 1, nc):
-                if row[j] != 0 and v[j] != 0:
-                    s += Fraction(row[j]) * v[j]
-            v[pc] = -s / row[pc]
-        basis.append(tuple(v))
-    return basis
+    zero = [Fraction(0)] * m.cols
+    return [_back_substitute(ech, pivots, zero[:f] + [Fraction(1)] + zero[f + 1:])
+            for f in range(m.cols) if f not in pivot_set]
 
 
 def solve_rational(m: RationalMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -361,20 +277,28 @@ def solve_rational(m: RationalMatrix, b: Sequence) -> Optional[tuple[Fraction, .
     b = [_as_rational(v) for v in b]
     aug = RationalMatrix(m.rows, m.cols + 1,
                          {**m.entries, **{(i, m.cols): v for i, v in enumerate(b) if v != 0}})
-    ech, pivots = _bareiss_echelon(_integer_rows(aug))
+    ech, pivots, _ = _bareiss_echelon(_integer_rows(aug))
     if pivots and pivots[-1] == m.cols:
         return None  # a pivot in the augmented column: inconsistent
-    nc = m.cols
-    x = [Fraction(0)] * nc
-    for k in range(len(pivots) - 1, -1, -1):
-        pc = pivots[k]
-        row = ech[k]
-        s = Fraction(row[nc])
-        for j in range(pc + 1, nc):
-            if row[j] != 0 and x[j] != 0:
-                s -= Fraction(row[j]) * x[j]
-        x[pc] = s / row[pc]
-    return tuple(x)
+    # (x, -1) lies in the kernel of [m | b]
+    return _back_substitute(ech, pivots, [Fraction(0)] * m.cols + [Fraction(-1)])[:m.cols]
+
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, read off the last Bareiss pivot.
+
+    >>> determinant([[2, 1], [4, 3]]), determinant([[0, 1], [1, 0]]), determinant([])
+    (2, -1, 1)
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise MatrixError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    ech, pivots, odd = _bareiss_echelon([list(row) for row in rows])
+    if len(pivots) < n:
+        return 0
+    return -ech[-1][-1] if odd else ech[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +306,27 @@ def solve_rational(m: RationalMatrix, b: Sequence) -> Optional[tuple[Fraction, .
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+def smith_normal_form(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
     """Return (U, D, V) with U*m*V = D, D diagonal with d1 | d2 | ...
 
-    U and V are products of row/column swaps, transvections and sign flips,
-    so det(U), det(V) are +-1.  Pivoting is on the minimal absolute value
-    (ties broken by lowest row, then column) which keeps entries small.
+    ``m`` must have integer entries (else MatrixError).  U and V are products
+    of row/column swaps, transvections and sign flips, so det(U), det(V) are
+    +-1.  Pivoting is on the minimal absolute value (ties broken by lowest
+    row, then column) which keeps entries small.
 
-    >>> u, d, v = smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
+    >>> m = RationalMatrix.from_rows([[2, 4], [6, 8]])
+    >>> u, d, v = smith_normal_form(m)
     >>> d.diagonal()
-    [2, 4]
-    >>> u * IntegerMatrix.from_rows([[2, 4], [6, 8]]) * v == d
+    [Fraction(2, 1), Fraction(4, 1)]
+    >>> u * m * v == d
     True
     """
+    if any(x.denominator != 1 for x in m.entries.values()):
+        raise MatrixError("Smith normal form needs integer entries")
     nr, nc = m.rows, m.cols
-    d = m.to_dense()
-    u = IntegerMatrix.identity(nr).to_dense()
-    v = IntegerMatrix.identity(nc).to_dense()
+    d = [[x.numerator for x in row] for row in m.to_dense()]
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def row_op(i, k, q):  # row_i -= q * row_k
         d[i] = [a - q * b for a, b in zip(d[i], d[k])]
@@ -473,7 +401,7 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
             u[t] = [-a for a in u[t]]
         t += 1
 
-    return (IntegerMatrix.from_rows(u), IntegerMatrix.from_rows(d), IntegerMatrix.from_rows(v))
+    return RationalMatrix.from_rows(u), RationalMatrix.from_rows(d), RationalMatrix.from_rows(v)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +411,7 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
 
 def pivot_columns(m: RationalMatrix) -> list[int]:
     """Column indices whose original columns form a basis of the column space."""
-    _, pivots = _bareiss_echelon(_integer_rows(m))
+    _, pivots, _ = _bareiss_echelon(_integer_rows(m))
     return pivots
 
 
@@ -522,14 +450,12 @@ def preimage_space(f: RationalMatrix, w: RationalMatrix) -> RationalMatrix:
 
 
 def contains_space(a: RationalMatrix, b: RationalMatrix) -> bool:
-    """True iff col(b) ⊆ col(a)."""
-    if b.cols == 0:
-        return True
-    return rank(a.hstack(b)) == rank(a)
+    """True iff col(b) ⊆ col(a): no column of b is a pivot of [a | b]."""
+    return all(j < a.cols for j in pivot_columns(a.hstack(b)))
+
 
 def spaces_equal(a: RationalMatrix, b: RationalMatrix) -> bool:
-    ra, rb = rank(a), rank(b)
-    return ra == rb and rank(a.hstack(b)) == ra
+    return contains_space(a, b) and contains_space(b, a)
 
 
 def extend_basis(sub: RationalMatrix, ambient: RationalMatrix) -> list[int]:
@@ -538,14 +464,6 @@ def extend_basis(sub: RationalMatrix, ambient: RationalMatrix) -> list[int]:
     The scan order over ambient columns is ascending, so the choice is
     deterministic.
     """
-    current = sub
-    current_rank = rank(sub)
-    chosen = []
-    for j in range(ambient.cols):
-        candidate = current.hstack(ambient.submatrix_columns([j]))
-        r = rank(candidate)
-        if r > current_rank:
-            chosen.append(j)
-            current = candidate
-            current_rank = r
-    return chosen
+    # column j of ambient is chosen iff it is not in the span of sub and the
+    # ambient columns before it, i.e. iff it is a pivot column of [sub | ambient]
+    return [j - sub.cols for j in pivot_columns(sub.hstack(ambient)) if j >= sub.cols]

@@ -27,32 +27,12 @@ from math import comb, floor, gcd, prod
 from typing import Optional, Sequence
 
 from .complexes import CochainComplex, cohomology_dims
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, determinant
 from .weights import WeightFunction
 
 
 class FanError(ValueError):
     pass
-
-
-def _det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * prev
 
 
 class Fan:
@@ -93,7 +73,7 @@ class Fan:
             if len(cone) != n:
                 raise FanError(
                     f"maximal cone {cone} is not simplicial of full rank {n}")
-            if abs(_det([self.rays[i] for i in cone])) != 1:
+            if abs(determinant([self.rays[i] for i in cone])) != 1:
                 raise FanError(f"cone {cone} is not unimodular: fan is not smooth")
 
     def _validate_complete(self):
@@ -118,7 +98,7 @@ class Fan:
                     f"facet {facet} lies in {len(rays)} maximal cones (needs 2): fan "
                     f"is not complete")
             for v in rays:
-                side[facet, v] = _det([self.rays[i] for i in facet] + [self.rays[v]])
+                side[facet, v] = determinant([self.rays[i] for i in facet] + [self.rays[v]])
             if (side[facet, rays[0]] > 0) == (side[facet, rays[1]] > 0):
                 raise FanError(
                     f"the two maximal cones at facet {facet} lie on the same side of "
@@ -127,7 +107,7 @@ class Fan:
         # meets the curve at most n - 1 times, so some small t is off them all
         for t in count(1):
             point = tuple(t ** j for j in range(n))
-            at_point = {facet: _det([self.rays[i] for i in facet] + [point])
+            at_point = {facet: determinant([self.rays[i] for i in facet] + [point])
                         for facet in opposite}
             if all(at_point.values()):
                 break
@@ -137,12 +117,6 @@ class Fan:
             reason = "fan is not complete" if inside == 0 else "maximal cones overlap"
             raise FanError(
                 f"generic point {point} lies in {inside} maximal cones (needs 1): {reason}")
-
-    def ray_index(self, name: str) -> int:
-        try:
-            return self.ray_names.index(name)
-        except ValueError:
-            raise FanError(f"unknown ray name {name!r}") from None
 
     def __repr__(self):
         return f"Fan(rank {self.rank}, {len(self.rays)} rays, {len(self.maximal_cones)} cones)"
@@ -218,7 +192,8 @@ def character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
     hi = [0] * n
     for subset in combinations(range(len(fan.rays)), n):
         rows = [fan.rays[i] for i in subset]
-        cof = [[(-1) ** (k + j) * _det([r[:j] + r[j + 1:] for i, r in enumerate(rows) if i != k])
+        cof = [[(-1) ** (k + j)
+                * determinant([r[:j] + r[j + 1:] for i, r in enumerate(rows) if i != k])
                 for j in range(n)] for k in range(n)]
         det = sum(a * c for a, c in zip(rows[0], cof[0]))
         if det == 0:

@@ -269,6 +269,25 @@ def test_spectral_sequence_respects_r_max(tmp_path):
     assert [p["r"] for p in doc["result"]["pages"]] == [0, 1]
 
 
+def test_spectral_sequence_stable_pages_golden(tmp_path):
+    code, _, out = run_json(
+        ["spectral-sequence", "--in", str(FIXTURES / "circle_complex.json"),
+         "--r-max", "12"], tmp_path)
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "spectral_circle_r12.json").read_bytes()
+
+
+@pytest.mark.parametrize("r_max, expected", [(7, 0), (8, 1)])
+def test_spectral_sequence_pages_charged_against_cap(r_max, expected, capsys, monkeypatch):
+    # r_max + 1 pages are printed; the cap is 8
+    monkeypatch.setenv("LHL_MAX_DIM", "8")
+    code = main(["spectral-sequence", "--in", str(FIXTURES / "circle_complex.json"),
+                 "--r-max", str(r_max)])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert ("spectral-sequence pages" in err) == bool(expected)
+
+
 # --- determinism and plumbing ------------------------------------------------------------
 
 

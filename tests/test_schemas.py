@@ -1,0 +1,51 @@
+"""Every fixture validates under exactly one shipped JSON Schema, and that
+schema is the one for its document kind.  jsonschema is a test-only
+dependency; the module is skipped without it."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+jsonschema = pytest.importorskip("jsonschema")
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SCHEMAS = Path(__file__).parents[1] / "src" / "loghodgelab" / "schemas"
+
+FIXTURE_SCHEMA = {
+    "circle_complex.json": "generic-complex.schema.json",
+    "ex42.json": "intersection-data.schema.json",
+    "ex42_cell_weights.json": "weights.schema.json",
+    "nilpotent_3plus1.json": "nilpotent-operator.schema.json",
+    "p1_fan.json": "fan.schema.json",
+    "p2_canonical_divisor.json": "divisor.schema.json",
+    "p2_double_cover_fan.json": "fan.schema.json",
+    "p2_fan.json": "fan.schema.json",
+    "w111.json": "weights.schema.json",
+    "w131.json": "weights.schema.json",
+    "wedge_fan.json": "intersection-data.schema.json",
+}
+
+
+def load_validators():
+    out = {}
+    for path in sorted(SCHEMAS.glob("*.schema.json")):
+        schema = json.loads(path.read_text())
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        out[path.name] = cls(schema)
+    return out
+
+
+VALIDATORS = load_validators()
+
+
+def test_every_fixture_is_mapped():
+    assert sorted(p.name for p in FIXTURES.glob("*.json")) == sorted(FIXTURE_SCHEMA)
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_SCHEMA))
+def test_fixture_validates_under_exactly_its_schema(fixture):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    matching = [name for name, v in VALIDATORS.items() if v.is_valid(doc)]
+    assert matching == [FIXTURE_SCHEMA[fixture]]
