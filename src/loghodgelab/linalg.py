@@ -8,8 +8,11 @@ entries.  The one elimination is the fraction-free `_bareiss_echelon`
 (Bareiss 1968): it serves rank, kernel, solve, pivot columns and
 determinant, and each subspace question takes one elimination of a stacked
 matrix.  Its integer rows are built straight from the sparse entries, each
-row scaled by the lcm of its denominators.  The pivot order is deterministic
-(lowest row, then column index) so every report is reproducible bit for bit.
+row scaled by the lcm of its denominators.  Products accumulate in ints the
+same way: each row of the left factor and each column of the right one is
+scaled by the lcm of its denominators, and each nonzero entry of the product
+becomes one Fraction.  The pivot order is deterministic (lowest row, then
+column index) so every report is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -130,25 +133,31 @@ class RationalMatrix:
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise MatrixError("shape mismatch in multiplication")
-        # sparse row x sparse column accumulation
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        # Row i of self scaled by a_i and column j of other by b_j (the lcms of
+        # their denominators) are integers, so entry (i, j) is one exact
+        # integer sum over a_i * b_j.
+        row_scale: dict[int, int] = {}
+        for (i, _), v in self.entries.items():
+            row_scale[i] = lcm(row_scale.get(i, 1), v.denominator)
+        col_scale: dict[int, int] = {}
+        for (_, j), v in other.entries.items():
+            col_scale[j] = lcm(col_scale.get(j, 1), v.denominator)
+        by_row: dict[int, list[tuple[int, int]]] = {}
         for (i, k), v in self.entries.items():
-            by_row.setdefault(i, []).append((k, v))
-        by_col: dict[int, dict[int, Fraction]] = {}
+            by_row.setdefault(i, []).append((k, v.numerator * (row_scale[i] // v.denominator)))
+        by_col: dict[int, list[tuple[int, int]]] = {}
         for (k, j), v in other.entries.items():
-            by_col.setdefault(k, {})[j] = v
+            by_col.setdefault(k, []).append((j, v.numerator * (col_scale[j] // v.denominator)))
         entries: dict[tuple[int, int], Fraction] = {}
         for i, terms in by_row.items():
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int] = {}
             for k, v in terms:
-                row_k = by_col.get(k)
-                if not row_k:
-                    continue
-                for j, w in row_k.items():
-                    acc[j] = acc.get(j, Fraction(0)) + v * w
+                for j, w in by_col.get(k, ()):
+                    acc[j] = acc.get(j, 0) + v * w
+            a = row_scale[i]
             for j, total in acc.items():
-                if total != 0:
-                    entries[(i, j)] = total
+                if total:
+                    entries[(i, j)] = Fraction(total, a * col_scale[j])
         return RationalMatrix(self.rows, other.cols, entries)
 
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
@@ -401,7 +410,11 @@ def smith_normal_form(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
             u[t] = [-a for a in u[t]]
         t += 1
 
-    return RationalMatrix.from_rows(u), RationalMatrix.from_rows(d), RationalMatrix.from_rows(v)
+    def shaped(rows, cols):  # from_rows cannot tell the width of a matrix with no rows
+        return RationalMatrix(len(rows), cols, {(i, j): x for i, row in enumerate(rows)
+                                                for j, x in enumerate(row) if x})
+
+    return shaped(u, nr), shaped(d, nc), shaped(v, nc)
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,26 @@ stratum weight read off from the Jordan block sizes.
 
 The filtration is built from an explicit Jordan basis (a chain v, Nv, ...,
 N^{s-1}v of length s contributes the weights k+s-1, k+s-3, ..., k-s+1) and
-then re-verified against its two defining axioms:
+then re-verified: W must be an increasing, exhaustive filtration
+(W_{l-1} ⊆ W_l, and W_{k+dim} is the whole space, which also catches
+dependent Jordan chains) satisfying its two defining axioms:
 
     N . W_l  is contained in  W_{l-2},        and
     N^l : Gr_{k+l} -> Gr_{k-l}  is an isomorphism for every l >= 0.
 
 The axioms determine the filtration uniquely, which the test suite confirms
-by exhaustion in small dimension.
+by exhaustion in small dimension.  Each image N^l W_j is one matrix product,
+and the ranks of the powers of N and of the levels of W are computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import (
     RationalMatrix,
-    column_space_basis,
     contains_space,
     extend_basis,
     kernel_basis,
@@ -56,6 +59,11 @@ class NilpotentOperator:
             return RationalMatrix.zeros(self.dimension, self.dimension)
         return self._powers[j]
 
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """rank(N^j) for j = 0 .. index."""
+        return tuple(rank(p) for p in self._powers)
+
     def __repr__(self):
         return f"NilpotentOperator(dim {self.dimension}, index {self.index})"
 
@@ -65,13 +73,10 @@ def jordan_type(n: NilpotentOperator) -> tuple[int, ...]:
 
     The number of blocks of size >= s is rank(N^{s-1}) - rank(N^s).
     """
-    ranks = [rank(n.power(j)) for j in range(n.index + 1)]
+    ranks = n.ranks + (0,)
     blocks = []
     for s in range(1, n.index + 1):
-        at_least_s = ranks[s - 1] - (ranks[s] if s < len(ranks) else 0)
-        at_least_next = (ranks[s] - (ranks[s + 1] if s + 1 < len(ranks) else 0)
-                         if s < len(ranks) else 0)
-        exactly_s = at_least_s - at_least_next
+        exactly_s = (ranks[s - 1] - ranks[s]) - (ranks[s] - ranks[s + 1])
         blocks.extend([s] * exactly_s)
     if n.dimension == 0:
         return ()
@@ -126,13 +131,25 @@ class WeightFiltration:
             return RationalMatrix.identity(self.dimension)
         return self.subspaces[l]
 
-    def level_dims(self) -> dict[int, int]:
+    @cached_property
+    def _ranks(self) -> dict[int, int]:
         return {l: rank(m) for l, m in sorted(self.subspaces.items())}
+
+    def level_rank(self, l: int) -> int:
+        """dim W_l."""
+        if l < self.center - self.dimension:
+            return 0
+        if l > self.center + self.dimension:
+            return self.dimension
+        return self._ranks[l]
+
+    def level_dims(self) -> dict[int, int]:
+        return dict(self._ranks)
 
     def graded_dims(self) -> dict[int, int]:
         dims = {}
-        for l in sorted(self.subspaces):
-            d = rank(self.level(l)) - rank(self.level(l - 1))
+        for l in self._ranks:
+            d = self.level_rank(l) - self.level_rank(l - 1)
             if d:
                 dims[l] = d
         return dims
@@ -147,15 +164,17 @@ class WeightFiltration:
 
 
 def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> None:
-    """Raise unless N W_l ⊆ W_{l-2} and N^l : Gr_{k+l} -> Gr_{k-l} is an
-    isomorphism for every l >= 1."""
+    """Raise unless W is increasing and exhaustive, N W_l ⊆ W_{l-2}, and
+    N^l : Gr_{k+l} -> Gr_{k-l} is an isomorphism for every l >= 1."""
     k = w.center
     dim = n.dimension
+    if w.level_rank(k + dim) != dim:
+        raise MonodromyError(f"filtration not exhaustive: dim W_{k + dim} < {dim}")
+    for l in range(k - dim + 1, k + dim + 1):
+        if not contains_space(w.level(l), w.level(l - 1)):
+            raise MonodromyError(f"filtration not increasing: W_{l - 1} not inside W_{l}")
     for l in range(k - dim, k + dim + 1):
-        wl = w.level(l)
-        images = [n.matrix.apply(wl.column(j)) for j in range(wl.cols)]
-        img = RationalMatrix.from_columns(images, dim)
-        if not contains_space(w.level(l - 2), img):
+        if not contains_space(w.level(l - 2), n.matrix * w.level(l)):
             raise MonodromyError(f"axiom failure: N W_{l} not inside W_{l - 2}")
     graded = w.graded_dims()
     for l in range(1, dim + 1):
@@ -167,11 +186,8 @@ def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> None:
         if up == 0:
             continue
         # N^l must map W_{k+l} onto W_{k-l} modulo W_{k-l-1} with full rank
-        wl = w.level(k + l)
-        images = [n.power(l).apply(wl.column(j)) for j in range(wl.cols)]
-        img = RationalMatrix.from_columns(images, dim)
-        below = w.level(k - l - 1)
-        induced_rank = rank(sum_spaces(img, below)) - rank(below)
+        img = n.power(l) * w.level(k + l)
+        induced_rank = rank(img.hstack(w.level(k - l - 1))) - w.level_rank(k - l - 1)
         if induced_rank != up:
             raise MonodromyError(
                 f"axiom failure: N^{l} is not an isomorphism Gr_{k + l} -> Gr_{k - l}")
@@ -194,10 +210,10 @@ def weight_filtration(n: NilpotentOperator, center: int = 0) -> WeightFiltration
             weighted.append((center + (s - 1) - 2 * i, vec))
     subspaces = {}
     for l in range(center - dim, center + dim + 1):
+        # a Jordan basis is independent, so these columns are a basis of W_l;
+        # the exhaustive check below fails if they are not
         vectors = [vec for wt, vec in weighted if wt <= l]
-        basis = (column_space_basis(RationalMatrix.from_columns(vectors, dim))
-                 if vectors else RationalMatrix.zeros(dim, 0))
-        subspaces[l] = basis
+        subspaces[l] = RationalMatrix.from_columns(vectors, dim)
     filtration = WeightFiltration(center, dim, subspaces)
     verify_weight_axioms(n, filtration)
     return filtration

@@ -211,6 +211,14 @@ def test_snf_identity():
     assert d == RationalMatrix.identity(3)
 
 
+def test_snf_shapes_with_an_empty_side():
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        m = RationalMatrix.zeros(rows, cols)
+        u, d, v = smith_normal_form(m)
+        assert [(x.rows, x.cols) for x in (u, d, v)] == [(rows, rows), (rows, cols), (cols, cols)]
+        assert u * m * v == d
+
+
 def test_snf_diag_normalization():
     diag = snf_check([[6, 0], [0, 4]])
     assert diag == [2, 12]

@@ -1,7 +1,8 @@
-"""The one-elimination subspace predicates and `determinant` against the
-algorithms they replaced: a greedy rank per ambient column for
-`extend_basis`, two ranks for `contains_space` and `spaces_equal`, and a
-hand-written Bareiss loop for determinants."""
+"""The one-elimination subspace predicates, `determinant` and the matrix
+product against the algorithms they replaced: a greedy rank per ambient
+column for `extend_basis`, two ranks for `contains_space` and
+`spaces_equal`, a hand-written Bareiss loop for determinants, and Fraction
+accumulation for `RationalMatrix.__mul__`."""
 
 import doctest
 import random
@@ -65,6 +66,26 @@ def reference_det(matrix):
     return sign * prev
 
 
+def reference_product(a, b):
+    """Sparse row x sparse column accumulation in Fractions."""
+    by_row = {}
+    for (i, k), v in a.entries.items():
+        by_row.setdefault(i, []).append((k, v))
+    by_col = {}
+    for (k, j), v in b.entries.items():
+        by_col.setdefault(k, {})[j] = v
+    entries = {}
+    for i, terms in by_row.items():
+        acc = {}
+        for k, v in terms:
+            for j, w in by_col.get(k, {}).items():
+                acc[j] = acc.get(j, Fraction(0)) + v * w
+        for j, total in acc.items():
+            if total != 0:
+                entries[(i, j)] = total
+    return RationalMatrix(a.rows, b.cols, entries)
+
+
 def random_basis(rng, rows, cols):
     """Sparse rational columns, some of them repeats or multiples of others."""
     columns = []
@@ -100,6 +121,52 @@ def test_contains_and_equal_match_two_rank_tests():
         assert contains_space(a, b) == reference_contains_space(a, b)
         assert contains_space(b, a) == reference_contains_space(b, a)
         assert spaces_equal(a, b) == reference_spaces_equal(a, b)
+
+
+def random_sparse(rng, rows, cols, integral):
+    density = rng.choice((0.2, 0.5, 0.9))
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                big = rng.random() < 0.2
+                num = rng.randint(-10**12, 10**12) if big else rng.randint(-9, 9)
+                den = 1 if integral else rng.choice((1, 2, 3, 7, 12, 10**9 + 7 if big else 5))
+                entries[(i, j)] = Fraction(num, den)
+    return RationalMatrix(rows, cols, entries)
+
+
+def product_pairs():
+    rng = random.Random(613)
+    for t in range(300):
+        integral = t % 3 == 0
+        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        a = random_sparse(rng, n, k, integral)
+        b = random_sparse(rng, k, m, integral)
+        yield a, b
+        if t % 5 == 0:
+            # a left null vector of b as an extra row of a: that row of a*b cancels to 0
+            ker = linalg.kernel_basis(b.transpose())
+            if ker:
+                yield a.transpose().hstack(RationalMatrix.from_columns(ker[:1], k)).transpose(), b
+    for n, k, m in ((0, 3, 2), (2, 3, 0), (3, 0, 2), (0, 0, 0), (1, 1, 1)):
+        yield random_sparse(rng, n, k, False), random_sparse(rng, k, m, False)
+    half = Fraction(1, 2)
+    yield RationalMatrix.from_rows([[half, -half]]), RationalMatrix.from_rows([[1], [1]])
+    yield RationalMatrix.from_rows([[Fraction(-3, 7)]]), RationalMatrix.from_rows([[Fraction(7, 3)]])
+
+
+def test_product_matches_fraction_accumulation():
+    cancelled = empty = 0
+    for a, b in product_pairs():
+        got = a * b
+        assert got == reference_product(a, b)
+        assert all(isinstance(v, Fraction) and v != 0 for v in got.entries.values())
+        # some entry has nonzero terms a_ik * b_kj that sum to zero
+        cancelled += any((i, j) not in got.entries
+                         for (i, k) in a.entries for (k2, j) in b.entries if k == k2)
+        empty += 0 in (a.rows, a.cols, b.cols)
+    assert cancelled > 10 and empty == 4
 
 
 def test_determinant_matches_reference_loop():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 import pytest
 
+import loghodgelab.linalg as linalg
+import loghodgelab.monodromy as monodromy
 from loghodgelab.linalg import (
     RationalMatrix,
     column_space_basis,
@@ -13,6 +15,7 @@ from loghodgelab.linalg import (
 from loghodgelab.monodromy import (
     MonodromyError,
     NilpotentOperator,
+    WeightFiltration,
     jordan_chains,
     jordan_type,
     stratum_weight,
@@ -135,6 +138,61 @@ def test_weight_filtration_axioms_random():
         n = random_nilpotent(rng, rng.randint(1, 8))
         w = weight_filtration(n, center=rng.randint(-2, 2))
         verify_weight_axioms(n, w)   # raises on failure
+
+
+def test_zero_filtration_rejected():
+    n = NilpotentOperator(jordan_block_matrix([3]))
+    zero = WeightFiltration(0, 3, {l: RationalMatrix.zeros(3, 0) for l in range(-3, 4)})
+    with pytest.raises(MonodromyError, match="not exhaustive"):
+        verify_weight_axioms(n, zero)
+
+
+def test_non_increasing_filtrations_rejected():
+    e1, e2 = RationalMatrix.from_rows([[1], [0]]), RationalMatrix.from_rows([[0], [1]])
+    zero, full = RationalMatrix.zeros(2, 0), RationalMatrix.identity(2)
+    # N = 0: W_0 = <e1>, W_1 = <e2>, W_2 = <e1> meets both weight axioms but
+    # never reaches the whole space
+    n = NilpotentOperator(RationalMatrix.zeros(2, 2))
+    w = WeightFiltration(0, 2, {-2: zero, -1: zero, 0: e1, 1: e2, 2: e1})
+    with pytest.raises(MonodromyError, match="not exhaustive"):
+        verify_weight_axioms(n, w)
+    # N e2 = e1: the true filtration with W_0 = <e1> replaced by <e2>
+    n = NilpotentOperator(RationalMatrix.from_rows([[0, 1], [0, 0]]))
+    w = WeightFiltration(0, 2, {-2: zero, -1: e1, 0: e2, 1: full, 2: full})
+    with pytest.raises(MonodromyError, match="W_-1 not inside W_0"):
+        verify_weight_axioms(n, w)
+
+
+def test_each_rank_computed_once(monkeypatch):
+    """weight_filtration, jordan_type and stratum_weight on a fixed 9 x 9
+    operator: the ranks of the powers of N and of the levels of W are each
+    computed once, however often the report reads them."""
+    rng = random.Random(507)
+    p = RationalMatrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                   for _ in range(9)] for _ in range(9)])
+    n = NilpotentOperator(p * jordan_block_matrix([4, 3, 2]) * invert(p))
+    eliminations, power_ranks = [], []
+    bareiss = linalg._bareiss_echelon
+
+    def counted_bareiss(m):
+        eliminations.append(m)
+        return bareiss(m)
+
+    def counted_rank(m):
+        if any(m is n.power(j) for j in range(n.index + 1)):
+            power_ranks.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(linalg, "_bareiss_echelon", counted_bareiss)
+    monkeypatch.setattr(monodromy, "rank", counted_rank)
+    w = weight_filtration(n, 0)
+    assert jordan_type(n) == (4, 3, 2) and stratum_weight(n) == 4
+    assert len(eliminations) == 79
+    assert len(power_ranks) == n.index + 1 == 5
+    for _ in range(3):
+        w.to_json_dict()
+        jordan_type(n)
+    assert len(eliminations) == 79
 
 
 def test_weight_filtration_center_shift():
