@@ -3,14 +3,16 @@ complexes and their spectral sequences.
 
 Complexes are bounded, with an explicit contiguous degree range.  Filtrations
 are stored as explicit subspace bases per degree (not index markers), because
-the weighted filtrations built elsewhere are not coordinate-aligned.  Page
-computation is by explicit subquotient bases
-
-    Z_r^{p,q} = { x in F^p C^{p+q} : d x in F^{p+r} C^{p+q+1} }
-    E_r^{p,q} = Z_r^{p,q} / ( Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2} )
-
-rather than derived couples, so every page can be checked directly against
-the cohomology of the previous one.
+the weighted filtrations built elsewhere are not coordinate-aligned.  Pages
+come from one persistence reduction (Edelsbrunner-Letscher-Zomorodian 2002;
+Basu-Parida 2017).  Each C^k gets a basis adapted to the filtration, so every
+basis vector has a level, the largest p with the vector in F^p.  In these
+bases a column reduction of each d_k pairs elements of C^k with elements of
+C^{k+1}; the gap of a pair is the level of its target minus the level of its
+source.  Over a field a filtered complex splits into one- and two-element
+interval pieces, so the gaps do not depend on the basis.  E_r^{p,q} counts the
+elements at (p, q) that are unpaired or in a pair of gap >= r, and d_r is
+nonzero exactly where a pair of gap r starts.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from .linalg import (
     contains_space,
     extend_basis,
     kernel_basis,
-    preimage_space,
     rank,
     solve_rational,
-    sum_spaces,
 )
 
 
@@ -340,9 +340,7 @@ class FilteredComplex:
                     raise FiltrationError(f"levels not nested at level {p + 1}, degree {k}")
         for p, level in enumerate(norm):
             for k in underlying.degrees():
-                image_cols = [underlying.differential(k).apply(level[k].column(j))
-                              for j in range(level[k].cols)]
-                img = RationalMatrix.from_columns(image_cols, underlying.dim(k + 1))
+                img = underlying.differential(k) * level[k]
                 tgt = level.get(k + 1, RationalMatrix.zeros(underlying.dim(k + 1), 0))
                 if not contains_space(tgt, img):
                     raise FiltrationError(
@@ -384,6 +382,11 @@ def stupid_filtration(c: CochainComplex) -> FilteredComplex:
 
 @dataclass
 class SpectralSequencePage:
+    """Page E_r: ``entries[(p, q)]`` is dim E_r^{p,q} (nonzero entries only),
+    and ``differentials[(p, q)]`` is d_r : E_r^{p,q} -> E_r^{p+r,q-r+1} for
+    every nonzero entry, in the basis of surviving pair elements (a 0/1
+    matrix with one 1 per pair of gap r; zero rows off the grid)."""
+
     r: int
     entries: dict[tuple[int, int], int]
     differentials: dict[tuple[int, int], RationalMatrix]
@@ -412,23 +415,72 @@ class SpectralSequencePage:
         }
 
 
-class _PageEntry:
-    """Representatives of E_r^{p,q} = Z_r / D_r for one spot (p, q)."""
+def _adapted_basis(fc: FilteredComplex, k: int) -> tuple[RationalMatrix, list[int]]:
+    """(B, level): the columns of B are a basis of C^k in which every F^p C^k
+    is spanned by the columns of level >= p.  Columns are picked from the
+    level bases, deepest level first, and each gets the level it was picked at."""
+    basis = RationalMatrix.zeros(fc.underlying.dim(k), 0)
+    level: list[int] = []
+    for p in range(fc.depth - 1, -1, -1):
+        fp = fc.level_basis(p, k)
+        if fp.cols > basis.cols:  # the levels are nested, so equal dims mean equal spaces
+            basis = basis.hstack(fp.submatrix_columns(extend_basis(basis, fp)))
+            level += [p] * (basis.cols - len(level))
+    return basis, level
 
-    __slots__ = ("reps", "denominator")
 
-    def __init__(self, reps: RationalMatrix, denominator: RationalMatrix):
-        self.reps = reps
-        self.denominator = denominator
+def _inverse(b: RationalMatrix) -> RationalMatrix:
+    """B^-1 of an invertible B: the kernel vector of [B | -I] for the free
+    column n + i is (B^-1 e_i, e_i)."""
+    n = b.cols
+    ker = kernel_basis(b.hstack(-RationalMatrix.identity(n)))
+    return RationalMatrix.from_columns([v[:n] for v in ker], n)
+
+
+def _persistence_pairs(x: RationalMatrix, col_level: list[int],
+                       row_level: list[int]) -> list[tuple[int, int]]:
+    """Pairs (j, i) of a column reduction of X in filtration order.
+
+    Columns are processed in the order (-level, index); the low of a column
+    is its nonzero row that comes last in the same order on the rows.  A
+    column whose low is taken is reduced by the column that took it."""
+    cols: dict[int, dict[int, Fraction]] = {}
+    for (i, j), v in x.entries.items():
+        cols.setdefault(j, {})[i] = v
+    row_key = lambda i: (-row_level[i], i)
+    taken: dict[int, dict[int, Fraction]] = {}
+    pairs = []
+    for j in sorted(cols, key=lambda j: (-col_level[j], j)):
+        col = cols[j]
+        while col:
+            low = max(col, key=row_key)
+            pivot = taken.get(low)
+            if pivot is None:
+                taken[low] = col
+                pairs.append((j, low))
+                break
+            f = col[low] / pivot[low]
+            for i, v in pivot.items():
+                w = col.get(i, 0) - f * v
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+    return pairs
 
 
 def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[SpectralSequencePage]:
-    """Pages E_0 .. E_{r_max} of the filtration spectral sequence.
+    """Pages E_0 .. E_{r_max} of the filtration spectral sequence, read off
+    one persistence reduction (see the module docstring).
 
-    After computing d_r, the page E_{r+1} is checked against the cohomology
-    of (E_r, d_r); a mismatch raises (it would indicate an internal bug).
-    Default r_max is depth + 1, past which all pages are stable: at most
-    pages 0..depth+1 are computed, and each later page is a copy of page
+    With B_k the adapted basis of C^k, X_k = B_{k+1}^-1 d_k B_k has
+    X[i, j] != 0 only where level(i) >= level(j), and its column reduction
+    gives the pairs.  d_r^{p,q} is the 0/1 matrix, in the surviving elements
+    of (p, q) and of (p + r, q - r + 1) ordered by index, with one 1 per pair
+    of gap r.  The E_infinity totals are checked against ``cohomology_dims``
+    (Bareiss ranks of d); a mismatch raises (it would indicate an internal
+    bug).  Default r_max is depth + 1, past which all pages are stable: at
+    most pages 0..depth+1 are computed, and each later page is a copy of page
     depth + 1 (whose differentials all land outside the grid) relabelled r.
     """
     c = fc.underlying
@@ -437,89 +489,45 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
         r_max = depth + 1
     r_max = max(r_max, 0)
 
-    pq_pairs = [(p, k - p) for k in c.degrees() for p in range(depth)]
+    basis: dict[int, RationalMatrix] = {}
+    level: dict[int, list[int]] = {}
+    for k in c.degrees():
+        basis[k], level[k] = _adapted_basis(fc, k)
+    gap: dict[int, list[Optional[int]]] = {k: [None] * c.dim(k) for k in c.degrees()}
+    pairs: list[tuple[int, int, int, int]] = []  # (k, j, i, gap) with j in C^k, i in C^{k+1}
+    for k in c.degrees():
+        if c.differential(k).is_zero():
+            continue
+        x = _inverse(basis[k + 1]) * c.differential(k) * basis[k]
+        if any(level[k + 1][i] < level[k][j] for (i, j) in x.entries):
+            raise ComplexError("internal: differential does not preserve the adapted basis")
+        for j, i in _persistence_pairs(x, level[k], level[k + 1]):
+            g = level[k + 1][i] - level[k][j]
+            gap[k][j] = gap[k + 1][i] = g
+            pairs.append((k, j, i, g))
 
-    z_cache: dict[tuple[int, int, int], RationalMatrix] = {}
-
-    def z(r: int, p: int, k: int) -> RationalMatrix:
-        """Z_r^{p, k-p} = F^p C^k ∩ d^{-1}(F^{p+r} C^{k+1}); for r <= 0 this
-        is just F^p C^k (d preserves the filtration)."""
-        if r <= 0:
-            return fc.level_basis(p, k)
-        key = (r, p, k)
-        if key not in z_cache:
-            fp = fc.level_basis(p, k)
-            if fp.cols == 0:
-                z_cache[key] = fp
-            else:
-                d = c.differential(k)
-                images = [d.apply(fp.column(j)) for j in range(fp.cols)]
-                dmat = RationalMatrix.from_columns(images, c.dim(k + 1))
-                coeff = preimage_space(dmat, fc.level_basis(p + r, k + 1))
-                vecs = [fp.apply(coeff.column(j)) for j in range(coeff.cols)]
-                z_cache[key] = column_space_basis(
-                    RationalMatrix.from_columns(vecs, c.dim(k)))
-        return z_cache[key]
-
-    def page_entries(r: int) -> dict[tuple[int, int], _PageEntry]:
-        data = {}
-        for (p, q) in pq_pairs:
-            k = p + q
-            zr = z(r, p, k)
-            z_above = z(r - 1, p + 1, k)
-            lower = z(r - 1, p - r + 1, k - 1)
-            d_prev = c.differential(k - 1)
-            images = [d_prev.apply(lower.column(j)) for j in range(lower.cols)]
-            img = RationalMatrix.from_columns(images, c.dim(k))
-            denom = sum_spaces(z_above, img)
-            if not contains_space(zr, denom):
-                raise ComplexError("internal: page denominator not contained in Z_r")
-            chosen = extend_basis(denom, zr)
-            data[(p, q)] = _PageEntry(zr.submatrix_columns(chosen), denom)
-        return data
+    totals = {k: v for k in c.degrees() if (v := gap[k].count(None))}
+    if totals != {k: v for k, v in cohomology_dims(c).items() if v}:
+        raise ComplexError("internal: E_infinity totals differ from the cohomology")
 
     pages: list[SpectralSequencePage] = []
-    prev_cohomology: Optional[dict[tuple[int, int], int]] = None
     for r in range(0, min(r_max, depth + 1) + 1):
-        data = page_entries(r)
-        entries = {pq: e.reps.cols for pq, e in data.items() if e.reps.cols}
-        diffs: dict[tuple[int, int], RationalMatrix] = {}
-        for (p, q), e in data.items():
-            if e.reps.cols == 0:
-                continue
-            target = data.get((p + r, q - r + 1))
-            d = c.differential(p + q)
-            cols = []
-            t_cols = target.reps.cols if target else 0
-            for j in range(e.reps.cols):
-                image = d.apply(e.reps.column(j))
-                if target is None:
-                    if any(v != 0 for v in image):
-                        raise ComplexError("internal: d_r image outside the page grid")
-                    cols.append(tuple())
-                else:
-                    sol = solve_rational(target.reps.hstack(target.denominator), image)
-                    if sol is None:
-                        raise ComplexError("internal: d_r image not in target page space")
-                    cols.append(sol[:t_cols])
-            diffs[(p, q)] = RationalMatrix.from_columns(cols, t_cols)
-        page = SpectralSequencePage(r, entries, diffs)
-        if prev_cohomology is not None:
-            for pq in set(entries) | set(prev_cohomology):
-                if entries.get(pq, 0) != prev_cohomology.get(pq, 0):
-                    raise ComplexError(
-                        f"internal: page {r} entry at {pq} does not match "
-                        f"cohomology of page {r - 1}")
-        coh: dict[tuple[int, int], int] = {}
-        for (p, q), n in entries.items():
-            out = diffs.get((p, q))
-            inc = diffs.get((p - r, q + r - 1))
-            dim = n - (rank(out) if out is not None else 0) \
-                    - (rank(inc) if inc is not None else 0)
-            if dim:
-                coh[(p, q)] = dim
-        prev_cohomology = coh
-        pages.append(page)
+        survivors: dict[tuple[int, int], list[int]] = {}  # (level, degree) -> indices
+        for k in c.degrees():
+            for x, g in enumerate(gap[k]):
+                if g is None or g >= r:
+                    survivors.setdefault((level[k][x], k), []).append(x)
+        entries = {(p, k - p): len(survivors[(p, k)])
+                   for k in c.degrees() for p in range(depth) if (p, k) in survivors}
+        ones: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {pq: {} for pq in entries}
+        for k, j, i, g in pairs:
+            if g == r:
+                p = level[k][j]
+                ones[(p, k - p)][(survivors[(p + r, k + 1)].index(i),
+                                  survivors[(p, k)].index(j))] = Fraction(1)
+        diffs = {(p, q): RationalMatrix(entries.get((p + r, q - r + 1), 0), n, ones[(p, q)])
+                 for (p, q), n in entries.items()}
+        pages.append(SpectralSequencePage(r, entries, diffs))
     stable = pages[-1]
     pages += [SpectralSequencePage(r, dict(stable.entries), dict(stable.differentials))
               for r in range(depth + 2, r_max + 1)]

@@ -439,29 +439,6 @@ def sum_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return column_space_basis(a.hstack(b))
 
 
-def intersect_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Basis of col(a) ∩ col(b)."""
-    if a.rows != b.rows:
-        raise MatrixError("ambient dimension mismatch")
-    if a.cols == 0 or b.cols == 0:
-        return RationalMatrix.zeros(a.rows, 0)
-    combined = a.hstack(-b)
-    vectors = []
-    for ker in kernel_basis(combined):
-        x = ker[:a.cols]
-        vectors.append(a.apply(x))
-    return column_space_basis(RationalMatrix.from_columns(vectors, a.rows))
-
-
-def preimage_space(f: RationalMatrix, w: RationalMatrix) -> RationalMatrix:
-    """Basis of {x : f x in col(w)} inside the domain of f."""
-    if f.rows != w.rows:
-        raise MatrixError("ambient dimension mismatch")
-    combined = f.hstack(-w)
-    vectors = [ker[:f.cols] for ker in kernel_basis(combined)]
-    return column_space_basis(RationalMatrix.from_columns(vectors, f.cols))
-
-
 def contains_space(a: RationalMatrix, b: RationalMatrix) -> bool:
     """True iff col(b) ⊆ col(a): no column of b is a pivot of [a | b]."""
     return all(j < a.cols for j in pivot_columns(a.hstack(b)))

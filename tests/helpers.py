@@ -2,7 +2,7 @@
 
 import random
 
-from loghodgelab.complexes import ChainMap, CochainComplex
+from loghodgelab.complexes import ChainMap, CochainComplex, FilteredComplex
 from loghodgelab.linalg import RationalMatrix, kernel_basis
 
 
@@ -58,3 +58,28 @@ def random_chain_map(rng: random.Random, source: CochainComplex,
         if not fk.is_zero():
             components[k] = fk
     return ChainMap(source, target, components)
+
+
+def random_filtration(rng: random.Random, c: CochainComplex, depth: int) -> FilteredComplex:
+    """Nested subcomplex filtration F^0 = C ⊇ F^1 ⊇ ... ⊇ F^{depth-1} that is
+    not coordinate-aligned: each random vector v enters at some level and dv
+    at the same or a deeper one, so d_r can be nonzero for any r < depth."""
+    spans = [{k: [] for k in c.degrees()} for _ in range(depth)]
+    for _ in range(rng.randint(1, 3)):
+        k = rng.choice(list(c.degrees()))
+        if not c.dim(k):
+            continue
+        v = [rng.randint(-2, 2) for _ in range(c.dim(k))]
+        dv = c.differential(k).apply(v)
+        p_v = rng.randrange(depth)
+        p_dv = rng.randint(p_v, depth - 1)
+        for p in range(1, p_v + 1):
+            spans[p][k].append(v)
+        if any(dv):
+            for p in range(1, p_dv + 1):
+                spans[p][k + 1].append(dv)
+    levels = [{k: RationalMatrix.identity(c.dim(k)) for k in c.degrees()}]
+    for p in range(1, depth):
+        levels.append({k: RationalMatrix.from_columns(cols, c.dim(k))
+                       for k, cols in spans[p].items()})
+    return FilteredComplex(c, levels)

@@ -269,6 +269,20 @@ def test_spectral_sequence_respects_r_max(tmp_path):
     assert [p["r"] for p in doc["result"]["pages"]] == [0, 1]
 
 
+@pytest.mark.parametrize("r_max", ["0", "1"])
+def test_spectral_sequence_short_r_max_reports_e_infinity(r_max, tmp_path):
+    # the circle's E_0 and E_1 totals are (3, 3); E_infinity is its cohomology
+    code, doc, _ = run_json(
+        ["spectral-sequence", "--in", str(FIXTURES / "circle_complex.json"),
+         "--r-max", r_max], tmp_path)
+    assert code == 0
+    result = doc["result"]
+    assert len(result["pages"]) == int(r_max) + 1
+    assert result["e_infinity_totals"] == {"0": 1, "1": 1}
+    assert result["degenerates_at_e1"] is False
+    assert result["first_nonzero_differential"] == 1
+
+
 def test_spectral_sequence_stable_pages_golden(tmp_path):
     code, _, out = run_json(
         ["spectral-sequence", "--in", str(FIXTURES / "circle_complex.json"),

@@ -6,15 +6,15 @@ from loghodgelab.linalg import (
     column_space_basis,
     contains_space,
     extend_basis,
-    intersect_spaces,
     kernel_basis,
-    preimage_space,
     rank,
     smith_normal_form,
     solve_rational,
     spaces_equal,
     sum_spaces,
 )
+
+from ss_oracle import intersect_spaces, preimage_space
 
 
 # --- independent oracles ----------------------------------------------------

@@ -221,7 +221,8 @@ def test_conjugation_equivariance():
 
 def enumerate_filtration_lattice(n: NilpotentOperator):
     """All sums of subspaces ker(N^a) ∩ im(N^b), deduplicated by rank tests."""
-    from loghodgelab.linalg import intersect_spaces, kernel_basis
+    from loghodgelab.linalg import kernel_basis
+    from ss_oracle import intersect_spaces
 
     dim = n.dimension
     atoms = []

@@ -1,0 +1,112 @@
+"""The persistence reduction of ``spectral_sequence`` against the subquotient
+engine kept in ``ss_oracle``: pages, nonzero differentials and the
+degeneration verdict must agree on seeded random filtrations and on the
+fixtures."""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from loghodgelab import jsonio, linalg, trop
+from loghodgelab.complexes import (
+    degeneration_check,
+    spectral_sequence,
+)
+from loghodgelab.conecx import build_cone_complex
+from loghodgelab.linalg import rank
+
+import ss_oracle
+from helpers import random_complex, random_filtration
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def assert_same_pages(pages, expected):
+    assert [p.to_json_dict() for p in pages] == [p.to_json_dict() for p in expected]
+    assert degeneration_check(pages) == degeneration_check(expected)
+    for page, other in zip(pages, expected):
+        assert {pq: (m.rows, m.cols) for pq, m in page.differentials.items()} == \
+               {pq: (m.rows, m.cols) for pq, m in other.differentials.items()}
+
+
+def test_random_filtrations_match_oracle():
+    rng = random.Random(901)
+    first_nonzero = set()
+    for _ in range(120):
+        c = random_complex(rng, 10)
+        fc = random_filtration(rng, c, rng.randint(1, 5))
+        r_max = rng.choice([None, 0, 1, 3, 8])
+        pages = spectral_sequence(fc, r_max)
+        assert_same_pages(pages, ss_oracle.spectral_sequence(fc, r_max))
+        first_nonzero.add(degeneration_check(spectral_sequence(fc))[1])
+    # the generator reaches a first nonzero d_r on every page it can
+    assert first_nonzero >= {None, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("complex_file, weights_file, thresholds", [
+    ("ex42.json", "ex42_cell_weights.json", None),
+    ("ex42.json", "ex42_cell_weights.json", [2]),
+    ("wedge_fan.json", "w111.json", None),
+    ("wedge_fan.json", "w131.json", None),
+])
+def test_trop_fixtures_match_oracle(complex_file, weights_file, thresholds, monkeypatch):
+    complex_ = build_cone_complex(jsonio.load_intersection_data(
+        json.loads((FIXTURES / complex_file).read_text())))
+    ray_w, cell_w = jsonio.load_weights(json.loads((FIXTURES / weights_file).read_text()))
+    weights = ray_w if ray_w is not None else jsonio.cell_weights_for(complex_, cell_w)
+    t = trop.weighted_complex(complex_, weights)
+    report = trop.weight_filtration_ss(t, thresholds).to_json_dict()
+    monkeypatch.setattr(trop, "spectral_sequence", ss_oracle.spectral_sequence)
+    assert report == trop.weight_filtration_ss(t, thresholds).to_json_dict()
+
+
+@pytest.mark.parametrize("r_max", [None, 0, 1, 3, 8])
+def test_circle_fixture_matches_oracle(r_max):
+    complex_, filtration = jsonio.load_generic_complex(
+        json.loads((FIXTURES / "circle_complex.json").read_text()))
+    fc = jsonio.build_filtered(complex_, filtration)
+    assert_same_pages(spectral_sequence(fc, r_max), ss_oracle.spectral_sequence(fc, r_max))
+
+
+def test_next_page_is_cohomology_of_its_differentials():
+    # E_{r+1}^{p,q} = dim ker d_r^{p,q} - rank d_r^{p-r,q+r-1}, on the
+    # reduction's own d_r matrices
+    rng = random.Random(902)
+    for _ in range(60):
+        c = random_complex(rng, 10)
+        pages = spectral_sequence(random_filtration(rng, c, rng.randint(1, 5)), 8)
+        for page, following in zip(pages, pages[1:]):
+            r = page.r
+            for (p, q), n in page.entries.items():
+                out = page.differential(p, q)
+                inc = page.differential(p - r, q + r - 1)
+                expected = n - rank(out) - (rank(inc) if inc is not None else 0)
+                assert following.entry(p, q) == expected
+
+
+def test_elimination_count_pinned(monkeypatch):
+    """C = Q^3 -> Q -> Q^2 -> Q^3 in degrees 1..4 with d_1, d_3 nonzero and a
+    depth-4 filtration whose first nonzero differential is d_2.  The
+    reduction takes 13 eliminations: 6 adapted-basis extensions (one per
+    level that grows), 2 inverses (one per target of a nonzero d) and the 5
+    ranks of the E_infinity check.  The subquotient engine takes 584."""
+    rng = random.Random(931)
+    c = random_complex(rng, 10)
+    fc = random_filtration(rng, c, 4)
+    assert c.dims == {1: 3, 2: 1, 3: 2, 4: 3}
+    assert degeneration_check(spectral_sequence(fc)) == (False, 2)
+    eliminations = []
+    bareiss = linalg._bareiss_echelon
+
+    def counted_bareiss(m):
+        eliminations.append(m)
+        return bareiss(m)
+
+    monkeypatch.setattr(linalg, "_bareiss_echelon", counted_bareiss)
+    spectral_sequence(fc)
+    reduction = len(eliminations)
+    eliminations.clear()
+    ss_oracle.spectral_sequence(fc)
+    assert (reduction, len(eliminations)) == (13, 584)
