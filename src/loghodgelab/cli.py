@@ -101,15 +101,17 @@ def _emit(args, command: str, result: dict, inputs: dict, options: dict,
         text = "\n".join(table_lines) + "\n"
     if args.out:
         out = Path(args.out)
-        fd, tmp = tempfile.mkstemp(dir=str(out.parent) or ".", prefix=out.name)
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=str(out.parent) or ".", prefix=out.name)
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
             os.replace(tmp, out)
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError as exc:
+            raise SchemaError("/out", f"cannot write {args.out}: {exc.strerror}") from None
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
     else:
         sys.stdout.write(text)
 
@@ -319,7 +321,10 @@ def cmd_local_cohomology(args) -> int:
     model = LocalModel(args.n, args.r, args.window)
     _check_cap((2 * model.window + 1) ** model.n * 2 ** model.n,
                "local model section space")
-    subset = [int(part) for part in args.subset.split(",") if part.strip()]
+    try:
+        subset = [int(part) for part in args.subset.split(",") if part.strip()]
+    except ValueError:
+        raise SchemaError("/subset", f"not comma-separated integers: {args.subset!r}") from None
     dims = koszul_local_cohomology(model, subset, args.form_degree)
     result = {
         "subset": sorted(set(subset)),

@@ -27,6 +27,7 @@ from .linalg import (
     contains_space,
     extend_basis,
     kernel_basis,
+    leading_columns,
     rank,
     solve_rational,
 )
@@ -439,34 +440,17 @@ def _inverse(b: RationalMatrix) -> RationalMatrix:
 
 def _persistence_pairs(x: RationalMatrix, col_level: list[int],
                        row_level: list[int]) -> list[tuple[int, int]]:
-    """Pairs (j, i) of a column reduction of X in filtration order.
-
-    Columns are processed in the order (-level, index); the low of a column
-    is its nonzero row that comes last in the same order on the rows.  A
-    column whose low is taken is reduced by the column that took it."""
-    cols: dict[int, dict[int, Fraction]] = {}
-    for (i, j), v in x.entries.items():
-        cols.setdefault(j, {})[i] = v
-    row_key = lambda i: (-row_level[i], i)
-    taken: dict[int, dict[int, Fraction]] = {}
-    pairs = []
-    for j in sorted(cols, key=lambda j: (-col_level[j], j)):
-        col = cols[j]
-        while col:
-            low = max(col, key=row_key)
-            pivot = taken.get(low)
-            if pivot is None:
-                taken[low] = col
-                pairs.append((j, low))
-                break
-            f = col[low] / pivot[low]
-            for i, v in pivot.items():
-                w = col.get(i, 0) - f * v
-                if w:
-                    col[i] = w
-                else:
-                    del col[i]
-    return pairs
+    """Pairs (j, i) of a column reduction of X in filtration order: columns
+    in the order (-level, index), the low of a column being its last nonzero
+    row in the same order on the rows.  That is the row reduction of X^T with
+    its columns in reverse row order, where the low is the leading column."""
+    cols = sorted(range(x.cols), key=lambda j: (-col_level[j], j))
+    rows = sorted(range(x.rows), key=lambda i: (-row_level[i], i), reverse=True)
+    col_pos = {j: t for t, j in enumerate(cols)}
+    row_pos = {i: t for t, i in enumerate(rows)}
+    xt = RationalMatrix(x.cols, x.rows,
+                        {(col_pos[j], row_pos[i]): v for (i, j), v in x.entries.items()})
+    return [(j, rows[low]) for j, low in zip(cols, leading_columns(xt)) if low is not None]
 
 
 def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[SpectralSequencePage]:
@@ -478,7 +462,7 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
     gives the pairs.  d_r^{p,q} is the 0/1 matrix, in the surviving elements
     of (p, q) and of (p + r, q - r + 1) ordered by index, with one 1 per pair
     of gap r.  The E_infinity totals are checked against ``cohomology_dims``
-    (Bareiss ranks of d); a mismatch raises (it would indicate an internal
+    (ranks of d); a mismatch raises (it would indicate an internal
     bug).  Default r_max is depth + 1, past which all pages are stable: at
     most pages 0..depth+1 are computed, and each later page is a copy of page
     depth + 1 (whose differentials all land outside the grid) relabelled r.

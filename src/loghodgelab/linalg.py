@@ -3,22 +3,23 @@
 Everything downstream (cohomology, spectral sequences, weight filtrations)
 reduces to ranks, kernels, linear solves and Smith normal forms of small
 matrices over Q and Z.  The one matrix type is the sparse `RationalMatrix`
-with `fractions.Fraction` entries; an integer matrix is one with integral
-entries.  The one elimination is the fraction-free `_bareiss_echelon`
-(Bareiss 1968): it serves rank, kernel, solve, pivot columns and
-determinant, and each subspace question takes one elimination of a stacked
-matrix.  Its integer rows are built straight from the sparse entries, each
-row scaled by the lcm of its denominators.  Products accumulate in ints the
-same way: each row of the left factor and each column of the right one is
-scaled by the lcm of its denominators, and each nonzero entry of the product
-becomes one Fraction.  The pivot order is deterministic (lowest row, then
-column index) so every report is reproducible bit for bit.
+with `fractions.Fraction` entries.  The one elimination is `_echelon`, on
+sparse integer rows built straight from the entries (each row scaled by the
+lcm of its denominators): each row in turn is reduced against the pivot rows
+found so far.  Row operations keep every dependency among the columns, so
+the pivot columns are the greedy left-to-right column basis and the reduced
+echelon form is unique, whichever rows end up as pivots.  Hence rank, pivot
+columns, the kernel basis (1 at one free column, 0 at the others) and the
+solution that is 0 on the free columns are fixed, and every report is
+reproducible bit for bit.  Products accumulate in ints: each row of the left
+factor and each column of the right one is scaled by the lcm of its
+denominators, and each nonzero entry of the product becomes one Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 
@@ -188,91 +189,94 @@ class RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination
+# sparse elimination
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    # Row scaling by the lcm of denominators preserves rank, kernel, and the
-    # column independence pattern.
-    scale = [1] * m.rows
-    for (i, _), v in m.entries.items():
-        scale[i] = lcm(scale[i], v.denominator)
-    out = [[0] * m.cols for _ in range(m.rows)]
+def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
+    """The rows of ``m`` as sparse integer dicts, each scaled by the lcm of its
+    denominators (which keeps rank, kernel and the column dependencies)."""
+    rows: list[dict] = [{} for _ in range(m.rows)]
+    fractional = set()
     for (i, j), v in m.entries.items():
-        out[i][j] = v.numerator * (scale[i] // v.denominator)
-    return out
-
-
-def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], bool]:
-    """Fraction-free row echelon form of the integer rows ``m``, reduced in
-    place.  Returns (echelon rows, pivot column list, odd number of row swaps).
-
-    Pivot choice is deterministic: columns scanned left to right, the first
-    not-yet-used row with a nonzero entry is the pivot (lowest row, then
-    column index).  Every division is exact, and the k-th pivot is a k x k
-    minor of the row-permuted matrix; for a square nonsingular matrix the
-    last pivot is therefore the determinant up to the sign of the swaps.
-    """
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots: list[int] = []
-    odd = False
-    done = 0
-    prev = 1
-    for col in range(nc):
-        for pivot_row in range(done, nr):
-            if m[pivot_row][col] != 0:
-                break
+        if v.denominator == 1:
+            rows[i][j] = v.numerator
         else:
-            continue
-        if pivot_row != done:
-            m[done], m[pivot_row] = m[pivot_row], m[done]
-            odd = not odd
-        mp = m[done]
-        p = mp[col]
-        for i in range(done + 1, nr):
-            t = m[i][col]
-            mi = m[i]
-            for j in range(col, nc):
-                mi[j] = (p * mi[j] - t * mp[j]) // prev  # exact by Bareiss
-        prev = p
-        pivots.append(col)
-        done += 1
-        if done == nr:
-            break
-    return m[:done], pivots, odd
+            rows[i][j] = v
+            fractional.add(i)
+    for i in fractional:
+        row = rows[i]
+        scale = 1
+        for v in row.values():
+            scale = lcm(scale, v.denominator)
+        for j, v in row.items():
+            row[j] = v.numerator * (scale // v.denominator)
+    return rows
 
 
-def _back_substitute(ech: list[list[int]], pivots: list[int],
+def _echelon(rows: list[dict[int, int]]):
+    """Reduce the integer ``rows``, in order and in place, against the pivot
+    rows found so far: while the leading column c of r has a pivot row p,
+    r becomes a*r - b*p with a/b = p[c]/r[c] in lowest terms.  A row whose
+    leading column is new is divided by its content and is the pivot of c.
+    Returns the pivot row of each pivot column, the new leading column of
+    each input row (None if it vanished), and the products of the contents
+    and of the multipliers a."""
+    pivots: dict[int, dict[int, int]] = {}
+    leads: list[Optional[int]] = []
+    contents = multipliers = 1
+    for r in rows:
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                g = gcd(*r.values())
+                if g != 1:
+                    r = {j: v // g for j, v in r.items()}
+                    contents *= g
+                pivots[c] = r
+                break
+            g = gcd(p[c], r[c])
+            a, b = p[c] // g, r[c] // g
+            if a != 1:
+                r = {j: a * v for j, v in r.items()}
+                multipliers *= a
+            for j, v in p.items():
+                w = r.get(j, 0) - b * v
+                if w:
+                    r[j] = w
+                else:
+                    del r[j]
+        leads.append(c if r else None)  # r survives only as the pivot of c
+    return pivots, leads, contents, multipliers
+
+
+def _back_substitute(pivots: dict[int, dict[int, int]],
                      v: list[Fraction]) -> tuple[Fraction, ...]:
-    """The vector of ker(ech) that agrees with ``v`` off the pivot columns;
-    the pivot coordinates of ``v`` are overwritten, bottom row first."""
-    n = len(v)
-    for k in range(len(pivots) - 1, -1, -1):
-        pc = pivots[k]
-        row = ech[k]
+    """The vector of the null space of the pivot rows that agrees with ``v``
+    off the pivot columns; the pivot coordinates of ``v`` are overwritten,
+    last pivot column first."""
+    for pc in sorted(pivots, reverse=True):
+        row = pivots[pc]
         s = Fraction(0)
-        for j in range(pc + 1, n):
-            if row[j] != 0 and v[j] != 0:
-                s += row[j] * v[j]
+        for j, x in row.items():
+            if j != pc and v[j]:
+                s += x * v[j]
         v[pc] = -s / row[pc]
     return tuple(v)
 
 
 def rank(m: RationalMatrix) -> int:
     """Dimension of the row space of ``m`` over Q."""
-    _, pivots, _ = _bareiss_echelon(_integer_rows(m))
-    return len(pivots)
+    return len(_echelon(_integer_rows(m))[0])
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Deterministic basis of ker(m); one vector per free column, ascending."""
-    ech, pivots, _ = _bareiss_echelon(_integer_rows(m))
-    pivot_set = set(pivots)
+    pivots = _echelon(_integer_rows(m))[0]
     zero = [Fraction(0)] * m.cols
-    return [_back_substitute(ech, pivots, zero[:f] + [Fraction(1)] + zero[f + 1:])
-            for f in range(m.cols) if f not in pivot_set]
+    return [_back_substitute(pivots, zero[:f] + [Fraction(1)] + zero[f + 1:])
+            for f in range(m.cols) if f not in pivots]
 
 
 def solve_rational(m: RationalMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -281,20 +285,24 @@ def solve_rational(m: RationalMatrix, b: Sequence) -> Optional[tuple[Fraction, .
     Free variables are set to zero, so the support of the returned solution
     is contained in the deterministic pivot columns (minimal-support choice).
     """
-    if len(b) != m.rows:
-        raise MatrixError("right-hand side length mismatch")
-    b = [_as_rational(v) for v in b]
-    aug = RationalMatrix(m.rows, m.cols + 1,
-                         {**m.entries, **{(i, m.cols): v for i, v in enumerate(b) if v != 0}})
-    ech, pivots, _ = _bareiss_echelon(_integer_rows(aug))
-    if pivots and pivots[-1] == m.cols:
+    aug = m.hstack(RationalMatrix.from_columns([b], m.rows))
+    pivots = _echelon(_integer_rows(aug))[0]
+    if m.cols in pivots:
         return None  # a pivot in the augmented column: inconsistent
-    # (x, -1) lies in the kernel of [m | b]
-    return _back_substitute(ech, pivots, [Fraction(0)] * m.cols + [Fraction(-1)])[:m.cols]
+    # (x, -1) lies in the null space of [m | b]
+    return _back_substitute(pivots, [Fraction(0)] * m.cols + [Fraction(-1)])[:m.cols]
+
+
+def leading_columns(m: RationalMatrix) -> list[Optional[int]]:
+    """For each row of ``m``, the leading column it has once reduced against
+    the rows above it, or None if it lies in their span."""
+    return _echelon(_integer_rows(m))[1]
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, read off the last Bareiss pivot.
+    """Determinant of a square integer matrix.  The pivot rows are the input
+    rows times a lower triangular matrix with diagonal (product of the row's
+    multipliers a) / (its content), and are triangular in leading column order.
 
     >>> determinant([[2, 1], [4, 3]]), determinant([[0, 1], [1, 0]]), determinant([])
     (2, -1, 1)
@@ -302,12 +310,13 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise MatrixError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    ech, pivots, odd = _bareiss_echelon([list(row) for row in rows])
+    pivots, leads, contents, multipliers = _echelon(
+        [{j: x for j, x in enumerate(row) if x} for row in rows])
     if len(pivots) < n:
         return 0
-    return -ech[-1][-1] if odd else ech[-1][-1]
+    det = contents * prod(row[c] for c, row in pivots.items())
+    inversions = sum(a > b for k, a in enumerate(leads) for b in leads[k + 1:])
+    return (-1) ** inversions * det // multipliers
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +433,7 @@ def smith_normal_form(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
 
 def pivot_columns(m: RationalMatrix) -> list[int]:
     """Column indices whose original columns form a basis of the column space."""
-    _, pivots, _ = _bareiss_echelon(_integer_rows(m))
-    return pivots
+    return sorted(_echelon(_integer_rows(m))[0])
 
 
 def column_space_basis(m: RationalMatrix) -> RationalMatrix:

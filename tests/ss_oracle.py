@@ -9,10 +9,15 @@ and every page E_{r+1} is checked against the cohomology of (E_r, d_r).  It
 shares no code with the persistence reduction of
 ``loghodgelab.complexes.spectral_sequence`` beyond the elimination in
 ``linalg``, which makes it an independent reference for it.
+
+``persistence_pairs`` is the Fraction column reduction that pairs elements
+for that persistence reduction before the pairing became a row reduction in
+``linalg``; it is the reference for ``complexes._persistence_pairs``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from loghodgelab.complexes import ComplexError, FilteredComplex, SpectralSequencePage
@@ -164,3 +169,35 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
     pages += [SpectralSequencePage(r, dict(stable.entries), dict(stable.differentials))
               for r in range(depth + 2, r_max + 1)]
     return pages
+
+
+def persistence_pairs(x: RationalMatrix, col_level: list[int],
+                      row_level: list[int]) -> list[tuple[int, int]]:
+    """Pairs (j, i) of a column reduction of X in filtration order.
+
+    Columns are processed in the order (-level, index); the low of a column
+    is its nonzero row that comes last in the same order on the rows.  A
+    column whose low is taken is reduced by the column that took it."""
+    cols: dict[int, dict[int, Fraction]] = {}
+    for (i, j), v in x.entries.items():
+        cols.setdefault(j, {})[i] = v
+    row_key = lambda i: (-row_level[i], i)
+    taken: dict[int, dict[int, Fraction]] = {}
+    pairs = []
+    for j in sorted(cols, key=lambda j: (-col_level[j], j)):
+        col = cols[j]
+        while col:
+            low = max(col, key=row_key)
+            pivot = taken.get(low)
+            if pivot is None:
+                taken[low] = col
+                pairs.append((j, low))
+                break
+            f = col[low] / pivot[low]
+            for i, v in pivot.items():
+                w = col.get(i, 0) - f * v
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+    return pairs

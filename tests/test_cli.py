@@ -212,6 +212,13 @@ def test_local_cohomology_half_plane(tmp_path):
     assert doc["result"]["total"] == 6
 
 
+
+def test_local_cohomology_subset_must_be_integers(capsys):
+    code, _, err = run(["local-cohomology", "--n", "2", "--r", "1", "--window", "2",
+                        "--subset", "1,x", "--form-degree", "0"], capsys)
+    assert code == 2
+    assert "/subset" in err
+
 @pytest.mark.parametrize("golden, argv", [
     ("stalk_n3_r2_w1_holo.json",
      ["obstruction-stalk", "--n", "3", "--r", "2", "--window", "1", "--flavor", "holo"]),
@@ -302,6 +309,34 @@ def test_spectral_sequence_pages_charged_against_cap(r_max, expected, capsys, mo
     assert ("spectral-sequence pages" in err) == bool(expected)
 
 
+
+def test_spectral_sequence_zero_complex_work_is_linear(tmp_path, monkeypatch):
+    """A 39-byte input under the default cap: C^0 = C^1 = Q^2000 with d = 0.
+    The elimination sees only the stored entries of its identity and zero
+    matrices, 7 x 2000 of them, and makes no more row operations (one gcd per
+    row reduction and one per new pivot row) than it is handed entries."""
+    import loghodgelab.linalg as linalg
+
+    spec = tmp_path / "zero.json"
+    spec.write_text('{"min_degree":0,"dims":[2000,2000]}')
+    entries, row_ops = [], []
+    echelon, gcd = linalg._echelon, linalg.gcd
+
+    def counted_echelon(rows):
+        entries.append(sum(map(len, rows)))
+        return echelon(rows)
+
+    def counted_gcd(*args):
+        row_ops.append(1)
+        return gcd(*args)
+
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(linalg, "gcd", counted_gcd)
+    code, doc, _ = run_json(["spectral-sequence", "--in", str(spec)], tmp_path)
+    assert code == 0
+    assert doc["result"]["e_infinity_totals"] == {"0": 2000, "1": 2000}
+    assert sum(entries) <= 7 * 2000 and len(row_ops) <= sum(entries)
+
 # --- determinism and plumbing ------------------------------------------------------------
 
 
@@ -329,6 +364,17 @@ def test_max_dim_cap(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "LHL_MAX_DIM" in err
 
+
+def test_unwritable_out_is_malformed_input(tmp_path, capsys):
+    # a missing parent directory, and a directory in place of the report file
+    existing = tmp_path / "dir"
+    existing.mkdir()
+    for out in (tmp_path / "missing" / "r.json", existing):
+        code, _, err = run(["cone-complex", "--in", str(FIXTURES / "ex42.json"),
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert "/out" in err
+    assert list(tmp_path.iterdir()) == [existing] and not any(existing.iterdir())
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

@@ -1,12 +1,15 @@
-"""The one-elimination subspace predicates, `determinant` and the matrix
-product against the algorithms they replaced: a greedy rank per ambient
-column for `extend_basis`, two ranks for `contains_space` and
-`spaces_equal`, a hand-written Bareiss loop for determinants, and Fraction
-accumulation for `RationalMatrix.__mul__`."""
+"""The one-elimination subspace predicates, `determinant`, the sparse
+elimination and the matrix product against the algorithms they replaced: a
+greedy rank per ambient column for `extend_basis`, two ranks for
+`contains_space` and `spaces_equal`, a hand-written Bareiss loop for
+determinants, the dense Bareiss echelon form for rank, pivots, kernel,
+solve and determinant, and Fraction accumulation for
+`RationalMatrix.__mul__`."""
 
 import doctest
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -17,8 +20,11 @@ from loghodgelab.linalg import (
     contains_space,
     determinant,
     extend_basis,
+    kernel_basis,
+    pivot_columns,
     rank,
     smith_normal_form,
+    solve_rational,
     spaces_equal,
 )
 
@@ -84,6 +90,116 @@ def reference_product(a, b):
             if total != 0:
                 entries[(i, j)] = total
     return RationalMatrix(a.rows, b.cols, entries)
+
+
+# The dense fraction-free elimination that served rank, kernel, solve,
+# pivot columns and determinant before the sparse `linalg._echelon`.
+
+def _integer_rows(m: RationalMatrix) -> list[list[int]]:
+    # Row scaling by the lcm of denominators preserves rank, kernel, and the
+    # column independence pattern.
+    scale = [1] * m.rows
+    for (i, _), v in m.entries.items():
+        scale[i] = lcm(scale[i], v.denominator)
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        out[i][j] = v.numerator * (scale[i] // v.denominator)
+    return out
+
+
+def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], bool]:
+    """Fraction-free row echelon form of the integer rows ``m``, reduced in
+    place.  Returns (echelon rows, pivot column list, odd number of row swaps).
+
+    Pivot choice is deterministic: columns scanned left to right, the first
+    not-yet-used row with a nonzero entry is the pivot (lowest row, then
+    column index).  Every division is exact, and the k-th pivot is a k x k
+    minor of the row-permuted matrix; for a square nonsingular matrix the
+    last pivot is therefore the determinant up to the sign of the swaps.
+    """
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots: list[int] = []
+    odd = False
+    done = 0
+    prev = 1
+    for col in range(nc):
+        for pivot_row in range(done, nr):
+            if m[pivot_row][col] != 0:
+                break
+        else:
+            continue
+        if pivot_row != done:
+            m[done], m[pivot_row] = m[pivot_row], m[done]
+            odd = not odd
+        mp = m[done]
+        p = mp[col]
+        for i in range(done + 1, nr):
+            t = m[i][col]
+            mi = m[i]
+            for j in range(col, nc):
+                mi[j] = (p * mi[j] - t * mp[j]) // prev  # exact by Bareiss
+        prev = p
+        pivots.append(col)
+        done += 1
+        if done == nr:
+            break
+    return m[:done], pivots, odd
+
+
+def _back_substitute(ech: list[list[int]], pivots: list[int],
+                     v: list[Fraction]) -> tuple[Fraction, ...]:
+    """The vector of ker(ech) that agrees with ``v`` off the pivot columns;
+    the pivot coordinates of ``v`` are overwritten, bottom row first."""
+    n = len(v)
+    for k in range(len(pivots) - 1, -1, -1):
+        pc = pivots[k]
+        row = ech[k]
+        s = Fraction(0)
+        for j in range(pc + 1, n):
+            if row[j] != 0 and v[j] != 0:
+                s += row[j] * v[j]
+        v[pc] = -s / row[pc]
+    return tuple(v)
+
+
+def reference_rank(m):
+    _, pivots, _ = _bareiss_echelon(_integer_rows(m))
+    return len(pivots)
+
+
+def reference_pivot_columns(m):
+    _, pivots, _ = _bareiss_echelon(_integer_rows(m))
+    return pivots
+
+
+def reference_kernel_basis(m):
+    ech, pivots, _ = _bareiss_echelon(_integer_rows(m))
+    pivot_set = set(pivots)
+    zero = [Fraction(0)] * m.cols
+    return [_back_substitute(ech, pivots, zero[:f] + [Fraction(1)] + zero[f + 1:])
+            for f in range(m.cols) if f not in pivot_set]
+
+
+def reference_solve_rational(m, b):
+    b = [Fraction(v) for v in b]
+    aug = RationalMatrix(m.rows, m.cols + 1,
+                         {**m.entries, **{(i, m.cols): v for i, v in enumerate(b) if v != 0}})
+    ech, pivots, _ = _bareiss_echelon(_integer_rows(aug))
+    if pivots and pivots[-1] == m.cols:
+        return None  # a pivot in the augmented column: inconsistent
+    # (x, -1) lies in the kernel of [m | b]
+    return _back_substitute(ech, pivots, [Fraction(0)] * m.cols + [Fraction(-1)])[:m.cols]
+
+
+def reference_determinant(rows):
+    n = len(rows)
+    if n == 0:
+        return 1
+    ech, pivots, odd = _bareiss_echelon([list(row) for row in rows])
+    if len(pivots) < n:
+        return 0
+    return -ech[-1][-1] if odd else ech[-1][-1]
 
 
 def random_basis(rng, rows, cols):
@@ -182,6 +298,66 @@ def test_determinant_matches_reference_loop():
         assert determinant(rows) == reference_det(rows)
     assert determinant([]) == reference_det([]) == 1
     assert determinant([[0, 0], [0, 0]]) == 0
+
+
+def elimination_inputs():
+    """Seeded sparse integral and fractional matrices, dense true fractions,
+    0xk, kx0 and zero matrices, duplicated rows and singular squares."""
+    rng = random.Random(614)
+    for t in range(400):
+        n, k = rng.randint(1, 8), rng.randint(1, 8)
+        yield random_sparse(rng, n, k, t % 2 == 0)
+    for _ in range(100):
+        n, k = rng.randint(1, 7), rng.randint(1, 7)
+        yield RationalMatrix.from_rows([[Fraction(rng.randint(-50, 50), rng.randint(1, 60))
+                                         for _ in range(k)] for _ in range(n)])
+    for n, k in ((0, 3), (3, 0), (0, 0), (1, 1), (4, 4), (2, 6)):
+        yield RationalMatrix.zeros(n, k)
+    for _ in range(100):
+        m = random_sparse(rng, rng.randint(1, 5), rng.randint(1, 7), rng.random() < 0.5)
+        rows = m.to_dense()
+        rows += [[rng.choice((1, -2, Fraction(1, 3))) * x for x in rng.choice(rows)]
+                 for _ in range(rng.randint(1, 4))]
+        rng.shuffle(rows)
+        yield RationalMatrix.from_rows(rows)
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        rows = random_sparse(rng, n, n, True).to_dense()
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        rows[i] = [rng.randint(-3, 3) * a + rng.randint(-3, 3) * b
+                   for a, b in zip(rows[j], rows[k])]
+        yield RationalMatrix.from_rows(rows)
+
+
+def test_elimination_matches_dense_bareiss():
+    solvable = inconsistent = 0
+    for m in elimination_inputs():
+        assert rank(m) == reference_rank(m)
+        assert pivot_columns(m) == reference_pivot_columns(m)
+        assert kernel_basis(m) == reference_kernel_basis(m)
+        x = [random.Random(m.rows * 31 + m.cols).randint(-2, 2) for _ in range(m.cols)]
+        b_in = m.apply(x)
+        b_out = [v + (i == 0) for i, v in enumerate(b_in)]
+        for b in (b_in, b_out):
+            got = solve_rational(m, b)
+            assert got == reference_solve_rational(m, b)
+            solvable += got is not None
+            inconsistent += got is None
+        if m.rows == m.cols and all(v.denominator == 1 for v in m.entries.values()):
+            rows = [[int(v) for v in row] for row in m.to_dense()]
+            assert determinant(rows) == reference_determinant(rows)
+    assert solvable > 700 and inconsistent > 300
+
+
+def test_leading_columns_are_the_pivots_in_row_order():
+    # row i vanishes iff it lies in the span of the rows above it
+    for m in elimination_inputs():
+        leads = linalg.leading_columns(m)
+        assert sorted(c for c in leads if c is not None) == reference_pivot_columns(m)
+        ranks = [reference_rank(RationalMatrix(i, m.cols, {(r, j): v for (r, j), v in
+                                                           m.entries.items() if r < i}))
+                 for i in range(m.rows + 1)]
+        assert [c is None for c in leads] == [a == b for a, b in zip(ranks, ranks[1:])]
 
 
 def test_determinant_rejects_non_square():

@@ -172,18 +172,18 @@ def test_each_rank_computed_once(monkeypatch):
                                    for _ in range(9)] for _ in range(9)])
     n = NilpotentOperator(p * jordan_block_matrix([4, 3, 2]) * invert(p))
     eliminations, power_ranks = [], []
-    bareiss = linalg._bareiss_echelon
+    echelon = linalg._echelon
 
-    def counted_bareiss(m):
-        eliminations.append(m)
-        return bareiss(m)
+    def counted_echelon(rows):
+        eliminations.append(rows)
+        return echelon(rows)
 
     def counted_rank(m):
         if any(m is n.power(j) for j in range(n.index + 1)):
             power_ranks.append(m)
         return rank(m)
 
-    monkeypatch.setattr(linalg, "_bareiss_echelon", counted_bareiss)
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
     monkeypatch.setattr(monodromy, "rank", counted_rank)
     w = weight_filtration(n, 0)
     assert jordan_type(n) == (4, 3, 2) and stratum_weight(n) == 4

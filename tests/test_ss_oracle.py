@@ -5,20 +5,21 @@ fixtures."""
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from loghodgelab import jsonio, linalg, trop
+from loghodgelab import complexes, jsonio, linalg, trop
 from loghodgelab.complexes import (
     degeneration_check,
     spectral_sequence,
 )
 from loghodgelab.conecx import build_cone_complex
-from loghodgelab.linalg import rank
+from loghodgelab.linalg import RationalMatrix, rank
 
 import ss_oracle
-from helpers import random_complex, random_filtration
+from helpers import random_complex, random_filtration, random_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -86,27 +87,61 @@ def test_next_page_is_cohomology_of_its_differentials():
                 assert following.entry(p, q) == expected
 
 
+def test_persistence_pairs_match_fraction_column_reduction():
+    """The pairing read off `leading_columns` of the reordered X^T against
+    the Fraction column reduction it replaced, pair for pair and in order, on
+    seeded X with random levels: sparse, dense, low-rank (a product through
+    a narrow middle) and empty."""
+    rng = random.Random(903)
+    total = 0
+    for t in range(1500):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        depth = rng.randint(1, 4)
+        if t % 3 == 0:
+            inner = rng.randint(0, 3)
+            x = random_matrix(rng, rows, inner) * random_matrix(rng, inner, cols)
+        else:
+            density = rng.choice((0.2, 0.5, 0.9))
+            x = RationalMatrix(rows, cols, {
+                (i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for i in range(rows) for j in range(cols) if rng.random() < density})
+        col_level = [rng.randrange(depth) for _ in range(cols)]
+        row_level = [rng.randrange(depth) for _ in range(rows)]
+        pairs = complexes._persistence_pairs(x, col_level, row_level)
+        assert pairs == ss_oracle.persistence_pairs(x, col_level, row_level)
+        total += len(pairs)
+    assert total > 2000
+
+
 def test_elimination_count_pinned(monkeypatch):
     """C = Q^3 -> Q -> Q^2 -> Q^3 in degrees 1..4 with d_1, d_3 nonzero and a
     depth-4 filtration whose first nonzero differential is d_2.  The
-    reduction takes 13 eliminations: 6 adapted-basis extensions (one per
-    level that grows), 2 inverses (one per target of a nonzero d) and the 5
-    ranks of the E_infinity check.  The subquotient engine takes 584."""
+    reduction takes 13 eliminations for ranks, kernels and pivots: 6
+    adapted-basis extensions (one per level that grows), 2 inverses (one per
+    target of a nonzero d) and the 5 ranks of the E_infinity check; and one
+    `leading_columns` call per nonzero d, which is the persistence pairing.
+    The subquotient engine takes 584 eliminations and no pairing."""
     rng = random.Random(931)
     c = random_complex(rng, 10)
     fc = random_filtration(rng, c, 4)
     assert c.dims == {1: 3, 2: 1, 3: 2, 4: 3}
     assert degeneration_check(spectral_sequence(fc)) == (False, 2)
-    eliminations = []
-    bareiss = linalg._bareiss_echelon
+    eliminations, pairings = [], []
+    echelon, leading_columns = linalg._echelon, linalg.leading_columns
 
-    def counted_bareiss(m):
-        eliminations.append(m)
-        return bareiss(m)
+    def counted_echelon(rows):
+        eliminations.append(rows)
+        return echelon(rows)
 
-    monkeypatch.setattr(linalg, "_bareiss_echelon", counted_bareiss)
+    def counted_leading_columns(m):
+        pairings.append(m)
+        return leading_columns(m)
+
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(complexes, "leading_columns", counted_leading_columns)
     spectral_sequence(fc)
-    reduction = len(eliminations)
+    assert (len(eliminations) - len(pairings), len(pairings)) == (13, 2)
     eliminations.clear()
+    pairings.clear()
     ss_oracle.spectral_sequence(fc)
-    assert (reduction, len(eliminations)) == (13, 584)
+    assert (len(eliminations), len(pairings)) == (584, 0)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from loghodgelab import complexes, trop
 from loghodgelab.conecx import Cell, IntersectionData, build_cone_complex, simplicial_cohomology
 from loghodgelab.trop import (
     CellWeights,
@@ -154,6 +155,27 @@ def test_e_infinity_totals_match_cohomology_for_admissible_thresholds():
         report = weight_filtration_ss(t)
         assert report.e_infinity_totals == \
                {k: v for k, v in tropical_cohomology(t).items() if v}
+        assert report.cohomology == tropical_cohomology(t)
+
+
+def test_trop_ss_computes_the_cohomology_once(monkeypatch):
+    # the E_infinity check inside spectral_sequence is the only cohomology_dims call
+    calls = []
+    cohomology_dims = complexes.cohomology_dims
+
+    def counted(c):
+        calls.append(c)
+        return cohomology_dims(c)
+
+    monkeypatch.setattr(complexes, "cohomology_dims", counted)
+    monkeypatch.setattr(trop, "cohomology_dims", counted)
+    c = circle()
+    t = weighted_complex(c, CellWeights({cell: Fraction(cell.dim + 1)
+                                         for cell in c.all_cells()}))
+    for thresholds in (None, [Fraction(2)]):
+        report = weight_filtration_ss(t, thresholds)
+        assert report.cohomology == {0: 1, 1: 1}
+    assert len(calls) == 2
 
 
 def test_default_thresholds_are_distinct_cell_weights():
