@@ -5,11 +5,15 @@ Exit codes: 0 success, 1 validation failure (diagnostics on stderr), 2
 malformed input (JSON pointer of the offending field on stderr).  Reports
 carry a provenance block (input hashes, tool version, option values) and are
 byte-identical across runs for identical inputs and options.
+
+``main`` builds its parser once per process, on the first call, and each
+command imports only the domain modules it uses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -20,35 +24,14 @@ from typing import Optional
 
 from . import __version__
 from . import jsonio
-from .complexes import spectral_sequence, degeneration_check
-from .conecx import ConeComplexError, build_cone_complex, simplicial_cohomology
 from .jsonio import SchemaError, canonical_json, format_rational
-from .localmodel import (
-    HOLOMORPHIC,
-    LOGARITHMIC,
-    LocalModel,
-    LocalModelError,
-    assemble_stalk,
-    koszul_local_cohomology,
-)
-from .monodromy import MonodromyError, jordan_type, stratum_weight, weight_filtration
-from .toric import (FanError, QDivisor, character_box, divisor_cohomology, e1_sum_check,
-                    log_hodge_table, sweep_rows)
-from .trop import TropError, weight_filtration_ss, weighted_complex
-from .weights import WeightError, face_compatibility, validate_convexity, validate_positivity
 
 DEFAULT_MAX_DIM = 2000
 
-VALIDATION_ERRORS = (ConeComplexError, WeightError, TropError, FanError,
-                     LocalModelError, MonodromyError, ValueError)
 
-
-class ValidationFailure(Exception):
-    """Computation ran but the verdict is invalid (exit 1)."""
-
-    def __init__(self, message: str, report: Optional[dict] = None):
-        super().__init__(message)
-        self.report = report
+class ValidationFailure(ValueError):
+    """Computation ran but the verdict is invalid (exit 1).  Every domain
+    error is a ``ValueError`` too, and exits 1 the same way."""
 
 
 def _max_dim() -> int:
@@ -56,9 +39,12 @@ def _max_dim() -> int:
     if raw is None:
         return DEFAULT_MAX_DIM
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise SchemaError("LHL_MAX_DIM", f"not an integer: {raw!r}") from None
+    if cap < 0:
+        raise SchemaError("LHL_MAX_DIM", f"not a nonnegative integer: {raw!r}")
+    return cap
 
 
 def _check_cap(size: int, what: str):
@@ -117,6 +103,7 @@ def _emit(args, command: str, result: dict, inputs: dict, options: dict,
 
 
 def _parse_flavor(value: str) -> str:
+    from .localmodel import HOLOMORPHIC, LOGARITHMIC
     if value == "holo":
         return HOLOMORPHIC
     if value == "log":
@@ -125,6 +112,7 @@ def _parse_flavor(value: str) -> str:
 
 
 def _load_complex_and_weights(args):
+    from .conecx import build_cone_complex
     doc_c, meta_c = _read_json(args.complex, "complex")
     data = jsonio.load_intersection_data(doc_c)
     complex_ = build_cone_complex(data)
@@ -139,6 +127,7 @@ def _load_complex_and_weights(args):
 
 
 def cmd_cone_complex(args) -> int:
+    from .conecx import build_cone_complex, simplicial_cohomology
     doc, meta = _read_json(args.infile, "in")
     data = jsonio.load_intersection_data(doc)
     complex_ = build_cone_complex(data)
@@ -162,6 +151,7 @@ def cmd_cone_complex(args) -> int:
 
 
 def cmd_validate_weights(args) -> int:
+    from .weights import face_compatibility, validate_convexity, validate_positivity
     complex_, ray_w, cell_w, inputs = _load_complex_and_weights(args)
     if ray_w is None:
         raise SchemaError("/weights", "validate-weights expects ray weights "
@@ -201,14 +191,15 @@ def cmd_validate_weights(args) -> int:
 
 
 def _trop_complex(args):
+    from .trop import weighted_complex
     complex_, ray_w, cell_w, inputs = _load_complex_and_weights(args)
     weights = ray_w if ray_w is not None else jsonio.cell_weights_for(complex_, cell_w)
     return complex_, weighted_complex(complex_, weights), inputs
 
 
 def cmd_trop_cohomology(args) -> int:
-    _, trop, inputs = _trop_complex(args)
     from .trop import tropical_cohomology
+    _, trop, inputs = _trop_complex(args)
     dims = tropical_cohomology(trop)
     result = {"cohomology": {str(k): v for k, v in sorted(dims.items())}}
     lines = ["weighted tropical cohomology"]
@@ -219,12 +210,16 @@ def cmd_trop_cohomology(args) -> int:
 
 
 def cmd_trop_ss(args) -> int:
+    from .trop import weight_filtration_ss
     _, trop, inputs = _trop_complex(args)
     thresholds = None
     options = {}
-    if args.thresholds:
+    if args.thresholds is not None:
         thresholds = [jsonio.parse_rational(part.strip(), "/thresholds")
                       for part in args.thresholds.split(",") if part.strip()]
+        if not thresholds:
+            raise SchemaError("/thresholds",
+                              f"expected at least one rational: {args.thresholds!r}")
         options["thresholds"] = [format_rational(t) for t in thresholds]
     report = weight_filtration_ss(trop, thresholds)
     result = report.to_json_dict()
@@ -240,6 +235,8 @@ def cmd_trop_ss(args) -> int:
 
 
 def cmd_log_hodge(args) -> int:
+    from .toric import (QDivisor, character_box, divisor_cohomology, e1_sum_check,
+                        log_hodge_table, sweep_rows)
     doc, meta = _read_json(args.fan, "fan")
     fan = jsonio.load_fan(doc)
     inputs = {"fan": meta}
@@ -275,6 +272,7 @@ def cmd_log_hodge(args) -> int:
 
 
 def cmd_divisor_cohomology(args) -> int:
+    from .toric import character_box, divisor_cohomology, sweep_rows
     doc, meta = _read_json(args.fan, "fan")
     fan = jsonio.load_fan(doc)
     doc_d, meta_d = _read_json(args.divisor, "divisor")
@@ -296,6 +294,7 @@ def cmd_divisor_cohomology(args) -> int:
 
 
 def cmd_obstruction_stalk(args) -> int:
+    from .localmodel import LocalModel, assemble_stalk
     flavor = _parse_flavor(args.flavor)
     model = LocalModel(args.n, args.r, args.window)
     _check_cap((2 * model.window + 1) ** model.n * 2 ** model.n,
@@ -318,6 +317,7 @@ def cmd_obstruction_stalk(args) -> int:
 
 
 def cmd_local_cohomology(args) -> int:
+    from .localmodel import LocalModel, koszul_local_cohomology
     model = LocalModel(args.n, args.r, args.window)
     _check_cap((2 * model.window + 1) ** model.n * 2 ** model.n,
                "local model section space")
@@ -344,6 +344,7 @@ def cmd_local_cohomology(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
+    from .monodromy import jordan_type, stratum_weight, weight_filtration
     doc, meta = _read_json(args.infile, "in")
     operator = jsonio.load_nilpotent(doc)
     _check_cap(operator.dimension, "monodromy operator")
@@ -369,6 +370,7 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_spectral_sequence(args) -> int:
+    from .complexes import degeneration_check, spectral_sequence
     doc, meta = _read_json(args.infile, "in")
     complex_, filtration = jsonio.load_generic_complex(doc)
     _check_cap(max(complex_.dims.values(), default=0), "complex")
@@ -406,6 +408,7 @@ def cmd_spectral_sequence(args) -> int:
 # --- parser -------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lhl",
@@ -491,17 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
-    except ValidationFailure as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 1
-    except VALIDATION_ERRORS as exc:
+    except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
 

@@ -127,10 +127,6 @@ class ChainMap:
         return m
 
 
-def zero_chain_map(source: CochainComplex, target: CochainComplex) -> ChainMap:
-    return ChainMap(source, target, {})
-
-
 def identity_chain_map(c: CochainComplex) -> ChainMap:
     return ChainMap(c, c, {k: RationalMatrix.identity(c.dim(k))
                            for k in c.degrees() if c.dim(k)})
@@ -363,22 +359,6 @@ class FilteredComplex:
         if k < self.underlying.min_degree or k > self.underlying.max_degree:
             return RationalMatrix.zeros(n, 0)
         return self.levels[p][k]
-
-
-def trivial_filtration(c: CochainComplex) -> FilteredComplex:
-    return FilteredComplex(c, [{k: RationalMatrix.identity(c.dim(k)) for k in c.degrees()}])
-
-
-def stupid_filtration(c: CochainComplex) -> FilteredComplex:
-    """F^p = the subcomplex of degrees >= min_degree + p."""
-    levels = []
-    span = c.max_degree - c.min_degree + 1
-    for p in range(span):
-        cutoff = c.min_degree + p
-        levels.append({k: (RationalMatrix.identity(c.dim(k)) if k >= cutoff
-                           else RationalMatrix.zeros(c.dim(k), 0))
-                       for k in c.degrees()})
-    return FilteredComplex(c, levels)
 
 
 @dataclass

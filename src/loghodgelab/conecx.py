@@ -177,10 +177,6 @@ class ConeComplex:
             stack.extend(face for face, _ in self.faces(cell))
         return out
 
-    def to_intersection_data(self) -> IntersectionData:
-        components = sorted(c.components[0] for c in self.cells(0))
-        return IntersectionData(components, self.all_cells(), self.ray_coordinates)
-
 
 def _resolve_face_tag(subset: tuple[str, ...], tag: str,
                       strata: set[Cell], tags_by_subset: dict[tuple[str, ...], list[str]]) -> Cell:

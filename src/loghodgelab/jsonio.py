@@ -4,21 +4,24 @@ Every rational is serialized as a string "p/q" (or "n" for integers) so no
 consumer ever sees a float.  Validation errors carry a JSON pointer to the
 offending field.  Report dumping is canonical (sorted keys, fixed indent,
 trailing newline) so identical inputs produce byte-identical reports.
+Each loader imports the domain types it builds, so serializing a report
+loads no domain module.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .conecx import Cell, IntersectionData
-from .linalg import RationalMatrix
-from .monodromy import NilpotentOperator
-from .toric import Fan, QDivisor
-from .trop import CellWeights
-from .weights import WeightFunction
-from .complexes import CochainComplex, FilteredComplex
+if TYPE_CHECKING:
+    from .complexes import CochainComplex, FilteredComplex
+    from .conecx import IntersectionData
+    from .linalg import RationalMatrix
+    from .monodromy import NilpotentOperator
+    from .toric import Fan, QDivisor
+    from .trop import CellWeights
+    from .weights import WeightFunction
 
 
 class SchemaError(ValueError):
@@ -68,6 +71,7 @@ def _expect_keys(obj: dict, pointer: str, required: set[str], optional: set[str]
 
 
 def load_intersection_data(doc: Any, pointer: str = "") -> IntersectionData:
+    from .conecx import Cell, IntersectionData
     _expect_keys(doc, pointer, {"components", "strata"}, {"ray_coordinates"})
     comps = doc["components"]
     _expect(isinstance(comps, list) and all(isinstance(x, str) for x in comps),
@@ -101,23 +105,13 @@ def load_intersection_data(doc: Any, pointer: str = "") -> IntersectionData:
     return IntersectionData(list(comps), cells, rays)
 
 
-def dump_intersection_data(data: IntersectionData) -> dict:
-    out = {
-        "components": sorted(data.components),
-        "strata": [{"components": list(c.components), "tag": c.tag}
-                   for c in sorted(data.strata)],
-    }
-    if data.ray_coordinates is not None:
-        out["ray_coordinates"] = {k: list(v) for k, v in sorted(data.ray_coordinates.items())}
-    return out
-
-
 # --- weights ----------------------------------------------------------------------
 
 
 def load_weights(doc: Any, pointer: str = "") -> tuple[Optional[WeightFunction], Optional[dict[str, Fraction]]]:
     """Returns (ray weights, per-cell weights keyed by cell key); exactly one
     of the two is populated."""
+    from .weights import WeightFunction
     _expect(isinstance(doc, dict), pointer, "expected an object")
     has_rays = "rays" in doc
     has_cells = "cells" in doc
@@ -137,6 +131,7 @@ def load_weights(doc: Any, pointer: str = "") -> tuple[Optional[WeightFunction],
 
 
 def cell_weights_for(complex_, cell_values: dict[str, Fraction]) -> CellWeights:
+    from .trop import CellWeights
     values = {}
     for key, v in cell_values.items():
         cell = complex_.find_cell(key)
@@ -148,6 +143,7 @@ def cell_weights_for(complex_, cell_values: dict[str, Fraction]) -> CellWeights:
 
 
 def load_fan(doc: Any, pointer: str = "") -> Fan:
+    from .toric import Fan
     _expect_keys(doc, pointer, {"rays", "cones"}, {"names"})
     rays = doc["rays"]
     _expect(isinstance(rays, list) and rays, f"{pointer}/rays", "expected a nonempty list")
@@ -169,6 +165,7 @@ def load_fan(doc: Any, pointer: str = "") -> Fan:
 
 
 def load_divisor(doc: Any, fan: Fan, pointer: str = "") -> QDivisor:
+    from .toric import QDivisor
     _expect_keys(doc, pointer, {"coefficients"})
     raw = doc["coefficients"]
     _expect(isinstance(raw, list), f"{pointer}/coefficients",
@@ -184,6 +181,8 @@ def load_divisor(doc: Any, fan: Fan, pointer: str = "") -> QDivisor:
 
 
 def load_nilpotent(doc: Any, pointer: str = "") -> NilpotentOperator:
+    from .linalg import RationalMatrix
+    from .monodromy import NilpotentOperator
     _expect_keys(doc, pointer, {"matrix"})
     raw = doc["matrix"]
     _expect(isinstance(raw, list) and raw, f"{pointer}/matrix", "expected a nonempty list of rows")
@@ -201,6 +200,7 @@ def load_nilpotent(doc: Any, pointer: str = "") -> NilpotentOperator:
 
 
 def _load_matrix(raw: Any, rows: int, cols: int, pointer: str) -> RationalMatrix:
+    from .linalg import RationalMatrix
     _expect(isinstance(raw, list) and len(raw) == rows, pointer,
             f"expected {rows} rows, got {len(raw) if isinstance(raw, list) else type(raw).__name__}")
     entries = {}
@@ -215,6 +215,8 @@ def _load_matrix(raw: Any, rows: int, cols: int, pointer: str) -> RationalMatrix
 def load_generic_complex(doc: Any, pointer: str = "") -> tuple[CochainComplex, Optional[list]]:
     """A bounded complex plus an optional filtration (list of levels; each
     level lists, per degree, the basis columns of the subspace)."""
+    from .complexes import CochainComplex
+    from .linalg import RationalMatrix
     _expect_keys(doc, pointer, {"min_degree", "dims"}, {"differentials", "filtration"})
     min_degree = doc["min_degree"]
     _expect(isinstance(min_degree, int) and not isinstance(min_degree, bool),
@@ -262,8 +264,9 @@ def load_generic_complex(doc: Any, pointer: str = "") -> tuple[CochainComplex, O
 
 
 def build_filtered(complex_: CochainComplex, filtration: Optional[list]) -> FilteredComplex:
-    from .linalg import RationalMatrix as RM
-    full = {k: RM.identity(complex_.dim(k)) for k in complex_.degrees()}
+    from .complexes import FilteredComplex
+    from .linalg import RationalMatrix
+    full = {k: RationalMatrix.identity(complex_.dim(k)) for k in complex_.degrees()}
     levels = [full]
     if filtration:
         levels.extend(filtration)

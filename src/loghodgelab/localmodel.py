@@ -207,26 +207,6 @@ def block_inclusion(model: LocalModel, source_flavor: str, mu: Mu) -> ChainMap:
     return ChainMap(src, tgt, components)
 
 
-def build_form_complex(model: LocalModel, flavor: str) -> CochainComplex:
-    """Direct sum of all reliable multidegree blocks, ordered by multidegree."""
-    if flavor not in FLAVORS:
-        raise LocalModelError(f"unknown flavor {flavor!r}")
-    basis = {p: [(mu, s) for mu in reliable_multidegrees(model, flavor)
-                 for s in block_basis(model, flavor, mu, p)]
-             for p in range(model.n + 1)}
-    return _total_complex(basis, lambda key: (((key[0], s2), c)
-                                              for s2, c in _form_arrows(model, *key)))
-
-
-def form_cohomology(model: LocalModel, flavor: str) -> dict[int, int]:
-    """Blockwise cohomology of the flavor's form complex."""
-    total = {p: 0 for p in range(model.n + 1)}
-    for mu in reliable_multidegrees(model, flavor):
-        for p, dim in cohomology_dims(block_complex(model, flavor, mu)).items():
-            total[p] += dim
-    return total
-
-
 # ---------------------------------------------------------------------------
 # obstruction stalk: direct cone and Mayer-Vietoris assembly
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 from .complexes import CochainComplex, cohomology_dims
 from .linalg import RationalMatrix, determinant
-from .weights import WeightFunction
 
 
 class FanError(ValueError):
@@ -336,17 +335,6 @@ def e1_sum_check(table: LogHodgeTable) -> E1SumCheck:
         ok_all = ok_all and ok
         per_degree[k] = (total, expected, ok)
     return E1SumCheck(per_degree, ok_all)
-
-
-def weight_divisor(w: WeightFunction, fan: Fan) -> QDivisor:
-    """The divisor with coefficient w(ray) on each boundary ray; callers take
-    the floor separately.  Ray names must match the weight's ray set."""
-    missing = [name for name in fan.ray_names if name not in w.ray_values]
-    extra = [name for name in sorted(w.ray_values) if name not in fan.ray_names]
-    if missing or extra:
-        raise FanError(
-            f"weight rays do not match fan rays (missing {missing}, extra {extra})")
-    return QDivisor({i: w.ray_value(name) for i, name in enumerate(fan.ray_names)})
 
 
 # standard test fans

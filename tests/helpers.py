@@ -1,9 +1,16 @@
-"""Shared generators for randomized structural tests (seeded, deterministic)."""
+"""Shared generators for randomized structural tests (seeded, deterministic),
+and constructions that only the tests use."""
 
 import random
 
-from loghodgelab.complexes import ChainMap, CochainComplex, FilteredComplex
+from loghodgelab.complexes import ChainMap, CochainComplex, FilteredComplex, cohomology_dims
+from loghodgelab.conecx import ConeComplex, IntersectionData
 from loghodgelab.linalg import RationalMatrix, kernel_basis
+from loghodgelab.localmodel import (FLAVORS, LocalModel, LocalModelError, _form_arrows,
+                                    _total_complex, block_basis, block_complex,
+                                    reliable_multidegrees)
+from loghodgelab.toric import Fan, FanError, QDivisor
+from loghodgelab.weights import WeightFunction
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -83,3 +90,82 @@ def random_filtration(rng: random.Random, c: CochainComplex, depth: int) -> Filt
         levels.append({k: RationalMatrix.from_columns(cols, c.dim(k))
                        for k, cols in spans[p].items()})
     return FilteredComplex(c, levels)
+
+
+# --- complexes -----------------------------------------------------------------------
+
+
+def zero_chain_map(source: CochainComplex, target: CochainComplex) -> ChainMap:
+    return ChainMap(source, target, {})
+
+
+def trivial_filtration(c: CochainComplex) -> FilteredComplex:
+    return FilteredComplex(c, [{k: RationalMatrix.identity(c.dim(k)) for k in c.degrees()}])
+
+
+def stupid_filtration(c: CochainComplex) -> FilteredComplex:
+    """F^p = the subcomplex of degrees >= min_degree + p."""
+    levels = []
+    span = c.max_degree - c.min_degree + 1
+    for p in range(span):
+        cutoff = c.min_degree + p
+        levels.append({k: (RationalMatrix.identity(c.dim(k)) if k >= cutoff
+                           else RationalMatrix.zeros(c.dim(k), 0))
+                       for k in c.degrees()})
+    return FilteredComplex(c, levels)
+
+
+# --- cone complexes and their JSON form ------------------------------------------------
+
+
+def to_intersection_data(complex_: ConeComplex) -> IntersectionData:
+    components = sorted(c.components[0] for c in complex_.cells(0))
+    return IntersectionData(components, complex_.all_cells(), complex_.ray_coordinates)
+
+
+def dump_intersection_data(data: IntersectionData) -> dict:
+    out = {
+        "components": sorted(data.components),
+        "strata": [{"components": list(c.components), "tag": c.tag}
+                   for c in sorted(data.strata)],
+    }
+    if data.ray_coordinates is not None:
+        out["ray_coordinates"] = {k: list(v) for k, v in sorted(data.ray_coordinates.items())}
+    return out
+
+
+# --- local models --------------------------------------------------------------------
+
+
+def build_form_complex(model: LocalModel, flavor: str) -> CochainComplex:
+    """Direct sum of all reliable multidegree blocks, ordered by multidegree."""
+    if flavor not in FLAVORS:
+        raise LocalModelError(f"unknown flavor {flavor!r}")
+    basis = {p: [(mu, s) for mu in reliable_multidegrees(model, flavor)
+                 for s in block_basis(model, flavor, mu, p)]
+             for p in range(model.n + 1)}
+    return _total_complex(basis, lambda key: (((key[0], s2), c)
+                                              for s2, c in _form_arrows(model, *key)))
+
+
+def form_cohomology(model: LocalModel, flavor: str) -> dict[int, int]:
+    """Blockwise cohomology of the flavor's form complex."""
+    total = {p: 0 for p in range(model.n + 1)}
+    for mu in reliable_multidegrees(model, flavor):
+        for p, dim in cohomology_dims(block_complex(model, flavor, mu)).items():
+            total[p] += dim
+    return total
+
+
+# --- toric ---------------------------------------------------------------------------
+
+
+def weight_divisor(w: WeightFunction, fan: Fan) -> QDivisor:
+    """The divisor with coefficient w(ray) on each boundary ray; callers take
+    the floor separately.  Ray names must match the weight's ray set."""
+    missing = [name for name in fan.ray_names if name not in w.ray_values]
+    extra = [name for name in sorted(w.ray_values) if name not in fan.ray_names]
+    if missing or extra:
+        raise FanError(
+            f"weight rays do not match fan rays (missing {missing}, extra {extra})")
+    return QDivisor({i: w.ray_value(name) for i, name in enumerate(fan.ray_names)})

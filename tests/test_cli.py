@@ -129,6 +129,15 @@ def test_trop_ss_monotonicity_violation(tmp_path, capsys):
     assert "H1#0" in err and "cofacet" in err
 
 
+@pytest.mark.parametrize("thresholds", [",", ""])
+def test_trop_ss_thresholds_without_entries_is_malformed_input(thresholds, capsys):
+    code, out, err = run(["trop-ss", "--complex", str(FIXTURES / "ex42.json"),
+                          "--weights", str(FIXTURES / "ex42_cell_weights.json"),
+                          "--thresholds", thresholds], capsys)
+    assert code == 2
+    assert "/thresholds" in err and out == ""
+
+
 # --- toric --------------------------------------------------------------------------
 
 
@@ -363,6 +372,13 @@ def test_max_dim_cap(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert "LHL_MAX_DIM" in err
+
+
+def test_negative_max_dim_is_malformed_input(capsys, monkeypatch):
+    monkeypatch.setenv("LHL_MAX_DIM", "-1")
+    code, out, err = run(["obstruction-stalk", "--n", "1", "--r", "1"], capsys)
+    assert code == 2
+    assert "LHL_MAX_DIM" in err and out == ""
 
 
 def test_unwritable_out_is_malformed_input(tmp_path, capsys):

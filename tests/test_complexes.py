@@ -16,14 +16,12 @@ from loghodgelab.complexes import (
     long_exact_sequence,
     mapping_cone,
     spectral_sequence,
-    stupid_filtration,
-    trivial_filtration,
-    zero_chain_map,
 )
 from loghodgelab.linalg import RationalMatrix
 
 import ss_oracle
-from helpers import random_chain_map, random_complex
+from helpers import (random_chain_map, random_complex, stupid_filtration, trivial_filtration,
+                     zero_chain_map)
 
 
 def circle_complex() -> CochainComplex:

@@ -11,6 +11,8 @@ from loghodgelab.conecx import (
     star,
 )
 
+from helpers import to_intersection_data
+
 
 def three_lines_data(rays=False) -> IntersectionData:
     """Plane minus three general lines: pairwise intersections, no triple point."""
@@ -124,7 +126,7 @@ def test_nonprimitive_ray_rejected():
 
 def test_roundtrip_through_intersection_data():
     c = build_cone_complex(three_lines_data(rays=True))
-    again = build_cone_complex(c.to_intersection_data())
+    again = build_cone_complex(to_intersection_data(c))
     assert again.all_cells() == c.all_cells()
     assert again.ray_coordinates == c.ray_coordinates
     assert simplicial_cohomology(again) == simplicial_cohomology(c)

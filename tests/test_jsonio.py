@@ -4,7 +4,6 @@ from fractions import Fraction
 from loghodgelab.conecx import build_cone_complex, simplicial_cohomology
 from loghodgelab.jsonio import (
     SchemaError,
-    dump_intersection_data,
     format_rational,
     load_fan,
     load_generic_complex,
@@ -13,6 +12,8 @@ from loghodgelab.jsonio import (
     load_weights,
     parse_rational,
 )
+
+from helpers import dump_intersection_data, to_intersection_data
 
 
 def test_parse_rational_forms():
@@ -45,7 +46,7 @@ def test_intersection_data_roundtrip_is_identity():
     }
     data = load_intersection_data(doc)
     complex_ = build_cone_complex(data)
-    again = load_intersection_data(dump_intersection_data(complex_.to_intersection_data()))
+    again = load_intersection_data(dump_intersection_data(to_intersection_data(complex_)))
     rebuilt = build_cone_complex(again)
     assert rebuilt.all_cells() == complex_.all_cells()
     assert rebuilt.ray_coordinates == complex_.ray_coordinates

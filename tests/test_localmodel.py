@@ -5,7 +5,7 @@ import pytest
 
 from loghodgelab import localmodel
 from loghodgelab.complexes import (cohomology_dims, degeneration_check, mapping_cone,
-                                   spectral_sequence, stupid_filtration)
+                                   spectral_sequence)
 from loghodgelab.localmodel import (
     HOLOMORPHIC,
     LAURENT,
@@ -21,12 +21,12 @@ from loghodgelab.localmodel import (
     assemble_stalk,
     block_complex,
     block_inclusion,
-    build_form_complex,
-    form_cohomology,
     koszul_local_cohomology,
     obstruction_cone,
     reliable_multidegrees,
 )
+
+from helpers import build_form_complex, form_cohomology, stupid_filtration
 
 
 # --- form complexes -------------------------------------------------------------

@@ -18,9 +18,10 @@ from loghodgelab.toric import (
     log_hodge_numbers,
     projective_line,
     projective_plane,
-    weight_divisor,
 )
 from loghodgelab.weights import WeightFunction
+
+from helpers import weight_divisor
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
