@@ -73,9 +73,9 @@ class CochainComplex:
                     f"differential at degree {k} has shape {(m.rows, m.cols)}, expected {expected}")
             if not m.is_zero():
                 self._differentials[k] = m
-        for k in range(lo - 1, hi + 1):
-            comp = self.differential(k + 1) * self.differential(k)
-            if not comp.is_zero():
+        for k in sorted(self._differentials):
+            after = self._differentials.get(k + 1)
+            if after is not None and not (after * self._differentials[k]).is_zero():
                 raise ComplexError(f"d o d != 0 at degree {k}")
 
     def degrees(self) -> range:
@@ -195,14 +195,9 @@ def mapping_cone(f: ChainMap) -> CochainComplex:
     dims = {k: tgt.dim(k) + src.dim(k + 1) for k in range(lo, hi + 1)}
     diffs = {}
     for k in range(lo, hi):
-        entries = {}
-        for (i, j), v in tgt.differential(k).entries.items():
-            entries[(i, j)] = v
-        for (i, j), v in f.component(k + 1).entries.items():
-            entries[(i, j + tgt.dim(k))] = v
-        for (i, j), v in src.differential(k + 1).entries.items():
-            entries[(i + tgt.dim(k + 1), j + tgt.dim(k))] = -v
-        diffs[k] = RationalMatrix(dims[k + 1], dims[k], entries)
+        top = tgt.differential(k).hstack(f.component(k + 1))
+        bottom = RationalMatrix.zeros(src.dim(k + 2), tgt.dim(k)).hstack(-src.differential(k + 1))
+        diffs[k] = top.vstack(bottom)
     return CochainComplex(dims, diffs)
 
 
@@ -426,10 +421,7 @@ def _persistence_pairs(x: RationalMatrix, col_level: list[int],
     its columns in reverse row order, where the low is the leading column."""
     cols = sorted(range(x.cols), key=lambda j: (-col_level[j], j))
     rows = sorted(range(x.rows), key=lambda i: (-row_level[i], i), reverse=True)
-    col_pos = {j: t for t, j in enumerate(cols)}
-    row_pos = {i: t for t, i in enumerate(rows)}
-    xt = RationalMatrix(x.cols, x.rows,
-                        {(col_pos[j], row_pos[i]): v for (i, j), v in x.entries.items()})
+    xt = x.submatrix_columns(cols).transpose().submatrix_columns(rows)
     return [(j, rows[low]) for j, low in zip(cols, leading_columns(xt)) if low is not None]
 
 
@@ -483,12 +475,12 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
                     survivors.setdefault((level[k][x], k), []).append(x)
         entries = {(p, k - p): len(survivors[(p, k)])
                    for k in c.degrees() for p in range(depth) if (p, k) in survivors}
-        ones: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {pq: {} for pq in entries}
+        ones: dict[tuple[int, int], dict[tuple[int, int], int]] = {pq: {} for pq in entries}
         for k, j, i, g in pairs:
             if g == r:
                 p = level[k][j]
                 ones[(p, k - p)][(survivors[(p + r, k + 1)].index(i),
-                                  survivors[(p, k)].index(j))] = Fraction(1)
+                                  survivors[(p, k)].index(j))] = 1
         diffs = {(p, q): RationalMatrix(entries.get((p + r, q - r + 1), 0), n, ones[(p, q)])
                  for (p, q), n in entries.items()}
         pages.append(SpectralSequencePage(r, entries, diffs))

@@ -11,6 +11,7 @@ loads no domain module.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -22,6 +23,10 @@ if TYPE_CHECKING:
     from .toric import Fan, QDivisor
     from .trop import CellWeights
     from .weights import WeightFunction
+
+
+# The one rational grammar, also the "pattern" of every shipped schema.
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
 class SchemaError(ValueError):
@@ -38,10 +43,12 @@ def parse_rational(value: Any, pointer: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not RATIONAL.fullmatch(value):
+            raise SchemaError(pointer, f"not a rational 'p/q' string: {value!r}")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(pointer, f"not a rational 'p/q' string: {value!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise SchemaError(pointer, f"{len(value)}-digit rational is too long") from None
     raise SchemaError(pointer, f"expected a rational string or integer, got {type(value).__name__}")
 
 

@@ -2,79 +2,138 @@
 
 Everything downstream (cohomology, spectral sequences, weight filtrations)
 reduces to ranks, kernels, linear solves and Smith normal forms of small
-matrices over Q and Z.  The one matrix type is the sparse `RationalMatrix`
-with `fractions.Fraction` entries.  The one elimination is `_echelon`, on
-sparse integer rows built straight from the entries (each row scaled by the
-lcm of its denominators): each row in turn is reduced against the pivot rows
-found so far.  Row operations keep every dependency among the columns, so
-the pivot columns are the greedy left-to-right column basis and the reduced
-echelon form is unique, whichever rows end up as pivots.  Hence rank, pivot
-columns, the kernel basis (1 at one free column, 0 at the others) and the
-solution that is 0 on the free columns are fixed, and every report is
-reproducible bit for bit.  Products accumulate in ints: each row of the left
-factor and each column of the right one is scaled by the lcm of its
-denominators, and each nonzero entry of the product becomes one Fraction.
+matrices over Q and Z.  The one matrix type is the sparse `RationalMatrix`.
+Only this module reads its storage: each nonzero row is a dict {column: int}
+over one positive denominator, in lowest terms (the gcd of the numerators and
+the denominator is 1), so ``==`` and ``hash`` compare the storage as it is.
+The public constructor checks bounds and entry types and drops zeros; the
+matrices made here, whose rows are already in that form, go through a
+trusted constructor that checks nothing.  ``entries`` is a read-only view that
+makes a Fraction only when an entry is read.  Products run in ints, with one
+gcd per product row whose denominator is not 1.  Rows over reduced fractions,
+or rows in lowest terms joined over the lcm of their denominators, are in
+lowest terms already.
+
+The one elimination is `_echelon`, on copies of the integer rows (a row times
+its denominator keeps rank, kernel and the column dependencies): each row in
+turn is reduced against the pivot rows found so far.  Row operations keep
+every dependency among the columns, so the pivot columns are the greedy
+left-to-right column basis and the reduced echelon form is unique, whichever
+rows end up as pivots.  Hence rank, pivot columns, the kernel basis (1 at one
+free column, 0 at the others) and the solution that is 0 on the free columns
+are fixed, and every report is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Optional, Sequence
-
-
-def _as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class MatrixError(ValueError):
     pass
 
 
-class RationalMatrix:
-    """Sparse matrix over Q.  Stored entries are nonzero; immutable by convention."""
+def _scaled(row: dict[int, int], f: int) -> dict[int, int]:
+    return row if f == 1 else {j: f * v for j, v in row.items()}
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _lowest_terms(row: dict[int, int], d: int) -> tuple[dict[int, int], int]:
+    """``row`` / ``d`` over its least denominator; no gcd when d is 1."""
+    g = gcd(d, *row.values()) if d != 1 else 1
+    return (row, d) if g == 1 else ({j: v // g for j, v in row.items()}, d // g)
+
+
+def _build_rows(rows: int, cols: int, items) -> tuple[dict, dict]:
+    """The stored form of the entries ``items``, pairs ((i, j), int or
+    Fraction): bounds and types checked, zeros dropped."""
+    if rows < 0 or cols < 0:
+        raise MatrixError("negative matrix dimensions")
+    num: dict[int, dict[int, int]] = {}
+    fractional: dict[int, dict[int, tuple[int, int]]] = {}
+    for (i, j), v in items:
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise MatrixError(f"entry index ({i}, {j}) out of bounds for {rows}x{cols}")
+        if type(v) is not int:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
+            v, d = v.as_integer_ratio()
+            if d != 1:
+                fractional.setdefault(i, {})[j] = v, d
+                continue
+        if v:
+            row = num.get(i)
+            if row is None:
+                num[i] = {j: v}
+            else:
+                row[j] = v
+    den = {}
+    for i, ratios in fractional.items():
+        # reduced fractions over the lcm of their denominators: lowest terms
+        den[i] = d = lcm(*(e for _, e in ratios.values()))
+        num[i] = {**_scaled(num.get(i, {}), d),
+                  **{j: n * (d // e) for j, (n, e) in ratios.items()}}
+    return num, den
+
+
+class _Entries(Mapping):
+    """Read-only view {(i, j): Fraction} of the nonzero entries of a matrix;
+    a Fraction is made only when an entry is read."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, m: "RationalMatrix"):
+        self._m = m
+
+    def __len__(self) -> int:
+        return sum(map(len, self._m._num.values()))
+
+    def __iter__(self):
+        for i, row in self._m._num.items():
+            for j in row:
+                yield i, j
+
+    def __getitem__(self, key) -> Fraction:
+        i, j = key
+        return Fraction(self._m._num[i][j], self._m._den.get(i, 1))
+
+
+class RationalMatrix:
+    """Sparse matrix over Q; immutable by convention.  ``_num`` maps each
+    nonzero row to its numerators {column: nonzero int}, and ``_den`` maps
+    each row whose denominator is not 1 to that denominator."""
+
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]):
-        if rows < 0 or cols < 0:
-            raise MatrixError("negative matrix dimensions")
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (i, j), v in entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise MatrixError(f"entry index ({i}, {j}) out of bounds for {rows}x{cols}")
-            v = _as_rational(v)
-            if v != 0:
-                clean[(i, j)] = v
-        self.rows = rows
-        self.cols = cols
-        self.entries = clean
+        self.rows, self.cols = rows, cols
+        self._num, self._den = _build_rows(rows, cols, entries.items())
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, num: dict, den: dict) -> "RationalMatrix":
+        """A matrix on rows already in the stored form; nothing is checked."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._num, m._den = rows, cols, num, den
+        return m
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "RationalMatrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise MatrixError("ragged rows")
-            for j, v in enumerate(row):
-                entries[(i, j)] = _as_rational(v)
-        return cls(rows, cols, entries)
+        if any(len(row) != cols for row in data):
+            raise MatrixError("ragged rows")
+        return cls._trusted(rows, cols, *_build_rows(
+            rows, cols, (((i, j), v) for i, row in enumerate(data) for j, v in enumerate(row))))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "RationalMatrix":
-        entries = {}
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise MatrixError("column length mismatch")
-            for i, v in enumerate(col):
-                entries[(i, j)] = _as_rational(v)
-        return cls(rows, len(columns), entries)
+        if any(len(col) != rows for col in columns):
+            raise MatrixError("column length mismatch")
+        return cls._trusted(rows, len(columns), *_build_rows(
+            rows, len(columns),
+            (((i, j), v) for j, col in enumerate(columns) for i, v in enumerate(col))))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -82,16 +141,18 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls._trusted(n, n, {i: {i: 1} for i in range(n)}, {})
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], Fraction]:
+        """The nonzero entries, as a read-only view {(i, j): Fraction}."""
+        return _Entries(self)
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), Fraction(0))
+        return Fraction(self._num.get(i, {}).get(j, 0), self._den.get(i, 1))
 
     def to_dense(self) -> list[list[Fraction]]:
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
-        return dense
+        return [[self.at(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.at(i, j) for i in range(self.rows))
@@ -100,18 +161,29 @@ class RationalMatrix:
         return [self.at(i, i) for i in range(min(self.rows, self.cols))]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows,
-                              {(j, i): v for (i, j), v in self.entries.items()})
+        num: dict[int, dict[int, int]] = {}
+        for i, row in self._num.items():
+            for j, v in row.items():
+                num.setdefault(j, {})[i] = v
+        numerators = RationalMatrix._trusted(self.cols, self.rows, num, {})
+        if not self._den:
+            return numerators
+        # self = D^-1 N with D the diagonal of the row denominators
+        inverse_d = RationalMatrix._trusted(self.rows, self.rows,
+                                            {i: {i: 1} for i in range(self.rows)}, self._den)
+        return numerators * inverse_d
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._num
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._num == other._num
+                and self._den == other._den)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        return hash((self.rows, self.cols, frozenset(self._den.items()),
+                     frozenset((i, frozenset(row.items())) for i, row in self._num.items())))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
@@ -119,14 +191,13 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise MatrixError("shape mismatch in addition")
-        entries = dict(self.entries)
-        for key, v in other.entries.items():
-            entries[key] = entries.get(key, Fraction(0)) + v
-        return RationalMatrix(self.rows, self.cols, entries)
+        one = RationalMatrix.identity(self.cols)
+        return self.hstack(other) * one.vstack(one)  # [A | B] (I; I) = A + B
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols,
-                              {key: -v for key, v in self.entries.items()})
+        return RationalMatrix._trusted(
+            self.rows, self.cols,
+            {i: {j: -v for j, v in row.items()} for i, row in self._num.items()}, self._den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
@@ -134,58 +205,62 @@ class RationalMatrix:
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise MatrixError("shape mismatch in multiplication")
-        # Row i of self scaled by a_i and column j of other by b_j (the lcms of
-        # their denominators) are integers, so entry (i, j) is one exact
-        # integer sum over a_i * b_j.
-        row_scale: dict[int, int] = {}
-        for (i, _), v in self.entries.items():
-            row_scale[i] = lcm(row_scale.get(i, 1), v.denominator)
-        col_scale: dict[int, int] = {}
-        for (_, j), v in other.entries.items():
-            col_scale[j] = lcm(col_scale.get(j, 1), v.denominator)
-        by_row: dict[int, list[tuple[int, int]]] = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, []).append((k, v.numerator * (row_scale[i] // v.denominator)))
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for (k, j), v in other.entries.items():
-            by_col.setdefault(k, []).append((j, v.numerator * (col_scale[j] // v.denominator)))
-        entries: dict[tuple[int, int], Fraction] = {}
-        for i, terms in by_row.items():
+        right, scale = other._num, 1
+        if other._den:
+            # the rows of other over one common denominator
+            scale = lcm(*other._den.values())
+            right = {k: _scaled(row, scale // other._den.get(k, 1)) for k, row in right.items()}
+        num, den = {}, {}
+        for i, row in self._num.items():
             acc: dict[int, int] = {}
-            for k, v in terms:
-                for j, w in by_col.get(k, ()):
-                    acc[j] = acc.get(j, 0) + v * w
-            a = row_scale[i]
-            for j, total in acc.items():
-                if total:
-                    entries[(i, j)] = Fraction(total, a * col_scale[j])
-        return RationalMatrix(self.rows, other.cols, entries)
+            for k, a in row.items():
+                for j, b in right.get(k, {}).items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if not all(acc.values()):
+                acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                num[i], d = _lowest_terms(acc, self._den.get(i, 1) * scale)
+                if d != 1:
+                    den[i] = d
+        return RationalMatrix._trusted(self.rows, other.cols, num, den)
 
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         if len(vector) != self.cols:
             raise MatrixError("vector length mismatch")
-        vec = [_as_rational(v) for v in vector]
-        out = [Fraction(0)] * self.rows
-        for (i, j), v in self.entries.items():
-            if vec[j] != 0:
-                out[i] += v * vec[j]
-        return tuple(out)
+        return (self * RationalMatrix.from_columns([vector], self.cols)).column(0)
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise MatrixError("row count mismatch in hstack")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i, j + self.cols)] = v
-        return RationalMatrix(self.rows, self.cols + other.cols, entries)
+        num, den = dict(self._num), dict(self._den)
+        for i, row in other._num.items():
+            a, b = den.get(i, 1), other._den.get(i, 1)
+            d = lcm(a, b)
+            num[i] = {**_scaled(num.get(i, {}), d // a),
+                      **{j + self.cols: v for j, v in _scaled(row, d // b).items()}}
+            if d != 1:
+                den[i] = d
+        return RationalMatrix._trusted(self.rows, self.cols + other.cols, num, den)
+
+    def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
+        if self.cols != other.cols:
+            raise MatrixError("column count mismatch in vstack")
+        shift = self.rows
+        num, den = dict(self._num), dict(self._den)
+        num.update({i + shift: row for i, row in other._num.items()})
+        den.update({i + shift: d for i, d in other._den.items()})
+        return RationalMatrix._trusted(self.rows + other.rows, self.cols, num, den)
 
     def submatrix_columns(self, col_indices: Sequence[int]) -> "RationalMatrix":
         pos = {j: p for p, j in enumerate(col_indices)}
-        entries = {}
-        for (i, j), v in self.entries.items():
-            if j in pos:
-                entries[(i, pos[j])] = v
-        return RationalMatrix(self.rows, len(col_indices), entries)
+        num, den = {}, {}
+        for i, row in self._num.items():
+            kept = {pos[j]: v for j, v in row.items() if j in pos}
+            if kept:  # dropped columns may leave a common factor
+                num[i], d = _lowest_terms(kept, self._den.get(i, 1))
+                if d != 1:
+                    den[i] = d
+        return RationalMatrix._trusted(self.rows, len(col_indices), num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +269,10 @@ class RationalMatrix:
 
 
 def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
-    """The rows of ``m`` as sparse integer dicts, each scaled by the lcm of its
-    denominators (which keeps rank, kernel and the column dependencies)."""
-    rows: list[dict] = [{} for _ in range(m.rows)]
-    fractional = set()
-    for (i, j), v in m.entries.items():
-        if v.denominator == 1:
-            rows[i][j] = v.numerator
-        else:
-            rows[i][j] = v
-            fractional.add(i)
-    for i in fractional:
-        row = rows[i]
-        scale = 1
-        for v in row.values():
-            scale = lcm(scale, v.denominator)
-        for j, v in row.items():
-            row[j] = v.numerator * (scale // v.denominator)
-    return rows
+    """Copies of the integer rows of ``m``, one per row, for `_echelon` to
+    reduce in place."""
+    num, empty = m._num, {}
+    return [dict(num.get(i, empty)) for i in range(m.rows)]
 
 
 def _echelon(rows: list[dict[int, int]]):
@@ -339,10 +400,10 @@ def smith_normal_form(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
     >>> u * m * v == d
     True
     """
-    if any(x.denominator != 1 for x in m.entries.values()):
+    if m._den:
         raise MatrixError("Smith normal form needs integer entries")
     nr, nc = m.rows, m.cols
-    d = [[x.numerator for x in row] for row in m.to_dense()]
+    d = [[m._num.get(i, {}).get(j, 0) for j in range(nc)] for i in range(nr)]
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
@@ -420,8 +481,8 @@ def smith_normal_form(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
         t += 1
 
     def shaped(rows, cols):  # from_rows cannot tell the width of a matrix with no rows
-        return RationalMatrix(len(rows), cols, {(i, j): x for i, row in enumerate(rows)
-                                                for j, x in enumerate(row) if x})
+        num = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+        return RationalMatrix._trusted(len(rows), cols, {i: r for i, r in num.items() if r}, {})
 
     return shaped(u, nr), shaped(d, nc), shaped(v, nc)
 

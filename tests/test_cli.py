@@ -165,6 +165,16 @@ def test_divisor_cohomology_canonical(tmp_path):
     assert doc["result"]["cohomology"] == {"0": 0, "1": 0, "2": 1}
 
 
+@pytest.mark.parametrize("coefficients", [["1.5", "1e0", " -3 "], ["1_0", "+3", "0"]])
+def test_divisor_cohomology_rejects_non_grammar_rationals(coefficients, tmp_path, capsys):
+    divisor = tmp_path / "divisor.json"
+    divisor.write_text(json.dumps({"coefficients": coefficients}))
+    code, _, err = run(["divisor-cohomology", "--fan", str(FIXTURES / "p2_fan.json"),
+                        "--divisor", str(divisor)], capsys)
+    assert code == 2
+    assert "/coefficients/0" in err
+
+
 def test_divisor_cohomology_rejects_double_cover_fan(tmp_path, capsys):
     divisor = tmp_path / "divisor.json"
     divisor.write_text(json.dumps({"coefficients": [0] * 6}))

@@ -48,6 +48,12 @@ def test_d_squared_enforced():
         CochainComplex({0: 2, 1: 2, 2: 2}, {0: bad_d0, 1: bad_d1})
 
 
+def test_d_squared_names_the_lowest_failing_degree():
+    one = RationalMatrix.identity(1)
+    with pytest.raises(ComplexError, match="at degree 0"):
+        CochainComplex({k: 1 for k in range(4)}, {2: one, 1: one, 0: one})
+
+
 def test_contiguous_degrees_required():
     with pytest.raises(ComplexError):
         CochainComplex({0: 1, 2: 1}, {})

@@ -22,7 +22,9 @@ def test_parse_rational_forms():
     assert parse_rational(5, "/x") == Fraction(5)
 
 
-@pytest.mark.parametrize("bad", ["3/0", "a", 1.5, True, None])
+@pytest.mark.parametrize("bad", ["3/0", "a", 1.5, True, None, "1/0", "3/00", "2.5", "1e0",
+                                 " -3 ", "1_0", "+3", "\u0663", "-", "/2", "1/", "1/+2",
+                                 pytest.param("1" * 5000, id="5000-digits")])
 def test_parse_rational_rejects(bad):
     with pytest.raises(SchemaError) as info:
         parse_rational(bad, "/field")

@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 from loghodgelab.linalg import (
@@ -13,6 +14,7 @@ from loghodgelab.linalg import (
     spaces_equal,
     sum_spaces,
 )
+from loghodgelab.localmodel import HOLOMORPHIC, LocalModel, assemble_stalk, koszul_local_cohomology
 
 from ss_oracle import intersect_spaces, preimage_space
 
@@ -295,3 +297,43 @@ def test_docstring_examples():
 
     failures, _ = doctest.testmod(linalg)
     assert failures == 0
+
+
+# --- stored form ------------------------------------------------------------
+
+
+@contextmanager
+def counting_fractions():
+    """Count the Fractions constructed inside the block."""
+    made = []
+    original = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        made.append(1)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        yield made
+    finally:
+        Fraction.__new__ = original
+
+
+def test_entry_count_builds_no_fraction():
+    m = RationalMatrix.from_rows([[Fraction(1, 2), 0, 3], [0, 0, 0], [Fraction(-2, 3), 5, 0]])
+    with counting_fractions() as made:
+        assert len(m.entries) == 4
+    assert not made
+    assert dict(m.entries) == {(0, 0): Fraction(1, 2), (0, 2): 3,
+                               (2, 0): Fraction(-2, 3), (2, 1): 5}
+
+
+def test_local_models_make_no_fraction():
+    """Every entry of a local model is an integer, so building and reducing
+    its blocks makes no Fraction (7,560 and 18 with Fraction storage)."""
+    with counting_fractions() as made:
+        assemble_stalk(LocalModel(3, 3, 1), HOLOMORPHIC)
+    assert len(made) == 0
+    with counting_fractions() as made:
+        koszul_local_cohomology(LocalModel(3, 2, 3), (1, 2), 1)
+    assert len(made) == 0

@@ -1,11 +1,14 @@
 """Every fixture validates under exactly one shipped JSON Schema, and that
-schema is the one for its document kind.  jsonschema is a test-only
-dependency; the module is skipped without it."""
+schema is the one for its document kind; the schemas and the loader accept
+the same rationals.  jsonschema is a test-only dependency; the module is
+skipped without it."""
 
 import json
 from pathlib import Path
 
 import pytest
+
+from loghodgelab.jsonio import SchemaError, parse_rational
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -49,3 +52,32 @@ def test_fixture_validates_under_exactly_its_schema(fixture):
     doc = json.loads((FIXTURES / fixture).read_text())
     matching = [name for name, v in VALIDATORS.items() if v.is_valid(doc)]
     assert matching == [FIXTURE_SCHEMA[fixture]]
+
+
+RATIONAL_CASES = ["0", "-0", "7", "-12", "3/4", "-3/4", "6/8", "1/01", "007/10",
+                  "1/0", "3/00", "-1/-2", "1/+2", "+3", "1.5", "1e0", " -3 ", "1_0",
+                  "\u0663", "", "-", "/2", "1/", "1//2", "0x10"]
+
+
+def loader_accepts(value) -> bool:
+    try:
+        parse_rational(value, "/x")
+    except SchemaError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("schema, wrap", [
+    ("divisor.schema.json", lambda v: {"coefficients": [v]}),
+    ("nilpotent-operator.schema.json", lambda v: {"matrix": [[v]]}),
+    ("weights.schema.json", lambda v: {"rays": {"A": v}}),
+    ("generic-complex.schema.json",
+     lambda v: {"min_degree": 0, "dims": [1, 1], "differentials": [[[v]]]}),
+    ("generic-complex.schema.json",
+     lambda v: {"min_degree": 0, "dims": [1], "filtration": [[[[v]]]]}),
+])
+def test_schemas_and_loader_accept_the_same_rationals(schema, wrap):
+    verdicts = {v: (VALIDATORS[schema].is_valid(wrap(v)), loader_accepts(v))
+                for v in RATIONAL_CASES}
+    assert all(schema_ok == loader_ok for schema_ok, loader_ok in verdicts.values()), verdicts
+    assert sum(ok for ok, _ in verdicts.values()) == 9

@@ -1,0 +1,123 @@
+"""Alternating pairs of benchmark runs: a git ref against the working tree.
+
+    python3 tools/pairs.py --ref HEAD --workload nilpotent --seeds 71-80
+    python3 tools/pairs.py --ref main --workload stalk --seeds 91 92 93
+
+The ref is exported with ``git archive`` into a temporary directory.  Each
+pair runs the unchanged ``bench/run.py --workload W --seed S --seconds T
+--trace 0``, with T the ``run_seconds`` of ``BENCHMARK.json``, once in that
+export and once in the working tree, with the same seed on both sides; which
+side runs first alternates from pair to pair.  For every end-to-end metric
+of ``BENCHMARK.json`` it prints each pair, each side's median and quartiles,
+the pairs the change wins (ties count for neither) and whether every change
+run beats every parent run.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def export(ref: str, into: Path) -> None:
+    tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into)
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench/run.py failed in {tree}:\n{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"bench/run.py reported failures in {tree}:\n{proc.stderr[-2000:]}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def seed_list(args: list[str]) -> list[int]:
+    seeds = []
+    for arg in args:
+        lo, _, hi = arg.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summary(name: str, higher_is_better: bool, pairs: list[tuple[dict, dict]]) -> dict:
+    parent = [p[name] for p, _ in pairs]
+    change = [c[name] for _, c in pairs]
+
+    def better(a: float, b: float) -> bool:
+        return a > b if higher_is_better else a < b
+
+    return {
+        "metric": name,
+        "parent_median": statistics.median(parent),
+        "parent_quartiles": quartiles(parent),
+        "change_median": statistics.median(change),
+        "change_quartiles": quartiles(change),
+        "change_wins": sum(better(c, p) for p, c in zip(parent, change)),
+        "every_change_run_beats_every_parent_run": all(
+            better(c, p) for c in change for p in parent),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ref", default="HEAD", help="git ref of the parent side")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", nargs="+", required=True,
+                        help="one seed per pair: numbers or ranges like 71-80")
+    args = parser.parse_args()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        parent_tree = Path(tmp)
+        export(args.ref, parent_tree)
+        for index, seed in enumerate(seed_list(args.seeds)):
+            sides = [("parent", parent_tree), ("change", ROOT)]
+            if index % 2:
+                sides.reverse()
+            run = {side: bench(tree, args.workload, seed, seconds) for side, tree in sides}
+            pairs.append((run["parent"], run["change"]))
+            print(f"pair {index + 1} seed {seed} ({sides[0][0]} first): " + ", ".join(
+                f"{m['name']} {run['parent'][m['name']]:.4g} -> {run['change'][m['name']]:.4g}"
+                for m in metrics), flush=True)
+
+    report = [summary(m["name"], m["better"] == "higher", pairs) for m in metrics]
+    print(f"\n{args.workload}, {len(pairs)} pairs, parent {args.ref} against the working tree")
+    for s in report:
+        beats = "yes" if s["every_change_run_beats_every_parent_run"] else "no"
+        print(f"{s['metric']}: parent {s['parent_median']:.4g} "
+              f"[{s['parent_quartiles'][0]:.4g}, {s['parent_quartiles'][1]:.4g}], "
+              f"change {s['change_median']:.4g} "
+              f"[{s['change_quartiles'][0]:.4g}, {s['change_quartiles'][1]:.4g}], "
+              f"change better {s['change_wins']}/{len(pairs)}, every change run beats "
+              f"every parent run: {beats}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
