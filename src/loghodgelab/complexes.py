@@ -115,9 +115,13 @@ class ChainMap:
         lo = min(self.source.min_degree, self.target.min_degree)
         hi = max(self.source.max_degree, self.target.max_degree)
         for k in range(lo, hi + 1):
-            lhs = self.target.differential(k) * self.component(k)
-            rhs = self.component(k + 1) * self.source.differential(k)
-            if lhs != rhs:
+            # d f_k and f_{k+1} d, each formed only when neither factor is zero
+            sides = [a * b for a, b in ((self.target.differential(k), self.component(k)),
+                                        (self.component(k + 1), self.source.differential(k)))
+                     if not (a.is_zero() or b.is_zero())]
+            commutes = (sides[0] == sides[1] if len(sides) == 2
+                        else all(s.is_zero() for s in sides))
+            if not commutes:
                 raise ChainMapError(f"map does not commute with differentials at degree {k}")
 
     def component(self, k: int) -> RationalMatrix:
@@ -149,8 +153,7 @@ def cohomology_dims(c: CochainComplex) -> dict[int, int]:
 def cohomology_representatives(c: CochainComplex, k: int) -> tuple[RationalMatrix, RationalMatrix]:
     """(R, B): columns of R are cocycles representing a basis of H^k,
     columns of B a basis of the coboundaries im d_{k-1}."""
-    ker = kernel_basis(c.differential(k))
-    z = RationalMatrix.from_columns(ker, c.dim(k))
+    z = kernel_basis(c.differential(k))
     b = column_space_basis(c.differential(k - 1))
     chosen = extend_basis(b, z)
     return z.submatrix_columns(chosen), b
@@ -406,11 +409,10 @@ def _adapted_basis(fc: FilteredComplex, k: int) -> tuple[RationalMatrix, list[in
 
 
 def _inverse(b: RationalMatrix) -> RationalMatrix:
-    """B^-1 of an invertible B: the kernel vector of [B | -I] for the free
-    column n + i is (B^-1 e_i, e_i)."""
+    """B^-1 of an invertible B: the kernel basis of [B | -I] is (B^-1; I),
+    one column per free column n + i."""
     n = b.cols
-    ker = kernel_basis(b.hstack(-RationalMatrix.identity(n)))
-    return RationalMatrix.from_columns([v[:n] for v in ker], n)
+    return kernel_basis(b.hstack(-RationalMatrix.identity(n))).submatrix_rows(range(n))
 
 
 def _persistence_pairs(x: RationalMatrix, col_level: list[int],

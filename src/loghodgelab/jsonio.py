@@ -25,7 +25,8 @@ if TYPE_CHECKING:
     from .weights import WeightFunction
 
 
-# The one rational grammar, also the "pattern" of every shipped schema.
+# The one rational grammar.  Every shipped schema has it as its "pattern",
+# between ^ and $(?!\n): Python's $ also matches before a final newline.
 RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 

@@ -19,9 +19,12 @@ its denominator keeps rank, kernel and the column dependencies): each row in
 turn is reduced against the pivot rows found so far.  Row operations keep
 every dependency among the columns, so the pivot columns are the greedy
 left-to-right column basis and the reduced echelon form is unique, whichever
-rows end up as pivots.  Hence rank, pivot columns, the kernel basis (1 at one
-free column, 0 at the others) and the solution that is 0 on the free columns
-are fixed, and every report is reproducible bit for bit.
+rows end up as pivots.  `_reduced` back-reduces the pivot rows once into that
+form, in integers, and kernels, solutions and inverses are read off it: the
+kernel basis (1 at one free column, 0 at the others) straight into the stored
+form, the solution that is 0 on the free columns, and B^-1 from the kernel of
+[B | -I].  Hence all of them are fixed, and every report is reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -251,6 +254,15 @@ class RationalMatrix:
         den.update({i + shift: d for i, d in other._den.items()})
         return RationalMatrix._trusted(self.rows + other.rows, self.cols, num, den)
 
+    def submatrix_rows(self, row_indices: Sequence[int]) -> "RationalMatrix":
+        num, den = {}, {}
+        for p, i in enumerate(row_indices):
+            if i in self._num:
+                num[p] = self._num[i]
+                if i in self._den:
+                    den[p] = self._den[i]
+        return RationalMatrix._trusted(len(row_indices), self.cols, num, den)
+
     def submatrix_columns(self, col_indices: Sequence[int]) -> "RationalMatrix":
         pos = {j: p for p, j in enumerate(col_indices)}
         num, den = {}, {}
@@ -275,6 +287,22 @@ def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
     return [dict(num.get(i, empty)) for i in range(m.rows)]
 
 
+def _cancel(r: dict[int, int], p: dict[int, int], c: int) -> tuple[dict[int, int], int]:
+    """a*r - b*p with a/b = p[c]/r[c] in lowest terms, so that column c
+    cancels, and a; r is changed in place when a is 1."""
+    g = gcd(p[c], r[c])
+    a, b = p[c] // g, r[c] // g
+    if a != 1:
+        r = {j: a * v for j, v in r.items()}
+    for j, v in p.items():
+        w = r.get(j, 0) - b * v
+        if w:
+            r[j] = w
+        else:
+            del r[j]
+    return r, a
+
+
 def _echelon(rows: list[dict[int, int]]):
     """Reduce the integer ``rows``, in order and in place, against the pivot
     rows found so far: while the leading column c of r has a pivot row p,
@@ -297,34 +325,26 @@ def _echelon(rows: list[dict[int, int]]):
                     contents *= g
                 pivots[c] = r
                 break
-            g = gcd(p[c], r[c])
-            a, b = p[c] // g, r[c] // g
-            if a != 1:
-                r = {j: a * v for j, v in r.items()}
-                multipliers *= a
-            for j, v in p.items():
-                w = r.get(j, 0) - b * v
-                if w:
-                    r[j] = w
-                else:
-                    del r[j]
+            r, a = _cancel(r, p, c)
+            multipliers *= a
         leads.append(c if r else None)  # r survives only as the pivot of c
     return pivots, leads, contents, multipliers
 
 
-def _back_substitute(pivots: dict[int, dict[int, int]],
-                     v: list[Fraction]) -> tuple[Fraction, ...]:
-    """The vector of the null space of the pivot rows that agrees with ``v``
-    off the pivot columns; the pivot coordinates of ``v`` are overwritten,
-    last pivot column first."""
-    for pc in sorted(pivots, reverse=True):
-        row = pivots[pc]
-        s = Fraction(0)
-        for j, x in row.items():
-            if j != pc and v[j]:
-                s += x * v[j]
-        v[pc] = -s / row[pc]
-    return tuple(v)
+def _reduced(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The pivot rows of `_echelon` in integer reduced echelon form, in
+    place: last pivot column first, each row has its entries at the later
+    pivot columns cancelled by their (already reduced) rows, and is divided
+    by its content, signed so that its pivot entry is positive."""
+    for c in sorted(pivots, reverse=True):
+        r = pivots[c]
+        for j in [j for j in r if j != c and j in pivots]:
+            r = _cancel(r, pivots[j], j)[0]
+        g = gcd(*r.values())
+        if r[c] < 0:
+            g = -g
+        pivots[c] = r if g == 1 else {j: v // g for j, v in r.items()}
+    return pivots
 
 
 def rank(m: RationalMatrix) -> int:
@@ -332,12 +352,26 @@ def rank(m: RationalMatrix) -> int:
     return len(_echelon(_integer_rows(m))[0])
 
 
-def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Deterministic basis of ker(m); one vector per free column, ascending."""
-    pivots = _echelon(_integer_rows(m))[0]
-    zero = [Fraction(0)] * m.cols
-    return [_back_substitute(pivots, zero[:f] + [Fraction(1)] + zero[f + 1:])
-            for f in range(m.cols) if f not in pivots]
+def kernel_basis(m: RationalMatrix) -> RationalMatrix:
+    """Deterministic basis of ker(m), the columns of a cols x nullity
+    matrix: one column per free column f of ``m``, ascending, with 1 at f and
+    0 at the other free columns."""
+    reduced = _reduced(_echelon(_integer_rows(m))[0])
+    free = {f: k for k, f in enumerate(f for f in range(m.cols) if f not in reduced)}
+    num, den = {}, {}
+    for i in range(m.cols):
+        row = reduced.get(i)
+        if row is None:
+            num[i] = {free[i]: 1}
+            continue
+        # row . x = 0 with x = 1 at the free column f: x_i = -row[f] / row[i],
+        # over a positive denominator and in lowest terms (row has content 1)
+        entries = {free[j]: -v for j, v in row.items() if j != i}
+        if entries:
+            num[i] = entries
+            if row[i] != 1:
+                den[i] = row[i]
+    return RationalMatrix._trusted(m.cols, len(free), num, den)
 
 
 def solve_rational(m: RationalMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -350,8 +384,11 @@ def solve_rational(m: RationalMatrix, b: Sequence) -> Optional[tuple[Fraction, .
     pivots = _echelon(_integer_rows(aug))[0]
     if m.cols in pivots:
         return None  # a pivot in the augmented column: inconsistent
-    # (x, -1) lies in the null space of [m | b]
-    return _back_substitute(pivots, [Fraction(0)] * m.cols + [Fraction(-1)])[:m.cols]
+    # (x, -1) lies in the kernel of [m | b]: row[c] x_c = row[m.cols]
+    x = [Fraction(0)] * m.cols
+    for c, row in _reduced(pivots).items():
+        x[c] = Fraction(row.get(m.cols, 0), row[c])
+    return tuple(x)
 
 
 def leading_columns(m: RationalMatrix) -> list[Optional[int]]:

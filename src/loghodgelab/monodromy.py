@@ -11,12 +11,16 @@ dependent Jordan chains) satisfying its two defining axioms:
     N^l : Gr_{k+l} -> Gr_{k-l}  is an isomorphism for every l >= 0.
 
 The axioms determine the filtration uniquely, which the test suite confirms
-by exhaustion in small dimension.  Each image N^l W_j is one matrix product,
-and the ranks of the powers of N and of the levels of W are computed once.
+by exhaustion in small dimension.  The Jordan basis is one integer-row
+matrix built by matrix products, each W_l is a slice of its columns, and each
+image N^l W_j is one product.  The ranks of the powers of N are computed
+once, and so is the rank of each level, shared by equal consecutive levels;
+a check that an earlier one implies is not made again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +31,6 @@ from .linalg import (
     extend_basis,
     kernel_basis,
     rank,
-    sum_spaces,
 )
 
 
@@ -86,32 +89,28 @@ def jordan_type(n: NilpotentOperator) -> tuple[int, ...]:
     return partition
 
 
-def jordan_chains(n: NilpotentOperator) -> list[list[tuple[Fraction, ...]]]:
-    """Jordan basis organized as chains [v, Nv, ..., N^{s-1}v], built
-    deterministically from kernel bases of the powers."""
-    dim = n.dimension
-    kernels = []
-    for j in range(n.index + 1):
-        ker = kernel_basis(n.power(j))
-        kernels.append(RationalMatrix.from_columns(ker, dim) if ker
-                       else RationalMatrix.zeros(dim, 0))
-    chains: list[tuple[tuple[Fraction, ...], int]] = []   # (top vector, size)
+def jordan_chains(n: NilpotentOperator) -> tuple[RationalMatrix, list[list[int]]]:
+    """Jordan basis, built deterministically from kernel bases of the
+    powers: one matrix, and the columns [v, Nv, ..., N^{s-1}v] of each chain."""
+    kernels = [kernel_basis(n.power(j)) for j in range(n.index + 1)]
+    tops: list[tuple[RationalMatrix, int]] = []   # (top vectors of the chains, size)
     for s in range(n.index, 0, -1):
         # tops of longer chains contribute N^{t-s} v inside ker(N^s)
-        carried = [n.power(t - s).apply(v) for v, t in chains if t > s]
         base = kernels[s - 1]
-        if carried:
-            base = sum_spaces(base, RationalMatrix.from_columns(carried, dim))
+        for top, t in tops:
+            base = base.hstack(n.power(t - s) * top)
         new_top_cols = extend_basis(base, kernels[s])
-        for j in new_top_cols:
-            chains.append((kernels[s].column(j), s))
-    out = []
-    for v, s in chains:
-        out.append([n.power(i).apply(v) for i in range(s)])
-    total = sum(len(c) for c in out)
-    if total != dim:
+        if new_top_cols:
+            tops.append((kernels[s].submatrix_columns(new_top_cols), s))
+    basis, chains = RationalMatrix.zeros(n.dimension, 0), []
+    for top, s in tops:
+        start = basis.cols
+        for i in range(s):
+            basis = basis.hstack(n.power(i) * top)
+        chains += [[start + i * top.cols + j for i in range(s)] for j in range(top.cols)]
+    if basis.cols != n.dimension:
         raise MonodromyError("internal: Jordan basis has wrong cardinality")
-    return out
+    return basis, chains
 
 
 @dataclass
@@ -133,7 +132,12 @@ class WeightFiltration:
 
     @cached_property
     def _ranks(self) -> dict[int, int]:
-        return {l: rank(m) for l, m in sorted(self.subspaces.items())}
+        """rank(W_l) for every stored l; equal consecutive levels share one."""
+        ranks, below = {}, None
+        for l, m in sorted(self.subspaces.items()):
+            ranks[l] = ranks[l - 1] if m == below else rank(m)
+            below = m
+        return ranks
 
     def level_rank(self, l: int) -> int:
         """dim W_l."""
@@ -165,16 +169,24 @@ class WeightFiltration:
 
 def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> None:
     """Raise unless W is increasing and exhaustive, N W_l ⊆ W_{l-2}, and
-    N^l : Gr_{k+l} -> Gr_{k-l} is an isomorphism for every l >= 1."""
+    N^l : Gr_{k+l} -> Gr_{k-l} is an isomorphism for every l >= 1.
+
+    A check that one already made implies is skipped: W_{l-1} ⊆ W_l when
+    the two level matrices are equal, and N W_l ⊆ W_{l-2} when W_l = W_{l-1},
+    for then N W_l = N W_{l-1} ⊆ W_{l-3} ⊆ W_{l-2}.  The stored form is
+    canonical, so ``==`` on level matrices is exact.  N^l W_{k+l} ⊆ W_{k-l}
+    follows from N W_j ⊆ W_{j-2} for every j."""
     k = w.center
     dim = n.dimension
     if w.level_rank(k + dim) != dim:
         raise MonodromyError(f"filtration not exhaustive: dim W_{k + dim} < {dim}")
+    levels = {l: w.level(l) for l in range(k - dim - 1, k + dim + 1)}
     for l in range(k - dim + 1, k + dim + 1):
-        if not contains_space(w.level(l), w.level(l - 1)):
+        if levels[l] != levels[l - 1] and not contains_space(levels[l], levels[l - 1]):
             raise MonodromyError(f"filtration not increasing: W_{l - 1} not inside W_{l}")
     for l in range(k - dim, k + dim + 1):
-        if not contains_space(w.level(l - 2), n.matrix * w.level(l)):
+        if levels[l] != levels[l - 1] and not contains_space(w.level(l - 2),
+                                                              n.matrix * levels[l]):
             raise MonodromyError(f"axiom failure: N W_{l} not inside W_{l - 2}")
     graded = w.graded_dims()
     for l in range(1, dim + 1):
@@ -191,30 +203,30 @@ def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> None:
         if induced_rank != up:
             raise MonodromyError(
                 f"axiom failure: N^{l} is not an isomorphism Gr_{k + l} -> Gr_{k - l}")
-        if not contains_space(w.level(k - l), img):
-            raise MonodromyError(
-                f"axiom failure: N^{l} W_{k + l} not inside W_{k - l}")
 
 
 def weight_filtration(n: NilpotentOperator, center: int = 0) -> WeightFiltration:
     """The unique filtration with the two weight axioms, centered at ``center``.
 
     A Jordan chain of size s places N^i v in weight center + (s-1) - 2i.
-    The result is checked against the axioms before being returned.
+    With the Jordan basis sorted by weight, W_l is the slice of its columns
+    of weight <= l.  The result is checked against the axioms before being
+    returned.
     """
     dim = n.dimension
-    weighted: list[tuple[int, tuple[Fraction, ...]]] = []
-    for chain in jordan_chains(n):
-        s = len(chain)
-        for i, vec in enumerate(chain):
-            weighted.append((center + (s - 1) - 2 * i, vec))
-    subspaces = {}
-    for l in range(center - dim, center + dim + 1):
-        # a Jordan basis is independent, so these columns are a basis of W_l;
-        # the exhaustive check below fails if they are not
-        vectors = [vec for wt, vec in weighted if wt <= l]
-        subspaces[l] = RationalMatrix.from_columns(vectors, dim)
-    filtration = WeightFiltration(center, dim, subspaces)
+    basis, chains = jordan_chains(n)
+    weights = [0] * dim
+    for chain in chains:
+        for i, j in enumerate(chain):
+            weights[j] = center + (len(chain) - 1) - 2 * i
+    order = sorted(range(dim), key=weights.__getitem__)
+    basis = basis.submatrix_columns(order)
+    weights.sort()
+    # a Jordan basis is independent, so these columns are a basis of W_l;
+    # the exhaustive check fails if they are not
+    counts = {l: bisect_right(weights, l) for l in range(center - dim, center + dim + 1)}
+    slices = {c: basis.submatrix_columns(range(c)) for c in set(counts.values())}
+    filtration = WeightFiltration(center, dim, {l: slices[c] for l, c in counts.items()})
     verify_weight_axioms(n, filtration)
     return filtration
 

@@ -2,6 +2,8 @@
 and constructions that only the tests use."""
 
 import random
+from contextlib import contextmanager
+from fractions import Fraction
 
 from loghodgelab.complexes import ChainMap, CochainComplex, FilteredComplex, cohomology_dims
 from loghodgelab.conecx import ConeComplex, IntersectionData
@@ -41,11 +43,10 @@ def random_complex(rng: random.Random, max_total_dim: int = 8) -> CochainComplex
         else:
             # rows of the new differential must annihilate the image of prev
             ker = kernel_basis(prev.transpose())
-            if not ker:
+            if not ker.cols:
                 m = RationalMatrix.zeros(rows, cols)
             else:
-                kmat = RationalMatrix.from_rows([list(v) for v in ker])
-                m = random_matrix(rng, rows, len(ker)) * kmat
+                m = random_matrix(rng, rows, ker.cols) * ker.transpose()
         diffs[k] = m
         prev = m
     return CochainComplex(dims, diffs)
@@ -169,3 +170,20 @@ def weight_divisor(w: WeightFunction, fan: Fan) -> QDivisor:
         raise FanError(
             f"weight rays do not match fan rays (missing {missing}, extra {extra})")
     return QDivisor({i: w.ray_value(name) for i, name in enumerate(fan.ray_names)})
+
+
+@contextmanager
+def counting_fractions():
+    """Count the Fractions constructed inside the block."""
+    made = []
+    original = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        made.append(1)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counted
+    try:
+        yield made
+    finally:
+        Fraction.__new__ = original

@@ -40,21 +40,16 @@ def intersect_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
         raise MatrixError("ambient dimension mismatch")
     if a.cols == 0 or b.cols == 0:
         return RationalMatrix.zeros(a.rows, 0)
-    combined = a.hstack(-b)
-    vectors = []
-    for ker in kernel_basis(combined):
-        x = ker[:a.cols]
-        vectors.append(a.apply(x))
-    return column_space_basis(RationalMatrix.from_columns(vectors, a.rows))
+    ker = kernel_basis(a.hstack(-b))
+    return column_space_basis(a * ker.submatrix_rows(range(a.cols)))
 
 
 def preimage_space(f: RationalMatrix, w: RationalMatrix) -> RationalMatrix:
     """Basis of {x : f x in col(w)} inside the domain of f."""
     if f.rows != w.rows:
         raise MatrixError("ambient dimension mismatch")
-    combined = f.hstack(-w)
-    vectors = [ker[:f.cols] for ker in kernel_basis(combined)]
-    return column_space_basis(RationalMatrix.from_columns(vectors, f.cols))
+    ker = kernel_basis(f.hstack(-w))
+    return column_space_basis(ker.submatrix_rows(range(f.cols)))
 
 
 class _PageEntry:

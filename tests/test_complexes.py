@@ -1,4 +1,7 @@
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +20,14 @@ from loghodgelab.complexes import (
     mapping_cone,
     spectral_sequence,
 )
+from loghodgelab.jsonio import build_filtered, load_generic_complex
 from loghodgelab.linalg import RationalMatrix
 
 import ss_oracle
-from helpers import (random_chain_map, random_complex, stupid_filtration, trivial_filtration,
-                     zero_chain_map)
+from helpers import (counting_fractions, random_chain_map, random_complex, stupid_filtration,
+                     trivial_filtration, zero_chain_map)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def circle_complex() -> CochainComplex:
@@ -64,6 +70,18 @@ def test_chain_map_must_commute():
     with pytest.raises(ChainMapError):
         ChainMap(c, c, {0: RationalMatrix.identity(1),
                         1: RationalMatrix.from_rows([[2]])})
+
+
+def test_chain_map_failing_at_a_missing_component_rejected():
+    # on Q -1-> Q, with one of f_0, f_1 missing or zero and the other 1, one
+    # side of the square at degree 0 is 0 and the other is 1
+    c = two_term_identity()
+    one, zero = RationalMatrix.identity(1), RationalMatrix.zeros(1, 1)
+    for components in ({1: one}, {0: one}, {0: zero, 1: one}, {0: one, 1: zero}):
+        with pytest.raises(ChainMapError, match="does not commute with differentials at degree 0"):
+            ChainMap(c, c, components)
+    ChainMap(c, c, {})
+    ChainMap(c, c, {0: zero, 1: zero})
 
 
 # --- cohomology ----------------------------------------------------------------
@@ -238,6 +256,21 @@ def test_spectral_sequence_of_boundary_subcomplex_filtration():
             {k: RationalMatrix.identity(c.dim(k)) for k in c.degrees()}, level])
         assert e_infinity_totals(spectral_sequence(fc)) == \
                {k: v for k, v in cohomology_dims(c).items() if v}
+
+
+def test_spectral_sequence_makes_no_fraction():
+    """The pages come from integer products and eliminations alone, on the
+    circle fixture's own filtration and on one level of true fractions."""
+    c, filtration = load_generic_complex(json.loads((FIXTURES / "circle_complex.json").read_text()))
+    slanted = FilteredComplex(c, [
+        {k: RationalMatrix.identity(c.dim(k)) for k in c.degrees()},
+        {0: RationalMatrix.from_rows([[Fraction(1, 2)], [Fraction(-1, 3)], [1]]),
+         1: RationalMatrix.identity(3)}])
+    for fc in (build_filtered(c, filtration), slanted):
+        with counting_fractions() as made:
+            pages = spectral_sequence(fc)
+        assert not made
+        assert e_infinity_totals(pages) == {0: 1, 1: 1}
 
 
 def test_page_differentials_compose_to_zero():

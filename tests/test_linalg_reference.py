@@ -263,8 +263,8 @@ def product_pairs():
         if t % 5 == 0:
             # a left null vector of b as an extra row of a: that row of a*b cancels to 0
             ker = linalg.kernel_basis(b.transpose())
-            if ker:
-                yield a.transpose().hstack(RationalMatrix.from_columns(ker[:1], k)).transpose(), b
+            if ker.cols:
+                yield a.transpose().hstack(ker.submatrix_columns([0])).transpose(), b
     for n, k, m in ((0, 3, 2), (2, 3, 0), (3, 0, 2), (0, 0, 0), (1, 1, 1)):
         yield random_sparse(rng, n, k, False), random_sparse(rng, k, m, False)
     half = Fraction(1, 2)
@@ -334,7 +334,8 @@ def test_elimination_matches_dense_bareiss():
     for m in elimination_inputs():
         assert rank(m) == reference_rank(m)
         assert pivot_columns(m) == reference_pivot_columns(m)
-        assert kernel_basis(m) == reference_kernel_basis(m)
+        ker = kernel_basis(m)
+        assert [ker.column(j) for j in range(ker.cols)] == reference_kernel_basis(m)
         x = [random.Random(m.rows * 31 + m.cols).randint(-2, 2) for _ in range(m.cols)]
         b_in = m.apply(x)
         b_out = [v + (i == 0) for i, v in enumerate(b_in)]
@@ -358,6 +359,54 @@ def test_leading_columns_are_the_pivots_in_row_order():
                                                            m.entries.items() if r < i}))
                  for i in range(m.rows + 1)]
         assert [c is None for c in leads] == [a == b for a, b in zip(ranks, ranks[1:])]
+
+
+def reference_inverse(b):
+    n = b.rows
+    return RationalMatrix.from_columns(
+        [reference_solve_rational(b, [int(i == j) for i in range(n)]) for j in range(n)], n)
+
+
+def full_rank_inputs():
+    """Seeded square, tall and wide matrices of full rank with true fractions,
+    permutations, and the 0 x 0 and 1 x 1 cases (`elimination_inputs` has the
+    empty and zero ones)."""
+    rng = random.Random(615)
+    made = 0
+    while made < 150:
+        n = rng.randint(1, 7)
+        rows, cols = rng.choice(((n, n), (n, n), (n + rng.randint(1, 3), n),
+                                 (n, n + rng.randint(1, 3))))
+        m = RationalMatrix.from_rows([[Fraction(rng.randint(-20, 20), rng.randint(1, 30))
+                                       if rng.random() < 0.7 else 0 for _ in range(cols)]
+                                      for _ in range(rows)])
+        if rank(m) == min(rows, cols):
+            made += 1
+            yield m
+    for n in range(1, 6):
+        order = list(range(n))
+        rng.shuffle(order)
+        yield RationalMatrix.from_rows([[int(j == order[i]) for j in range(n)] for i in range(n)])
+    yield RationalMatrix.zeros(0, 0)
+    yield RationalMatrix.from_rows([[Fraction(-7, 3)]])
+
+
+def test_full_rank_kernels_solutions_and_inverses_match_references():
+    from loghodgelab.complexes import _inverse
+
+    squares = 0
+    for m in full_rank_inputs():
+        ker = kernel_basis(m)
+        assert (ker.rows, ker.cols) == (m.cols, m.cols - min(m.rows, m.cols))
+        assert [ker.column(j) for j in range(ker.cols)] == reference_kernel_basis(m)
+        b = m.apply([Fraction(j - 2, j + 1) for j in range(m.cols)])
+        assert solve_rational(m, b) == reference_solve_rational(m, b)
+        if m.rows == m.cols:
+            inverse = _inverse(m)
+            assert inverse == reference_inverse(m)
+            assert inverse * m == m * inverse == RationalMatrix.identity(m.rows)
+            squares += 1
+    assert squares > 60
 
 
 def test_determinant_rejects_non_square():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 import pytest
 
+from helpers import counting_fractions
+
 import loghodgelab.linalg as linalg
 import loghodgelab.monodromy as monodromy
 from loghodgelab.linalg import (
@@ -102,9 +104,7 @@ def test_jordan_chains_form_a_basis():
     rng = random.Random(502)
     for _ in range(20):
         n = random_nilpotent(rng, rng.randint(1, 6))
-        chains = jordan_chains(n)
-        vectors = [v for chain in chains for v in chain]
-        m = RationalMatrix.from_columns(vectors, n.dimension)
+        m, chains = jordan_chains(n)
         assert rank(m) == n.dimension
         assert sorted((len(c) for c in chains), reverse=True) == list(jordan_type(n))
 
@@ -163,14 +163,47 @@ def test_non_increasing_filtrations_rejected():
         verify_weight_axioms(n, w)
 
 
+def test_bad_filtration_failing_only_at_a_level_equal_to_the_one_below():
+    # N e2 = e1 on Q^3; every check passes but dim Gr_2 = 0 != dim Gr_-2 = 1,
+    # and W_2 = W_1.  W_-2 = <e1 + e3> has a zero column, so it has as many
+    # columns as W_-1 = <e1, e3>
+    low, mid, full = (RationalMatrix.from_rows([[1, 0], [0, 0], [1, 0]]),
+                      RationalMatrix.from_rows([[1, 1], [0, 0], [1, 0]]),
+                      RationalMatrix.identity(3))
+    n = NilpotentOperator(jordan_block_matrix([2, 1]))
+    w = WeightFiltration(0, 3, {-3: RationalMatrix.zeros(3, 0), -2: low, -1: mid,
+                                0: mid, 1: full, 2: full, 3: full})
+    with pytest.raises(MonodromyError, match="Gr_2 and Gr_-2 have different dims"):
+        verify_weight_axioms(n, w)
+
+
+def test_bad_filtration_failing_only_at_a_level_that_differs_from_the_one_below():
+    # N e2 = e1 on Q^3; every check passes but N W_1 = <e1> is not inside
+    # W_-1 = <e1 + e3>, and W_1 != W_0.  W_0 has a zero column, so it has as
+    # many columns as W_1
+    zero, full = RationalMatrix.zeros(3, 0), RationalMatrix.identity(3)
+    n = NilpotentOperator(jordan_block_matrix([2, 1]))
+    w = WeightFiltration(0, 3, {
+        -3: zero, -2: zero, -1: RationalMatrix.from_rows([[1], [0], [1]]),
+        0: RationalMatrix.from_rows([[1, 1, 0], [0, 0, 0], [1, 0, 0]]),
+        1: full, 2: full, 3: full})
+    with pytest.raises(MonodromyError, match="N W_1 not inside W_-1"):
+        verify_weight_axioms(n, w)
+
+
+def nine_by_nine() -> NilpotentOperator:
+    """Jordan type (4, 3, 2) conjugated by a fixed matrix of true fractions."""
+    rng = random.Random(507)
+    p = RationalMatrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                   for _ in range(9)] for _ in range(9)])
+    return NilpotentOperator(p * jordan_block_matrix([4, 3, 2]) * invert(p))
+
+
 def test_each_rank_computed_once(monkeypatch):
     """weight_filtration, jordan_type and stratum_weight on a fixed 9 x 9
     operator: the ranks of the powers of N and of the levels of W are each
     computed once, however often the report reads them."""
-    rng = random.Random(507)
-    p = RationalMatrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                                   for _ in range(9)] for _ in range(9)])
-    n = NilpotentOperator(p * jordan_block_matrix([4, 3, 2]) * invert(p))
+    n = nine_by_nine()
     eliminations, power_ranks = [], []
     echelon = linalg._echelon
 
@@ -187,12 +220,20 @@ def test_each_rank_computed_once(monkeypatch):
     monkeypatch.setattr(monodromy, "rank", counted_rank)
     w = weight_filtration(n, 0)
     assert jordan_type(n) == (4, 3, 2) and stratum_weight(n) == 4
-    assert len(eliminations) == 79
+    assert len(eliminations) == 39
     assert len(power_ranks) == n.index + 1 == 5
     for _ in range(3):
         w.to_json_dict()
         jordan_type(n)
-    assert len(eliminations) == 79
+    assert len(eliminations) == 39
+
+
+def test_weight_filtration_makes_no_fraction():
+    n = nine_by_nine()
+    with counting_fractions() as made:
+        w = weight_filtration(n, 0)
+    assert not made
+    assert w.graded_dims() == {-3: 1, -2: 1, -1: 2, 0: 1, 1: 2, 2: 1, 3: 1}
 
 
 def test_weight_filtration_center_shift():
@@ -227,9 +268,7 @@ def enumerate_filtration_lattice(n: NilpotentOperator):
     dim = n.dimension
     atoms = []
     for a in range(dim + 1):
-        ker = kernel_basis(n.power(a))
-        ker_m = (RationalMatrix.from_columns(ker, dim) if ker
-                 else RationalMatrix.zeros(dim, 0))
+        ker_m = kernel_basis(n.power(a))
         for b in range(dim + 1):
             img = column_space_basis(n.power(b))
             atoms.append(intersect_spaces(ker_m, img))

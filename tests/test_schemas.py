@@ -56,7 +56,7 @@ def test_fixture_validates_under_exactly_its_schema(fixture):
 
 RATIONAL_CASES = ["0", "-0", "7", "-12", "3/4", "-3/4", "6/8", "1/01", "007/10",
                   "1/0", "3/00", "-1/-2", "1/+2", "+3", "1.5", "1e0", " -3 ", "1_0",
-                  "\u0663", "", "-", "/2", "1/", "1//2", "0x10"]
+                  "\u0663", "", "-", "/2", "1/", "1//2", "0x10", "1\n"]
 
 
 def loader_accepts(value) -> bool:

@@ -10,7 +10,18 @@ export and once in the working tree, with the same seed on both sides; which
 side runs first alternates from pair to pair.  For every end-to-end metric
 of ``BENCHMARK.json`` it prints each pair, each side's median and quartiles,
 the pairs the change wins (ties count for neither) and whether every change
-run beats every parent run.  Stdlib only.
+run beats every parent run, then one verdict per metric, with the metric's
+``bound`` taken as a fraction of the parent's median:
+
+- ``gain``: the change wins at least 9 pairs in 10, and its median is better
+  than the parent's by more than the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than the
+  bound;
+- ``unresolved``: the parent's interquartile range is wider than the bound,
+  and not every change run beats every parent run;
+- ``within bound``: anything else.
+
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -63,14 +74,15 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summary(name: str, higher_is_better: bool, pairs: list[tuple[dict, dict]]) -> dict:
+def summary(name: str, higher_is_better: bool, bound: float,
+            pairs: list[tuple[dict, dict]]) -> dict:
     parent = [p[name] for p, _ in pairs]
     change = [c[name] for _, c in pairs]
 
     def better(a: float, b: float) -> bool:
         return a > b if higher_is_better else a < b
 
-    return {
+    s = {
         "metric": name,
         "parent_median": statistics.median(parent),
         "parent_quartiles": quartiles(parent),
@@ -80,6 +92,20 @@ def summary(name: str, higher_is_better: bool, pairs: list[tuple[dict, dict]]) -
         "every_change_run_beats_every_parent_run": all(
             better(c, p) for c in change for p in parent),
     }
+    # how much better the change's median is; negative when it is worse
+    gain = s["change_median"] - s["parent_median"]
+    gain = gain if higher_is_better else -gain
+    iqr = s["parent_quartiles"][1] - s["parent_quartiles"][0]
+    allowed = bound * abs(s["parent_median"])
+    if 10 * s["change_wins"] >= 9 * len(pairs) and gain > iqr:
+        s["verdict"] = "gain"
+    elif -gain > allowed:
+        s["verdict"] = "worse"
+    elif iqr > allowed and not s["every_change_run_beats_every_parent_run"]:
+        s["verdict"] = "unresolved"
+    else:
+        s["verdict"] = "within bound"
+    return s
 
 
 def main() -> int:
@@ -106,7 +132,7 @@ def main() -> int:
                 f"{m['name']} {run['parent'][m['name']]:.4g} -> {run['change'][m['name']]:.4g}"
                 for m in metrics), flush=True)
 
-    report = [summary(m["name"], m["better"] == "higher", pairs) for m in metrics]
+    report = [summary(m["name"], m["better"] == "higher", m["bound"], pairs) for m in metrics]
     print(f"\n{args.workload}, {len(pairs)} pairs, parent {args.ref} against the working tree")
     for s in report:
         beats = "yes" if s["every_change_run_beats_every_parent_run"] else "no"
@@ -116,6 +142,8 @@ def main() -> int:
               f"[{s['change_quartiles'][0]:.4g}, {s['change_quartiles'][1]:.4g}], "
               f"change better {s['change_wins']}/{len(pairs)}, every change run beats "
               f"every parent run: {beats}")
+    for s in report:
+        print(f"verdict {s['metric']}: {s['verdict']}")
     return 0
 
 
