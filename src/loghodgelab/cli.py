@@ -111,28 +111,49 @@ def _parse_flavor(value: str) -> str:
     raise SchemaError("/flavor", f"unknown flavor {value!r} (expected holo or log)")
 
 
-def _load_complex_and_weights(args):
+def _load_cone_complex(path: str, label: str):
+    """The cone complex of the intersection data at ``path``, capped, and the
+    file's provenance."""
     from .conecx import build_cone_complex
-    doc_c, meta_c = _read_json(args.complex, "complex")
-    data = jsonio.load_intersection_data(doc_c)
-    complex_ = build_cone_complex(data)
+    doc, meta = _read_json(path, label)
+    complex_ = build_cone_complex(jsonio.load_intersection_data(doc))
     _check_cap(max((complex_.cell_count(p) for p in complex_.cells_by_dim), default=0),
                "cone complex cochain spaces")
+    return complex_, meta
+
+
+def _load_complex_and_weights(args):
+    complex_, meta_c = _load_cone_complex(args.complex, "complex")
     doc_w, meta_w = _read_json(args.weights, "weights")
     ray_w, cell_w = jsonio.load_weights(doc_w)
     return complex_, ray_w, cell_w, {"complex": meta_c, "weights": meta_w}
+
+
+def _divisor_cohomology(fan, divisor) -> tuple[dict[int, int], dict[int, int]]:
+    """The floor of the QDivisor ``divisor`` and its h^q, the character sweep
+    capped first."""
+    from .toric import character_box, divisor_cohomology, sweep_rows
+    floored = divisor.floor()
+    box = character_box(fan, floored)
+    _check_cap(sweep_rows(box), "divisor character sweep")
+    return floored, divisor_cohomology(fan, floored, box)
+
+
+def _local_model(args):
+    """The local model of ``--n``, ``--r`` and ``--window``, capped."""
+    from .localmodel import LocalModel
+    model = LocalModel(args.n, args.r, args.window)
+    _check_cap((2 * model.window + 1) ** model.n * 2 ** model.n,
+               "local model section space")
+    return model
 
 
 # --- commands -----------------------------------------------------------------------
 
 
 def cmd_cone_complex(args) -> int:
-    from .conecx import build_cone_complex, simplicial_cohomology
-    doc, meta = _read_json(args.infile, "in")
-    data = jsonio.load_intersection_data(doc)
-    complex_ = build_cone_complex(data)
-    _check_cap(max((complex_.cell_count(p) for p in complex_.cells_by_dim), default=0),
-               "cone complex cochain spaces")
+    from .conecx import simplicial_cohomology
+    complex_, meta = _load_cone_complex(args.infile, "in")
     cohomology = simplicial_cohomology(complex_)
     result = {
         "cells_per_dim": {str(p): complex_.cell_count(p) for p in complex_.cells_by_dim},
@@ -235,8 +256,7 @@ def cmd_trop_ss(args) -> int:
 
 
 def cmd_log_hodge(args) -> int:
-    from .toric import (QDivisor, character_box, divisor_cohomology, e1_sum_check,
-                        log_hodge_table, sweep_rows)
+    from .toric import QDivisor, e1_sum_check, log_hodge_table
     doc, meta = _read_json(args.fan, "fan")
     fan = jsonio.load_fan(doc)
     inputs = {"fan": meta}
@@ -248,10 +268,7 @@ def cmd_log_hodge(args) -> int:
         twist = jsonio.load_divisor(doc_t, fan)
         inputs["twist"] = meta_t
         options["twist"] = "file"
-    floored = twist.floor()
-    box = character_box(fan, floored)
-    _check_cap(sweep_rows(box), "divisor character sweep")
-    table = log_hodge_table(fan.rank, twist, divisor_cohomology(fan, floored, box))
+    table = log_hodge_table(fan.rank, twist, _divisor_cohomology(fan, twist)[1])
     result = {"table": table.to_json_dict()}
     lines = ["log Hodge numbers h^q(forms^p twisted)"]
     header = "  p\\q " + " ".join(f"{q:>4}" for q in range(fan.rank + 1))
@@ -272,15 +289,11 @@ def cmd_log_hodge(args) -> int:
 
 
 def cmd_divisor_cohomology(args) -> int:
-    from .toric import character_box, divisor_cohomology, sweep_rows
     doc, meta = _read_json(args.fan, "fan")
     fan = jsonio.load_fan(doc)
     doc_d, meta_d = _read_json(args.divisor, "divisor")
     divisor = jsonio.load_divisor(doc_d, fan)
-    floored = divisor.floor()
-    box = character_box(fan, floored)
-    _check_cap(sweep_rows(box), "divisor character sweep")
-    h = divisor_cohomology(fan, floored, box)
+    floored, h = _divisor_cohomology(fan, divisor)
     result = {
         "floored_divisor": {str(i): v for i, v in floored.items()},
         "cohomology": {str(q): v for q, v in sorted(h.items())},
@@ -294,11 +307,9 @@ def cmd_divisor_cohomology(args) -> int:
 
 
 def cmd_obstruction_stalk(args) -> int:
-    from .localmodel import LocalModel, assemble_stalk
+    from .localmodel import assemble_stalk
     flavor = _parse_flavor(args.flavor)
-    model = LocalModel(args.n, args.r, args.window)
-    _check_cap((2 * model.window + 1) ** model.n * 2 ** model.n,
-               "local model section space")
+    model = _local_model(args)
     report = assemble_stalk(model, flavor)
     result = report.to_json_dict()
     lines = [f"obstruction stalk (n={model.n}, r={model.r}, window={model.window}, "
@@ -317,10 +328,8 @@ def cmd_obstruction_stalk(args) -> int:
 
 
 def cmd_local_cohomology(args) -> int:
-    from .localmodel import LocalModel, koszul_local_cohomology
-    model = LocalModel(args.n, args.r, args.window)
-    _check_cap((2 * model.window + 1) ** model.n * 2 ** model.n,
-               "local model section space")
+    from .localmodel import koszul_local_cohomology
+    model = _local_model(args)
     try:
         subset = [int(part) for part in args.subset.split(",") if part.strip()]
     except ValueError:

@@ -13,13 +13,18 @@ source.  Over a field a filtered complex splits into one- and two-element
 interval pieces, so the gaps do not depend on the basis.  E_r^{p,q} counts the
 elements at (p, q) that are unpaired or in a pair of gap >= r, and d_r is
 nonzero exactly where a pair of gap r starts.
+
+Every complex on a keyed basis (the cone complex, its weighted tropical
+twist, the toric chamber complexes and the local models) comes from one
+builder, ``_total_complex``: keys by degree and a rule listing the signed
+arrows out of a key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .linalg import (
     RationalMatrix,
@@ -96,6 +101,32 @@ class CochainComplex:
     def __repr__(self) -> str:
         return (f"CochainComplex(degrees {self.min_degree}..{self.max_degree}, "
                 f"dims {list(self.dims.values())})")
+
+
+def _total_complex(basis_by_degree: dict[int, list[Hashable]],
+                   arrows: Callable[[Hashable], Iterable[tuple]]) -> CochainComplex:
+    """Complex on the keys of ``basis_by_degree`` (degree -> keys).
+
+    Keys are sorted within each degree and the degrees are filled to a
+    contiguous range.  The column of a key has ``coeff`` at ``target`` for
+    each ``(target, coeff)`` in ``arrows(key)``; targets outside the basis of
+    the next degree are dropped.
+    """
+    if not basis_by_degree:
+        return CochainComplex({0: 0}, {})
+    lo, hi = min(basis_by_degree), max(basis_by_degree)
+    basis = {k: sorted(basis_by_degree.get(k, ())) for k in range(lo, hi + 1)}
+    diffs = {}
+    for k in range(lo, hi):
+        index = {key: i for i, key in enumerate(basis[k + 1])}
+        entries: dict[tuple[int, int], int] = {}
+        for col, key in enumerate(basis[k]):
+            for target, coeff in arrows(key):
+                row = index.get(target)
+                if row is not None:
+                    entries[(row, col)] = entries.get((row, col), 0) + coeff
+        diffs[k] = RationalMatrix(len(basis[k + 1]), len(basis[k]), entries)
+    return CochainComplex({k: len(keys) for k, keys in basis.items()}, diffs)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
 
-from .complexes import CochainComplex, cohomology_dims
-from .linalg import RationalMatrix
+from .complexes import CochainComplex, _total_complex, cohomology_dims
 
 
 class ConeComplexError(ValueError):
@@ -105,6 +104,10 @@ class ConeComplex:
             by_dim[p] = sorted(by_dim[p])
         self.cells_by_dim = {p: by_dim[p] for p in sorted(by_dim)}
         self.face_maps = face_maps
+        self._cofaces: dict[Cell, list[tuple[Cell, int]]] = {}
+        for cell, faces in face_maps.items():
+            for face, sign in faces:
+                self._cofaces.setdefault(face, []).append((cell, sign))
         self._index = {cell: i for p in self.cells_by_dim
                        for i, cell in enumerate(self.cells_by_dim[p])}
         if ray_coordinates is not None:
@@ -117,7 +120,8 @@ class ConeComplex:
                         f"ray vector for {ray!r} is not primitive: {ray_coordinates[ray]}")
         self.ray_coordinates = ray_coordinates
         # d^2 = 0 comes for free from the CochainComplex constructor
-        self._cochain = self._build_cochain_complex()
+        self._cochain = _total_complex({p: self.cells(p) for p in range(self.max_dim + 1)},
+                                       self.cofaces)
 
     @property
     def max_dim(self) -> int:
@@ -144,19 +148,9 @@ class ConeComplex:
     def faces(self, cell: Cell) -> list[tuple[Cell, int]]:
         return self.face_maps.get(cell, [])
 
-    def _build_cochain_complex(self) -> CochainComplex:
-        top = self.max_dim
-        dims = {p: self.cell_count(p) for p in range(0, top + 1)}
-        diffs = {}
-        for p in range(0, top):
-            entries = {}
-            for cell in self.cells(p + 1):
-                i = self.index_of(cell)
-                for face, sign in self.faces(cell):
-                    entries[(i, self.index_of(face))] = entries.get(
-                        (i, self.index_of(face)), 0) + sign
-            diffs[p] = RationalMatrix(dims[p + 1], dims[p], entries)
-        return CochainComplex(dims, diffs)
+    def cofaces(self, cell: Cell) -> list[tuple[Cell, int]]:
+        """(coface, sign) for each face map entry that has ``cell`` as the face."""
+        return self._cofaces.get(cell, [])
 
     def cochain_complex(self) -> CochainComplex:
         """Simplicial cochain complex dual to the face maps."""

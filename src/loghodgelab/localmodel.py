@@ -20,12 +20,13 @@ assembling, over the nerve of the boundary components, the local cohomology
 supported on each partial intersection (a Cech / Mayer-Vietoris total
 complex); agreement of the two routes is recorded in the report.
 
-The form complexes and every complex of the assembly come from one builder,
-``_total_complex``: basis keys by degree plus a direction rule listing the
-signed arrows out of a key.  The form rule sends S to S u {j} with sign * a_j,
-the Cech rule sends a localization T <= I to T u {j}; total complexes compose
-them with the usual signs.  The direct cone shares none of this: it is
-``complexes.mapping_cone`` of ``block_inclusion``.
+The form complexes and every complex of the assembly come from
+``complexes._total_complex``, the builder of every complex on a keyed basis:
+basis keys by degree plus a direction rule listing the signed arrows out of a
+key.  The form rule sends S to S u {j} with sign * a_j, the Cech rule sends a
+localization T <= I to T u {j}; total complexes compose them with the usual
+signs.  The direct cone shares none of this: it is ``complexes.mapping_cone``
+of ``block_inclusion``.
 
 Blocks are computed once per sign class.  At a reliable multidegree mu the
 form arrow from S to S u {j} carries sign(S, j) * mu_j (the exponent a_j is
@@ -47,9 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from .complexes import ChainMap, CochainComplex, cohomology_dims, mapping_cone
+from .complexes import ChainMap, CochainComplex, _total_complex, cohomology_dims, mapping_cone
 from .linalg import RationalMatrix
 
 HOLOMORPHIC = "holomorphic"
@@ -142,32 +143,6 @@ def block_basis(model: LocalModel, flavor: str, mu: Mu, p: int,
                 localized: frozenset[int] = frozenset()) -> list[Subset]:
     return [s for s in combinations(range(1, model.n + 1), p)
             if _flavor_allows(model, flavor, s, _exponent(model, s, mu), localized)]
-
-
-def _total_complex(basis_by_degree: dict[int, list[Hashable]],
-                   arrows: Callable[[Hashable], Iterable[tuple]]) -> CochainComplex:
-    """Complex on the keys of ``basis_by_degree`` (degree -> keys).
-
-    Keys are sorted within each degree and the degrees are filled to a
-    contiguous range.  The column of a key has ``coeff`` at ``target`` for
-    each ``(target, coeff)`` in ``arrows(key)``; targets outside the basis of
-    the next degree are dropped.
-    """
-    if not basis_by_degree:
-        return CochainComplex({0: 0}, {})
-    lo, hi = min(basis_by_degree), max(basis_by_degree)
-    basis = {k: sorted(basis_by_degree.get(k, ())) for k in range(lo, hi + 1)}
-    diffs = {}
-    for k in range(lo, hi):
-        index = {key: i for i, key in enumerate(basis[k + 1])}
-        entries: dict[tuple[int, int], int] = {}
-        for col, key in enumerate(basis[k]):
-            for target, coeff in arrows(key):
-                row = index.get(target)
-                if row is not None:
-                    entries[(row, col)] = entries.get((row, col), 0) + coeff
-        diffs[k] = RationalMatrix(len(basis[k + 1]), len(basis[k]), entries)
-    return CochainComplex({k: len(keys) for k, keys in basis.items()}, diffs)
 
 
 def _form_arrows(model: LocalModel, mu: Mu, s: Subset) -> Iterator[tuple[Subset, int]]:

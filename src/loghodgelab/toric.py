@@ -26,8 +26,8 @@ from itertools import combinations, count, product
 from math import comb, floor, gcd, prod
 from typing import Optional, Sequence
 
-from .complexes import CochainComplex, cohomology_dims
-from .linalg import RationalMatrix, determinant
+from .complexes import _total_complex, cohomology_dims
+from .linalg import determinant
 
 
 class FanError(ValueError):
@@ -146,38 +146,21 @@ class QDivisor:
         return all(v == 0 for v in self.coefficients.values())
 
 
-def _reduced_cohomology(vertex_count: int, facets: list[tuple[int, ...]]) -> dict[int, int]:
-    """Reduced simplicial cohomology of the complex generated by ``facets``
-    on vertices 0..vertex_count-1.  Degree -1 holds the empty-complex class."""
-    faces: set[tuple[int, ...]] = set()
+def _reduced_cohomology(facets: list[tuple[int, ...]]) -> dict[int, int]:
+    """Reduced simplicial cohomology of the complex generated by ``facets``.
+    Degree -1 holds the empty face ``()``, the empty-complex class."""
+    faces: set[tuple[int, ...]] = {()}
     for facet in facets:
         fs = tuple(sorted(facet))
-        k = len(fs)
-        for mask in range(1, 2 ** k):
+        for mask in range(1, 2 ** len(fs)):
             faces.add(tuple(v for i, v in enumerate(fs) if mask >> i & 1))
     by_dim: dict[int, list[tuple[int, ...]]] = {}
+    cofaces: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for face in faces:
         by_dim.setdefault(len(face) - 1, []).append(face)
-    for d in by_dim:
-        by_dim[d].sort()
-    top = max(by_dim) if by_dim else -1
-    # augmented complex: degree -1 is Q (the empty simplex)
-    dims = {-1: 1}
-    for d in range(0, top + 1):
-        dims[d] = len(by_dim.get(d, []))
-    diffs: dict[int, RationalMatrix] = {}
-    if 0 in dims and dims.get(0, 0):
-        diffs[-1] = RationalMatrix.from_rows([[1]] * dims[0])
-    index = {d: {f: i for i, f in enumerate(by_dim.get(d, []))} for d in by_dim}
-    for d in range(0, top):
-        entries = {}
-        for face in by_dim.get(d + 1, []):
-            i = index[d + 1][face]
-            for drop in range(len(face)):
-                sub = face[:drop] + face[drop + 1:]
-                entries[(i, index[d][sub])] = (-1) ** drop
-        diffs[d] = RationalMatrix(dims[d + 1], dims[d], entries)
-    complex_ = CochainComplex(dims, diffs)
+        for drop in range(len(face)):
+            cofaces.setdefault(face[:drop] + face[drop + 1:], []).append((face, (-1) ** drop))
+    complex_ = _total_complex(by_dim, lambda face: cofaces.get(face, ()))
     return {k: v for k, v in cohomology_dims(complex_).items() if v}
 
 
@@ -253,7 +236,7 @@ def divisor_cohomology(fan: Fan, divisor: dict[int, int],
                     bad = tuple(i for i in cone if i in violating)
                     if bad:
                         facets.append(bad)
-                reduced = _reduced_cohomology(len(fan.rays), facets)
+                reduced = _reduced_cohomology(facets)
                 chambers[violating] = [(q_tilde + 1, dim) for q_tilde, dim in reduced.items()
                                        if 0 <= q_tilde + 1 <= n]
             for q, dim in chambers[violating]:

@@ -28,6 +28,7 @@ from .complexes import (
     CochainComplex,
     FilteredComplex,
     SpectralSequencePage,
+    _total_complex,
     cohomology_dims,
     degeneration_check,
     spectral_sequence,
@@ -90,20 +91,11 @@ def weighted_complex(c: ConeComplex, w: Weights) -> WeightedTropComplex:
         value = weights.value(cell)
         if value <= 0:
             raise TropError(f"weight at cell {cell.key()} must be positive, got {value}")
-    top = c.max_dim
-    dims = {p: c.cell_count(p) for p in range(top + 1)}
-    diffs = {}
-    for p in range(top):
-        entries = {}
-        for cell in c.cells(p + 1):
-            i = c.index_of(cell)
-            wc = weights.value(cell)
-            for face, sign in c.faces(cell):
-                j = c.index_of(face)
-                entries[(i, j)] = entries.get((i, j), Fraction(0)) + \
-                    Fraction(sign) * weights.value(face) / wc
-        diffs[p] = RationalMatrix(dims[p + 1], dims[p], entries)
-    return WeightedTropComplex(c, weights, CochainComplex(dims, diffs))
+    complex_ = _total_complex(
+        {p: c.cells(p) for p in range(c.max_dim + 1)},
+        lambda face: ((cell, sign * weights.value(face) / weights.value(cell))
+                      for cell, sign in c.cofaces(face)))
+    return WeightedTropComplex(c, weights, complex_)
 
 
 def tropical_cohomology(t: WeightedTropComplex) -> dict[int, int]:
@@ -137,16 +129,9 @@ def default_thresholds(t: WeightedTropComplex) -> list[Fraction]:
 
 def _sublevel_indicator(t: WeightedTropComplex, threshold: Fraction) -> dict[int, RationalMatrix]:
     c = t.base
-    level = {}
-    for p in range(c.max_dim + 1):
-        cols = []
-        for cell in c.cells(p):
-            if t.cell_weight(cell) >= threshold:
-                e = [Fraction(0)] * c.cell_count(p)
-                e[c.index_of(cell)] = Fraction(1)
-                cols.append(tuple(e))
-        level[p] = RationalMatrix.from_columns(cols, c.cell_count(p))
-    return level
+    return {p: RationalMatrix.identity(c.cell_count(p)).submatrix_columns(
+                [i for i, cell in enumerate(c.cells(p)) if t.cell_weight(cell) >= threshold])
+            for p in range(c.max_dim + 1)}
 
 
 def _check_sublevel_closed(t: WeightedTropComplex, threshold: Fraction) -> None:

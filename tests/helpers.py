@@ -5,12 +5,12 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from loghodgelab.complexes import ChainMap, CochainComplex, FilteredComplex, cohomology_dims
+from loghodgelab.complexes import (ChainMap, CochainComplex, FilteredComplex, _total_complex,
+                                   cohomology_dims)
 from loghodgelab.conecx import ConeComplex, IntersectionData
 from loghodgelab.linalg import RationalMatrix, kernel_basis
 from loghodgelab.localmodel import (FLAVORS, LocalModel, LocalModelError, _form_arrows,
-                                    _total_complex, block_basis, block_complex,
-                                    reliable_multidegrees)
+                                    block_basis, block_complex, reliable_multidegrees)
 from loghodgelab.toric import Fan, FanError, QDivisor
 from loghodgelab.weights import WeightFunction
 

@@ -93,6 +93,13 @@ def test_boundary_squared_zero_random():
         cells = [Cell(sub) for sub in sorted(closure)]
         data = IntersectionData(names, cells)
         c = build_cone_complex(data)  # constructor enforces d^2 = 0
+        # each entry of d_p is the sum of the signs of its face map entries
+        for p in range(c.max_dim):
+            d = c.cochain_complex().differential(p)
+            for cell in c.cells(p + 1):
+                for face in c.cells(p):
+                    expected = sum(sign for f, sign in c.faces(cell) if f == face)
+                    assert d.at(c.index_of(cell), c.index_of(face)) == expected
         # Euler characteristic equals alternating stratum count
         expected = sum((-1) ** (len(s) - 1) for s in closure)
         assert c.euler_characteristic() == expected

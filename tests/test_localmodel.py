@@ -4,8 +4,8 @@ from math import comb
 import pytest
 
 from loghodgelab import localmodel
-from loghodgelab.complexes import (cohomology_dims, degeneration_check, mapping_cone,
-                                   spectral_sequence)
+from loghodgelab.complexes import (_total_complex, cohomology_dims, degeneration_check,
+                                   mapping_cone, spectral_sequence)
 from loghodgelab.localmodel import (
     HOLOMORPHIC,
     LAURENT,
@@ -17,7 +17,6 @@ from loghodgelab.localmodel import (
     _mv_total_block,
     _sign_insert,
     _subset_total_block,
-    _total_complex,
     assemble_stalk,
     block_complex,
     block_inclusion,

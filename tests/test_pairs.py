@@ -26,6 +26,8 @@ def test_gain_needs_nine_wins_in_ten_and_a_gap_wider_than_the_parent_iqr():
     assert verdict(PARENT, faster[:8] + [8.0, 8.0]) == "within bound"
     # 10 wins, but the medians differ by 0.1, less than the parent's IQR
     assert verdict(PARENT, [p - 0.1 for p in PARENT]) == "within bound"
+    # 5 wins in 5 pairs are too few pairs to read a gain
+    assert verdict(PARENT[:5], faster[:5]) == "within bound"
 
 
 def test_worse_is_a_median_past_the_bound():

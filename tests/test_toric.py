@@ -74,7 +74,7 @@ def brute_force_cohomology(fan: Fan, divisor: dict[int, int]) -> dict[int, int]:
             bad = tuple(i for i in cone if i in vset)
             if bad:
                 facets.append(bad)
-        for q_tilde, dim in toric._reduced_cohomology(len(fan.rays), facets).items():
+        for q_tilde, dim in toric._reduced_cohomology(facets).items():
             if 0 <= q_tilde + 1 <= n:
                 out[q_tilde + 1] += dim
     return out
@@ -220,13 +220,23 @@ def test_sweep_matches_brute_force(name, make, draws):
         assert divisor_cohomology(fan, divisor) == brute_force_cohomology(fan, divisor), divisor
 
 
+@pytest.mark.parametrize("facets,expected", [
+    ([(0, 1), (1, 2), (0, 2)], {1: 1}),   # triangle boundary: a circle
+    ([(0,), (1,), (2,)], {0: 2}),         # three points
+    ([], {-1: 1}),                        # the empty complex
+    ([(0, 1, 2)], {}),                    # full simplex: contractible
+])
+def test_reduced_cohomology_closed_forms(facets, expected):
+    assert toric._reduced_cohomology(facets) == expected
+
+
 def test_reduced_cohomology_computed_once_per_violating_set(monkeypatch):
     calls = []
     original = toric._reduced_cohomology
 
-    def counted(vertex_count, facets):
+    def counted(facets):
         calls.append(tuple(facets))
-        return original(vertex_count, facets)
+        return original(facets)
 
     monkeypatch.setattr(toric, "_reduced_cohomology", counted)
     rng = random.Random("chamber-cache")

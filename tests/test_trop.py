@@ -5,6 +5,7 @@ import pytest
 
 from loghodgelab import complexes, trop
 from loghodgelab.conecx import Cell, IntersectionData, build_cone_complex, simplicial_cohomology
+from loghodgelab.linalg import RationalMatrix
 from loghodgelab.trop import (
     CellWeights,
     TropError,
@@ -55,6 +56,25 @@ def test_constant_weights_reproduce_simplicial_coboundary_exactly():
     plain = c.cochain_complex()
     for p in range(c.max_dim):
         assert t.complex.differential(p) == plain.differential(p)
+
+
+def test_weighted_coboundary_is_the_diagonal_conjugate_of_the_simplicial_one():
+    # d_w,p = W_{p+1}^-1 d_p W_p, with W_p the diagonal of the p-cell weights
+    rng = random.Random(605)
+    for _ in range(8):
+        c = random_downward_closed_complex(rng)
+        weights = random_cell_weights(rng, c)
+        t = weighted_complex(c, weights)
+        plain = c.cochain_complex()
+
+        def diagonal(p, power):
+            return RationalMatrix(c.cell_count(p), c.cell_count(p),
+                                  {(i, i): weights.value(cell) ** power
+                                   for i, cell in enumerate(c.cells(p))})
+
+        for p in range(c.max_dim):
+            expected = diagonal(p + 1, -1) * plain.differential(p) * diagonal(p, 1)
+            assert t.complex.differential(p).to_dense() == expected.to_dense(), p
 
 
 def test_ray_weight_function_accepted_via_sum_convention():

@@ -13,8 +13,9 @@ the pairs the change wins (ties count for neither) and whether every change
 run beats every parent run, then one verdict per metric, with the metric's
 ``bound`` taken as a fraction of the parent's median:
 
-- ``gain``: the change wins at least 9 pairs in 10, and its median is better
-  than the parent's by more than the parent's interquartile range;
+- ``gain``: at least 10 pairs were run, the change wins at least 9 pairs in
+  10, and its median is better than the parent's by more than the parent's
+  interquartile range;
 - ``worse``: the change's median is worse than the parent's by more than the
   bound;
 - ``unresolved``: the parent's interquartile range is wider than the bound,
@@ -97,7 +98,7 @@ def summary(name: str, higher_is_better: bool, bound: float,
     gain = gain if higher_is_better else -gain
     iqr = s["parent_quartiles"][1] - s["parent_quartiles"][0]
     allowed = bound * abs(s["parent_median"])
-    if 10 * s["change_wins"] >= 9 * len(pairs) and gain > iqr:
+    if len(pairs) >= 10 and 10 * s["change_wins"] >= 9 * len(pairs) and gain > iqr:
         s["verdict"] = "gain"
     elif -gain > allowed:
         s["verdict"] = "worse"
