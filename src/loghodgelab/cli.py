@@ -140,11 +140,19 @@ def _divisor_cohomology(fan, divisor) -> tuple[dict[int, int], dict[int, int]]:
 
 
 def _local_model(args):
-    """The local model of ``--n``, ``--r`` and ``--window``, capped."""
+    """The local model of ``--n``, ``--r`` and ``--window``, capped.  The
+    charge (2w+1)^n * 2^n is formed one coordinate at a time and abandoned
+    once it passes the cap, so a huge n costs no huge integer."""
     from .localmodel import LocalModel
     model = LocalModel(args.n, args.r, args.window)
-    _check_cap((2 * model.window + 1) ** model.n * 2 ** model.n,
-               "local model section space")
+    cap, size = _max_dim(), 1
+    for done in range(1, model.n + 1):
+        size *= 2 * (2 * model.window + 1)
+        if size > cap and done < model.n:
+            raise ValidationFailure(
+                f"local model section space needs dimension over {size} after {done} of "
+                f"{model.n} coordinates, above the LHL_MAX_DIM cap of {cap}")
+    _check_cap(size, "local model section space")
     return model
 
 

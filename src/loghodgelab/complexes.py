@@ -173,9 +173,11 @@ def identity_chain_map(c: CochainComplex) -> ChainMap:
 
 
 def cohomology_dims(c: CochainComplex) -> dict[int, int]:
-    """dim ker(d_k) - rank(d_{k-1}) per degree."""
+    """dim ker(d_k) - rank(d_{k-1}) per degree; a degree with no stored
+    differential has rank 0 and costs no elimination."""
     out = {}
-    rank_d = {k: rank(c.differential(k)) for k in range(c.min_degree - 1, c.max_degree + 1)}
+    rank_d = dict.fromkeys(range(c.min_degree - 1, c.max_degree + 1), 0)
+    rank_d.update((k, rank(d)) for k, d in c._differentials.items())
     for k in c.degrees():
         out[k] = c.dim(k) - rank_d[k] - rank_d[k - 1]
     return out

@@ -140,7 +140,9 @@ class RationalMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, {})
+        if rows < 0 or cols < 0:
+            raise MatrixError("negative matrix dimensions")
+        return cls._trusted(rows, cols, {}, {})
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":

@@ -20,13 +20,12 @@ assembling, over the nerve of the boundary components, the local cohomology
 supported on each partial intersection (a Cech / Mayer-Vietoris total
 complex); agreement of the two routes is recorded in the report.
 
-The form complexes and every complex of the assembly come from
+The Laurent blocks and the Mayer-Vietoris complexes come from
 ``complexes._total_complex``, the builder of every complex on a keyed basis:
 basis keys by degree plus a direction rule listing the signed arrows out of a
 key.  The form rule sends S to S u {j} with sign * a_j, the Cech rule sends a
 localization T <= I to T u {j}; total complexes compose them with the usual
-signs.  The direct cone shares none of this: it is ``complexes.mapping_cone``
-of ``block_inclusion``.
+signs.  The direct cone is ``complexes.mapping_cone`` of ``block_inclusion``.
 
 Blocks are computed once per sign class.  At a reliable multidegree mu the
 form arrow from S to S u {j} carries sign(S, j) * mu_j (the exponent a_j is
@@ -39,16 +38,26 @@ nerve and inclusion arrows keep S, so the rescaling leaves them unchanged.
 Every block at mu (form, cone, Cech, Mayer-Vietoris) is therefore
 diagonally conjugate to the block at sign(mu), whose entries lie in
 {-1, 0, 1}; sign(mu) is itself a reliable Laurent multidegree for every
-window >= 1.  ``obstruction_cone`` and ``assemble_stalk`` build one block
-per sign class and read the dimensions at each mu off it, so their work is a
-cheap enumeration of the multidegrees plus at most 3^r * 2^(n-r) blocks.
+window >= 1.  ``obstruction_cone`` and ``assemble_stalk`` enumerate the
+3^r * 2^(n-r) sign classes with their sizes (window to the number of nonzero
+signs), so totals are size times the class's dimensions, and they list the
+multidegrees of a class only where its cohomology is nonzero; their work
+does not grow with the window.
+
+Within a class each block is built once.  The flavor block is the Laurent
+block's differential restricted to the flavor's keys, which are a subset of
+the Laurent keys, and the inclusion is read off the same index.  The
+Mayer-Vietoris complex is built on Cech bases computed once per (T, p) and
+shared by every I containing T; the nerve arrows are the only ones that
+change I, so the rows and columns of I's keys hold I's own Cech total
+complex, shifted in degree by |I| - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from itertools import combinations, groupby, product
+from typing import Iterator, Optional, Sequence
 
 from .complexes import ChainMap, CochainComplex, _total_complex, cohomology_dims, mapping_cone
 from .linalg import RationalMatrix
@@ -82,7 +91,7 @@ class LocalModel:
 
 Mu = tuple[int, ...]
 Subset = tuple[int, ...]   # sorted coordinate indices, 1-based
-Column = list[tuple[Subset, Subset]]   # Cech positions (T, S) of one support subset I
+MVKey = tuple[Subset, Subset, Subset]   # Mayer-Vietoris position (I, T, S)
 
 
 def _exponent(model: LocalModel, s: Subset, mu: Mu) -> tuple[int, ...]:
@@ -121,18 +130,21 @@ def reliable_multidegrees(model: LocalModel, flavor: str) -> Iterator[Mu]:
                      for i in range(1, model.n + 1)))
 
 
-V = TypeVar("V")
+def _sign_classes(model: LocalModel) -> Iterator[tuple[Mu, int]]:
+    """(sign class, size) for every sign class of the reliable Laurent
+    multidegrees: the class is a multidegree with entries in {-1, 0, 1}, and
+    its size, the number of multidegrees in it, is window to the number of
+    nonzero signs."""
+    signs = [(-1, 0, 1) if i <= model.r else (0, 1) for i in range(1, model.n + 1)]
+    for cls in product(*signs):
+        yield cls, model.window ** sum(1 for c in cls if c)
 
 
-def _by_sign_class(model: LocalModel, compute: Callable[[Mu], V]) -> Iterator[tuple[Mu, V]]:
-    """(mu, compute(sign(mu))) for every reliable Laurent multidegree mu, in
-    order; ``compute`` runs once per sign class (module docstring)."""
-    by_class: dict[Mu, V] = {}
-    for mu in reliable_multidegrees(model, LAURENT):
-        cls = tuple((m > 0) - (m < 0) for m in mu)
-        if cls not in by_class:
-            by_class[cls] = compute(cls)
-        yield mu, by_class[cls]
+def _class_multidegrees(model: LocalModel, cls: Mu) -> Iterator[Mu]:
+    """The reliable Laurent multidegrees of sign class ``cls``."""
+    w = model.window
+    return product(*(range(1, w + 1) if c > 0 else range(-w, 0) if c < 0 else (0,)
+                     for c in cls))
 
 
 def _sign_insert(s: Subset, j: int) -> int:
@@ -160,6 +172,11 @@ def _cech_arrows(i_set: Subset, t: Subset) -> Iterator[tuple[Subset, int]]:
             yield tuple(sorted(t + (j,))), _sign_insert(t, j)
 
 
+def _subsets(coords: Sequence[int], smallest: int = 0) -> Iterator[Subset]:
+    """The subsets of ``coords`` with at least ``smallest`` elements, by size."""
+    return (t for size in range(smallest, len(coords) + 1) for t in combinations(coords, size))
+
+
 def block_complex(model: LocalModel, flavor: str, mu: Mu) -> CochainComplex:
     """The multidegree-mu block of the flavor's form complex, degrees 0..n."""
     return _total_complex({p: block_basis(model, flavor, mu, p) for p in range(model.n + 1)},
@@ -167,19 +184,24 @@ def block_complex(model: LocalModel, flavor: str, mu: Mu) -> CochainComplex:
 
 
 def block_inclusion(model: LocalModel, source_flavor: str, mu: Mu) -> ChainMap:
-    """Inclusion of a flavor block into the Laurent block at the same mu."""
+    """Inclusion of a flavor block into the Laurent block at the same mu.
+
+    The flavor's keys are a subset of the Laurent keys, so the flavor block
+    is the Laurent differential on the rows and columns of those keys, and
+    the inclusion is the identity's columns at them."""
     if source_flavor not in (HOLOMORPHIC, LOGARITHMIC):
         raise LocalModelError(f"source flavor must be holomorphic or logarithmic, "
                               f"got {source_flavor!r}")
-    src = block_complex(model, source_flavor, mu)
-    tgt = block_complex(model, LAURENT, mu)
-    components = {}
-    for p in range(model.n + 1):
-        tindex = {s: i for i, s in enumerate(block_basis(model, LAURENT, mu, p))}
-        entries = {(tindex[s], col): 1
-                   for col, s in enumerate(block_basis(model, source_flavor, mu, p))}
-        components[p] = RationalMatrix(tgt.dim(p), src.dim(p), entries)
-    return ChainMap(src, tgt, components)
+    laurent = {p: block_basis(model, LAURENT, mu, p) for p in range(model.n + 1)}
+    tgt = _total_complex(laurent, lambda s: _form_arrows(model, mu, s))
+    kept = {p: [i for i, s in enumerate(keys)
+                if _flavor_allows(model, source_flavor, s, _exponent(model, s, mu))]
+            for p, keys in laurent.items()}
+    src = CochainComplex({p: len(rows) for p, rows in kept.items()},
+                         {p: tgt.differential(p).submatrix_rows(kept[p + 1])
+                             .submatrix_columns(kept[p]) for p in range(model.n)})
+    return ChainMap(src, tgt, {p: RationalMatrix.identity(tgt.dim(p)).submatrix_columns(rows)
+                               for p, rows in kept.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -219,41 +241,27 @@ class ObstructionStalkReport:
         return out
 
 
+def _tally(model: LocalModel, cls: Mu, size: int, dims: dict[int, int], shift: int,
+           totals: dict[int, int], by_mu: dict[int, dict[Mu, int]]) -> None:
+    """Add the cohomology ``dims`` of the block of class ``cls`` at degree
+    k - ``shift``: size times each dimension to ``totals``, and each
+    multidegree of the class to ``by_mu``."""
+    for k, dim in dims.items():
+        if dim:
+            p = k - shift
+            totals[p] = totals.get(p, 0) + size * dim
+            by_mu.setdefault(p, {}).update(dict.fromkeys(_class_multidegrees(model, cls), dim))
+
+
 def obstruction_cone(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:
     """Cone of (flavor -> Laurent) blockwise, one cone per sign class; H dims
     per degree and multidegree."""
     direct: dict[int, int] = {p: 0 for p in range(model.n + 1)}
     by_mu: dict[int, dict[Mu, int]] = {}
-    cones = _by_sign_class(model, lambda cls: cohomology_dims(
-        mapping_cone(block_inclusion(model, source_flavor, cls))))
-    for mu, dims in cones:
-        for p, dim in dims.items():
-            if dim == 0:
-                continue
-            direct[p] = direct.get(p, 0) + dim
-            by_mu.setdefault(p, {})[mu] = dim
+    for cls, size in _sign_classes(model):
+        dims = cohomology_dims(mapping_cone(block_inclusion(model, source_flavor, cls)))
+        _tally(model, cls, size, dims, 0, direct, by_mu)
     return ObstructionStalkReport(model, source_flavor, direct, by_mu)
-
-
-# Cech positions: localizations of the module at subsets T of some I <= {1..r}
-
-
-def _cech_column(model: LocalModel, flavor: str, i_set: Subset, mu: Mu) -> Column:
-    """Basis (T, S) of the Cech complex of the localized form complex at mu."""
-    return [(t, s) for size in range(len(i_set) + 1) for t in combinations(i_set, size)
-            for p in range(model.n + 1)
-            for s in block_basis(model, flavor, mu, p, frozenset(t))]
-
-
-def _cech_form_arrows(model: LocalModel, mu: Mu, i_set: Subset, t: Subset,
-                      s: Subset) -> Iterator[tuple[tuple[Subset, Subset], int]]:
-    """Arrows out of (T, S) in the totalized Cech complex of I:
-    d_form + (-1)^{|S|} cech."""
-    for s2, c in _form_arrows(model, mu, s):
-        yield (t, s2), c
-    sign = (-1) ** len(s)
-    for t2, c in _cech_arrows(i_set, t):
-        yield (t2, s), sign * c
 
 
 def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> dict[Mu, int]:
@@ -266,8 +274,11 @@ def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> 
     cochain complex on {z_i != 0, i in I}, and the closed-form stable-Koszul
     count (one class per frame at every a with a_i <= -1 exactly on I and
     a_j >= 0 off I); the two must agree, and the Cech cohomology must be
-    concentrated in degree |I|.  The Cech complex at a depends only on the
-    set of i with a_i < 0, so it is built once per such set (at most 2^|I|).
+    concentrated in degree |I|.  Both depend on a only through its negative
+    set {i : a_i < 0}, a subset of I inside the window, so they are compared
+    once per subset of I; the closed form is C(n, p) where the negative set
+    is I and 0 elsewhere.  The exponents negative exactly on I are then
+    written out directly.
     """
     i_set = tuple(sorted(set(int(i) for i in i_set)))
     if not i_set:
@@ -278,89 +289,105 @@ def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> 
         raise LocalModelError(f"form degree {p} out of range 0..{model.n}")
     s_card = len(i_set)
     frames = list(combinations(range(1, model.n + 1), p))
-    out: dict[Mu, int] = {}
-    by_negative: dict[Subset, int] = {}
-    ranges = [range(-model.window if i in i_set else 0, model.window + 1)
-              for i in range(1, model.n + 1)]
-    for a in product(*ranges):
-        # Cech route: positions (T, frame) with T <= I; the monomial z^a is
-        # present at T iff T frees every coordinate with a_i < 0
-        negative = tuple(i for i in range(1, model.n + 1) if a[i - 1] < 0)
-        if negative not in by_negative:
-            basis: dict[int, list[tuple[Subset, Subset]]] = {d: [] for d in range(s_card + 1)}
-            for size in range(s_card + 1):
-                for t in combinations(i_set, size):
-                    if set(negative) <= set(t):
-                        basis[size].extend((t, s) for s in frames)
-            coh = cohomology_dims(_total_complex(
-                basis, lambda key: (((t2, key[1]), c) for t2, c in _cech_arrows(i_set, key[0]))))
-            for d, v in coh.items():
-                if d != s_card and v:
-                    raise LocalModelError(
-                        "internal: local cohomology not concentrated in degree |I|")
-            by_negative[negative] = coh.get(s_card, 0)
-        cech_dim = by_negative[negative]
+    for negative in _subsets(i_set):
+        # Cech route: positions (T, frame) with T <= I; a monomial with this
+        # negative set is present at T iff T frees every negative coordinate
+        basis = {size: [(t, s) for t in combinations(i_set, size) if set(negative) <= set(t)
+                        for s in frames]
+                 for size in range(s_card + 1)}
+        coh = cohomology_dims(_total_complex(
+            basis, lambda key: (((t2, key[1]), c) for t2, c in _cech_arrows(i_set, key[0]))))
+        for d, v in coh.items():
+            if d != s_card and v:
+                raise LocalModelError(
+                    "internal: local cohomology not concentrated in degree |I|")
         # stable-Koszul closed form
-        valid = all(a[i - 1] <= -1 for i in i_set) and \
-            all(a[j - 1] >= 0 for j in range(1, model.n + 1) if j not in i_set)
-        count = len(frames) if valid else 0
-        if cech_dim != count:
+        count = len(frames) if negative == i_set else 0
+        if coh.get(s_card, 0) != count:
             raise LocalModelError(
-                f"Cech and Koszul-dual counts disagree at exponent {a}: "
-                f"{cech_dim} vs {count}")
-        if cech_dim:
-            out[a] = cech_dim
-    return dict(sorted(out.items()))
+                f"Cech and Koszul-dual counts disagree at the exponents negative exactly "
+                f"on {negative}: {coh.get(s_card, 0)} vs {count}")
+    w = model.window
+    exponents = product(*(range(-w, 0) if i in i_set else range(w + 1)
+                          for i in range(1, model.n + 1)))
+    return dict.fromkeys(exponents, len(frames))
 
 
-def _cech_columns(model: LocalModel, flavor: str, mu: Mu) -> dict[Subset, Column]:
-    """``_cech_column`` for every nonempty I <= {1..r}."""
-    return {i_set: _cech_column(model, flavor, i_set, mu)
-            for size in range(1, model.r + 1)
-            for i_set in combinations(range(1, model.r + 1), size)}
+def _mv_total_block(model: LocalModel, flavor: str,
+                    mu: Mu) -> tuple[dict[int, list[MVKey]], CochainComplex]:
+    """(keys by degree, sorted; complex): the total complex over the nerve of
+    the boundary components, on the Cech positions of every nonempty
+    I <= {1..r}:
 
-
-def _mv_total_block(model: LocalModel, mu: Mu, columns: dict[Subset, Column]) -> CochainComplex:
-    """Total complex over the nerve of the boundary components, on the Cech
-    ``columns`` of every I:
-
-        position (I, T, S), total degree |S| + |T| - |I| + 1,
+        position (I, T, S) with T <= I and S a frame of the flavor localized
+        at T, total degree |S| + |T| - |I| + 1,
         D = d_form + (-1)^{|S|} cech + (-1)^{|S|+|T|} nerve-restriction.
-    """
-    basis: dict[int, list[tuple[Subset, Subset, Subset]]] = {}
-    for i_set, column in columns.items():
-        for t, s in column:
-            basis.setdefault(len(s) + len(t) - len(i_set) + 1, []).append((i_set, t, s))
+
+    The frames are computed once per (T, p), the form arrows once per frame
+    and the Cech and nerve moves once per (I, T)."""
+    coords = tuple(range(1, model.r + 1))
+    frames = {t: [s for p in range(model.n + 1)
+                  for s in block_basis(model, flavor, mu, p, frozenset(t))]
+              for t in _subsets(coords)}
+    forms = {s: list(_form_arrows(model, mu, s)) for t in frames for s in frames[t]}
+    moves: dict[tuple[Subset, Subset], tuple[list, list]] = {}
+    basis: dict[int, list[MVKey]] = {}
+    for i_set in _subsets(coords, 1):
+        for t in _subsets(i_set):
+            smaller = [(tuple(x for x in i_set if x != j), j) for j in i_set
+                       if j not in t and len(i_set) > 1]
+            moves[i_set, t] = (list(_cech_arrows(i_set, t)),
+                               [(i2, _sign_insert(i2, j)) for i2, j in smaller])
+            for s in frames[t]:
+                basis.setdefault(len(s) + len(t) - len(i_set) + 1, []).append((i_set, t, s))
+    basis = {k: sorted(keys) for k, keys in basis.items()}
 
     def arrows(key):
         i_set, t, s = key
-        for (t2, s2), c in _cech_form_arrows(model, mu, i_set, t, s):
-            yield (i_set, t2, s2), c
+        for s2, c in forms[s]:
+            yield (i_set, t, s2), c
+        cech, nerve = moves[i_set, t]
+        sign = (-1) ** len(s)
+        for t2, c in cech:
+            yield (i_set, t2, s), sign * c
         # nerve direction (restriction to smaller I)
-        sign = (-1) ** (len(s) + len(t))
-        for j in i_set:
-            if j not in t and len(i_set) > 1:
-                i2 = tuple(x for x in i_set if x != j)
-                yield (i2, t, s), sign * _sign_insert(i2, j)
+        sign *= (-1) ** len(t)
+        for i2, c in nerve:
+            yield (i2, t, s), sign * c
 
-    return _total_complex(basis, arrows)
+    return basis, _total_complex(basis, arrows)
 
 
-def _subset_total_block(model: LocalModel, i_set: Subset, mu: Mu,
-                        column: Column) -> CochainComplex:
-    """Totalized Cech complex of one support subset I on its Cech ``column``
-    (degrees |S| + |T|)."""
-    basis: dict[int, list[tuple[Subset, Subset]]] = {}
-    for t, s in column:
-        basis.setdefault(len(s) + len(t), []).append((t, s))
-    return _total_complex(basis, lambda key: _cech_form_arrows(model, mu, i_set, *key))
+def _subset_blocks(basis: dict[int, list[MVKey]],
+                   total: CochainComplex) -> dict[Subset, CochainComplex]:
+    """Each I's totalized Cech complex, read off the Mayer-Vietoris complex
+    ``total`` on its sorted keys ``basis``: the keys of I are a contiguous
+    run in each degree, and since only the nerve arrows change I, the
+    differential on I's rows and columns is I's own.  Its degree |S| + |T|
+    is the total degree shifted by |I| - 1."""
+    runs: dict[Subset, dict[int, range]] = {}
+    for k, keys in basis.items():
+        start = 0
+        for i_set, group in groupby(keys, key=lambda key: key[0]):
+            end = start + sum(1 for _ in group)
+            runs.setdefault(i_set, {})[k] = range(start, end)
+            start = end
+    blocks = {}
+    for i_set, run in runs.items():
+        shift = len(i_set) - 1
+        lo, hi = min(run), max(run)
+        dims = {k + shift: len(run.get(k, ())) for k in range(lo, hi + 1)}
+        diffs = {k + shift: total.differential(k).submatrix_rows(run[k + 1])
+                 .submatrix_columns(run[k]) for k in range(lo, hi) if k in run and k + 1 in run}
+        blocks[i_set] = CochainComplex(dims, diffs)
+    return blocks
 
 
 def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:
     """Mayer-Vietoris assembly of the obstruction stalk, with the direct cone
     computed alongside and compared degree by degree and multidegree by
-    multidegree.  The total block and the per-subset blocks are built once
-    per sign class, on one set of Cech columns."""
+    multidegree.  One total block per sign class, with every subset block
+    read off it."""
     report = obstruction_cone(model, source_flavor)
     if model.r == 0:
         # no boundary: the nerve is empty and so is the obstruction
@@ -370,29 +397,19 @@ def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkRep
         report.matches = report.assembled == report.direct
         return report
 
-    def blocks(cls: Mu) -> tuple[dict[int, int], dict[Subset, dict[int, int]]]:
-        columns = _cech_columns(model, source_flavor, cls)
-        return (cohomology_dims(_mv_total_block(model, cls, columns)),
-                {i_set: cohomology_dims(_subset_total_block(model, i_set, cls, column))
-                 for i_set, column in columns.items()})
-
     assembled: dict[int, int] = {p: 0 for p in range(model.n + 1)}
     assembled_by_mu: dict[int, dict[Mu, int]] = {}
     per_subset: dict[Subset, dict[int, int]] = {}
-    for mu, (total, subsets) in _by_sign_class(model, blocks):
-        for k, dim in total.items():
-            if dim == 0:
-                continue
-            p = k - 1   # cone degree p corresponds to assembled degree p + 1
-            assembled[p] = assembled.get(p, 0) + dim
-            assembled_by_mu.setdefault(p, {})[mu] = dim
-        for i_set, dims in subsets.items():
-            for k, dim in dims.items():
-                if dim == 0:
-                    continue
-                p = k - len(i_set)   # contribution H^{p + |I|} at degree p
-                slot = per_subset.setdefault(i_set, {})
-                slot[p] = slot.get(p, 0) + dim
+    for cls, size in _sign_classes(model):
+        basis, total = _mv_total_block(model, source_flavor, cls)
+        # cone degree p corresponds to assembled degree p + 1
+        _tally(model, cls, size, cohomology_dims(total), 1, assembled, assembled_by_mu)
+        for i_set, block in _subset_blocks(basis, total).items():
+            for k, dim in cohomology_dims(block).items():
+                if dim:
+                    p = k - len(i_set)   # contribution H^{p + |I|} at degree p
+                    slot = per_subset.setdefault(i_set, {})
+                    slot[p] = slot.get(p, 0) + size * dim
     report.per_subset = dict(sorted(per_subset.items()))
     report.assembled = assembled
     report.assembled_by_multidegree = assembled_by_mu

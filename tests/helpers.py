@@ -4,13 +4,15 @@ and constructions that only the tests use."""
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 
 from loghodgelab.complexes import (ChainMap, CochainComplex, FilteredComplex, _total_complex,
                                    cohomology_dims)
 from loghodgelab.conecx import ConeComplex, IntersectionData
 from loghodgelab.linalg import RationalMatrix, kernel_basis
-from loghodgelab.localmodel import (FLAVORS, LocalModel, LocalModelError, _form_arrows,
-                                    block_basis, block_complex, reliable_multidegrees)
+from loghodgelab.localmodel import (FLAVORS, LocalModel, LocalModelError, _cech_arrows,
+                                    _form_arrows, block_basis, block_complex,
+                                    reliable_multidegrees)
 from loghodgelab.toric import Fan, FanError, QDivisor
 from loghodgelab.weights import WeightFunction
 
@@ -156,6 +158,29 @@ def form_cohomology(model: LocalModel, flavor: str) -> dict[int, int]:
         for p, dim in cohomology_dims(block_complex(model, flavor, mu)).items():
             total[p] += dim
     return total
+
+
+def cech_form_arrows(model: LocalModel, mu, i_set, t, s):
+    """Arrows out of (T, S) in the totalized Cech complex of I:
+    d_form + (-1)^{|S|} cech."""
+    for s2, c in _form_arrows(model, mu, s):
+        yield (t, s2), c
+    sign = (-1) ** len(s)
+    for t2, c in _cech_arrows(i_set, t):
+        yield (t2, s), sign * c
+
+
+def subset_total_block(model: LocalModel, flavor: str, i_set, mu) -> CochainComplex:
+    """Arrow-built reference for one support subset I: the totalized Cech
+    complex of the flavor's form complex at mu, on the positions (T, S) with
+    T <= I and S a frame of the flavor localized at T, in degree |S| + |T|."""
+    basis: dict[int, list] = {}
+    for size in range(len(i_set) + 1):
+        for t in combinations(i_set, size):
+            for p in range(model.n + 1):
+                for s in block_basis(model, flavor, mu, p, frozenset(t)):
+                    basis.setdefault(p + size, []).append((t, s))
+    return _total_complex(basis, lambda key: cech_form_arrows(model, mu, i_set, *key))
 
 
 # --- toric ---------------------------------------------------------------------------

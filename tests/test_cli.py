@@ -384,6 +384,26 @@ def test_max_dim_cap(tmp_path, capsys, monkeypatch):
     assert "LHL_MAX_DIM" in err
 
 
+@pytest.mark.parametrize("command", [["obstruction-stalk", "--r", "0"],
+                                     ["local-cohomology", "--r", "1", "--subset", "1",
+                                      "--form-degree", "0"]])
+def test_local_model_cap_stops_before_the_full_charge(command, capsys, monkeypatch):
+    # (2w+1)^n * 2^n at n = 30,000,000 has ~77M bits; the charge stops at
+    # the first coordinate that passes the cap of 2000 (6^5 = 7776)
+    monkeypatch.delenv("LHL_MAX_DIM", raising=False)
+    code, out, err = run(command + ["--n", "30000000", "--window", "1"], capsys)
+    assert code == 1 and out == ""
+    assert "local model section space needs dimension over 7776 after 5 of 30000000" in err
+    assert "LHL_MAX_DIM cap of 2000" in err
+    # where the whole charge is formed, the message names it
+    code, out, err = run(command + ["--n", "5", "--window", "1"], capsys)
+    assert code == 1 and out == ""
+    assert ("local model section space needs dimension 7776, above the LHL_MAX_DIM cap "
+            "of 2000") in err
+    code, _, _ = run(command + ["--n", "4", "--window", "1"], capsys)
+    assert code == 0
+
+
 def test_negative_max_dim_is_malformed_input(capsys, monkeypatch):
     monkeypatch.setenv("LHL_MAX_DIM", "-1")
     code, out, err = run(["obstruction-stalk", "--n", "1", "--r", "1"], capsys)

@@ -414,6 +414,16 @@ def test_determinant_rejects_non_square():
         determinant([[1, 2]])
 
 
+def test_zeros_checks_its_shape_and_equals_the_checked_empty_matrix():
+    for rows, cols in [(-1, 2), (2, -1)]:
+        with pytest.raises(MatrixError):
+            RationalMatrix.zeros(rows, cols)
+    for rows, cols in [(0, 0), (3, 0), (2, 5)]:
+        z = RationalMatrix.zeros(rows, cols)
+        assert z == RationalMatrix(rows, cols, {}) and z.is_zero()
+        assert (z.rows, z.cols) == (rows, cols)
+
+
 def test_smith_normal_form_rejects_non_integral_entry():
     with pytest.raises(MatrixError):
         smith_normal_form(RationalMatrix.from_rows([[1, Fraction(1, 2)], [0, 1]]))

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from loghodgelab import localmodel
+from loghodgelab import linalg, localmodel
 from loghodgelab.complexes import (_total_complex, cohomology_dims, degeneration_check,
                                    mapping_cone, spectral_sequence)
 from loghodgelab.localmodel import (
@@ -13,10 +13,11 @@ from loghodgelab.localmodel import (
     LocalModel,
     LocalModelError,
     _cech_arrows,
-    _cech_columns,
+    _class_multidegrees,
     _mv_total_block,
+    _sign_classes,
     _sign_insert,
-    _subset_total_block,
+    _subset_blocks,
     assemble_stalk,
     block_complex,
     block_inclusion,
@@ -25,7 +26,7 @@ from loghodgelab.localmodel import (
     reliable_multidegrees,
 )
 
-from helpers import build_form_complex, form_cohomology, stupid_filtration
+from helpers import build_form_complex, form_cohomology, stupid_filtration, subset_total_block
 
 
 # --- form complexes -------------------------------------------------------------
@@ -238,13 +239,7 @@ def test_nerve_restriction_entries():
         model = LocalModel(n, r, w)
         for flavor in (HOLOMORPHIC, LOGARITHMIC):
             for mu in mus:
-                columns = _cech_columns(model, flavor, mu)
-                total = _mv_total_block(model, mu, columns)
-                keys: dict[int, list] = {}
-                for i_set, column in columns.items():
-                    for t, s in column:
-                        keys.setdefault(len(s) + len(t) - len(i_set) + 1, []).append((i_set, t, s))
-                keys = {k: sorted(v) for k, v in keys.items()}
+                keys, total = _mv_total_block(model, flavor, mu)
                 arrows = 0
                 for k in keys:
                     if k + 1 not in keys:
@@ -277,15 +272,15 @@ def reference_stalk(model, flavor):
                 direct_by_mu.setdefault(p, {})[mu] = dim
         if model.r == 0:
             continue
-        columns = _cech_columns(model, flavor, mu)
-        for k, dim in cohomology_dims(_mv_total_block(model, mu, columns)).items():
+        for k, dim in cohomology_dims(_mv_total_block(model, flavor, mu)[1]).items():
             if dim:
                 assembled_by_mu.setdefault(k - 1, {})[mu] = dim
-        for i_set, column in columns.items():
-            for k, dim in cohomology_dims(_subset_total_block(model, i_set, mu, column)).items():
-                if dim:
-                    slot = per_subset.setdefault(i_set, {})
-                    slot[k - len(i_set)] = slot.get(k - len(i_set), 0) + dim
+        for size in range(1, model.r + 1):
+            for i_set in combinations(range(1, model.r + 1), size):
+                for k, dim in cohomology_dims(subset_total_block(model, flavor, i_set, mu)).items():
+                    if dim:
+                        slot = per_subset.setdefault(i_set, {})
+                        slot[k - len(i_set)] = slot.get(k - len(i_set), 0) + dim
     return direct_by_mu, assembled_by_mu, per_subset
 
 
@@ -340,17 +335,86 @@ def count_calls(monkeypatch, name):
 def test_stalk_builds_one_block_per_sign_class(monkeypatch):
     cones = count_calls(monkeypatch, "mapping_cone")
     totals = count_calls(monkeypatch, "_mv_total_block")
-    columns = count_calls(monkeypatch, "_cech_column")
+    built = count_calls(monkeypatch, "_total_complex")
+    bases = count_calls(monkeypatch, "block_basis")
     for n, r, window in [(1, 1, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2), (3, 3, 2)]:
         classes = 3 ** r * 2 ** (n - r)
         for flavor in (HOLOMORPHIC, LOGARITHMIC):
-            for calls in (cones, totals, columns):
+            for calls in (cones, totals, built, bases):
                 calls.clear()
             assemble_stalk(LocalModel(n, r, window), flavor)
-            assert len(cones) <= classes, (n, r, window, flavor)
-            assert len(totals) <= classes, (n, r, window, flavor)
-            # one Cech column per (class, I), shared by both blocks
-            assert len(columns) <= classes * (2 ** r - 1), (n, r, window, flavor)
+            assert len(cones) == classes, (n, r, window, flavor)
+            assert len(totals) == classes, (n, r, window, flavor)
+            # one Laurent block and one Mayer-Vietoris complex per class
+            assert len(built) == 2 * classes, (n, r, window, flavor)
+            # the Laurent keys, then the Cech frames once per localization T
+            assert len(bases) == classes * (n + 1) * (1 + 2 ** r), (n, r, window, flavor)
+
+
+def test_stalk_work_does_not_grow_with_the_window(monkeypatch):
+    built = count_calls(monkeypatch, "_total_complex")
+    eliminations = []
+    echelon = linalg._echelon
+
+    def counted_echelon(rows):
+        eliminations.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    for flavor in (HOLOMORPHIC, LOGARITHMIC):
+        work = []
+        for window in (2, 40):
+            built.clear()
+            eliminations.clear()
+            assemble_stalk(LocalModel(2, 2, window), flavor)
+            work.append((len(built), len(eliminations)))
+        assert work[0] == work[1], (flavor, work)
+        assert work[0][0] == 2 * 9, (flavor, work)
+
+
+def test_sign_classes_partition_the_reliable_multidegrees():
+    for n in (1, 2, 3):
+        for r in range(n + 1):
+            for window in (1, 2, 3):
+                model = LocalModel(n, r, window)
+                classes = list(_sign_classes(model))
+                assert len(classes) == 3 ** r * 2 ** (n - r)
+                assert sum(size for _, size in classes) == \
+                    (2 * window + 1) ** r * (window + 1) ** (n - r)
+                seen = []
+                for cls, size in classes:
+                    members = list(_class_multidegrees(model, cls))
+                    assert len(members) == size, (n, r, window, cls)
+                    assert all(tuple((m > 0) - (m < 0) for m in mu) == cls for mu in members)
+                    seen += members
+                assert sorted(seen) == sorted(reliable_multidegrees(model, LAURENT)), (n, r, window)
+
+
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3)])
+def test_sliced_blocks_match_the_arrow_built_references(n, r):
+    # every subset block read off the Mayer-Vietoris differential, and every
+    # flavor block read off the Laurent block, entry by entry
+    model = LocalModel(n, r, 1)
+    subsets = [i_set for size in range(1, r + 1) for i_set in combinations(range(1, r + 1), size)]
+    for flavor in (HOLOMORPHIC, LOGARITHMIC):
+        for cls, _ in _sign_classes(model):
+            blocks = _subset_blocks(*_mv_total_block(model, flavor, cls))
+            assert set(blocks) <= set(subsets)
+            for i_set in subsets:
+                ref = subset_total_block(model, flavor, i_set, cls)
+                if i_set not in blocks:
+                    assert not any(ref.dims.values()), (flavor, cls, i_set)
+                    continue
+                block = blocks[i_set]
+                assert block.dims == ref.dims, (flavor, cls, i_set)
+                for k in ref.degrees():
+                    assert block.differential(k) == ref.differential(k), (flavor, cls, i_set, k)
+            inclusion = block_inclusion(model, flavor, cls)
+            for sliced, ref in ((inclusion.source, block_complex(model, flavor, cls)),
+                                (inclusion.target, block_complex(model, LAURENT, cls))):
+                assert sliced.dims == ref.dims, (flavor, cls)
+                for k in ref.degrees():
+                    assert sliced.differential(k) == ref.differential(k), (flavor, cls, k)
 
 
 def test_local_cohomology_builds_one_complex_per_negative_set(monkeypatch):
@@ -361,4 +425,8 @@ def test_local_cohomology_builds_one_complex_per_negative_set(monkeypatch):
             for i_set in combinations(range(1, r + 1), size):
                 built.clear()
                 koszul_local_cohomology(model, i_set, 1)
-                assert len(built) <= 2 ** len(i_set), (n, r, window, i_set)
+                assert len(built) == 2 ** len(i_set), (n, r, window, i_set)
+    built.clear()
+    dims = koszul_local_cohomology(LocalModel(1, 1, 500), [1], 0)
+    assert len(built) == 2
+    assert list(dims) == [(a,) for a in range(-500, 0)] and set(dims.values()) == {1}

@@ -45,3 +45,15 @@ def test_unresolved_is_a_parent_spread_wider_than_the_bound():
     skewed = [6.9, 7.0, 7.0, 7.0, 7.05, 7.1, 10.0, 11.0, 12.0, 13.0]   # IQR 3.75
     assert verdict(skewed, [6.8] * 10) == "within bound"
     assert verdict(skewed, [6.95] * 10) == "unresolved"
+
+
+def test_report_lines_give_one_summary_and_one_verdict_per_metric():
+    metrics = [{"name": "p50", "better": "lower", "bound": 0.25},
+               {"name": "rps", "better": "higher", "bound": 0.25}]
+    pairs = [({"p50": p, "rps": 1 / p}, {"p50": p - 2.5, "rps": 1 / (p - 2.5)})
+             for p in PARENT]
+    lines = pairs_tool.report_lines("stalk", "abc123", pairs, metrics)
+    assert lines[0] == "\nstalk, 10 pairs, parent abc123 against the working tree"
+    assert [line.split(":")[0] for line in lines[1:3]] == ["p50", "rps"]
+    assert "change better 10/10" in lines[1]
+    assert lines[3:] == ["verdict p50: gain", "verdict rps: gain"]

@@ -116,9 +116,10 @@ def test_persistence_pairs_match_fraction_column_reduction():
 def test_elimination_count_pinned(monkeypatch):
     """C = Q^3 -> Q -> Q^2 -> Q^3 in degrees 1..4 with d_1, d_3 nonzero and a
     depth-4 filtration whose first nonzero differential is d_2.  The
-    reduction takes 13 eliminations for ranks, kernels and pivots: 6
+    reduction takes 10 eliminations for ranks, kernels and pivots: 6
     adapted-basis extensions (one per level that grows), 2 inverses (one per
-    target of a nonzero d) and the 5 ranks of the E_infinity check; and one
+    target of a nonzero d) and the 2 ranks of the E_infinity check (one per
+    nonzero d; a zero d has rank 0 without an elimination); and one
     `leading_columns` call per nonzero d, which is the persistence pairing.
     The subquotient engine takes 584 eliminations and no pairing."""
     rng = random.Random(931)
@@ -140,7 +141,7 @@ def test_elimination_count_pinned(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", counted_echelon)
     monkeypatch.setattr(complexes, "leading_columns", counted_leading_columns)
     spectral_sequence(fc)
-    assert (len(eliminations) - len(pairings), len(pairings)) == (13, 2)
+    assert (len(eliminations) - len(pairings), len(pairings)) == (10, 2)
     eliminations.clear()
     pairings.clear()
     ss_oracle.spectral_sequence(fc)

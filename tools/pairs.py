@@ -2,9 +2,11 @@
 
     python3 tools/pairs.py --ref HEAD --workload nilpotent --seeds 71-80
     python3 tools/pairs.py --ref main --workload stalk --seeds 91 92 93
+    python3 tools/pairs.py --ref main --workload stalk spectral nilpotent divisor --seeds 1-10
 
-The ref is exported with ``git archive`` into a temporary directory.  Each
-pair runs the unchanged ``bench/run.py --workload W --seed S --seconds T
+The ref is exported once with ``git archive`` into a temporary directory.
+Each workload named by ``--workload`` runs the same seeds in turn and gets
+its own pairs, summary and verdicts.  Each pair runs the unchanged ``bench/run.py --workload W --seed S --seconds T
 --trace 0``, with T the ``run_seconds`` of ``BENCHMARK.json``, once in that
 export and once in the working tree, with the same seed on both sides; which
 side runs first alternates from pair to pair.  For every end-to-end metric
@@ -109,42 +111,57 @@ def summary(name: str, higher_is_better: bool, bound: float,
     return s
 
 
+def run_pairs(workload: str, seeds: list[int], parent_tree: Path, metrics: list[dict],
+              seconds: float) -> list[tuple[dict, dict]]:
+    """(parent, change) metrics of one pair per seed, printed as they come."""
+    pairs = []
+    for index, seed in enumerate(seeds):
+        sides = [("parent", parent_tree), ("change", ROOT)]
+        if index % 2:
+            sides.reverse()
+        run = {side: bench(tree, workload, seed, seconds) for side, tree in sides}
+        pairs.append((run["parent"], run["change"]))
+        print(f"pair {index + 1} seed {seed} ({sides[0][0]} first): " + ", ".join(
+            f"{m['name']} {run['parent'][m['name']]:.4g} -> {run['change'][m['name']]:.4g}"
+            for m in metrics), flush=True)
+    return pairs
+
+
+def report_lines(workload: str, ref: str, pairs: list[tuple[dict, dict]],
+                 metrics: list[dict]) -> list[str]:
+    """The summary of one workload's pairs, then one verdict per metric."""
+    report = [summary(m["name"], m["better"] == "higher", m["bound"], pairs) for m in metrics]
+    lines = [f"\n{workload}, {len(pairs)} pairs, parent {ref} against the working tree"]
+    for s in report:
+        beats = "yes" if s["every_change_run_beats_every_parent_run"] else "no"
+        lines.append(f"{s['metric']}: parent {s['parent_median']:.4g} "
+                     f"[{s['parent_quartiles'][0]:.4g}, {s['parent_quartiles'][1]:.4g}], "
+                     f"change {s['change_median']:.4g} "
+                     f"[{s['change_quartiles'][0]:.4g}, {s['change_quartiles'][1]:.4g}], "
+                     f"change better {s['change_wins']}/{len(pairs)}, every change run beats "
+                     f"every parent run: {beats}")
+    lines += [f"verdict {s['metric']}: {s['verdict']}" for s in report]
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", default="HEAD", help="git ref of the parent side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True,
+                        help="one or more workloads, each run on every seed")
     parser.add_argument("--seeds", nargs="+", required=True,
                         help="one seed per pair: numbers or ranges like 71-80")
     args = parser.parse_args()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
-    pairs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         parent_tree = Path(tmp)
         export(args.ref, parent_tree)
-        for index, seed in enumerate(seed_list(args.seeds)):
-            sides = [("parent", parent_tree), ("change", ROOT)]
-            if index % 2:
-                sides.reverse()
-            run = {side: bench(tree, args.workload, seed, seconds) for side, tree in sides}
-            pairs.append((run["parent"], run["change"]))
-            print(f"pair {index + 1} seed {seed} ({sides[0][0]} first): " + ", ".join(
-                f"{m['name']} {run['parent'][m['name']]:.4g} -> {run['change'][m['name']]:.4g}"
-                for m in metrics), flush=True)
-
-    report = [summary(m["name"], m["better"] == "higher", m["bound"], pairs) for m in metrics]
-    print(f"\n{args.workload}, {len(pairs)} pairs, parent {args.ref} against the working tree")
-    for s in report:
-        beats = "yes" if s["every_change_run_beats_every_parent_run"] else "no"
-        print(f"{s['metric']}: parent {s['parent_median']:.4g} "
-              f"[{s['parent_quartiles'][0]:.4g}, {s['parent_quartiles'][1]:.4g}], "
-              f"change {s['change_median']:.4g} "
-              f"[{s['change_quartiles'][0]:.4g}, {s['change_quartiles'][1]:.4g}], "
-              f"change better {s['change_wins']}/{len(pairs)}, every change run beats "
-              f"every parent run: {beats}")
-    for s in report:
-        print(f"verdict {s['metric']}: {s['verdict']}")
+        for workload in args.workload:
+            print(f"{workload}:", flush=True)
+            pairs = run_pairs(workload, seed_list(args.seeds), parent_tree, metrics, seconds)
+            print("\n".join(report_lines(workload, args.ref, pairs, metrics)), flush=True)
     return 0
 
 
