@@ -46,8 +46,9 @@ def parse_rational(value: Any, pointer: str) -> Fraction:
     if isinstance(value, str):
         if not RATIONAL.fullmatch(value):
             raise SchemaError(pointer, f"not a rational 'p/q' string: {value!r}")
+        p, _, q = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(p), int(q or 1))
         except ValueError:  # more digits than int() converts
             raise SchemaError(pointer, f"{len(value)}-digit rational is too long") from None
     raise SchemaError(pointer, f"expected a rational string or integer, got {type(value).__name__}")

@@ -234,18 +234,21 @@ class RationalMatrix:
             raise MatrixError("vector length mismatch")
         return (self * RationalMatrix.from_columns([vector], self.cols)).column(0)
 
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows:
-            raise MatrixError("row count mismatch in hstack")
-        num, den = dict(self._num), dict(self._den)
-        for i, row in other._num.items():
-            a, b = den.get(i, 1), other._den.get(i, 1)
-            d = lcm(a, b)
-            num[i] = {**_scaled(num.get(i, {}), d // a),
-                      **{j + self.cols: v for j, v in _scaled(row, d // b).items()}}
-            if d != 1:
-                den[i] = d
-        return RationalMatrix._trusted(self.rows, self.cols + other.cols, num, den)
+    def hstack(self, *others: "RationalMatrix") -> "RationalMatrix":
+        """[self | others[0] | others[1] | ...]."""
+        num, den, cols = dict(self._num), dict(self._den), self.cols
+        for other in others:
+            if self.rows != other.rows:
+                raise MatrixError("row count mismatch in hstack")
+            for i, row in other._num.items():
+                a, b = den.get(i, 1), other._den.get(i, 1)
+                d = lcm(a, b)
+                num[i] = {**_scaled(num.get(i, {}), d // a),
+                          **{j + cols: v for j, v in _scaled(row, d // b).items()}}
+                if d != 1:
+                    den[i] = d
+            cols += other.cols
+        return RationalMatrix._trusted(self.rows, cols, num, den)
 
     def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:

@@ -13,25 +13,23 @@ dependent Jordan chains) satisfying its two defining axioms:
 The axioms determine the filtration uniquely, which the test suite confirms
 by exhaustion in small dimension.  The Jordan basis is one integer-row
 matrix built by matrix products, each W_l is a slice of its columns, and each
-image N^l W_j is one product.  The ranks of the powers of N are computed
-once, and so is the rank of each level, shared by equal consecutive levels;
-a check that an earlier one implies is not made again.
+image N^l W_j is one product.  Each power of N is eliminated once, for its
+kernel, and its rank is read off that kernel.  The check makes one
+elimination per run of equal levels, which yields the rank of the level,
+the containments W_{l-1} ⊆ W_l and N W_j ⊆ W_{j-2} into it, and the rank
+of the isomorphism N^l : Gr_{k+l} -> Gr_{k-l} below it; a check that an
+earlier one implies is not made again.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
-from .linalg import (
-    RationalMatrix,
-    contains_space,
-    extend_basis,
-    kernel_basis,
-    rank,
-)
+from .linalg import RationalMatrix, extend_basis, kernel_basis, pivot_columns
 
 
 class MonodromyError(ValueError):
@@ -63,9 +61,14 @@ class NilpotentOperator:
         return self._powers[j]
 
     @cached_property
+    def kernels(self) -> tuple[RationalMatrix, ...]:
+        """A basis of ker(N^j) for j = 0 .. index, one elimination each."""
+        return tuple(kernel_basis(p) for p in self._powers)
+
+    @cached_property
     def ranks(self) -> tuple[int, ...]:
-        """rank(N^j) for j = 0 .. index."""
-        return tuple(rank(p) for p in self._powers)
+        """rank(N^j) for j = 0 .. index, read off the kernels."""
+        return tuple(self.dimension - k.cols for k in self.kernels)
 
     def __repr__(self):
         return f"NilpotentOperator(dim {self.dimension}, index {self.index})"
@@ -92,22 +95,20 @@ def jordan_type(n: NilpotentOperator) -> tuple[int, ...]:
 def jordan_chains(n: NilpotentOperator) -> tuple[RationalMatrix, list[list[int]]]:
     """Jordan basis, built deterministically from kernel bases of the
     powers: one matrix, and the columns [v, Nv, ..., N^{s-1}v] of each chain."""
-    kernels = [kernel_basis(n.power(j)) for j in range(n.index + 1)]
+    kernels = n.kernels
     tops: list[tuple[RationalMatrix, int]] = []   # (top vectors of the chains, size)
     for s in range(n.index, 0, -1):
         # tops of longer chains contribute N^{t-s} v inside ker(N^s)
-        base = kernels[s - 1]
-        for top, t in tops:
-            base = base.hstack(n.power(t - s) * top)
+        base = kernels[s - 1].hstack(*(n.power(t - s) * top for top, t in tops))
         new_top_cols = extend_basis(base, kernels[s])
         if new_top_cols:
             tops.append((kernels[s].submatrix_columns(new_top_cols), s))
-    basis, chains = RationalMatrix.zeros(n.dimension, 0), []
+    blocks, chains = [], []
     for top, s in tops:
-        start = basis.cols
-        for i in range(s):
-            basis = basis.hstack(n.power(i) * top)
+        start = sum(b.cols for b in blocks)
+        blocks += [n.power(i) * top for i in range(s)]
         chains += [[start + i * top.cols + j for i in range(s)] for j in range(top.cols)]
+    basis = RationalMatrix.zeros(n.dimension, 0).hstack(*blocks)
     if basis.cols != n.dimension:
         raise MonodromyError("internal: Jordan basis has wrong cardinality")
     return basis, chains
@@ -115,11 +116,15 @@ def jordan_chains(n: NilpotentOperator) -> tuple[RationalMatrix, list[list[int]]
 
 @dataclass
 class WeightFiltration:
-    """Increasing filtration W centered at ``center``; ``subspaces[l]`` spans W_l."""
+    """Increasing filtration W centered at ``center``; ``subspaces[l]`` spans W_l.
+
+    ``ranks[l]`` is dim W_l for each stored l, as `verify_weight_axioms`
+    finds it; `weight_filtration` fills it in."""
 
     center: int
     dimension: int
     subspaces: dict[int, RationalMatrix]
+    ranks: dict[int, int] = field(default_factory=dict)
 
     def level(self, l: int) -> RationalMatrix:
         lo = self.center - self.dimension
@@ -130,33 +135,11 @@ class WeightFiltration:
             return RationalMatrix.identity(self.dimension)
         return self.subspaces[l]
 
-    @cached_property
-    def _ranks(self) -> dict[int, int]:
-        """rank(W_l) for every stored l; equal consecutive levels share one."""
-        ranks, below = {}, None
-        for l, m in sorted(self.subspaces.items()):
-            ranks[l] = ranks[l - 1] if m == below else rank(m)
-            below = m
-        return ranks
-
-    def level_rank(self, l: int) -> int:
-        """dim W_l."""
-        if l < self.center - self.dimension:
-            return 0
-        if l > self.center + self.dimension:
-            return self.dimension
-        return self._ranks[l]
-
     def level_dims(self) -> dict[int, int]:
-        return dict(self._ranks)
+        return dict(self.ranks)
 
     def graded_dims(self) -> dict[int, int]:
-        dims = {}
-        for l in self._ranks:
-            d = self.level_rank(l) - self.level_rank(l - 1)
-            if d:
-                dims[l] = d
-        return dims
+        return _graded_dims(self.ranks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,42 +150,75 @@ class WeightFiltration:
         }
 
 
-def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> None:
+def _graded_dims(ranks: dict[int, int]) -> dict[int, int]:
+    """dim Gr_l = dim W_l - dim W_{l-1}, where nonzero, from the level ranks."""
+    dims = {l: r - ranks.get(l - 1, 0) for l, r in ranks.items()}
+    return {l: d for l, d in dims.items() if d}
+
+
+def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> dict[int, int]:
     """Raise unless W is increasing and exhaustive, N W_l ⊆ W_{l-2}, and
     N^l : Gr_{k+l} -> Gr_{k-l} is an isomorphism for every l >= 1.
 
-    A check that one already made implies is skipped: W_{l-1} ⊆ W_l when
-    the two level matrices are equal, and N W_l ⊆ W_{l-2} when W_l = W_{l-1},
-    for then N W_l = N W_{l-1} ⊆ W_{l-3} ⊆ W_{l-2}.  The stored form is
+    One `pivot_columns` serves each maximal run W_s = ... = W_{e-1} of equal
+    levels, on [W_s | W_{s-1} | N W_j for each j with s <= j - 2 < e |
+    N^l W_{k+l} if k - l = e].  Its pivots inside W_s count rank W_s, a
+    pivot in W_{s-1} or in N W_j is a failed containment, and, when no
+    block before it has one, the pivots in N^l W_{k+l} count the rank that
+    N^l induces from Gr_{k+l} to Gr_{k-l}.  A check that an earlier one
+    implies is left out: both containments when W_l = W_{l-1}, for then
+    N W_l = N W_{l-1} ⊆ W_{l-3} ⊆ W_{l-2}, and the isomorphism when
+    W_{k+l} = W_{k+l-1} or W_{k-l} = W_{k-l-1}.  The stored form is
     canonical, so ``==`` on level matrices is exact.  N^l W_{k+l} ⊆ W_{k-l}
-    follows from N W_j ⊆ W_{j-2} for every j."""
-    k = w.center
-    dim = n.dimension
-    if w.level_rank(k + dim) != dim:
-        raise MonodromyError(f"filtration not exhaustive: dim W_{k + dim} < {dim}")
-    levels = {l: w.level(l) for l in range(k - dim - 1, k + dim + 1)}
-    for l in range(k - dim + 1, k + dim + 1):
-        if levels[l] != levels[l - 1] and not contains_space(levels[l], levels[l - 1]):
-            raise MonodromyError(f"filtration not increasing: W_{l - 1} not inside W_{l}")
-    for l in range(k - dim, k + dim + 1):
-        if levels[l] != levels[l - 1] and not contains_space(w.level(l - 2),
-                                                              n.matrix * levels[l]):
-            raise MonodromyError(f"axiom failure: N W_{l} not inside W_{l - 2}")
-    graded = w.graded_dims()
+    follows from N W_j ⊆ W_{j-2} for every j.
+
+    Failures are raised after the walk, the first of: not exhaustive, not
+    increasing at the smallest l, N W_l at the smallest l, then for
+    l = 1, 2, ... the Gr dimensions and the isomorphism.  W stores the
+    levels k - dim .. k + dim; returns rank W_l for each of them."""
+    k, dim = w.center, n.dimension
+    lo, hi = k - dim, k + dim
+    levels = {l: w.level(l) for l in range(lo - 3, hi + 1)}
+    # the first level of each run: W_l != W_{l-1} exactly for l in starts[1:]
+    starts = [lo - 2] + [l for l in range(lo - 1, hi + 1) if levels[l] != levels[l - 1]]
+    ranks, induced = {}, {}
+    not_increasing = not_inside = None
+    for s, e in zip(starts, starts[1:] + [hi + 1]):
+        inside = [j for j in range(s + 2, min(e + 2, hi + 1)) if j in starts]
+        blocks = [levels[s], levels[s - 1]] + [n.matrix * levels[j] for j in inside]
+        l = k - e   # W_{k-l-1} ends the run
+        isomorphism = 1 <= l <= dim and k + l in starts
+        if isomorphism:
+            blocks.append(n.power(l) * levels[k + l])
+        stacked = blocks[0].hstack(*blocks[1:])
+        pivots = [] if stacked.is_zero() else pivot_columns(stacked)
+        ends = [bisect_left(pivots, end) for end in accumulate(b.cols for b in blocks)]
+        found = [b - a for a, b in zip([0] + ends, ends)]   # pivots in each block
+        ranks.update(dict.fromkeys(range(max(s, lo), e), found[0]))
+        if found[1] and not_increasing is None:
+            not_increasing = s
+        bad = [j for j, f in zip(inside, found[2:]) if f]
+        if bad and not_inside is None:
+            not_inside = bad[0]
+        if isomorphism:
+            induced[l] = found[-1]
+    if ranks[hi] != dim:
+        raise MonodromyError(f"filtration not exhaustive: dim W_{hi} < {dim}")
+    if not_increasing is not None:
+        raise MonodromyError(f"filtration not increasing: W_{not_increasing - 1} "
+                             f"not inside W_{not_increasing}")
+    if not_inside is not None:
+        raise MonodromyError(f"axiom failure: N W_{not_inside} not inside W_{not_inside - 2}")
+    graded = _graded_dims(ranks)
     for l in range(1, dim + 1):
         up = graded.get(k + l, 0)
-        down = graded.get(k - l, 0)
-        if up != down:
+        if up != graded.get(k - l, 0):
             raise MonodromyError(
                 f"axiom failure: Gr_{k + l} and Gr_{k - l} have different dims")
-        if up == 0:
-            continue
-        # N^l must map W_{k+l} onto W_{k-l} modulo W_{k-l-1} with full rank
-        img = n.power(l) * w.level(k + l)
-        induced_rank = rank(img.hstack(w.level(k - l - 1))) - w.level_rank(k - l - 1)
-        if induced_rank != up:
+        if up and induced[l] != up:
             raise MonodromyError(
                 f"axiom failure: N^{l} is not an isomorphism Gr_{k + l} -> Gr_{k - l}")
+    return ranks
 
 
 def weight_filtration(n: NilpotentOperator, center: int = 0) -> WeightFiltration:
@@ -227,7 +243,7 @@ def weight_filtration(n: NilpotentOperator, center: int = 0) -> WeightFiltration
     counts = {l: bisect_right(weights, l) for l in range(center - dim, center + dim + 1)}
     slices = {c: basis.submatrix_columns(range(c)) for c in set(counts.values())}
     filtration = WeightFiltration(center, dim, {l: slices[c] for l, c in counts.items()})
-    verify_weight_axioms(n, filtration)
+    filtration.ranks = verify_weight_axioms(n, filtration)
     return filtration
 
 

@@ -9,10 +9,11 @@ from itertools import combinations
 from loghodgelab.complexes import (ChainMap, CochainComplex, FilteredComplex, _total_complex,
                                    cohomology_dims)
 from loghodgelab.conecx import ConeComplex, IntersectionData
-from loghodgelab.linalg import RationalMatrix, kernel_basis
+from loghodgelab.linalg import RationalMatrix, contains_space, kernel_basis, rank
 from loghodgelab.localmodel import (FLAVORS, LocalModel, LocalModelError, _cech_arrows,
                                     _form_arrows, block_basis, block_complex,
                                     reliable_multidegrees)
+from loghodgelab.monodromy import MonodromyError
 from loghodgelab.toric import Fan, FanError, QDivisor
 from loghodgelab.weights import WeightFunction
 
@@ -195,6 +196,41 @@ def weight_divisor(w: WeightFunction, fan: Fan) -> QDivisor:
         raise FanError(
             f"weight rays do not match fan rays (missing {missing}, extra {extra})")
     return QDivisor({i: w.ray_value(name) for i, name in enumerate(fan.ray_names)})
+
+
+# --- monodromy -----------------------------------------------------------------------
+
+
+def reference_weight_axioms(n, w) -> None:
+    """`verify_weight_axioms` with one elimination per check: each containment
+    its own `contains_space` and each rank its own `rank`."""
+    k = w.center
+    dim = n.dimension
+    ranks = {l: rank(w.level(l)) for l in range(k - dim - 1, k + dim + 1)}
+    if ranks[k + dim] != dim:
+        raise MonodromyError(f"filtration not exhaustive: dim W_{k + dim} < {dim}")
+    levels = {l: w.level(l) for l in range(k - dim - 1, k + dim + 1)}
+    for l in range(k - dim + 1, k + dim + 1):
+        if levels[l] != levels[l - 1] and not contains_space(levels[l], levels[l - 1]):
+            raise MonodromyError(f"filtration not increasing: W_{l - 1} not inside W_{l}")
+    for l in range(k - dim, k + dim + 1):
+        if levels[l] != levels[l - 1] and not contains_space(w.level(l - 2),
+                                                              n.matrix * levels[l]):
+            raise MonodromyError(f"axiom failure: N W_{l} not inside W_{l - 2}")
+    for l in range(1, dim + 1):
+        up = ranks[k + l] - ranks[k + l - 1]
+        down = ranks[k - l] - ranks[k - l - 1]
+        if up != down:
+            raise MonodromyError(
+                f"axiom failure: Gr_{k + l} and Gr_{k - l} have different dims")
+        if up == 0:
+            continue
+        # N^l must map W_{k+l} onto W_{k-l} modulo W_{k-l-1} with full rank
+        img = n.power(l) * w.level(k + l)
+        induced_rank = rank(img.hstack(w.level(k - l - 1))) - ranks[k - l - 1]
+        if induced_rank != up:
+            raise MonodromyError(
+                f"axiom failure: N^{l} is not an isomorphism Gr_{k + l} -> Gr_{k - l}")
 
 
 @contextmanager

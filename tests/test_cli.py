@@ -275,6 +275,15 @@ def test_monodromy_rejects_non_nilpotent(tmp_path, capsys):
     assert "nilpotent" in err
 
 
+def test_monodromy_rejects_a_5000_digit_numerator(tmp_path, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps({"matrix": [["0", "1" * 5000 + "/3"], ["0", "0"]]}))
+    code = main(["monodromy", "--in", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "/matrix/0/1: 5002-digit rational is too long" in err
+
+
 # --- spectral sequence -----------------------------------------------------------------
 
 

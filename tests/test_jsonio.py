@@ -22,6 +22,14 @@ def test_parse_rational_forms():
     assert parse_rational(5, "/x") == Fraction(5)
 
 
+@pytest.mark.parametrize("text, value", [("2/4", Fraction(1, 2)), ("-0/7", Fraction(0)),
+                                         ("007/010", Fraction(7, 10)), ("-6/8", Fraction(-3, 4))])
+def test_parse_rational_reduces(text, value):
+    parsed = parse_rational(text, "/x")
+    assert parsed == value
+    assert (parsed.numerator, parsed.denominator) == (value.numerator, value.denominator)
+
+
 @pytest.mark.parametrize("bad", ["3/0", "a", 1.5, True, None, "1/0", "3/00", "2.5", "1e0",
                                  " -3 ", "1_0", "+3", "\u0663", "-", "/2", "1/", "1/+2",
                                  pytest.param("1" * 5000, id="5000-digits")])

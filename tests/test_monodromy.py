@@ -1,11 +1,11 @@
 import random
+import re
 from fractions import Fraction
 import pytest
 
-from helpers import counting_fractions
+from helpers import counting_fractions, reference_weight_axioms
 
 import loghodgelab.linalg as linalg
-import loghodgelab.monodromy as monodromy
 from loghodgelab.linalg import (
     RationalMatrix,
     column_space_basis,
@@ -191,6 +191,76 @@ def test_bad_filtration_failing_only_at_a_level_that_differs_from_the_one_below(
         verify_weight_axioms(n, w)
 
 
+def verdict(check, n, w):
+    """None if ``check`` accepts W for N, else its message."""
+    try:
+        check(n, w)
+    except MonodromyError as exc:
+        return str(exc)
+    return None
+
+
+def conjugated_nilpotent(rng, dim) -> NilpotentOperator:
+    """A random Jordan type of dimension ``dim`` in a random rational basis."""
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(rng.randint(1, dim - sum(sizes)))
+    p = RationalMatrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                   for _ in range(dim)] for _ in range(dim)])
+    while rank(p) < dim:
+        p = random_invertible(rng, dim)
+    return NilpotentOperator(p * jordan_block_matrix(sizes) * invert(p))
+
+
+def mutated_filtration(rng, n, w):
+    """The true filtration W of N with one to three of these changes: a level
+    replaced by a neighbour, a column dropped or added, two levels swapped,
+    or W replaced by the filtration of another operator."""
+    dim, levels = n.dimension, dict(w.subspaces)
+    keys = sorted(levels)
+    for _ in range(rng.randint(1, 3)):
+        l = rng.choice(keys)
+        kind = rng.randrange(5)
+        if kind == 0:
+            levels[l] = w.level(l + rng.choice((-1, 1)))
+        elif kind == 1 and levels[l].cols:
+            drop = rng.randrange(levels[l].cols)
+            levels[l] = levels[l].submatrix_columns([j for j in range(levels[l].cols) if j != drop])
+        elif kind == 2:
+            column = [rng.randint(-2, 2) for _ in range(dim)]
+            levels[l] = levels[l].hstack(RationalMatrix.from_columns([column], dim))
+        elif kind == 3:
+            m = rng.choice(keys)
+            levels[l], levels[m] = levels[m], levels[l]
+        else:
+            other = conjugated_nilpotent(rng, dim)
+            levels = dict(weight_filtration(other, w.center).subspaces)
+    return WeightFiltration(w.center, dim, levels)
+
+
+def test_verify_agrees_with_one_elimination_per_check():
+    """On true and mutated filtrations of random operators of dimension
+    <= 6, `verify_weight_axioms` gives the verdict and the message of the
+    reference that makes one elimination per check, and the level ranks it
+    finds are those of the levels."""
+    rng = random.Random(508)
+    seen = set()
+    for _ in range(300):
+        dim = rng.randint(1, 6)
+        n = (conjugated_nilpotent if rng.random() < 0.5 else random_nilpotent)(rng, dim)
+        w = weight_filtration(n, rng.randint(-2, 2))
+        assert w.level_dims() == {l: rank(m) for l, m in w.subspaces.items()}
+        for candidate in (w, mutated_filtration(rng, n, w), mutated_filtration(rng, n, w)):
+            expected = verdict(reference_weight_axioms, n, candidate)
+            assert verdict(verify_weight_axioms, n, candidate) == expected
+            seen.add(expected and re.sub(r"-?[0-9]+", "#", expected))
+    assert seen == {None, "filtration not exhaustive: dim W_# < #",
+                    "filtration not increasing: W_# not inside W_#",
+                    "axiom failure: N W_# not inside W_#",
+                    "axiom failure: Gr_# and Gr_# have different dims",
+                    "axiom failure: N^# is not an isomorphism Gr_# -> Gr_#"}
+
+
 def nine_by_nine() -> NilpotentOperator:
     """Jordan type (4, 3, 2) conjugated by a fixed matrix of true fractions."""
     rng = random.Random(507)
@@ -201,31 +271,28 @@ def nine_by_nine() -> NilpotentOperator:
 
 def test_each_rank_computed_once(monkeypatch):
     """weight_filtration, jordan_type and stratum_weight on a fixed 9 x 9
-    operator: the ranks of the powers of N and of the levels of W are each
-    computed once, however often the report reads them."""
+    operator: each power of N is eliminated exactly once, for its kernel,
+    and each run of equal levels of W at most once, however often the report
+    reads the ranks."""
     n = nine_by_nine()
-    eliminations, power_ranks = [], []
+    eliminations = []
     echelon = linalg._echelon
 
     def counted_echelon(rows):
-        eliminations.append(rows)
+        eliminations.append([dict(r) for r in rows])
         return echelon(rows)
 
-    def counted_rank(m):
-        if any(m is n.power(j) for j in range(n.index + 1)):
-            power_ranks.append(m)
-        return rank(m)
-
     monkeypatch.setattr(linalg, "_echelon", counted_echelon)
-    monkeypatch.setattr(monodromy, "rank", counted_rank)
     w = weight_filtration(n, 0)
     assert jordan_type(n) == (4, 3, 2) and stratum_weight(n) == 4
-    assert len(eliminations) == 39
-    assert len(power_ranks) == n.index + 1 == 5
+    # 5 powers, 4 chain extensions and one for each of the 8 runs of levels
+    assert len(eliminations) == 17
+    powers = [linalg._integer_rows(n.power(j)) for j in range(n.index + 1)]
+    assert [eliminations.count(p) for p in powers] == [1] * 5
     for _ in range(3):
         w.to_json_dict()
         jordan_type(n)
-    assert len(eliminations) == 39
+    assert len(eliminations) == 17
 
 
 def test_weight_filtration_makes_no_fraction():
