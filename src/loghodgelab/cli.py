@@ -239,17 +239,20 @@ def cmd_trop_cohomology(args) -> int:
 
 
 def cmd_trop_ss(args) -> int:
-    from .trop import weight_filtration_ss
+    from .trop import default_thresholds, weight_filtration_ss
     _, trop, inputs = _trop_complex(args)
-    thresholds = None
     options = {}
-    if args.thresholds is not None:
+    if args.thresholds is None:
+        thresholds = default_thresholds(trop)
+    else:
         thresholds = [jsonio.parse_rational(part.strip(), "/thresholds")
                       for part in args.thresholds.split(",") if part.strip()]
         if not thresholds:
             raise SchemaError("/thresholds",
                               f"expected at least one rational: {args.thresholds!r}")
         options["thresholds"] = [format_rational(t) for t in thresholds]
+    # t thresholds give t + 1 levels, so pages 0 .. t + 2
+    _check_cap(len(thresholds) + 3, "trop-ss pages")
     report = weight_filtration_ss(trop, thresholds)
     result = report.to_json_dict()
     lines = ["weight filtration spectral sequence",

@@ -5,14 +5,20 @@ Complexes are bounded, with an explicit contiguous degree range.  Filtrations
 are stored as explicit subspace bases per degree (not index markers), because
 the weighted filtrations built elsewhere are not coordinate-aligned.  Pages
 come from one persistence reduction (Edelsbrunner-Letscher-Zomorodian 2002;
-Basu-Parida 2017).  Each C^k gets a basis adapted to the filtration, so every
-basis vector has a level, the largest p with the vector in F^p.  In these
-bases a column reduction of each d_k pairs elements of C^k with elements of
-C^{k+1}; the gap of a pair is the level of its target minus the level of its
-source.  Over a field a filtered complex splits into one- and two-element
-interval pieces, so the gaps do not depend on the basis.  E_r^{p,q} counts the
-elements at (p, q) that are unpaired or in a pair of gap >= r, and d_r is
-nonzero exactly where a pair of gap r starts.
+Basu-Parida 2017) in a basis B_k of each C^k adapted to the filtration, where
+each vector has a level, the largest p with the vector in F^p.  One
+``pivot_columns`` of [F^{p+1} | F^p] per level, deepest first (F^P = 0,
+F^{-1} = C^k), both builds B_k and checks the filtration: its first-block
+pivots are the stored basis of F^{p+1}, F^{p+1} ⊆ F^p iff all its pivots
+number rank F^p, F^0 = C^k iff the last pass has no second-block pivot, and
+the second-block pivots enter B_k at level p.  Every F^p is a subcomplex iff
+X_k = B_{k+1}^-1 d_k B_k has no entry below the level diagonal.  A column
+reduction of X_k pairs elements of C^k with elements of C^{k+1}; the gap of a
+pair is the level of its target minus the level of its source.  Over a field
+a filtered complex splits into one- and two-element interval pieces, so the
+gaps do not depend on the basis.  E_r^{p,q} counts the elements at (p, q)
+that are unpaired or in a pair of gap >= r, and d_r is nonzero exactly where
+a pair of gap r starts.
 
 Every complex on a keyed basis (the cone complex, its weighted tropical
 twist, the toric chamber complexes and the local models) comes from one
@@ -29,10 +35,10 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 from .linalg import (
     RationalMatrix,
     column_space_basis,
-    contains_space,
     extend_basis,
     kernel_basis,
     leading_columns,
+    pivot_columns,
     rank,
     solve_rational,
 )
@@ -336,58 +342,78 @@ def long_exact_sequence(f: ChainMap) -> LongExactSequenceReport:
 # ---------------------------------------------------------------------------
 
 
-class FilteredComplex:
-    """Decreasing filtration F^0 ⊇ F^1 ⊇ ... ⊇ F^P by explicit subspace bases.
+def _inverse(b: RationalMatrix) -> RationalMatrix:
+    """B^-1 of an invertible B: the kernel basis of [B | -I] is (B^-1; I),
+    one column per free column n + i."""
+    n = b.cols
+    return kernel_basis(b.hstack(-RationalMatrix.identity(n))).submatrix_rows(range(n))
 
-    ``levels[p][k]`` is a matrix whose columns span F^p C^k.  F^0 must be the
-    whole complex (exhaustive); F^{P+1} = 0.  Every level must be a
-    subcomplex and the levels must be nested.
+
+class FilteredComplex:
+    """Decreasing filtration F^0 ⊇ F^1 ⊇ ... ⊇ F^{P-1} by explicit subspace bases.
+
+    ``levels[p][k]`` is a matrix whose columns span F^p C^k, for p below
+    ``depth`` = P.  F^0 must be the whole complex (exhaustive); F^P = 0.
+    Every level must be a subcomplex and the levels must be nested, as
+    checked while building the adapted bases B_k (module docstring).
+    ``basis_levels[k]`` is the level of each column of B_k, and
+    ``adapted_differentials[k]`` is X_k for each nonzero d_k.
     """
 
     def __init__(self, underlying: CochainComplex, levels: list[dict[int, RationalMatrix]]):
-        self.underlying = underlying
+        self.underlying = c = underlying
         if not levels:
             raise FiltrationError("need at least one filtration level")
-        norm: list[dict[int, RationalMatrix]] = []
-        for p, level in enumerate(levels):
-            fixed = {}
-            for k in underlying.degrees():
-                basis = level.get(k, RationalMatrix.zeros(underlying.dim(k), 0))
-                if basis.rows != underlying.dim(k):
+        for p, given in enumerate(levels):
+            for k in c.degrees():
+                if k in given and given[k].rows != c.dim(k):
                     raise FiltrationError(
                         f"level {p} basis at degree {k} has ambient dimension "
-                        f"{basis.rows}, expected {underlying.dim(k)}")
-                fixed[k] = column_space_basis(basis)
-            norm.append(fixed)
-        for k in underlying.degrees():
-            if rank(norm[0][k]) != underlying.dim(k):
-                raise FiltrationError(f"filtration not exhaustive at degree {k}: F^0 != C^{k}")
-        for p in range(len(norm) - 1):
-            for k in underlying.degrees():
-                if not contains_space(norm[p][k], norm[p + 1][k]):
-                    raise FiltrationError(f"levels not nested at level {p + 1}, degree {k}")
-        for p, level in enumerate(norm):
-            for k in underlying.degrees():
-                img = underlying.differential(k) * level[k]
-                tgt = level.get(k + 1, RationalMatrix.zeros(underlying.dim(k + 1), 0))
-                if not contains_space(tgt, img):
-                    raise FiltrationError(
-                        f"level {p} is not a subcomplex: d(F^{p} C^{k}) is not "
-                        f"contained in F^{p} C^{k + 1}")
-        self.levels = norm
-
-    @property
-    def depth(self) -> int:
-        """Number of stored levels (indices 0..depth-1); F^depth = 0."""
-        return len(self.levels)
+                        f"{given[k].rows}, expected {c.dim(k)}")
+        self.depth = depth = len(levels)
+        self.levels: list[dict[int, RationalMatrix]] = [{} for _ in levels]
+        self.basis_levels: dict[int, list[int]] = {k: [] for k in c.degrees()}
+        adapted, not_exhaustive, not_nested = {}, [], []
+        for k in c.degrees():
+            empty = RationalMatrix.zeros(c.dim(k), 0)
+            deeper, span, parts = empty, 0, []  # F^{p+1}, rank(F^{p+2} + F^{p+1}), B_k
+            for p in range(depth - 1, -2, -1):
+                here = levels[p].get(k, empty) if p >= 0 else RationalMatrix.identity(c.dim(k))
+                pivots = pivot_columns(deeper.hstack(here))
+                inner = [j for j in pivots if j < deeper.cols]
+                new = [j - deeper.cols for j in pivots[len(inner):]]
+                if p + 1 < depth:
+                    self.levels[p + 1][k] = deeper.submatrix_columns(inner)
+                if span != len(inner):
+                    not_nested.append((p + 2, k))
+                parts.append(here.submatrix_columns(new))
+                self.basis_levels[k] += [p] * len(new)
+                deeper, span = here, len(pivots)
+            if new:  # C^k has columns of level -1, outside F^0
+                not_exhaustive.append(k)
+            adapted[k] = parts[0].hstack(*parts[1:])
+        if not_exhaustive:
+            k = not_exhaustive[0]
+            raise FiltrationError(f"filtration not exhaustive at degree {k}: F^0 != C^{k}")
+        if not_nested:
+            p, k = min(not_nested)
+            raise FiltrationError(f"levels not nested at level {p}, degree {k}")
+        self.adapted_differentials = {k: _inverse(adapted[k + 1]) * d * adapted[k]
+                                      for k, d in sorted(c._differentials.items())}
+        level = self.basis_levels
+        not_closed = [(level[k + 1][i] + 1, k) for k, x in self.adapted_differentials.items()
+                      for i, j in x.entries if level[k + 1][i] < level[k][j]]
+        if not_closed:
+            p, k = min(not_closed)
+            raise FiltrationError(
+                f"level {p} is not a subcomplex: d(F^{p} C^{k}) is not "
+                f"contained in F^{p} C^{k + 1}")
 
     def level_basis(self, p: int, k: int) -> RationalMatrix:
         n = self.underlying.dim(k)
         if p < 0:
             return RationalMatrix.identity(n)
-        if p >= len(self.levels):
-            return RationalMatrix.zeros(n, 0)
-        if k < self.underlying.min_degree or k > self.underlying.max_degree:
+        if p >= len(self.levels) or k not in self.levels[p]:
             return RationalMatrix.zeros(n, 0)
         return self.levels[p][k]
 
@@ -427,27 +453,6 @@ class SpectralSequencePage:
         }
 
 
-def _adapted_basis(fc: FilteredComplex, k: int) -> tuple[RationalMatrix, list[int]]:
-    """(B, level): the columns of B are a basis of C^k in which every F^p C^k
-    is spanned by the columns of level >= p.  Columns are picked from the
-    level bases, deepest level first, and each gets the level it was picked at."""
-    basis = RationalMatrix.zeros(fc.underlying.dim(k), 0)
-    level: list[int] = []
-    for p in range(fc.depth - 1, -1, -1):
-        fp = fc.level_basis(p, k)
-        if fp.cols > basis.cols:  # the levels are nested, so equal dims mean equal spaces
-            basis = basis.hstack(fp.submatrix_columns(extend_basis(basis, fp)))
-            level += [p] * (basis.cols - len(level))
-    return basis, level
-
-
-def _inverse(b: RationalMatrix) -> RationalMatrix:
-    """B^-1 of an invertible B: the kernel basis of [B | -I] is (B^-1; I),
-    one column per free column n + i."""
-    n = b.cols
-    return kernel_basis(b.hstack(-RationalMatrix.identity(n))).submatrix_rows(range(n))
-
-
 def _persistence_pairs(x: RationalMatrix, col_level: list[int],
                        row_level: list[int]) -> list[tuple[int, int]]:
     """Pairs (j, i) of a column reduction of X in filtration order: columns
@@ -462,17 +467,15 @@ def _persistence_pairs(x: RationalMatrix, col_level: list[int],
 
 def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[SpectralSequencePage]:
     """Pages E_0 .. E_{r_max} of the filtration spectral sequence, read off
-    one persistence reduction (see the module docstring).
+    one persistence reduction of the X_k stored by ``fc`` (module docstring).
 
-    With B_k the adapted basis of C^k, X_k = B_{k+1}^-1 d_k B_k has
-    X[i, j] != 0 only where level(i) >= level(j), and its column reduction
-    gives the pairs.  d_r^{p,q} is the 0/1 matrix, in the surviving elements
-    of (p, q) and of (p + r, q - r + 1) ordered by index, with one 1 per pair
-    of gap r.  The E_infinity totals are checked against ``cohomology_dims``
-    (ranks of d); a mismatch raises (it would indicate an internal
-    bug).  Default r_max is depth + 1, past which all pages are stable: at
-    most pages 0..depth+1 are computed, and each later page is a copy of page
-    depth + 1 (whose differentials all land outside the grid) relabelled r.
+    d_r^{p,q} is the 0/1 matrix, in the surviving elements of (p, q) and of
+    (p + r, q - r + 1) ordered by index, with one 1 per pair of gap r.  The
+    E_infinity totals are checked against ``cohomology_dims`` (ranks of d);
+    a mismatch raises (it would indicate an internal bug).  Default r_max is
+    depth + 1, past which all pages are stable: at most pages 0..depth+1 are
+    computed, and each later page is a copy of page depth + 1 (whose
+    differentials all land outside the grid) relabelled r.
     """
     c = fc.underlying
     depth = fc.depth
@@ -480,18 +483,10 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
         r_max = depth + 1
     r_max = max(r_max, 0)
 
-    basis: dict[int, RationalMatrix] = {}
-    level: dict[int, list[int]] = {}
-    for k in c.degrees():
-        basis[k], level[k] = _adapted_basis(fc, k)
+    level = fc.basis_levels
     gap: dict[int, list[Optional[int]]] = {k: [None] * c.dim(k) for k in c.degrees()}
     pairs: list[tuple[int, int, int, int]] = []  # (k, j, i, gap) with j in C^k, i in C^{k+1}
-    for k in c.degrees():
-        if c.differential(k).is_zero():
-            continue
-        x = _inverse(basis[k + 1]) * c.differential(k) * basis[k]
-        if any(level[k + 1][i] < level[k][j] for (i, j) in x.entries):
-            raise ComplexError("internal: differential does not preserve the adapted basis")
+    for k, x in fc.adapted_differentials.items():
         for j, i in _persistence_pairs(x, level[k], level[k + 1]):
             g = level[k + 1][i] - level[k][j]
             gap[k][j] = gap[k + 1][i] = g

@@ -6,10 +6,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
-from loghodgelab.complexes import (ChainMap, CochainComplex, FilteredComplex, _total_complex,
-                                   cohomology_dims)
+from loghodgelab.complexes import (ChainMap, CochainComplex, FilteredComplex, FiltrationError,
+                                   _total_complex, cohomology_dims)
 from loghodgelab.conecx import ConeComplex, IntersectionData
-from loghodgelab.linalg import RationalMatrix, contains_space, kernel_basis, rank
+from loghodgelab.linalg import (RationalMatrix, column_space_basis, contains_space, kernel_basis,
+                                rank)
 from loghodgelab.localmodel import (FLAVORS, LocalModel, LocalModelError, _cech_arrows,
                                     _form_arrows, block_basis, block_complex,
                                     reliable_multidegrees)
@@ -72,9 +73,15 @@ def random_chain_map(rng: random.Random, source: CochainComplex,
 
 
 def random_filtration(rng: random.Random, c: CochainComplex, depth: int) -> FilteredComplex:
-    """Nested subcomplex filtration F^0 = C ⊇ F^1 ⊇ ... ⊇ F^{depth-1} that is
-    not coordinate-aligned: each random vector v enters at some level and dv
-    at the same or a deeper one, so d_r can be nonzero for any r < depth."""
+    return FilteredComplex(c, random_filtration_levels(rng, c, depth))
+
+
+def random_filtration_levels(rng: random.Random, c: CochainComplex,
+                             depth: int) -> list[dict[int, RationalMatrix]]:
+    """Level bases of a nested subcomplex filtration F^0 = C ⊇ F^1 ⊇ ... ⊇
+    F^{depth-1} that is not coordinate-aligned: each random vector v enters at
+    some level and dv at the same or a deeper one, so d_r can be nonzero for
+    any r < depth."""
     spans = [{k: [] for k in c.degrees()} for _ in range(depth)]
     for _ in range(rng.randint(1, 3)):
         k = rng.choice(list(c.degrees()))
@@ -93,7 +100,95 @@ def random_filtration(rng: random.Random, c: CochainComplex, depth: int) -> Filt
     for p in range(1, depth):
         levels.append({k: RationalMatrix.from_columns(cols, c.dim(k))
                        for k, cols in spans[p].items()})
-    return FilteredComplex(c, levels)
+    return levels
+
+
+def reference_filtration_levels(c: CochainComplex,
+                                levels: list[dict[int, RationalMatrix]]) -> list[dict]:
+    """The checks `FilteredComplex` made with one elimination per check: a
+    `column_space_basis` per level and degree, the rank of F^0 per degree,
+    a `contains_space` per level and degree for nesting, and a product and a
+    `contains_space` per level and degree for the subcomplex condition, each
+    raising at its first failure.  Returns the level bases."""
+    if not levels:
+        raise FiltrationError("need at least one filtration level")
+    norm = []
+    for p, level in enumerate(levels):
+        fixed = {}
+        for k in c.degrees():
+            basis = level.get(k, RationalMatrix.zeros(c.dim(k), 0))
+            if basis.rows != c.dim(k):
+                raise FiltrationError(
+                    f"level {p} basis at degree {k} has ambient dimension "
+                    f"{basis.rows}, expected {c.dim(k)}")
+            fixed[k] = column_space_basis(basis)
+        norm.append(fixed)
+    for k in c.degrees():
+        if rank(norm[0][k]) != c.dim(k):
+            raise FiltrationError(f"filtration not exhaustive at degree {k}: F^0 != C^{k}")
+    for p in range(len(norm) - 1):
+        for k in c.degrees():
+            if not contains_space(norm[p][k], norm[p + 1][k]):
+                raise FiltrationError(f"levels not nested at level {p + 1}, degree {k}")
+    for p, level in enumerate(norm):
+        for k in c.degrees():
+            img = c.differential(k) * level[k]
+            tgt = level.get(k + 1, RationalMatrix.zeros(c.dim(k + 1), 0))
+            if not contains_space(tgt, img):
+                raise FiltrationError(
+                    f"level {p} is not a subcomplex: d(F^{p} C^{k}) is not "
+                    f"contained in F^{p} C^{k + 1}")
+    return norm
+
+
+def mutated_filtration_levels(rng: random.Random, c: CochainComplex,
+                              levels: list[dict[int, RationalMatrix]]) -> list[dict]:
+    """``levels`` after one seeded mutation: two levels swapped, a column
+    dropped or copied in from another level, a random vector added, F^0
+    shrunk, a level of the wrong ambient size, a degree omitted, or a
+    "shallow" vector v that enters two or more levels deeper than dv.  A
+    filtration with a level of the wrong ambient size is left as it is."""
+    if any(m.rows != c.dim(k) for level in levels for k, m in level.items()):
+        return levels
+    levels = [dict(level) for level in levels]
+    kind = rng.choice(["swap", "drop", "copy", "vector", "vector", "shrink", "ambient", "omit",
+                       "shallow", "shallow", "shallow", "shallow"])
+    depth = len(levels)
+    # a shallow vector goes where d is nonzero, if d is nonzero anywhere
+    p, k = rng.randrange(depth), rng.choice(
+        sorted(c._differentials) if kind == "shallow" and c._differentials else c.degrees())
+    n = c.dim(k)
+    basis = levels[p].get(k, RationalMatrix.zeros(n, 0))
+    vector = RationalMatrix.from_columns([[rng.randint(-2, 2) for _ in range(n)]], n)
+    if kind == "swap" and depth > 1:
+        q = rng.choice([q for q in range(depth) if q != p])
+        levels[p], levels[q] = levels[q], levels[p]
+    elif kind == "drop" and basis.cols:
+        j = rng.randrange(basis.cols)
+        levels[p][k] = basis.submatrix_columns([i for i in range(basis.cols) if i != j])
+    elif kind == "copy":
+        other = levels[rng.randrange(depth)].get(k, RationalMatrix.zeros(n, 0))
+        if other.cols:
+            levels[p][k] = basis.hstack(other.submatrix_columns([rng.randrange(other.cols)]))
+    elif kind == "vector":
+        levels[p][k] = basis.hstack(vector)
+    elif kind == "shrink" and n:
+        levels[0][k] = RationalMatrix.identity(n).submatrix_columns(
+            sorted(rng.sample(range(n), rng.randrange(n))))
+    elif kind == "ambient":
+        levels[p][k] = RationalMatrix.zeros(n + rng.choice([-1, 1]) if n else 1, basis.cols)
+    elif kind == "omit":
+        levels[p].pop(k, None)
+    elif kind == "shallow" and depth >= 3 and k + 1 in c.dims:
+        image = c.differential(k) * vector
+        p_dv = rng.randrange(depth - 2)
+        p_v = rng.randint(p_dv + 2, depth - 1)
+        for q in range(1, p_v + 1):
+            levels[q][k] = levels[q].get(k, RationalMatrix.zeros(n, 0)).hstack(vector)
+        for q in range(1, p_dv + 1):
+            levels[q][k + 1] = levels[q].get(
+                k + 1, RationalMatrix.zeros(c.dim(k + 1), 0)).hstack(image)
+    return levels
 
 
 # --- complexes -----------------------------------------------------------------------

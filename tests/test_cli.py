@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,26 @@ def test_trop_ss_thresholds_without_entries_is_malformed_input(thresholds, capsy
                           "--thresholds", thresholds], capsys)
     assert code == 2
     assert "/thresholds" in err and out == ""
+
+
+@pytest.mark.parametrize("thresholds, cap, expected", [
+    (["--thresholds", "0,1,2"], "6", 0), (["--thresholds", "0,1,2"], "5", 1),
+    ([], "5", 0), ([], "4", 1),  # the default thresholds are the two cell weights
+])
+def test_trop_ss_pages_charged_against_cap(thresholds, cap, expected, tmp_path, capsys,
+                                           monkeypatch):
+    # t thresholds make t + 1 levels and pages 0 .. t + 2
+    monkeypatch.setenv("LHL_MAX_DIM", cap)
+    code, doc, _ = run_json(["trop-ss", "--complex", str(FIXTURES / "ex42.json"),
+                             "--weights", str(FIXTURES / "ex42_cell_weights.json")]
+                            + thresholds, tmp_path)
+    err = capsys.readouterr().err
+    assert code == expected
+    if expected:
+        assert f"trop-ss pages needs dimension {int(cap) + 1}" in err
+        assert f"LHL_MAX_DIM cap of {cap}" in err and doc is None
+    else:
+        assert len(doc["result"]["pages"]) == int(cap)
 
 
 # --- toric --------------------------------------------------------------------------
@@ -438,3 +459,23 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "H^1 = 1" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral-sequence", "--in", str(FIXTURES / "circle_complex.json")],
+    ["trop-ss", "--complex", str(FIXTURES / "ex42.json"),
+     "--weights", str(FIXTURES / "ex42_cell_weights.json")],
+])
+def test_report_bytes_do_not_depend_on_hash_seed(argv, tmp_path):
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"report-{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "loghodgelab.cli", *argv, "--format", "json", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -24,8 +24,9 @@ from loghodgelab.jsonio import build_filtered, load_generic_complex
 from loghodgelab.linalg import RationalMatrix
 
 import ss_oracle
-from helpers import (counting_fractions, random_chain_map, random_complex, stupid_filtration,
-                     trivial_filtration, zero_chain_map)
+from helpers import (counting_fractions, mutated_filtration_levels, random_chain_map,
+                     random_complex, random_filtration_levels, reference_filtration_levels,
+                     stupid_filtration, trivial_filtration, zero_chain_map)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -183,6 +184,36 @@ def test_filtration_must_be_subcomplex():
            {0: RationalMatrix.identity(1), 1: RationalMatrix.zeros(1, 0)}]
     with pytest.raises(FiltrationError):
         FilteredComplex(c, bad)
+
+
+def test_filtration_checks_agree_with_one_elimination_per_check():
+    """The per-degree pivot passes of `FilteredComplex` against the checks
+    they replaced (`helpers.reference_filtration_levels`), on seeded
+    filtrations with zero to three mutations each: the same `FiltrationError`
+    message or none, and when none, the same level bases and the pages of
+    the subquotient engine."""
+    rng = random.Random(208)
+    seen = {}
+    for _ in range(800):
+        c = random_complex(rng, 8)
+        levels = random_filtration_levels(rng, c, rng.randint(1, 5))
+        for _ in range(rng.randint(0, 3)):
+            levels = mutated_filtration_levels(rng, c, levels)
+        try:
+            expected = reference_filtration_levels(c, levels)
+        except FiltrationError as exc:
+            with pytest.raises(FiltrationError) as raised:
+                FilteredComplex(c, levels)
+            assert str(raised.value) == str(exc)
+            kind = " ".join(w for w in str(exc).split() if not any(ch.isdigit() for ch in w))
+            seen[kind] = seen.get(kind, 0) + 1
+            continue
+        fc = FilteredComplex(c, levels)
+        assert fc.levels == expected
+        assert [page.to_json_dict() for page in spectral_sequence(fc)] == \
+               [page.to_json_dict() for page in ss_oracle.spectral_sequence(fc)]
+        seen["accepted"] = seen.get("accepted", 0) + 1
+    assert len(seen) == 5 and min(seen.values()) >= 30  # every message, and acceptance
 
 
 def test_trivial_filtration_gives_cohomology_at_e1():

@@ -12,6 +12,7 @@ import pytest
 
 from loghodgelab import complexes, jsonio, linalg, trop
 from loghodgelab.complexes import (
+    FilteredComplex,
     degeneration_check,
     spectral_sequence,
 )
@@ -19,7 +20,7 @@ from loghodgelab.conecx import build_cone_complex
 from loghodgelab.linalg import RationalMatrix, rank
 
 import ss_oracle
-from helpers import random_complex, random_filtration, random_matrix
+from helpers import random_complex, random_filtration, random_filtration_levels, random_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -115,18 +116,19 @@ def test_persistence_pairs_match_fraction_column_reduction():
 
 def test_elimination_count_pinned(monkeypatch):
     """C = Q^3 -> Q -> Q^2 -> Q^3 in degrees 1..4 with d_1, d_3 nonzero and a
-    depth-4 filtration whose first nonzero differential is d_2.  The
-    reduction takes 10 eliminations for ranks, kernels and pivots: 6
-    adapted-basis extensions (one per level that grows), 2 inverses (one per
-    target of a nonzero d) and the 2 ranks of the E_infinity check (one per
-    nonzero d; a zero d has rank 0 without an elimination); and one
-    `leading_columns` call per nonzero d, which is the persistence pairing.
-    The subquotient engine takes 584 eliminations and no pairing."""
+    depth-4 filtration whose first nonzero differential is d_2.  Checking the
+    filtration and reducing it take 24 eliminations for ranks, kernels and
+    pivots: 20 pivot passes (depth + 1 = 5 per degree, one per level and one
+    for exhaustiveness), 2 inverses (one per target of a nonzero d) and the 2
+    ranks of the E_infinity check (one per nonzero d; a zero d has rank 0
+    without an elimination); and one `leading_columns` call per nonzero d,
+    which is the persistence pairing.  The subquotient engine takes 584
+    eliminations and no pairing on the checked filtration."""
     rng = random.Random(931)
     c = random_complex(rng, 10)
-    fc = random_filtration(rng, c, 4)
+    levels = random_filtration_levels(rng, c, 4)
     assert c.dims == {1: 3, 2: 1, 3: 2, 4: 3}
-    assert degeneration_check(spectral_sequence(fc)) == (False, 2)
+    assert degeneration_check(spectral_sequence(FilteredComplex(c, levels))) == (False, 2)
     eliminations, pairings = [], []
     echelon, leading_columns = linalg._echelon, linalg.leading_columns
 
@@ -140,8 +142,9 @@ def test_elimination_count_pinned(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon", counted_echelon)
     monkeypatch.setattr(complexes, "leading_columns", counted_leading_columns)
+    fc = FilteredComplex(c, levels)
     spectral_sequence(fc)
-    assert (len(eliminations) - len(pairings), len(pairings)) == (10, 2)
+    assert (len(eliminations) - len(pairings), len(pairings)) == (24, 2)
     eliminations.clear()
     pairings.clear()
     ss_oracle.spectral_sequence(fc)
