@@ -364,10 +364,11 @@ def cmd_local_cohomology(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    from .monodromy import jordan_type, stratum_weight, weight_filtration
+    from .monodromy import NilpotentOperator, jordan_type, stratum_weight, weight_filtration
     doc, meta = _read_json(args.infile, "in")
-    operator = jsonio.load_nilpotent(doc)
-    _check_cap(operator.dimension, "monodromy operator")
+    matrix = jsonio.load_nilpotent_matrix(doc)
+    _check_cap(matrix.rows, "monodromy operator")   # before any power of N is formed
+    operator = NilpotentOperator(matrix)
     filtration = weight_filtration(operator, args.center)
     partition = jordan_type(operator)
     weight = stratum_weight(operator)

@@ -19,7 +19,6 @@ if TYPE_CHECKING:
     from .complexes import CochainComplex, FilteredComplex
     from .conecx import IntersectionData
     from .linalg import RationalMatrix
-    from .monodromy import NilpotentOperator
     from .toric import Fan, QDivisor
     from .trop import CellWeights
     from .weights import WeightFunction
@@ -189,9 +188,9 @@ def load_divisor(doc: Any, fan: Fan, pointer: str = "") -> QDivisor:
 # --- nilpotent operators --------------------------------------------------------------
 
 
-def load_nilpotent(doc: Any, pointer: str = "") -> NilpotentOperator:
+def load_nilpotent_matrix(doc: Any, pointer: str = "") -> RationalMatrix:
+    """The square matrix of a nilpotent-operator document, before any power is formed."""
     from .linalg import RationalMatrix
-    from .monodromy import NilpotentOperator
     _expect_keys(doc, pointer, {"matrix"})
     raw = doc["matrix"]
     _expect(isinstance(raw, list) and raw, f"{pointer}/matrix", "expected a nonempty list of rows")
@@ -202,7 +201,7 @@ def load_nilpotent(doc: Any, pointer: str = "") -> NilpotentOperator:
                 f"expected a row of length {n} (square matrix)")
         for j, v in enumerate(row):
             entries[(i, j)] = parse_rational(v, f"{pointer}/matrix/{i}/{j}")
-    return NilpotentOperator(RationalMatrix(n, n, entries))
+    return RationalMatrix(n, n, entries)
 
 
 # --- generic complexes ------------------------------------------------------------------

@@ -1,24 +1,20 @@
 """Nilpotent operators: Jordan type, the centered weight filtration, and the
 stratum weight read off from the Jordan block sizes.
 
-The filtration is built from an explicit Jordan basis (a chain v, Nv, ...,
-N^{s-1}v of length s contributes the weights k+s-1, k+s-3, ..., k-s+1) and
-then re-verified: W must be an increasing, exhaustive filtration
-(W_{l-1} ⊆ W_l, and W_{k+dim} is the whole space, which also catches
-dependent Jordan chains) satisfying its two defining axioms:
+The filtration W centered at k is the unique increasing, exhaustive
+filtration with its two defining axioms:
 
     N . W_l  is contained in  W_{l-2},        and
-    N^l : Gr_{k+l} -> Gr_{k-l}  is an isomorphism for every l >= 0.
+    N^l : Gr_{k+l} -> Gr_{k-l}  is an isomorphism for every l >= 0,
 
-The axioms determine the filtration uniquely, which the test suite confirms
-by exhaustion in small dimension.  The Jordan basis is one integer-row
-matrix built by matrix products, each W_l is a slice of its columns, and each
-image N^l W_j is one product.  Each power of N is eliminated once, for its
-kernel, and its rank is read off that kernel.  The check makes one
-elimination per run of equal levels, which yields the rank of the level,
-the containments W_{l-1} ⊆ W_l and N W_j ⊆ W_{j-2} into it, and the rank
-of the isomorphism N^l : Gr_{k+l} -> Gr_{k-l} below it; a check that an
-earlier one implies is not made again.
+which the test suite confirms by exhaustion in small dimension.  It is built
+from an explicit Jordan basis B (a chain v, Nv, ..., N^{s-1}v of length s
+contributes the weights k+s-1, k+s-3, ..., k-s+1): W_l is the slice of B's
+columns of weight <= l, certified by B itself (`_certified_levels`: one
+elimination and one product) rather than by `verify_weight_axioms`, which
+checks the axioms of any filtration.  Each power N^j and each chain vector
+N^i v is one product; each N^j with 0 < j < index is eliminated once for its
+kernel, and the ranks of the powers are read off the kernels.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .linalg import RationalMatrix, extend_basis, kernel_basis, pivot_columns
+from .linalg import RationalMatrix, extend_basis, kernel_basis, pivot_columns, rank
 
 
 class MonodromyError(ValueError):
@@ -44,14 +40,11 @@ class NilpotentOperator:
             raise MonodromyError("nilpotent operator must be square")
         self.matrix = matrix
         self.dimension = matrix.rows
-        power = RationalMatrix.identity(self.dimension)
-        self._powers = [power]
-        for _ in range(self.dimension):
-            power = matrix * power
-            self._powers.append(power)
-            if power.is_zero():
-                break
-        if not self._powers[-1].is_zero() and self.dimension > 0:
+        # N^0 = I, then N itself unless dim = 0, where I = 0 already
+        self._powers = [RationalMatrix.identity(self.dimension), matrix][:self.dimension + 1]
+        while not self._powers[-1].is_zero() and len(self._powers) <= self.dimension:
+            self._powers.append(matrix * self._powers[-1])
+        if not self._powers[-1].is_zero():
             raise MonodromyError("matrix is not nilpotent")
         self.index = len(self._powers) - 1   # smallest m with N^m = 0
 
@@ -62,8 +55,12 @@ class NilpotentOperator:
 
     @cached_property
     def kernels(self) -> tuple[RationalMatrix, ...]:
-        """A basis of ker(N^j) for j = 0 .. index, one elimination each."""
-        return tuple(kernel_basis(p) for p in self._powers)
+        """A basis of ker(N^j) for j = 0 .. index: no columns at j = 0, the
+        identity at j = index, and one elimination for each j between."""
+        known = {0: RationalMatrix.zeros(self.dimension, 0),
+                 self.index: RationalMatrix.identity(self.dimension)}
+        return tuple(known[j] if j in known else kernel_basis(p)
+                     for j, p in enumerate(self._powers))
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -96,30 +93,29 @@ def jordan_chains(n: NilpotentOperator) -> tuple[RationalMatrix, list[list[int]]
     """Jordan basis, built deterministically from kernel bases of the
     powers: one matrix, and the columns [v, Nv, ..., N^{s-1}v] of each chain."""
     kernels = n.kernels
-    tops: list[tuple[RationalMatrix, int]] = []   # (top vectors of the chains, size)
+    groups: list[list[RationalMatrix]] = []   # [V, NV, ..., N^{s-1}V] for new tops V
     for s in range(n.index, 0, -1):
-        # tops of longer chains contribute N^{t-s} v inside ker(N^s)
-        base = kernels[s - 1].hstack(*(n.power(t - s) * top for top, t in tops))
+        # the chains of length t > s contribute N^{t-s} v inside ker(N^s)
+        base = kernels[s - 1].hstack(*(g[len(g) - s] for g in groups))
         new_top_cols = extend_basis(base, kernels[s])
         if new_top_cols:
-            tops.append((kernels[s].submatrix_columns(new_top_cols), s))
+            groups.append([kernels[s].submatrix_columns(new_top_cols)])
+            for _ in range(s - 1):
+                groups[-1].append(n.matrix * groups[-1][-1])
     blocks, chains = [], []
-    for top, s in tops:
-        start = sum(b.cols for b in blocks)
-        blocks += [n.power(i) * top for i in range(s)]
-        chains += [[start + i * top.cols + j for i in range(s)] for j in range(top.cols)]
-    basis = RationalMatrix.zeros(n.dimension, 0).hstack(*blocks)
-    if basis.cols != n.dimension:
-        raise MonodromyError("internal: Jordan basis has wrong cardinality")
-    return basis, chains
+    for g in groups:
+        start, width = sum(b.cols for b in blocks), g[0].cols
+        blocks += g
+        chains += [[start + i * width + j for i in range(len(g))] for j in range(width)]
+    return RationalMatrix.zeros(n.dimension, 0).hstack(*blocks), chains
 
 
 @dataclass
 class WeightFiltration:
     """Increasing filtration W centered at ``center``; ``subspaces[l]`` spans W_l.
 
-    ``ranks[l]`` is dim W_l for each stored l, as `verify_weight_axioms`
-    finds it; `weight_filtration` fills it in."""
+    ``ranks[l]`` is dim W_l for each stored l, as `weight_filtration` reads
+    it off its certificate and `verify_weight_axioms` finds it."""
 
     center: int
     dimension: int
@@ -221,30 +217,51 @@ def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> dict[int,
     return ranks
 
 
+def _certified_levels(n: NilpotentOperator, basis: RationalMatrix, chains: list[list[int]],
+                      weights: dict[int, int], center: int) -> dict[int, int]:
+    """dim W_l for each stored l, W_l spanned by the columns of B = ``basis``
+    of weight <= l, once B certifies the axioms: its ``chains`` partition
+    its columns, it has rank dim, N B is B with each column replaced by the
+    next one in its chain or by 0 at a chain's end, the ``weights`` drop by 2
+    along each chain and its ends sum to 2 center, and dim Gr_{center+l} =
+    dim Gr_{center-l}.  Then N W_l ⊆ W_{l-2}, and N^l maps the columns of
+    weight center + l one to one onto those of weight center - l."""
+    dim = n.dimension
+    if basis.cols != dim or sorted(j for c in chains for j in c) != list(range(dim)):
+        raise MonodromyError("internal: the Jordan chains do not partition the basis")
+    if rank(basis) != dim:
+        raise MonodromyError(f"filtration not exhaustive: dim W_{center + dim} < {dim}")
+    following = {a: b for c in chains for a, b in zip(c, c[1:])}
+    shifted = [following.get(j, dim) for j in range(dim)]   # a chain's end: the 0 of [B | 0]
+    if n.matrix * basis != basis.hstack(RationalMatrix.zeros(dim, 1)).submatrix_columns(shifted):
+        raise MonodromyError("internal: N does not shift the Jordan chains")
+    if any(weights[c[0]] + weights[c[-1]] != 2 * center
+           or any(weights[a] - weights[b] != 2 for a, b in zip(c, c[1:])) for c in chains):
+        raise MonodromyError("internal: the weights are not centered Jordan chain weights")
+    ordered = sorted(weights.values())
+    counts = {l: bisect_right(ordered, l) for l in range(center - dim, center + dim + 1)}
+    graded = _graded_dims(counts)
+    if any(graded.get(center + l, 0) != graded.get(center - l, 0) for l in range(1, dim + 1)):
+        raise MonodromyError("internal: the graded dimensions are not symmetric")
+    return counts
+
+
 def weight_filtration(n: NilpotentOperator, center: int = 0) -> WeightFiltration:
     """The unique filtration with the two weight axioms, centered at ``center``.
 
     A Jordan chain of size s places N^i v in weight center + (s-1) - 2i.
     With the Jordan basis sorted by weight, W_l is the slice of its columns
-    of weight <= l.  The result is checked against the axioms before being
+    of weight <= l.  The basis certifies the axioms before the result is
     returned.
     """
     dim = n.dimension
     basis, chains = jordan_chains(n)
-    weights = [0] * dim
-    for chain in chains:
-        for i, j in enumerate(chain):
-            weights[j] = center + (len(chain) - 1) - 2 * i
-    order = sorted(range(dim), key=weights.__getitem__)
-    basis = basis.submatrix_columns(order)
-    weights.sort()
-    # a Jordan basis is independent, so these columns are a basis of W_l;
-    # the exhaustive check fails if they are not
-    counts = {l: bisect_right(weights, l) for l in range(center - dim, center + dim + 1)}
+    weights = {j: center + (len(chain) - 1) - 2 * i
+               for chain in chains for i, j in enumerate(chain)}
+    counts = _certified_levels(n, basis, chains, weights, center)
+    basis = basis.submatrix_columns(sorted(range(dim), key=weights.__getitem__))
     slices = {c: basis.submatrix_columns(range(c)) for c in set(counts.values())}
-    filtration = WeightFiltration(center, dim, {l: slices[c] for l, c in counts.items()})
-    filtration.ranks = verify_weight_axioms(n, filtration)
-    return filtration
+    return WeightFiltration(center, dim, {l: slices[c] for l, c in counts.items()}, counts)
 
 
 def stratum_weight(n: NilpotentOperator) -> Fraction:

@@ -287,6 +287,48 @@ def test_monodromy_report(tmp_path):
     assert graded == {"-2": 1, "0": 2, "2": 1}
 
 
+@pytest.mark.parametrize("golden, fixture, center", [
+    ("monodromy_3plus1_c0.json", "nilpotent_3plus1.json", "0"),
+    ("monodromy_nine_by_nine_c2.json", "nilpotent_nine_by_nine.json", "2"),
+])
+def test_monodromy_golden_reports(tmp_path, golden, fixture, center):
+    code, _, out = run_json(
+        ["monodromy", "--in", str(FIXTURES / fixture), "--center", center], tmp_path)
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_nine_by_nine_fixture_is_the_test_operator():
+    from loghodgelab.jsonio import load_nilpotent_matrix
+    from test_monodromy import nine_by_nine
+    doc = json.loads((FIXTURES / "nilpotent_nine_by_nine.json").read_text())
+    assert load_nilpotent_matrix(doc) == nine_by_nine().matrix
+
+
+@pytest.mark.parametrize("matrix", [
+    [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+    # over the cap and not nilpotent: the cap is charged first
+    [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+])
+def test_monodromy_cap_is_charged_before_any_power(matrix, tmp_path, capsys, monkeypatch):
+    from loghodgelab.linalg import RationalMatrix
+    products = []
+    multiply = RationalMatrix.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return multiply(a, b)
+
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps({"matrix": matrix}))
+    monkeypatch.setenv("LHL_MAX_DIM", "2")
+    monkeypatch.setattr(RationalMatrix, "__mul__", counted)
+    code, out, err = run(["monodromy", "--in", str(bad)], capsys)
+    assert code == 1 and out == ""
+    assert "monodromy operator needs dimension 3, above the LHL_MAX_DIM cap of 2" in err
+    assert products == []
+
+
 def test_monodromy_rejects_non_nilpotent(tmp_path, capsys):
     bad = tmp_path / "m.json"
     bad.write_text(json.dumps({"matrix": [["1", "0"], ["0", "1"]]}))

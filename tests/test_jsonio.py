@@ -8,7 +8,7 @@ from loghodgelab.jsonio import (
     load_fan,
     load_generic_complex,
     load_intersection_data,
-    load_nilpotent,
+    load_nilpotent_matrix,
     load_weights,
     parse_rational,
 )
@@ -89,7 +89,7 @@ def test_fan_loading_errors_carry_pointers():
 
 def test_nilpotent_requires_square_matrix():
     with pytest.raises(SchemaError) as info:
-        load_nilpotent({"matrix": [["0", "1"]]})
+        load_nilpotent_matrix({"matrix": [["0", "1"]]})
     assert "/matrix/0" in str(info.value)
 
 

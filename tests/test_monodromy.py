@@ -10,6 +10,7 @@ from loghodgelab.linalg import (
     RationalMatrix,
     column_space_basis,
     contains_space,
+    kernel_basis,
     rank,
     spaces_equal,
     sum_spaces,
@@ -18,6 +19,7 @@ from loghodgelab.monodromy import (
     MonodromyError,
     NilpotentOperator,
     WeightFiltration,
+    _certified_levels,
     jordan_chains,
     jordan_type,
     stratum_weight,
@@ -270,29 +272,38 @@ def nine_by_nine() -> NilpotentOperator:
 
 
 def test_each_rank_computed_once(monkeypatch):
-    """weight_filtration, jordan_type and stratum_weight on a fixed 9 x 9
-    operator: each power of N is eliminated exactly once, for its kernel,
-    and each run of equal levels of W at most once, however often the report
-    reads the ranks."""
-    n = nine_by_nine()
-    eliminations = []
-    echelon = linalg._echelon
+    """NilpotentOperator, weight_filtration, jordan_type and stratum_weight
+    on a fixed 9 x 9 operator: each power of N strictly between N^0 = I and
+    N^index = 0 is eliminated exactly once, for its kernel, and the basis is
+    eliminated once, for its rank, however often the report reads the ranks.
+    Each power and each chain vector is one product, and N B one more."""
+    matrix = nine_by_nine().matrix
+    eliminations, products = [], []
+    echelon, multiply = linalg._echelon, RationalMatrix.__mul__
 
     def counted_echelon(rows):
         eliminations.append([dict(r) for r in rows])
         return echelon(rows)
 
+    def counted_multiply(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return multiply(a, b)
+
     monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(RationalMatrix, "__mul__", counted_multiply)
+    n = NilpotentOperator(matrix)
     w = weight_filtration(n, 0)
     assert jordan_type(n) == (4, 3, 2) and stratum_weight(n) == 4
-    # 5 powers, 4 chain extensions and one for each of the 8 runs of levels
-    assert len(eliminations) == 17
+    # 3 kernels, 4 chain extensions and the rank of the Jordan basis
+    assert len(eliminations) == 8
     powers = [linalg._integer_rows(n.power(j)) for j in range(n.index + 1)]
-    assert [eliminations.count(p) for p in powers] == [1] * 5
+    assert [eliminations.count(p) for p in powers] == [0, 1, 1, 1, 0]
+    # N^2, N^3, N^4; 3 + 2 + 1 chain vectors below the tops; N B
+    assert len(products) == 10
     for _ in range(3):
         w.to_json_dict()
         jordan_type(n)
-    assert len(eliminations) == 17
+    assert (len(eliminations), len(products)) == (8, 10)
 
 
 def test_weight_filtration_makes_no_fraction():
@@ -301,6 +312,103 @@ def test_weight_filtration_makes_no_fraction():
         w = weight_filtration(n, 0)
     assert not made
     assert w.graded_dims() == {-3: 1, -2: 1, -1: 2, 0: 1, 1: 2, 2: 1, 3: 1}
+
+
+def test_powers_and_kernels_of_the_smallest_operators():
+    empty = NilpotentOperator(RationalMatrix.zeros(0, 0))
+    assert (empty.index, empty.ranks, jordan_type(empty)) == (0, (0,), ())
+    assert empty.kernels == (RationalMatrix.zeros(0, 0),)
+    zero = NilpotentOperator(RationalMatrix.zeros(3, 3))
+    assert (zero.index, zero.ranks) == (1, (3, 0))
+    assert zero.kernels == (RationalMatrix.zeros(3, 0), RationalMatrix.identity(3))
+    with pytest.raises(MonodromyError, match="not nilpotent"):
+        NilpotentOperator(RationalMatrix.from_rows([[1]]))
+    assert weight_filtration(empty, 2).to_json_dict() == {
+        "center": 2, "dimension": 0, "level_dims": {"2": 0}, "graded_dims": {}}
+
+
+def test_known_kernels_are_those_an_elimination_finds():
+    rng = random.Random(509)
+    for _ in range(40):
+        n = conjugated_nilpotent(rng, rng.randint(1, 6))
+        assert n.kernels == tuple(kernel_basis(n.power(j)) for j in range(n.index + 1))
+        assert n.power(n.index) == RationalMatrix.zeros(n.dimension, n.dimension)
+
+
+# --- the certificate of the Jordan basis ------------------------------------------------
+
+
+def chain_weights(chains, center):
+    return {j: center + len(chain) - 1 - 2 * i for chain in chains for i, j in enumerate(chain)}
+
+
+def certify(n, basis, chains, center=0, weights=None):
+    if weights is None:
+        weights = chain_weights(chains, center)
+    return _certified_levels(n, basis, chains, weights, center)
+
+
+def test_certificate_accepts_every_built_basis_and_agrees_with_the_axioms():
+    """On 300 seeded operators of dimension 1-9, conjugated by true
+    fractions or strictly upper triangular, `verify_weight_axioms` accepts
+    every certified filtration and finds the same level ranks."""
+    rng = random.Random(510)
+    types = set()
+    for _ in range(300):
+        dim = rng.randint(1, 9)
+        n = (conjugated_nilpotent if rng.random() < 0.5 else random_nilpotent)(rng, dim)
+        w = weight_filtration(n, rng.randint(-3, 3))
+        assert verify_weight_axioms(n, w) == w.ranks
+        types.add(jordan_type(n))
+    assert len(types) > 40
+
+
+def corrupted_bases(n):
+    """(name, basis, chains, weights) of the Jordan basis of nine_by_nine(),
+    chains [[0, 1, 2, 3], [4, 5, 6], [7, 8]], each corrupted in one way;
+    weights None are the chains' own labels."""
+    basis, chains = jordan_chains(n)
+    assert chains == [[0, 1, 2, 3], [4, 5, 6], [7, 8]]
+    col = [basis.submatrix_columns([j]) for j in range(9)]
+
+    def of(columns):
+        return columns[0].hstack(*columns[1:])
+
+    def chain_from(top, length):
+        out = [top]
+        for _ in range(length - 1):
+            out.append(n.matrix * out[-1])
+        return out
+
+    own = chain_weights(chains, 0)
+    return [
+        # independent columns, centered labels, symmetric Gr: only N (Nv) =
+        # N^2 v != 0 at the new chain end shows the cut
+        ("chain too short", basis, [[0, 1, 2, 3], [4, 5], [6], [7, 8]], None),
+        ("chain too long", of(col[:7] + [n.matrix * col[6], col[8]]),
+         [[0, 1, 2, 3], [4, 5, 6, 7], [8]], None),
+        ("one label off by one", basis, chains, {**own, 5: own[5] + 1}),
+        ("a chain's labels off by one", basis, chains,
+         {j: w + (4 <= j <= 6) for j, w in own.items()}),
+        ("every label off by one", basis, chains, {j: w + 1 for j, w in own.items()}),
+        ("top from a larger kernel",
+         of(col[:4] + chain_from(col[4] + col[0], 3) + col[7:]), chains, None),
+        ("top from a smaller kernel",
+         of(col[:4] + chain_from(col[5], 3) + col[7:]), chains, None),
+        ("two chains merged", basis, [[0, 1, 2, 3], [4, 5, 6, 7, 8]], None),
+        ("column dropped", of(col[:8]), [[0, 1, 2, 3], [4, 5, 6], [7]], None),
+        ("chains overlap", basis, [[0, 1, 2, 3], [4, 5, 6], [6, 8]], None),
+    ]
+
+
+def test_certificate_rejects_corrupted_bases():
+    n = nine_by_nine()
+    basis, chains = jordan_chains(n)
+    assert certify(n, basis, chains) == weight_filtration(n, 0).ranks
+    for name, bad_basis, bad_chains, weights in corrupted_bases(n):
+        with pytest.raises(MonodromyError):
+            certify(n, bad_basis, bad_chains, weights=weights)
+            pytest.fail(f"certificate accepts a basis with its {name}")
 
 
 def test_weight_filtration_center_shift():
@@ -329,7 +437,6 @@ def test_conjugation_equivariance():
 
 def enumerate_filtration_lattice(n: NilpotentOperator):
     """All sums of subspaces ker(N^a) ∩ im(N^b), deduplicated by rank tests."""
-    from loghodgelab.linalg import kernel_basis
     from ss_oracle import intersect_spaces
 
     dim = n.dimension

@@ -20,6 +20,7 @@ FIXTURE_SCHEMA = {
     "ex42.json": "intersection-data.schema.json",
     "ex42_cell_weights.json": "weights.schema.json",
     "nilpotent_3plus1.json": "nilpotent-operator.schema.json",
+    "nilpotent_nine_by_nine.json": "nilpotent-operator.schema.json",
     "p1_fan.json": "fan.schema.json",
     "p2_canonical_divisor.json": "divisor.schema.json",
     "p2_double_cover_fan.json": "fan.schema.json",
