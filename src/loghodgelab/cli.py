@@ -92,6 +92,10 @@ def _emit(args, command: str, result: dict, inputs: dict, options: dict,
             fd, tmp = tempfile.mkstemp(dir=str(out.parent) or ".", prefix=out.name)
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
+            # mkstemp makes the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, out)
         except OSError as exc:
             raise SchemaError("/out", f"cannot write {args.out}: {exc.strerror}") from None

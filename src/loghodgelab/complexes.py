@@ -342,13 +342,6 @@ def long_exact_sequence(f: ChainMap) -> LongExactSequenceReport:
 # ---------------------------------------------------------------------------
 
 
-def _inverse(b: RationalMatrix) -> RationalMatrix:
-    """B^-1 of an invertible B: the kernel basis of [B | -I] is (B^-1; I),
-    one column per free column n + i."""
-    n = b.cols
-    return kernel_basis(b.hstack(-RationalMatrix.identity(n))).submatrix_rows(range(n))
-
-
 class FilteredComplex:
     """Decreasing filtration F^0 ⊇ F^1 ⊇ ... ⊇ F^{P-1} by explicit subspace bases.
 
@@ -398,8 +391,12 @@ class FilteredComplex:
         if not_nested:
             p, k = min(not_nested)
             raise FiltrationError(f"levels not nested at level {p}, degree {k}")
-        self.adapted_differentials = {k: _inverse(adapted[k + 1]) * d * adapted[k]
-                                      for k, d in sorted(c._differentials.items())}
+        # B_{k+1} is invertible, so the kernel basis of [B_{k+1} | -d_k B_k]
+        # is (X_k; I), one column per free column dim C^{k+1} + j
+        self.adapted_differentials = {
+            k: kernel_basis(adapted[k + 1].hstack(-(d * adapted[k])))
+            .submatrix_rows(range(c.dim(k + 1)))
+            for k, d in sorted(c._differentials.items())}
         level = self.basis_levels
         not_closed = [(level[k + 1][i] + 1, k) for k, x in self.adapted_differentials.items()
                       for i, j in x.entries if level[k + 1][i] < level[k][j]]

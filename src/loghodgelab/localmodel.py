@@ -20,12 +20,12 @@ assembling, over the nerve of the boundary components, the local cohomology
 supported on each partial intersection (a Cech / Mayer-Vietoris total
 complex); agreement of the two routes is recorded in the report.
 
-The Laurent blocks and the Mayer-Vietoris complexes come from
+The form blocks, their quotients and the Mayer-Vietoris complexes come from
 ``complexes._total_complex``, the builder of every complex on a keyed basis:
 basis keys by degree plus a direction rule listing the signed arrows out of a
 key.  The form rule sends S to S u {j} with sign * a_j, the Cech rule sends a
 localization T <= I to T u {j}; total complexes compose them with the usual
-signs.  The direct cone is ``complexes.mapping_cone`` of ``block_inclusion``.
+signs.
 
 Blocks are computed once per sign class.  At a reliable multidegree mu the
 form arrow from S to S u {j} carries sign(S, j) * mu_j (the exponent a_j is
@@ -35,7 +35,7 @@ sign(S, j) alone.  Basis membership depends only on the signs of the mu_i:
 the lower bounds compare a_i with 0 or 1, and a_i = mu_i - [i in S] for
 i > r, while |a_i| <= window holds throughout a reliable block.  The Cech,
 nerve and inclusion arrows keep S, so the rescaling leaves them unchanged.
-Every block at mu (form, cone, Cech, Mayer-Vietoris) is therefore
+Every block at mu (form, quotient, Cech, Mayer-Vietoris) is therefore
 diagonally conjugate to the block at sign(mu), whose entries lie in
 {-1, 0, 1}; sign(mu) is itself a reliable Laurent multidegree for every
 window >= 1.  ``obstruction_cone`` and ``assemble_stalk`` enumerate the
@@ -44,22 +44,27 @@ signs), so totals are size times the class's dimensions, and they list the
 multidegrees of a class only where its cohomology is nonzero; their work
 does not grow with the window.
 
-Within a class each block is built once.  The flavor block is the Laurent
-block's differential restricted to the flavor's keys, which are a subset of
-the Laurent keys, and the inclusion is read off the same index.  The
-Mayer-Vietoris complex is built on Cech bases computed once per (T, p) and
-shared by every I containing T; the nerve arrows are the only ones that
-change I, so the rows and columns of I's keys hold I's own Cech total
-complex, shifted in degree by |I| - 1.
+Within a class each complex is built once, from its own keys.  The flavor's
+keys are a subset of the Laurent keys and span a subcomplex, so the cone of
+the inclusion is quasi-isomorphic to the quotient (Weibel, An Introduction
+to Homological Algebra, 1.5): the form differential on the Laurent keys
+outside the flavor, whose arrows into the flavor the builder drops.  That
+the flavor keys span a subcomplex is checked on the keys (no form arrow
+leaves them for another Laurent key), since the quotient alone would not
+notice a flavor rule that d does not preserve.  The Mayer-Vietoris keys are
+built on Cech bases computed once per (T, p) and shared by every I
+containing T; the nerve arrows are the only ones that change I, so I's own
+Cech total complex is the builder on I's keys with the same arrow rule,
+shifted in degree by |I| - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby, product
-from typing import Iterator, Optional, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterator, Optional, Sequence
 
-from .complexes import ChainMap, CochainComplex, _total_complex, cohomology_dims, mapping_cone
+from .complexes import ChainMap, CochainComplex, _total_complex, cohomology_dims
 from .linalg import RationalMatrix
 
 HOLOMORPHIC = "holomorphic"
@@ -183,25 +188,36 @@ def block_complex(model: LocalModel, flavor: str, mu: Mu) -> CochainComplex:
                           lambda s: _form_arrows(model, mu, s))
 
 
-def block_inclusion(model: LocalModel, source_flavor: str, mu: Mu) -> ChainMap:
-    """Inclusion of a flavor block into the Laurent block at the same mu.
+def _check_source(flavor: str) -> None:
+    if flavor not in (HOLOMORPHIC, LOGARITHMIC):
+        raise LocalModelError(f"source flavor must be holomorphic or logarithmic, got {flavor!r}")
 
-    The flavor's keys are a subset of the Laurent keys, so the flavor block
-    is the Laurent differential on the rows and columns of those keys, and
-    the inclusion is the identity's columns at them."""
-    if source_flavor not in (HOLOMORPHIC, LOGARITHMIC):
-        raise LocalModelError(f"source flavor must be holomorphic or logarithmic, "
-                              f"got {source_flavor!r}")
+
+def block_inclusion(model: LocalModel, source_flavor: str, mu: Mu) -> ChainMap:
+    """Inclusion of a flavor block into the Laurent block at the same mu: the
+    flavor's keys are a subset of the Laurent keys, so each component is the
+    identity's columns at them."""
+    _check_source(source_flavor)
     laurent = {p: block_basis(model, LAURENT, mu, p) for p in range(model.n + 1)}
-    tgt = _total_complex(laurent, lambda s: _form_arrows(model, mu, s))
-    kept = {p: [i for i, s in enumerate(keys)
-                if _flavor_allows(model, source_flavor, s, _exponent(model, s, mu))]
-            for p, keys in laurent.items()}
-    src = CochainComplex({p: len(rows) for p, rows in kept.items()},
-                         {p: tgt.differential(p).submatrix_rows(kept[p + 1])
-                             .submatrix_columns(kept[p]) for p in range(model.n)})
-    return ChainMap(src, tgt, {p: RationalMatrix.identity(tgt.dim(p)).submatrix_columns(rows)
-                               for p, rows in kept.items()})
+    return ChainMap(block_complex(model, source_flavor, mu), block_complex(model, LAURENT, mu),
+                    {p: RationalMatrix.identity(len(keys)).submatrix_columns(
+                        [keys.index(s) for s in block_basis(model, source_flavor, mu, p)])
+                     for p, keys in laurent.items()})
+
+
+def _quotient_block(model: LocalModel, source_flavor: str, mu: Mu) -> CochainComplex:
+    """The Laurent block at mu modulo the flavor block: the form differential
+    on the Laurent keys outside the flavor, once the flavor keys are checked
+    to span a subcomplex."""
+    laurent = [s for p in range(model.n + 1) for s in block_basis(model, LAURENT, mu, p)]
+    inside = {s for s in laurent
+              if _flavor_allows(model, source_flavor, s, _exponent(model, s, mu))}
+    outside = set(laurent) - inside
+    if any(t in outside for s in inside for t, _ in _form_arrows(model, mu, s)):
+        raise LocalModelError(f"the {source_flavor} block at {mu} is not a subcomplex "
+                              f"of the Laurent block")
+    return _total_complex({p: [s for s in outside if len(s) == p] for p in range(model.n + 1)},
+                          lambda s: _form_arrows(model, mu, s))
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +270,13 @@ def _tally(model: LocalModel, cls: Mu, size: int, dims: dict[int, int], shift: i
 
 
 def obstruction_cone(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:
-    """Cone of (flavor -> Laurent) blockwise, one cone per sign class; H dims
-    per degree and multidegree."""
+    """Cone of (flavor -> Laurent) blockwise, as the quotient block of each
+    sign class; H dims per degree and multidegree."""
+    _check_source(source_flavor)
     direct: dict[int, int] = {p: 0 for p in range(model.n + 1)}
     by_mu: dict[int, dict[Mu, int]] = {}
     for cls, size in _sign_classes(model):
-        dims = cohomology_dims(mapping_cone(block_inclusion(model, source_flavor, cls)))
+        dims = cohomology_dims(_quotient_block(model, source_flavor, cls))
         _tally(model, cls, size, dims, 0, direct, by_mu)
     return ObstructionStalkReport(model, source_flavor, direct, by_mu)
 
@@ -313,9 +330,9 @@ def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> 
     return dict.fromkeys(exponents, len(frames))
 
 
-def _mv_total_block(model: LocalModel, flavor: str,
-                    mu: Mu) -> tuple[dict[int, list[MVKey]], CochainComplex]:
-    """(keys by degree, sorted; complex): the total complex over the nerve of
+def _mv_total_block(model: LocalModel, flavor: str, mu: Mu) -> tuple[
+        dict[int, list[MVKey]], Callable[[MVKey], Iterator[tuple[MVKey, int]]]]:
+    """(keys by degree, direction rule) of the total complex over the nerve of
     the boundary components, on the Cech positions of every nonempty
     I <= {1..r}:
 
@@ -340,7 +357,6 @@ def _mv_total_block(model: LocalModel, flavor: str,
                                [(i2, _sign_insert(i2, j)) for i2, j in smaller])
             for s in frames[t]:
                 basis.setdefault(len(s) + len(t) - len(i_set) + 1, []).append((i_set, t, s))
-    basis = {k: sorted(keys) for k, keys in basis.items()}
 
     def arrows(key):
         i_set, t, s = key
@@ -355,57 +371,30 @@ def _mv_total_block(model: LocalModel, flavor: str,
         for i2, c in nerve:
             yield (i2, t, s), sign * c
 
-    return basis, _total_complex(basis, arrows)
-
-
-def _subset_blocks(basis: dict[int, list[MVKey]],
-                   total: CochainComplex) -> dict[Subset, CochainComplex]:
-    """Each I's totalized Cech complex, read off the Mayer-Vietoris complex
-    ``total`` on its sorted keys ``basis``: the keys of I are a contiguous
-    run in each degree, and since only the nerve arrows change I, the
-    differential on I's rows and columns is I's own.  Its degree |S| + |T|
-    is the total degree shifted by |I| - 1."""
-    runs: dict[Subset, dict[int, range]] = {}
-    for k, keys in basis.items():
-        start = 0
-        for i_set, group in groupby(keys, key=lambda key: key[0]):
-            end = start + sum(1 for _ in group)
-            runs.setdefault(i_set, {})[k] = range(start, end)
-            start = end
-    blocks = {}
-    for i_set, run in runs.items():
-        shift = len(i_set) - 1
-        lo, hi = min(run), max(run)
-        dims = {k + shift: len(run.get(k, ())) for k in range(lo, hi + 1)}
-        diffs = {k + shift: total.differential(k).submatrix_rows(run[k + 1])
-                 .submatrix_columns(run[k]) for k in range(lo, hi) if k in run and k + 1 in run}
-        blocks[i_set] = CochainComplex(dims, diffs)
-    return blocks
+    return basis, arrows
 
 
 def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:
     """Mayer-Vietoris assembly of the obstruction stalk, with the direct cone
     computed alongside and compared degree by degree and multidegree by
-    multidegree.  One total block per sign class, with every subset block
-    read off it."""
+    multidegree.  Per sign class, one total complex and one Cech complex per
+    subset I, each built on its own keys."""
     report = obstruction_cone(model, source_flavor)
-    if model.r == 0:
-        # no boundary: the nerve is empty and so is the obstruction
-        report.per_subset = {}
-        report.assembled = {p: 0 for p in range(model.n + 1)}
-        report.assembled_by_multidegree = {}
-        report.matches = report.assembled == report.direct
-        return report
-
     assembled: dict[int, int] = {p: 0 for p in range(model.n + 1)}
     assembled_by_mu: dict[int, dict[Mu, int]] = {}
     per_subset: dict[Subset, dict[int, int]] = {}
     for cls, size in _sign_classes(model):
-        basis, total = _mv_total_block(model, source_flavor, cls)
+        basis, arrows = _mv_total_block(model, source_flavor, cls)
         # cone degree p corresponds to assembled degree p + 1
-        _tally(model, cls, size, cohomology_dims(total), 1, assembled, assembled_by_mu)
-        for i_set, block in _subset_blocks(basis, total).items():
-            for k, dim in cohomology_dims(block).items():
+        _tally(model, cls, size, cohomology_dims(_total_complex(basis, arrows)), 1,
+               assembled, assembled_by_mu)
+        # I's keys in I's own degree |S| + |T|, the total degree plus |I| - 1
+        subsets: dict[Subset, dict[int, list[MVKey]]] = {}
+        for k, keys in basis.items():
+            for key in keys:
+                subsets.setdefault(key[0], {}).setdefault(k + len(key[0]) - 1, []).append(key)
+        for i_set, keys in subsets.items():
+            for k, dim in cohomology_dims(_total_complex(keys, arrows)).items():
                 if dim:
                     p = k - len(i_set)   # contribution H^{p + |I|} at degree p
                     slot = per_subset.setdefault(i_set, {})

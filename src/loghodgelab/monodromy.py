@@ -92,9 +92,11 @@ def jordan_type(n: NilpotentOperator) -> tuple[int, ...]:
 def jordan_chains(n: NilpotentOperator) -> tuple[RationalMatrix, list[list[int]]]:
     """Jordan basis, built deterministically from kernel bases of the
     powers: one matrix, and the columns [v, Nv, ..., N^{s-1}v] of each chain."""
-    kernels = n.kernels
+    kernels, ranks = n.kernels, n.ranks + (0,)
     groups: list[list[RationalMatrix]] = []   # [V, NV, ..., N^{s-1}V] for new tops V
     for s in range(n.index, 0, -1):
+        if ranks[s - 1] - 2 * ranks[s] + ranks[s + 1] == 0:
+            continue   # no chain has length exactly s (`jordan_type`)
         # the chains of length t > s contribute N^{t-s} v inside ker(N^s)
         base = kernels[s - 1].hstack(*(g[len(g) - s] for g in groups))
         new_top_cols = extend_basis(base, kernels[s])

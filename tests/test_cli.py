@@ -267,6 +267,8 @@ def test_local_cohomology_subset_must_be_integers(capsys):
     ("local_n2_r2_w2_s12_p1.json",
      ["local-cohomology", "--n", "2", "--r", "2", "--window", "2", "--subset", "1,2",
       "--form-degree", "1"]),
+    ("stalk_n3_r3_w1_holo.json",
+     ["obstruction-stalk", "--n", "3", "--r", "3", "--window", "1", "--flavor", "holo"]),
 ])
 def test_local_model_golden_reports(tmp_path, golden, argv):
     code, _, out = run_json(argv, tmp_path)
@@ -493,6 +495,20 @@ def test_unwritable_out_is_malformed_input(tmp_path, capsys):
         assert code == 2
         assert "/out" in err
     assert list(tmp_path.iterdir()) == [existing] and not any(existing.iterdir())
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_out_report_mode_follows_the_umask(tmp_path, umask, mode):
+    # as a shell redirect would create it: 0666 less the umask, also on a rewrite
+    out = tmp_path / "report.json"
+    previous = os.umask(umask)
+    try:
+        for _ in range(2):
+            assert main(["cone-complex", "--in", str(FIXTURES / "ex42.json"),
+                         "--out", str(out)]) == 0
+            assert out.stat().st_mode & 0o777 == mode
+    finally:
+        os.umask(previous)
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from loghodgelab import linalg, localmodel
+from loghodgelab import complexes, linalg, localmodel
 from loghodgelab.complexes import (_total_complex, cohomology_dims, degeneration_check,
                                    mapping_cone, spectral_sequence)
 from loghodgelab.localmodel import (
@@ -17,7 +17,6 @@ from loghodgelab.localmodel import (
     _mv_total_block,
     _sign_classes,
     _sign_insert,
-    _subset_blocks,
     assemble_stalk,
     block_complex,
     block_inclusion,
@@ -239,7 +238,9 @@ def test_nerve_restriction_entries():
         model = LocalModel(n, r, w)
         for flavor in (HOLOMORPHIC, LOGARITHMIC):
             for mu in mus:
-                keys, total = _mv_total_block(model, flavor, mu)
+                keys, arrows = _mv_total_block(model, flavor, mu)
+                keys = {k: sorted(v) for k, v in keys.items()}
+                total = _total_complex(keys, arrows)
                 arrows = 0
                 for k in keys:
                     if k + 1 not in keys:
@@ -272,7 +273,7 @@ def reference_stalk(model, flavor):
                 direct_by_mu.setdefault(p, {})[mu] = dim
         if model.r == 0:
             continue
-        for k, dim in cohomology_dims(_mv_total_block(model, flavor, mu)[1]).items():
+        for k, dim in cohomology_dims(_total_complex(*_mv_total_block(model, flavor, mu))).items():
             if dim:
                 assembled_by_mu.setdefault(k - 1, {})[mu] = dim
         for size in range(1, model.r + 1):
@@ -332,23 +333,39 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def subset_blocks(n, r):
+    """Cech complexes of the subsets I over all sign classes: one for each
+    nonempty I that contains the class's negative coordinates, so per
+    boundary coordinate the three signs give 1 + 2 + 2 choices, less the
+    classes with no negative coordinate, whose I may not be empty."""
+    return 2 ** (n - r) * (5 ** r - 2 ** r)
+
+
 def test_stalk_builds_one_block_per_sign_class(monkeypatch):
-    cones = count_calls(monkeypatch, "mapping_cone")
+    # every complex comes from the builder: no cone, no sliced block, no chain map
+    constructed, chain_maps = [], []
+    init, check = complexes.CochainComplex.__init__, complexes.ChainMap.__post_init__
+    monkeypatch.setattr(complexes.CochainComplex, "__init__",
+                        lambda c, *args: constructed.append(c) or init(c, *args))
+    monkeypatch.setattr(complexes.ChainMap, "__post_init__",
+                        lambda f: chain_maps.append(f) or check(f))
     totals = count_calls(monkeypatch, "_mv_total_block")
     built = count_calls(monkeypatch, "_total_complex")
     bases = count_calls(monkeypatch, "block_basis")
     for n, r, window in [(1, 1, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2), (3, 3, 2)]:
         classes = 3 ** r * 2 ** (n - r)
         for flavor in (HOLOMORPHIC, LOGARITHMIC):
-            for calls in (cones, totals, built, bases):
+            for calls in (totals, built, bases, constructed):
                 calls.clear()
             assemble_stalk(LocalModel(n, r, window), flavor)
-            assert len(cones) == classes, (n, r, window, flavor)
             assert len(totals) == classes, (n, r, window, flavor)
-            # one Laurent block and one Mayer-Vietoris complex per class
-            assert len(built) == 2 * classes, (n, r, window, flavor)
+            # a quotient block and a Mayer-Vietoris complex per class, and
+            # a Cech complex per subset block
+            assert len(built) == 2 * classes + subset_blocks(n, r), (n, r, window, flavor)
+            assert len(constructed) == len(built), (n, r, window, flavor)
             # the Laurent keys, then the Cech frames once per localization T
             assert len(bases) == classes * (n + 1) * (1 + 2 ** r), (n, r, window, flavor)
+    assert chain_maps == []
 
 
 def test_stalk_work_does_not_grow_with_the_window(monkeypatch):
@@ -369,7 +386,22 @@ def test_stalk_work_does_not_grow_with_the_window(monkeypatch):
             assemble_stalk(LocalModel(2, 2, window), flavor)
             work.append((len(built), len(eliminations)))
         assert work[0] == work[1], (flavor, work)
-        assert work[0][0] == 2 * 9, (flavor, work)
+        assert work[0][0] == 2 * 9 + subset_blocks(2, 2), (flavor, work)
+
+
+def test_a_flavor_rule_that_d_does_not_preserve_is_refused(monkeypatch):
+    # flavors cut down to their 0-forms: d leaves them for the Laurent 1-forms
+    allows = localmodel._flavor_allows
+
+    def zero_forms_only(model, flavor, s, a, localized=frozenset()):
+        return allows(model, flavor, s, a, localized) and (flavor == LAURENT or not s)
+
+    monkeypatch.setattr(localmodel, "_flavor_allows", zero_forms_only)
+    for flavor in (HOLOMORPHIC, LOGARITHMIC):
+        with pytest.raises(ValueError):
+            obstruction_cone(LocalModel(2, 1, 2), flavor)
+        with pytest.raises(ValueError):
+            assemble_stalk(LocalModel(2, 2, 1), flavor)
 
 
 def test_sign_classes_partition_the_reliable_multidegrees():
@@ -388,33 +420,6 @@ def test_sign_classes_partition_the_reliable_multidegrees():
                     assert all(tuple((m > 0) - (m < 0) for m in mu) == cls for mu in members)
                     seen += members
                 assert sorted(seen) == sorted(reliable_multidegrees(model, LAURENT)), (n, r, window)
-
-
-@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3)])
-def test_sliced_blocks_match_the_arrow_built_references(n, r):
-    # every subset block read off the Mayer-Vietoris differential, and every
-    # flavor block read off the Laurent block, entry by entry
-    model = LocalModel(n, r, 1)
-    subsets = [i_set for size in range(1, r + 1) for i_set in combinations(range(1, r + 1), size)]
-    for flavor in (HOLOMORPHIC, LOGARITHMIC):
-        for cls, _ in _sign_classes(model):
-            blocks = _subset_blocks(*_mv_total_block(model, flavor, cls))
-            assert set(blocks) <= set(subsets)
-            for i_set in subsets:
-                ref = subset_total_block(model, flavor, i_set, cls)
-                if i_set not in blocks:
-                    assert not any(ref.dims.values()), (flavor, cls, i_set)
-                    continue
-                block = blocks[i_set]
-                assert block.dims == ref.dims, (flavor, cls, i_set)
-                for k in ref.degrees():
-                    assert block.differential(k) == ref.differential(k), (flavor, cls, i_set, k)
-            inclusion = block_inclusion(model, flavor, cls)
-            for sliced, ref in ((inclusion.source, block_complex(model, flavor, cls)),
-                                (inclusion.target, block_complex(model, LAURENT, cls))):
-                assert sliced.dims == ref.dims, (flavor, cls)
-                for k in ref.degrees():
-                    assert sliced.differential(k) == ref.differential(k), (flavor, cls, k)
 
 
 def test_local_cohomology_builds_one_complex_per_negative_set(monkeypatch):

@@ -276,6 +276,7 @@ def test_each_rank_computed_once(monkeypatch):
     on a fixed 9 x 9 operator: each power of N strictly between N^0 = I and
     N^index = 0 is eliminated exactly once, for its kernel, and the basis is
     eliminated once, for its rank, however often the report reads the ranks.
+    A level where no chain has exactly that length is not eliminated.
     Each power and each chain vector is one product, and N B one more."""
     matrix = nine_by_nine().matrix
     eliminations, products = [], []
@@ -294,8 +295,9 @@ def test_each_rank_computed_once(monkeypatch):
     n = NilpotentOperator(matrix)
     w = weight_filtration(n, 0)
     assert jordan_type(n) == (4, 3, 2) and stratum_weight(n) == 4
-    # 3 kernels, 4 chain extensions and the rank of the Jordan basis
-    assert len(eliminations) == 8
+    # 3 kernels, 3 chain extensions (levels 4, 3, 2; no chain of length 1)
+    # and the rank of the Jordan basis
+    assert len(eliminations) == 7
     powers = [linalg._integer_rows(n.power(j)) for j in range(n.index + 1)]
     assert [eliminations.count(p) for p in powers] == [0, 1, 1, 1, 0]
     # N^2, N^3, N^4; 3 + 2 + 1 chain vectors below the tops; N B
@@ -303,7 +305,7 @@ def test_each_rank_computed_once(monkeypatch):
     for _ in range(3):
         w.to_json_dict()
         jordan_type(n)
-    assert (len(eliminations), len(products)) == (8, 10)
+    assert (len(eliminations), len(products)) == (7, 10)
 
 
 def test_weight_filtration_makes_no_fraction():
