@@ -64,6 +64,8 @@ def _read_json(path: str, label: str) -> tuple[dict, dict]:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"/{label}", f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"/{label}", f"invalid JSON in {path}: nested too deeply") from None
     meta = {"file": p.name, "sha256": hashlib.sha256(data).hexdigest()}
     return doc, meta
 
@@ -395,11 +397,11 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_spectral_sequence(args) -> int:
-    from .complexes import degeneration_check, spectral_sequence
+    from .complexes import FilteredComplex, degeneration_check, spectral_sequence
     doc, meta = _read_json(args.infile, "in")
     complex_, filtration = jsonio.load_generic_complex(doc)
     _check_cap(max(complex_.dims.values(), default=0), "complex")
-    fc = jsonio.build_filtered(complex_, filtration)
+    fc = FilteredComplex(complex_, filtration or [])
     # one run serves both: the verdict and the E_infinity totals read all
     # pages through depth + 1, the report shows the first r_max + 1
     full = fc.depth + 1

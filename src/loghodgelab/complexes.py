@@ -1,17 +1,21 @@
 """Cochain complexes over Q: mapping cones, long exact sequences, filtered
 complexes and their spectral sequences.
 
-Complexes are bounded, with an explicit contiguous degree range.  Filtrations
-are stored as explicit subspace bases per degree (not index markers), because
-the weighted filtrations built elsewhere are not coordinate-aligned.  Pages
-come from one persistence reduction (Edelsbrunner-Letscher-Zomorodian 2002;
-Basu-Parida 2017) in a basis B_k of each C^k adapted to the filtration, where
-each vector has a level, the largest p with the vector in F^p.  One
-``pivot_columns`` of [F^{p+1} | F^p] per level, deepest first (F^P = 0,
-F^{-1} = C^k), both builds B_k and checks the filtration: its first-block
-pivots are the stored basis of F^{p+1}, F^{p+1} ⊆ F^p iff all its pivots
-number rank F^p, F^0 = C^k iff the last pass has no second-block pivot, and
-the second-block pivots enter B_k at level p.  Every F^p is a subcomplex iff
+Complexes are bounded, with an explicit contiguous degree range.  The long
+exact sequence of a cone is verified by ranks alone: a chain map g induces
+on H^k a map of rank rank[B | g Z] - rank B, for Z the cocycles of its
+source and B the coboundaries of its target (Weibel 1994, 1.5).
+
+Filtrations are stored as explicit subspace bases per degree (not index
+markers), because the weighted filtrations built elsewhere are not
+coordinate-aligned; F^0 = C by definition.  Pages come from one persistence
+reduction (Edelsbrunner-Letscher-Zomorodian 2002; Basu-Parida 2017) in a
+basis B_k of each C^k adapted to the filtration, where each vector has a
+level, the largest p with the vector in F^p.  One ``pivot_columns`` of
+[F^{p+1} | F^p] per level, deepest first (F^P = 0, F^0 = C^k), both builds
+B_k and checks the filtration: its first-block pivots are the stored basis
+of F^{p+1}, F^{p+1} ⊆ F^p iff all its pivots number rank F^p, and the
+second-block pivots enter B_k at level p.  Every F^p is a subcomplex iff
 X_k = B_{k+1}^-1 d_k B_k has no entry below the level diagonal.  A column
 reduction of X_k pairs elements of C^k with elements of C^{k+1}; the gap of a
 pair is the level of its target minus the level of its source.  Over a field
@@ -29,18 +33,14 @@ arrows out of a key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional
 
 from .linalg import (
     RationalMatrix,
-    column_space_basis,
-    extend_basis,
     kernel_basis,
     leading_columns,
     pivot_columns,
     rank,
-    solve_rational,
 )
 
 
@@ -189,38 +189,6 @@ def cohomology_dims(c: CochainComplex) -> dict[int, int]:
     return out
 
 
-def cohomology_representatives(c: CochainComplex, k: int) -> tuple[RationalMatrix, RationalMatrix]:
-    """(R, B): columns of R are cocycles representing a basis of H^k,
-    columns of B a basis of the coboundaries im d_{k-1}."""
-    z = kernel_basis(c.differential(k))
-    b = column_space_basis(c.differential(k - 1))
-    chosen = extend_basis(b, z)
-    return z.submatrix_columns(chosen), b
-
-
-def class_coordinates(reps: RationalMatrix, boundaries: RationalMatrix,
-                      vector: Sequence) -> tuple[Fraction, ...]:
-    """Coordinates of the class of a cocycle in the representative basis."""
-    combined = reps.hstack(boundaries)
-    sol = solve_rational(combined, vector)
-    if sol is None:
-        raise ComplexError("vector is not a cocycle of the given complex")
-    return sol[:reps.cols]
-
-
-def induced_map_on_cohomology(f: ChainMap, k: int,
-                              source_data=None, target_data=None) -> RationalMatrix:
-    """Matrix of H^k(f) in the deterministic representative bases."""
-    reps_s, _ = source_data if source_data else cohomology_representatives(f.source, k)
-    reps_t, bnd_t = target_data if target_data else cohomology_representatives(f.target, k)
-    fk = f.component(k)
-    columns = []
-    for j in range(reps_s.cols):
-        image = fk.apply(reps_s.column(j))
-        columns.append(class_coordinates(reps_t, bnd_t, image))
-    return RationalMatrix.from_columns(columns, reps_t.cols)
-
-
 # ---------------------------------------------------------------------------
 # mapping cone and long exact sequence
 # ---------------------------------------------------------------------------
@@ -276,64 +244,59 @@ class LongExactSequenceReport:
 
 
 def long_exact_sequence(f: ChainMap) -> LongExactSequenceReport:
-    """Cohomology of source, target and cone with explicit connecting maps;
-    exactness (image = kernel) is verified at every node by rank bookkeeping.
+    """Cohomology of source, target and cone, and exactness (image = kernel)
+    at every node of
 
-    The nodes are ... -> H^k(src) -f*-> H^k(tgt) -i*-> H^k(cone)
-    -delta-> H^{k+1}(src) -> ...
+        ... -> H^k(src) -f*-> H^k(tgt) -i*-> H^k(cone) -delta-> H^{k+1}(src) -> ...
+
+    by ranks alone, with i(t) = (t, 0) and delta(t, s) = s.  Each map and
+    each composite of two consecutive maps is induced by a chain map g, whose
+    rank on H^k is rank[B | g Z] - rank B for Z a kernel basis of the
+    source's d_k and B the image of the target's d_{k-1}; the composite
+    delta i is zero on cochains.  A node is exact iff the composite through
+    it has rank 0 and rank_in + rank_out = dim.
     """
     src, tgt = f.source, f.target
     cone = mapping_cone(f)
     lo = min(src.min_degree, cone.min_degree)
     hi = max(src.max_degree, cone.max_degree)
+    degrees = range(lo - 1, hi + 1)
+    # cocycles Z^k, rank d_k = dim C^k - dim Z^k and H^k = dim Z^k - rank d_{k-1}
+    z = {c: {k: kernel_basis(c.differential(k)) for k in degrees} for c in (src, tgt, cone)}
+    rank_d = {c: {k: c.dim(k) - z[c][k].cols for k in degrees} for c in z}
+    h = {c: {k: z[c][k].cols - rank_d[c][k - 1] for k in range(lo, hi + 1)} for c in z}
 
-    data_s = {k: cohomology_representatives(src, k) for k in range(lo, hi + 2)}
-    data_t = {k: cohomology_representatives(tgt, k) for k in range(lo, hi + 2)}
-    data_c = {k: cohomology_representatives(cone, k) for k in range(lo, hi + 2)}
+    def induced(image: RationalMatrix, c: CochainComplex, k: int) -> int:
+        """Rank of the map into H^k(c) induced by a g with g Z = ``image``."""
+        if image.is_zero():
+            return 0
+        return rank(c.differential(k - 1).hstack(image)) - rank_d[c][k - 1]
 
-    f_star = {}
-    i_star = {}
-    delta = {}
-    for k in range(lo, hi + 1):
-        f_star[k] = induced_map_on_cohomology(f, k, data_s[k], data_t[k])
-        # inclusion t |-> (t, 0) of the target into the cone
-        reps_t, _ = data_t[k]
-        reps_c, bnd_c = data_c[k]
-        cols = []
-        for j in range(reps_t.cols):
-            cone_vec = list(reps_t.column(j)) + [Fraction(0)] * src.dim(k + 1)
-            cols.append(class_coordinates(reps_c, bnd_c, cone_vec))
-        i_star[k] = RationalMatrix.from_columns(cols, reps_c.cols)
-        # connecting map (t, s) |-> s, landing in H^{k+1}(source)
-        reps_s1, bnd_s1 = data_s[k + 1]
-        cols = []
-        for j in range(reps_c.cols):
-            s_part = reps_c.column(j)[tgt.dim(k):]
-            cols.append(class_coordinates(reps_s1, bnd_s1, s_part))
-        delta[k] = RationalMatrix.from_columns(cols, reps_s1.cols)
+    def into_cone(m: RationalMatrix, k: int) -> RationalMatrix:  # i(t) = (t, 0)
+        return m.vstack(RationalMatrix.zeros(src.dim(k + 1), m.cols))
 
+    # delta Z_cone^k, the s part of each cone cocycle, in C^{k+1}(src)
+    delta_z = {k: z[cone][k].submatrix_rows(range(tgt.dim(k), cone.dim(k))) for k in degrees}
+    delta = {k: induced(delta_z[k], src, k + 1) for k in degrees}
     nodes = []
-    exact = True
     for k in range(lo, hi + 1):
-        triples = [
-            ("source", data_s[k][0].cols, delta.get(k - 1), f_star[k]),
-            ("target", data_t[k][0].cols, f_star[k], i_star[k]),
-            ("cone", data_c[k][0].cols, i_star[k], delta[k]),
-        ]
-        for term, dim, incoming, outgoing in triples:
-            rank_in = rank(incoming) if incoming is not None else 0
-            rank_out = rank(outgoing)
-            composite_zero = incoming is None or (outgoing * incoming).is_zero()
-            node_exact = composite_zero and (rank_in + rank_out == dim)
-            nodes.append(ExactnessNode(k, term, dim, rank_in, rank_out, node_exact))
-            exact = exact and node_exact
+        fk = f.component(k)
+        f_z = fk * z[src][k]
+        f_star = induced(f_z, tgt, k)
+        i_star = induced(into_cone(z[tgt][k], k), cone, k)
+        for term, dim, rank_in, rank_out, composite in (
+                ("source", h[src][k], delta[k - 1], f_star, induced(fk * delta_z[k - 1], tgt, k)),
+                ("target", h[tgt][k], f_star, i_star, induced(into_cone(f_z, k), cone, k)),
+                ("cone", h[cone][k], i_star, delta[k], 0)):
+            nodes.append(ExactnessNode(k, term, dim, rank_in, rank_out,
+                                       composite == 0 and rank_in + rank_out == dim))
 
     return LongExactSequenceReport(
-        source_cohomology=cohomology_dims(src),
-        target_cohomology=cohomology_dims(tgt),
-        cone_cohomology=cohomology_dims(cone),
+        source_cohomology={k: h[src][k] for k in src.degrees()},
+        target_cohomology={k: h[tgt][k] for k in tgt.degrees()},
+        cone_cohomology={k: h[cone][k] for k in cone.degrees()},
         nodes=nodes,
-        exact=exact,
+        exact=all(n.exact for n in nodes),
     )
 
 
@@ -343,51 +306,46 @@ def long_exact_sequence(f: ChainMap) -> LongExactSequenceReport:
 
 
 class FilteredComplex:
-    """Decreasing filtration F^0 ⊇ F^1 ⊇ ... ⊇ F^{P-1} by explicit subspace bases.
+    """Decreasing filtration C = F^0 ⊇ F^1 ⊇ ... ⊇ F^{P-1} ⊇ F^P = 0 by
+    explicit subspace bases.
 
-    ``levels[p][k]`` is a matrix whose columns span F^p C^k, for p below
-    ``depth`` = P.  F^0 must be the whole complex (exhaustive); F^P = 0.
-    Every level must be a subcomplex and the levels must be nested, as
-    checked while building the adapted bases B_k (module docstring).
+    ``levels[p - 1][k]`` is a matrix whose columns span F^p C^k, for
+    1 <= p < P; F^0 = C by definition, and ``depth`` = P counts it.  Every
+    level must be a subcomplex and the levels must be nested, as checked
+    while building the adapted bases B_k (module docstring).  ``levels``
+    keeps the basis of each given F^p that the check picked,
     ``basis_levels[k]`` is the level of each column of B_k, and
     ``adapted_differentials[k]`` is X_k for each nonzero d_k.
     """
 
     def __init__(self, underlying: CochainComplex, levels: list[dict[int, RationalMatrix]]):
         self.underlying = c = underlying
-        if not levels:
-            raise FiltrationError("need at least one filtration level")
-        for p, given in enumerate(levels):
+        for p, given in enumerate(levels, 1):
             for k in c.degrees():
                 if k in given and given[k].rows != c.dim(k):
                     raise FiltrationError(
                         f"level {p} basis at degree {k} has ambient dimension "
                         f"{given[k].rows}, expected {c.dim(k)}")
-        self.depth = depth = len(levels)
+        self.depth = depth = len(levels) + 1
         self.levels: list[dict[int, RationalMatrix]] = [{} for _ in levels]
         self.basis_levels: dict[int, list[int]] = {k: [] for k in c.degrees()}
-        adapted, not_exhaustive, not_nested = {}, [], []
+        adapted, not_nested = {}, []
         for k in c.degrees():
             empty = RationalMatrix.zeros(c.dim(k), 0)
             deeper, span, parts = empty, 0, []  # F^{p+1}, rank(F^{p+2} + F^{p+1}), B_k
-            for p in range(depth - 1, -2, -1):
-                here = levels[p].get(k, empty) if p >= 0 else RationalMatrix.identity(c.dim(k))
+            for p in range(depth - 1, -1, -1):
+                here = levels[p - 1].get(k, empty) if p else RationalMatrix.identity(c.dim(k))
                 pivots = pivot_columns(deeper.hstack(here))
                 inner = [j for j in pivots if j < deeper.cols]
                 new = [j - deeper.cols for j in pivots[len(inner):]]
                 if p + 1 < depth:
-                    self.levels[p + 1][k] = deeper.submatrix_columns(inner)
+                    self.levels[p][k] = deeper.submatrix_columns(inner)
                 if span != len(inner):
                     not_nested.append((p + 2, k))
                 parts.append(here.submatrix_columns(new))
                 self.basis_levels[k] += [p] * len(new)
                 deeper, span = here, len(pivots)
-            if new:  # C^k has columns of level -1, outside F^0
-                not_exhaustive.append(k)
             adapted[k] = parts[0].hstack(*parts[1:])
-        if not_exhaustive:
-            k = not_exhaustive[0]
-            raise FiltrationError(f"filtration not exhaustive at degree {k}: F^0 != C^{k}")
         if not_nested:
             p, k = min(not_nested)
             raise FiltrationError(f"levels not nested at level {p}, degree {k}")
@@ -408,11 +366,11 @@ class FilteredComplex:
 
     def level_basis(self, p: int, k: int) -> RationalMatrix:
         n = self.underlying.dim(k)
-        if p < 0:
+        if p <= 0:
             return RationalMatrix.identity(n)
-        if p >= len(self.levels) or k not in self.levels[p]:
+        if p >= self.depth or k not in self.levels[p - 1]:
             return RationalMatrix.zeros(n, 0)
-        return self.levels[p][k]
+        return self.levels[p - 1][k]
 
 
 @dataclass
@@ -515,11 +473,6 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
     pages += [SpectralSequencePage(r, dict(stable.entries), dict(stable.differentials))
               for r in range(depth + 2, r_max + 1)]
     return pages
-
-
-def e_infinity_totals(pages: list[SpectralSequencePage]) -> dict[int, int]:
-    """Total dims of the last of ``pages`` (E_infinity for a full run)."""
-    return pages[-1].total_dims()
 
 
 def degeneration_check(pages: list[SpectralSequencePage]) -> tuple[bool, Optional[int]]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:
-    from .complexes import CochainComplex, FilteredComplex
+    from .complexes import CochainComplex
     from .conecx import IntersectionData
     from .linalg import RationalMatrix
     from .toric import Fan, QDivisor
@@ -221,8 +221,8 @@ def _load_matrix(raw: Any, rows: int, cols: int, pointer: str) -> RationalMatrix
 
 
 def load_generic_complex(doc: Any, pointer: str = "") -> tuple[CochainComplex, Optional[list]]:
-    """A bounded complex plus an optional filtration (list of levels; each
-    level lists, per degree, the basis columns of the subspace)."""
+    """A bounded complex plus an optional filtration (the levels F^1, F^2,
+    ...; each lists, per degree, the basis columns of the subspace)."""
     from .complexes import CochainComplex
     from .linalg import RationalMatrix
     _expect_keys(doc, pointer, {"min_degree", "dims"}, {"differentials", "filtration"})
@@ -269,16 +269,6 @@ def load_generic_complex(doc: Any, pointer: str = "") -> tuple[CochainComplex, O
                 level[k] = RationalMatrix.from_columns(cols, dims[k])
             filtration.append(level)
     return complex_, filtration
-
-
-def build_filtered(complex_: CochainComplex, filtration: Optional[list]) -> FilteredComplex:
-    from .complexes import FilteredComplex
-    from .linalg import RationalMatrix
-    full = {k: RationalMatrix.identity(complex_.dim(k)) for k in complex_.degrees()}
-    levels = [full]
-    if filtration:
-        levels.extend(filtration)
-    return FilteredComplex(complex_, levels)
 
 
 # --- canonical output --------------------------------------------------------------------

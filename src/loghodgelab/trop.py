@@ -167,10 +167,7 @@ def weight_filtration_ss(t: WeightedTropComplex,
         raise TropError("thresholds must be distinct")
     for threshold in thresholds:
         _check_sublevel_closed(t, threshold)
-    c = t.base
-    full = {p: RationalMatrix.identity(c.cell_count(p)) for p in range(c.max_dim + 1)}
-    levels = [full] + [_sublevel_indicator(t, threshold) for threshold in thresholds]
-    fc = FilteredComplex(t.complex, levels)
+    fc = FilteredComplex(t.complex, [_sublevel_indicator(t, threshold) for threshold in thresholds])
     pages = spectral_sequence(fc)
     ok, first = degeneration_check(pages)
     # spectral_sequence has checked the E_infinity totals against the cohomology

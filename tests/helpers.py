@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from loghodgelab.complexes import (ChainMap, CochainComplex, FilteredComplex, FiltrationError,
-                                   _total_complex, cohomology_dims)
+                                   _total_complex, cohomology_dims, identity_chain_map)
 from loghodgelab.conecx import ConeComplex, IntersectionData
 from loghodgelab.linalg import (RationalMatrix, column_space_basis, contains_space, kernel_basis,
                                 rank)
@@ -72,16 +72,23 @@ def random_chain_map(rng: random.Random, source: CochainComplex,
     return ChainMap(source, target, components)
 
 
+def plus_identity_map(rng: random.Random, c: CochainComplex) -> ChainMap:
+    """id + (d h + h d): the identity on cohomology, so not null-homotopic
+    unless c is acyclic."""
+    h, one = random_chain_map(rng, c, c), identity_chain_map(c)
+    return ChainMap(c, c, {k: h.component(k) + one.component(k) for k in c.degrees()})
+
+
 def random_filtration(rng: random.Random, c: CochainComplex, depth: int) -> FilteredComplex:
     return FilteredComplex(c, random_filtration_levels(rng, c, depth))
 
 
 def random_filtration_levels(rng: random.Random, c: CochainComplex,
                              depth: int) -> list[dict[int, RationalMatrix]]:
-    """Level bases of a nested subcomplex filtration F^0 = C ⊇ F^1 ⊇ ... ⊇
-    F^{depth-1} that is not coordinate-aligned: each random vector v enters at
-    some level and dv at the same or a deeper one, so d_r can be nonzero for
-    any r < depth."""
+    """Level bases F^1, ..., F^{depth-1} of a nested subcomplex filtration
+    C = F^0 ⊇ F^1 ⊇ ... that is not coordinate-aligned: each random vector v
+    enters at some level and dv at the same or a deeper one, so d_r can be
+    nonzero for any r < depth."""
     spans = [{k: [] for k in c.degrees()} for _ in range(depth)]
     for _ in range(rng.randint(1, 3)):
         k = rng.choice(list(c.degrees()))
@@ -96,24 +103,19 @@ def random_filtration_levels(rng: random.Random, c: CochainComplex,
         if any(dv):
             for p in range(1, p_dv + 1):
                 spans[p][k + 1].append(dv)
-    levels = [{k: RationalMatrix.identity(c.dim(k)) for k in c.degrees()}]
-    for p in range(1, depth):
-        levels.append({k: RationalMatrix.from_columns(cols, c.dim(k))
-                       for k, cols in spans[p].items()})
-    return levels
+    return [{k: RationalMatrix.from_columns(cols, c.dim(k)) for k, cols in spans[p].items()}
+            for p in range(1, depth)]
 
 
 def reference_filtration_levels(c: CochainComplex,
                                 levels: list[dict[int, RationalMatrix]]) -> list[dict]:
-    """The checks `FilteredComplex` made with one elimination per check: a
-    `column_space_basis` per level and degree, the rank of F^0 per degree,
-    a `contains_space` per level and degree for nesting, and a product and a
-    `contains_space` per level and degree for the subcomplex condition, each
-    raising at its first failure.  Returns the level bases."""
-    if not levels:
-        raise FiltrationError("need at least one filtration level")
+    """The checks `FilteredComplex` made with one elimination per check, on
+    the levels F^1, F^2, ... (F^0 = C): a `column_space_basis` per level and
+    degree, a `contains_space` per level and degree for nesting, and a
+    product and a `contains_space` per level and degree for the subcomplex
+    condition, each raising at its first failure.  Returns the level bases."""
     norm = []
-    for p, level in enumerate(levels):
+    for p, level in enumerate(levels, 1):
         fixed = {}
         for k in c.degrees():
             basis = level.get(k, RationalMatrix.zeros(c.dim(k), 0))
@@ -123,14 +125,11 @@ def reference_filtration_levels(c: CochainComplex,
                     f"{basis.rows}, expected {c.dim(k)}")
             fixed[k] = column_space_basis(basis)
         norm.append(fixed)
-    for k in c.degrees():
-        if rank(norm[0][k]) != c.dim(k):
-            raise FiltrationError(f"filtration not exhaustive at degree {k}: F^0 != C^{k}")
     for p in range(len(norm) - 1):
         for k in c.degrees():
             if not contains_space(norm[p][k], norm[p + 1][k]):
-                raise FiltrationError(f"levels not nested at level {p + 1}, degree {k}")
-    for p, level in enumerate(norm):
+                raise FiltrationError(f"levels not nested at level {p + 2}, degree {k}")
+    for p, level in enumerate(norm, 1):
         for k in c.degrees():
             img = c.differential(k) * level[k]
             tgt = level.get(k + 1, RationalMatrix.zeros(c.dim(k + 1), 0))
@@ -143,15 +142,16 @@ def reference_filtration_levels(c: CochainComplex,
 
 def mutated_filtration_levels(rng: random.Random, c: CochainComplex,
                               levels: list[dict[int, RationalMatrix]]) -> list[dict]:
-    """``levels`` after one seeded mutation: two levels swapped, a column
-    dropped or copied in from another level, a random vector added, F^0
-    shrunk, a level of the wrong ambient size, a degree omitted, or a
+    """``levels`` (F^1, F^2, ...) after one seeded mutation: two levels
+    swapped, a column dropped or copied in from another level, a random
+    vector added, a level of the wrong ambient size, a degree omitted, or a
     "shallow" vector v that enters two or more levels deeper than dv.  A
-    filtration with a level of the wrong ambient size is left as it is."""
-    if any(m.rows != c.dim(k) for level in levels for k, m in level.items()):
+    filtration with no level or with a level of the wrong ambient size is
+    left as it is."""
+    if not levels or any(m.rows != c.dim(k) for level in levels for k, m in level.items()):
         return levels
     levels = [dict(level) for level in levels]
-    kind = rng.choice(["swap", "drop", "copy", "vector", "vector", "shrink", "ambient", "omit",
+    kind = rng.choice(["swap", "drop", "copy", "vector", "vector", "ambient", "omit",
                        "shallow", "shallow", "shallow", "shallow"])
     depth = len(levels)
     # a shallow vector goes where d is nonzero, if d is nonzero anywhere
@@ -172,20 +172,18 @@ def mutated_filtration_levels(rng: random.Random, c: CochainComplex,
             levels[p][k] = basis.hstack(other.submatrix_columns([rng.randrange(other.cols)]))
     elif kind == "vector":
         levels[p][k] = basis.hstack(vector)
-    elif kind == "shrink" and n:
-        levels[0][k] = RationalMatrix.identity(n).submatrix_columns(
-            sorted(rng.sample(range(n), rng.randrange(n))))
     elif kind == "ambient":
         levels[p][k] = RationalMatrix.zeros(n + rng.choice([-1, 1]) if n else 1, basis.cols)
     elif kind == "omit":
         levels[p].pop(k, None)
-    elif kind == "shallow" and depth >= 3 and k + 1 in c.dims:
+    elif kind == "shallow" and depth >= 2 and k + 1 in c.dims:
+        # F^q is levels[q - 1]: v enters F^1..F^{p_v} and dv only F^1..F^{p_dv}
         image = c.differential(k) * vector
-        p_dv = rng.randrange(depth - 2)
-        p_v = rng.randint(p_dv + 2, depth - 1)
-        for q in range(1, p_v + 1):
+        p_dv = rng.randrange(depth - 1)
+        p_v = rng.randint(p_dv + 2, depth)
+        for q in range(p_v):
             levels[q][k] = levels[q].get(k, RationalMatrix.zeros(n, 0)).hstack(vector)
-        for q in range(1, p_dv + 1):
+        for q in range(p_dv):
             levels[q][k + 1] = levels[q].get(
                 k + 1, RationalMatrix.zeros(c.dim(k + 1), 0)).hstack(image)
     return levels
@@ -199,14 +197,14 @@ def zero_chain_map(source: CochainComplex, target: CochainComplex) -> ChainMap:
 
 
 def trivial_filtration(c: CochainComplex) -> FilteredComplex:
-    return FilteredComplex(c, [{k: RationalMatrix.identity(c.dim(k)) for k in c.degrees()}])
+    return FilteredComplex(c, [])
 
 
 def stupid_filtration(c: CochainComplex) -> FilteredComplex:
     """F^p = the subcomplex of degrees >= min_degree + p."""
     levels = []
     span = c.max_degree - c.min_degree + 1
-    for p in range(span):
+    for p in range(1, span):
         cutoff = c.min_degree + p
         levels.append({k: (RationalMatrix.identity(c.dim(k)) if k >= cutoff
                            else RationalMatrix.zeros(c.dim(k), 0))

@@ -53,6 +53,15 @@ def test_cone_complex_malformed_json(tmp_path, capsys):
     assert "malformed" in err
 
 
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
+    # json.loads raises RecursionError on 100,000 nested arrays
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(["monodromy", "--in", str(bad)], capsys)
+    assert code == 2 and not out
+    assert err.startswith("malformed input: /in") and "Traceback" not in err
+
+
 def test_cone_complex_schema_violation_pointer(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"components": ["A"], "strata": [{"wrong": 1}]}))

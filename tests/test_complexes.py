@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -14,19 +15,19 @@ from loghodgelab.complexes import (
     FiltrationError,
     cohomology_dims,
     degeneration_check,
-    e_infinity_totals,
     identity_chain_map,
     long_exact_sequence,
     mapping_cone,
     spectral_sequence,
 )
-from loghodgelab.jsonio import build_filtered, load_generic_complex
+from loghodgelab.jsonio import load_generic_complex
 from loghodgelab.linalg import RationalMatrix
 
 import ss_oracle
-from helpers import (counting_fractions, mutated_filtration_levels, random_chain_map,
-                     random_complex, random_filtration_levels, reference_filtration_levels,
-                     stupid_filtration, trivial_filtration, zero_chain_map)
+from helpers import (counting_fractions, mutated_filtration_levels, plus_identity_map,
+                     random_chain_map, random_complex, random_filtration_levels,
+                     reference_filtration_levels, stupid_filtration, trivial_filtration,
+                     zero_chain_map)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -165,6 +166,39 @@ def test_les_of_zero_map_circle():
     assert report.cone_cohomology == {-1: 1, 0: 2, 1: 1}
 
 
+def seeded_les_maps(count: int):
+    """Seeded chain maps, every third one id + null-homotopic and the rest
+    null-homotopic between two random complexes."""
+    rng = random.Random(209)
+    for t in range(count):
+        a = random_complex(rng, 8)
+        yield plus_identity_map(rng, a) if t % 3 == 0 else \
+            random_chain_map(rng, a, random_complex(rng, 8))
+
+
+def test_les_reports_pinned():
+    """sha256 of the canonical JSON of 300 seeded reports, pinned from the
+    coordinate-based construction (representatives and class coordinates per
+    cohomology class) that the rank-only one replaced; 87 of the maps have
+    f* != 0 somewhere."""
+    digest = hashlib.sha256()
+    for f in seeded_les_maps(300):
+        report = long_exact_sequence(f).to_json_dict()
+        digest.update(json.dumps(report, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "ade0cfee9d1332483a5da995b4e5749b88878a270cd4e4a63786b91450ca2156"
+
+
+def test_les_makes_no_fraction():
+    """The report is ranks of integer kernels and products: on the seeded
+    maps of both kinds no Fraction is made."""
+    maps = list(seeded_les_maps(60))
+    with counting_fractions() as made:
+        reports = [long_exact_sequence(f) for f in maps]
+    assert not made
+    assert all(report.exact for report in reports)
+
+
 def test_les_exact_on_random_maps():
     rng = random.Random(203)
     for _ in range(25):
@@ -180,8 +214,7 @@ def test_les_exact_on_random_maps():
 def test_filtration_must_be_subcomplex():
     c = two_term_identity()
     # the span of degree-0 alone is not d-closed
-    bad = [{0: RationalMatrix.identity(1), 1: RationalMatrix.identity(1)},
-           {0: RationalMatrix.identity(1), 1: RationalMatrix.zeros(1, 0)}]
+    bad = [{0: RationalMatrix.identity(1), 1: RationalMatrix.zeros(1, 0)}]
     with pytest.raises(FiltrationError):
         FilteredComplex(c, bad)
 
@@ -213,7 +246,7 @@ def test_filtration_checks_agree_with_one_elimination_per_check():
         assert [page.to_json_dict() for page in spectral_sequence(fc)] == \
                [page.to_json_dict() for page in ss_oracle.spectral_sequence(fc)]
         seen["accepted"] = seen.get("accepted", 0) + 1
-    assert len(seen) == 5 and min(seen.values()) >= 30  # every message, and acceptance
+    assert len(seen) == 4 and min(seen.values()) >= 30  # every message, and acceptance
 
 
 def test_trivial_filtration_gives_cohomology_at_e1():
@@ -229,7 +262,7 @@ def test_trivial_filtration_gives_cohomology_at_e1():
 def test_two_step_filtration_of_acyclic_complex():
     c = two_term_identity()
     fc = stupid_filtration(c)
-    assert e_infinity_totals(spectral_sequence(fc)) == {}
+    assert spectral_sequence(fc)[-1].total_dims() == {}
 
 
 def test_stupid_filtration_circle():
@@ -247,10 +280,7 @@ def test_stupid_filtration_circle():
 
 def test_engineered_nonzero_d1():
     c = two_term_identity()
-    levels = [
-        {0: RationalMatrix.identity(1), 1: RationalMatrix.identity(1)},
-        {0: RationalMatrix.zeros(1, 0), 1: RationalMatrix.identity(1)},
-    ]
+    levels = [{0: RationalMatrix.zeros(1, 0), 1: RationalMatrix.identity(1)}]
     fc = FilteredComplex(c, levels)
     ok, first = degeneration_check(spectral_sequence(fc))
     assert not ok and first == 1
@@ -261,7 +291,7 @@ def test_e_infinity_totals_match_cohomology_random():
     for _ in range(15):
         c = random_complex(rng, 6)
         fc = stupid_filtration(c)
-        assert e_infinity_totals(spectral_sequence(fc)) == \
+        assert spectral_sequence(fc)[-1].total_dims() == \
                {k: v for k, v in cohomology_dims(c).items() if v}
 
 
@@ -283,9 +313,8 @@ def test_spectral_sequence_of_boundary_subcomplex_filtration():
     for _ in range(10):
         c = random_complex(rng, 7)
         level = {k: column_space_basis(c.differential(k - 1)) for k in c.degrees()}
-        fc = FilteredComplex(c, [
-            {k: RationalMatrix.identity(c.dim(k)) for k in c.degrees()}, level])
-        assert e_infinity_totals(spectral_sequence(fc)) == \
+        fc = FilteredComplex(c, [level])
+        assert spectral_sequence(fc)[-1].total_dims() == \
                {k: v for k, v in cohomology_dims(c).items() if v}
 
 
@@ -294,14 +323,13 @@ def test_spectral_sequence_makes_no_fraction():
     circle fixture's own filtration and on one level of true fractions."""
     c, filtration = load_generic_complex(json.loads((FIXTURES / "circle_complex.json").read_text()))
     slanted = FilteredComplex(c, [
-        {k: RationalMatrix.identity(c.dim(k)) for k in c.degrees()},
         {0: RationalMatrix.from_rows([[Fraction(1, 2)], [Fraction(-1, 3)], [1]]),
          1: RationalMatrix.identity(3)}])
-    for fc in (build_filtered(c, filtration), slanted):
+    for fc in (FilteredComplex(c, filtration), slanted):
         with counting_fractions() as made:
             pages = spectral_sequence(fc)
         assert not made
-        assert e_infinity_totals(pages) == {0: 1, 1: 1}
+        assert pages[-1].total_dims() == {0: 1, 1: 1}
 
 
 def test_page_differentials_compose_to_zero():

@@ -68,7 +68,7 @@ def test_trop_fixtures_match_oracle(complex_file, weights_file, thresholds, monk
 def test_circle_fixture_matches_oracle(r_max):
     complex_, filtration = jsonio.load_generic_complex(
         json.loads((FIXTURES / "circle_complex.json").read_text()))
-    fc = jsonio.build_filtered(complex_, filtration)
+    fc = FilteredComplex(complex_, filtration)
     assert_same_pages(spectral_sequence(fc, r_max), ss_oracle.spectral_sequence(fc, r_max))
 
 
@@ -117,9 +117,9 @@ def test_persistence_pairs_match_fraction_column_reduction():
 def test_elimination_count_pinned(monkeypatch):
     """C = Q^3 -> Q -> Q^2 -> Q^3 in degrees 1..4 with d_1, d_3 nonzero and a
     depth-4 filtration whose first nonzero differential is d_2.  Checking the
-    filtration and reducing it take 24 eliminations for ranks, kernels and
-    pivots: 20 pivot passes (depth + 1 = 5 per degree, one per level and one
-    for exhaustiveness), 2 inverses (one per target of a nonzero d) and the 2
+    filtration and reducing it take 20 eliminations for ranks, kernels and
+    pivots: 16 pivot passes (depth = 4 per degree, one per level, F^0 = C
+    included), 2 inverses (one per target of a nonzero d) and the 2
     ranks of the E_infinity check (one per nonzero d; a zero d has rank 0
     without an elimination); and one `leading_columns` call per nonzero d,
     which is the persistence pairing.  The subquotient engine takes 584
@@ -144,7 +144,7 @@ def test_elimination_count_pinned(monkeypatch):
     monkeypatch.setattr(complexes, "leading_columns", counted_leading_columns)
     fc = FilteredComplex(c, levels)
     spectral_sequence(fc)
-    assert (len(eliminations) - len(pairings), len(pairings)) == (24, 2)
+    assert (len(eliminations) - len(pairings), len(pairings)) == (20, 2)
     eliminations.clear()
     pairings.clear()
     ss_oracle.spectral_sequence(fc)
