@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional
+from typing import Optional
 
 from .complexes import CochainComplex, _total_complex, cohomology_dims
 
@@ -108,8 +108,7 @@ class ConeComplex:
         for cell, faces in face_maps.items():
             for face, sign in faces:
                 self._cofaces.setdefault(face, []).append((cell, sign))
-        self._index = {cell: i for p in self.cells_by_dim
-                       for i, cell in enumerate(self.cells_by_dim[p])}
+        self._cells = set(cells)
         if ray_coordinates is not None:
             rays = {c.components[0] for c in self.cells_by_dim.get(0, [])}
             for ray in rays:
@@ -136,12 +135,9 @@ class ConeComplex:
     def cell_count(self, p: int) -> int:
         return len(self.cells(p))
 
-    def index_of(self, cell: Cell) -> int:
-        return self._index[cell]
-
     def find_cell(self, key: str) -> Cell:
         cell = Cell.from_key(key)
-        if cell not in self._index:
+        if cell not in self._cells:
             raise ConeComplexError(f"unknown cell {key!r}")
         return cell
 
@@ -159,17 +155,6 @@ class ConeComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * n for p, n in
                    ((p, self.cell_count(p)) for p in self.cells_by_dim))
-
-    def closure(self, cells: Iterable[Cell]) -> set[Cell]:
-        out: set[Cell] = set()
-        stack = list(cells)
-        while stack:
-            cell = stack.pop()
-            if cell in out:
-                continue
-            out.add(cell)
-            stack.extend(face for face, _ in self.faces(cell))
-        return out
 
 
 def _resolve_face_tag(subset: tuple[str, ...], tag: str,
@@ -210,16 +195,3 @@ def simplicial_cohomology(c: ConeComplex) -> dict[int, int]:
     """Cohomology over Q of the cochain complex dual to the face maps."""
     return cohomology_dims(c.cochain_complex())
 
-
-def star(c: ConeComplex, cell_key: str) -> ConeComplex:
-    """Closed star: all cells having the given cell as an iterated face,
-    together with their faces."""
-    center = c.find_cell(cell_key)
-    cofaces = [other for other in c.all_cells() if center in c.closure([other])]
-    cells = c.closure(cofaces)
-    face_maps = {cell: c.faces(cell) for cell in cells if cell.dim > 0}
-    rays = None
-    if c.ray_coordinates is not None:
-        rays = {cell.components[0]: c.ray_coordinates[cell.components[0]]
-                for cell in cells if cell.dim == 0}
-    return ConeComplex(sorted(cells), face_maps, rays)

@@ -16,7 +16,8 @@ lowest terms already.
 
 The one elimination is `_echelon`, on copies of the integer rows (a row times
 its denominator keeps rank, kernel and the column dependencies): each row in
-turn is reduced against the pivot rows found so far.  Row operations keep
+turn is reduced against the pivot rows found so far, and only the pivot rows
+and each row's new leading column are kept.  Row operations keep
 every dependency among the columns, so the pivot columns are the greedy
 left-to-right column basis and the reduced echelon form is unique, whichever
 rows end up as pivots.  `_reduced` back-reduces the pivot rows once into that
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 
@@ -292,9 +293,9 @@ def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
     return [dict(num.get(i, empty)) for i in range(m.rows)]
 
 
-def _cancel(r: dict[int, int], p: dict[int, int], c: int) -> tuple[dict[int, int], int]:
+def _cancel(r: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
     """a*r - b*p with a/b = p[c]/r[c] in lowest terms, so that column c
-    cancels, and a; r is changed in place when a is 1."""
+    cancels; r is changed in place when a is 1."""
     g = gcd(p[c], r[c])
     a, b = p[c] // g, r[c] // g
     if a != 1:
@@ -305,7 +306,7 @@ def _cancel(r: dict[int, int], p: dict[int, int], c: int) -> tuple[dict[int, int
             r[j] = w
         else:
             del r[j]
-    return r, a
+    return r
 
 
 def _echelon(rows: list[dict[int, int]]):
@@ -313,27 +314,21 @@ def _echelon(rows: list[dict[int, int]]):
     rows found so far: while the leading column c of r has a pivot row p,
     r becomes a*r - b*p with a/b = p[c]/r[c] in lowest terms.  A row whose
     leading column is new is divided by its content and is the pivot of c.
-    Returns the pivot row of each pivot column, the new leading column of
-    each input row (None if it vanished), and the products of the contents
-    and of the multipliers a."""
+    Returns the pivot row of each pivot column and the new leading column of
+    each input row (None if it vanished)."""
     pivots: dict[int, dict[int, int]] = {}
     leads: list[Optional[int]] = []
-    contents = multipliers = 1
     for r in rows:
         while r:
             c = min(r)
             p = pivots.get(c)
             if p is None:
                 g = gcd(*r.values())
-                if g != 1:
-                    r = {j: v // g for j, v in r.items()}
-                    contents *= g
-                pivots[c] = r
+                pivots[c] = r if g == 1 else {j: v // g for j, v in r.items()}
                 break
-            r, a = _cancel(r, p, c)
-            multipliers *= a
+            r = _cancel(r, p, c)
         leads.append(c if r else None)  # r survives only as the pivot of c
-    return pivots, leads, contents, multipliers
+    return pivots, leads
 
 
 def _reduced(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -344,7 +339,7 @@ def _reduced(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
     for c in sorted(pivots, reverse=True):
         r = pivots[c]
         for j in [j for j in r if j != c and j in pivots]:
-            r = _cancel(r, pivots[j], j)[0]
+            r = _cancel(r, pivots[j], j)
         g = gcd(*r.values())
         if r[c] < 0:
             g = -g
@@ -400,26 +395,6 @@ def leading_columns(m: RationalMatrix) -> list[Optional[int]]:
     """For each row of ``m``, the leading column it has once reduced against
     the rows above it, or None if it lies in their span."""
     return _echelon(_integer_rows(m))[1]
-
-
-def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix.  The pivot rows are the input
-    rows times a lower triangular matrix with diagonal (product of the row's
-    multipliers a) / (its content), and are triangular in leading column order.
-
-    >>> determinant([[2, 1], [4, 3]]), determinant([[0, 1], [1, 0]]), determinant([])
-    (2, -1, 1)
-    """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise MatrixError("determinant needs a square matrix")
-    pivots, leads, contents, multipliers = _echelon(
-        [{j: x for j, x in enumerate(row) if x} for row in rows])
-    if len(pivots) < n:
-        return 0
-    det = contents * prod(row[c] for c, row in pivots.items())
-    inversions = sum(a > b for k, a in enumerate(leads) for b in leads[k + 1:])
-    return (-1) ** inversions * det // multipliers
 
 
 # ---------------------------------------------------------------------------

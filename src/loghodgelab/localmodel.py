@@ -61,7 +61,9 @@ shifted in degree by |I| - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
+from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
 from .complexes import ChainMap, CochainComplex, _total_complex, cohomology_dims
@@ -292,10 +294,11 @@ def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> 
     count (one class per frame at every a with a_i <= -1 exactly on I and
     a_j >= 0 off I); the two must agree, and the Cech cohomology must be
     concentrated in degree |I|.  Both depend on a only through its negative
-    set {i : a_i < 0}, a subset of I inside the window, so they are compared
-    once per subset of I; the closed form is C(n, p) where the negative set
-    is I and 0 elsewhere.  The exponents negative exactly on I are then
-    written out directly.
+    set {i : a_i < 0}, a subset of I inside the window, and the frames are
+    C(n, p) identical copies, so they are compared once per subset of I for
+    one frame; the closed form is 1 where the negative set is I and 0
+    elsewhere.  The exponents negative exactly on I are then written out
+    directly.
     """
     i_set = tuple(sorted(set(int(i) for i in i_set)))
     if not i_set:
@@ -305,21 +308,18 @@ def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> 
     if not (0 <= p <= model.n):
         raise LocalModelError(f"form degree {p} out of range 0..{model.n}")
     s_card = len(i_set)
-    frames = list(combinations(range(1, model.n + 1), p))
     for negative in _subsets(i_set):
-        # Cech route: positions (T, frame) with T <= I; a monomial with this
+        # Cech route for one frame: positions T <= I; a monomial with this
         # negative set is present at T iff T frees every negative coordinate
-        basis = {size: [(t, s) for t in combinations(i_set, size) if set(negative) <= set(t)
-                        for s in frames]
+        basis = {size: [t for t in combinations(i_set, size) if set(negative) <= set(t)]
                  for size in range(s_card + 1)}
-        coh = cohomology_dims(_total_complex(
-            basis, lambda key: (((t2, key[1]), c) for t2, c in _cech_arrows(i_set, key[0]))))
+        coh = cohomology_dims(_total_complex(basis, partial(_cech_arrows, i_set)))
         for d, v in coh.items():
             if d != s_card and v:
                 raise LocalModelError(
                     "internal: local cohomology not concentrated in degree |I|")
         # stable-Koszul closed form
-        count = len(frames) if negative == i_set else 0
+        count = 1 if negative == i_set else 0
         if coh.get(s_card, 0) != count:
             raise LocalModelError(
                 f"Cech and Koszul-dual counts disagree at the exponents negative exactly "
@@ -327,7 +327,7 @@ def koszul_local_cohomology(model: LocalModel, i_set: Sequence[int], p: int) -> 
     w = model.window
     exponents = product(*(range(-w, 0) if i in i_set else range(w + 1)
                           for i in range(1, model.n + 1)))
-    return dict.fromkeys(exponents, len(frames))
+    return dict.fromkeys(exponents, comb(model.n, p))
 
 
 def _mv_total_block(model: LocalModel, flavor: str, mu: Mu) -> tuple[

@@ -27,11 +27,19 @@ from math import comb, floor, gcd, prod
 from typing import Optional, Sequence
 
 from .complexes import _total_complex, cohomology_dims
-from .linalg import determinant
 
 
 class FanError(ValueError):
     pass
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix of size 0..3 (a fan has rank
+    at most 3), by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
 
 
 class Fan:
@@ -72,7 +80,7 @@ class Fan:
             if len(cone) != n:
                 raise FanError(
                     f"maximal cone {cone} is not simplicial of full rank {n}")
-            if abs(determinant([self.rays[i] for i in cone])) != 1:
+            if abs(_det([self.rays[i] for i in cone])) != 1:
                 raise FanError(f"cone {cone} is not unimodular: fan is not smooth")
 
     def _validate_complete(self):
@@ -97,7 +105,7 @@ class Fan:
                     f"facet {facet} lies in {len(rays)} maximal cones (needs 2): fan "
                     f"is not complete")
             for v in rays:
-                side[facet, v] = determinant([self.rays[i] for i in facet] + [self.rays[v]])
+                side[facet, v] = _det([self.rays[i] for i in facet] + [self.rays[v]])
             if (side[facet, rays[0]] > 0) == (side[facet, rays[1]] > 0):
                 raise FanError(
                     f"the two maximal cones at facet {facet} lie on the same side of "
@@ -106,7 +114,7 @@ class Fan:
         # meets the curve at most n - 1 times, so some small t is off them all
         for t in count(1):
             point = tuple(t ** j for j in range(n))
-            at_point = {facet: determinant([self.rays[i] for i in facet] + [point])
+            at_point = {facet: _det([self.rays[i] for i in facet] + [point])
                         for facet in opposite}
             if all(at_point.values()):
                 break
@@ -175,7 +183,7 @@ def character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
     for subset in combinations(range(len(fan.rays)), n):
         rows = [fan.rays[i] for i in subset]
         cof = [[(-1) ** (k + j)
-                * determinant([r[:j] + r[j + 1:] for i, r in enumerate(rows) if i != k])
+                * _det([r[:j] + r[j + 1:] for i, r in enumerate(rows) if i != k])
                 for j in range(n)] for k in range(n)]
         det = sum(a * c for a, c in zip(rows[0], cof[0]))
         if det == 0:
@@ -250,8 +258,7 @@ class LogHodgeTable:
 
     rank: int
     entries: dict[tuple[int, int], int]
-    variety_tag: str = "fan"
-    weight_tag: str = "zero"
+    weight_tag: str
 
     def __post_init__(self):
         for (p, q), v in self.entries.items():
@@ -264,22 +271,20 @@ class LogHodgeTable:
     def to_json_dict(self) -> dict:
         return {
             "rank": self.rank,
-            "variety": self.variety_tag,
+            "variety": "fan",
             "weight": self.weight_tag,
             "entries": {f"{p},{q}": v for (p, q), v in sorted(self.entries.items()) if v},
         }
 
 
-def log_hodge_numbers(fan: Fan, twist: QDivisor,
-                      variety_tag: str = "fan") -> LogHodgeTable:
+def log_hodge_numbers(fan: Fan, twist: QDivisor) -> LogHodgeTable:
     """Entry (p, q) = C(n, p) * h^q(O(floor(twist))); twist zero gives the
     first-page table of the full-boundary toric triple."""
     twist.validate_on(fan)
-    return log_hodge_table(fan.rank, twist, divisor_cohomology(fan, twist.floor()), variety_tag)
+    return log_hodge_table(fan.rank, twist, divisor_cohomology(fan, twist.floor()))
 
 
-def log_hodge_table(n: int, twist: QDivisor, h: dict[int, int],
-                    variety_tag: str = "fan") -> LogHodgeTable:
+def log_hodge_table(n: int, twist: QDivisor, h: dict[int, int]) -> LogHodgeTable:
     """The table of ``log_hodge_numbers`` from h = h^q(O(floor(twist)))."""
     entries = {}
     for p in range(n + 1):
@@ -289,7 +294,7 @@ def log_hodge_table(n: int, twist: QDivisor, h: dict[int, int],
                 entries[(p, q)] = value
     weight_tag = "zero" if twist.is_zero() else \
         "+".join(f"{v}*D{i}" for i, v in sorted(twist.coefficients.items()) if v != 0)
-    return LogHodgeTable(n, entries, variety_tag, weight_tag)
+    return LogHodgeTable(n, entries, weight_tag)
 
 
 @dataclass

@@ -139,6 +139,23 @@ def test_trop_ss_monotonicity_violation(tmp_path, capsys):
     assert "H1#0" in err and "cofacet" in err
 
 
+@pytest.mark.parametrize("command", ["trop-cohomology", "trop-ss"])
+def test_trop_ray_weights_are_summed_over_cell_components(command, tmp_path):
+    # ray weights 1, 1, 1 give a cell the sum over its components: vertices
+    # 1, edges 2, the same result as a cells file written that way
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps({"cells": {
+        "a#0": "1", "b#0": "1", "c#0": "1", "a,b#0": "2", "b,c#0": "2"}}))
+    results = []
+    for weights in (FIXTURES / "w111.json", cells):
+        code, doc, _ = run_json([command, "--complex", str(FIXTURES / "wedge_fan.json"),
+                                 "--weights", str(weights)], tmp_path)
+        assert code == 0
+        results.append(doc["result"])
+    assert results[0] == results[1]
+    assert results[0]["cohomology"] == {"0": 1, "1": 0}
+
+
 @pytest.mark.parametrize("thresholds", [",", ""])
 def test_trop_ss_thresholds_without_entries_is_malformed_input(thresholds, capsys):
     code, out, err = run(["trop-ss", "--complex", str(FIXTURES / "ex42.json"),

@@ -1,6 +1,7 @@
 """`linalg` against sympy on seeded random sparse rational matrices up to
-12 x 12, a third of them rank-deficient by construction.  sympy is a test-only
-dependency; the module is skipped without it."""
+12 x 12, a third of them rank-deficient by construction, and `toric._det` on
+integer matrices up to 3 x 3.  sympy is a test-only dependency; the module is
+skipped without it."""
 
 import random
 from fractions import Fraction
@@ -10,13 +11,13 @@ import pytest
 
 from loghodgelab.linalg import (
     RationalMatrix,
-    determinant,
     kernel_basis,
     pivot_columns,
     rank,
     smith_normal_form,
     solve_rational,
 )
+from loghodgelab.toric import _det
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf  # noqa: E402
@@ -92,16 +93,17 @@ def test_solve_rational_against_sympy_consistency():
 
 
 def test_determinant_matches_det():
+    # `toric._det` on the sizes a fan of rank <= 3 takes
     rng = random.Random(704)
     for _ in range(60):
-        n = rng.randint(1, 12)
+        n = rng.randint(0, 3)
         dense = random_rational(rng, n, n)
         # integer rows: scale each row by the lcm of its denominators
         rows = []
         for row in dense:
             scale = lcm(*(v.denominator for v in row))
             rows.append([int(v * scale) for v in row])
-        assert determinant(rows) == sympy.Matrix(rows).det()
+        assert _det(rows) == sympy.Matrix(rows).det()
 
 
 def test_smith_normal_form_diagonal_matches_sympy():

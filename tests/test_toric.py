@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from loghodgelab import toric
+from loghodgelab import linalg, toric
 from loghodgelab.toric import (
     Fan,
     FanError,
@@ -125,6 +125,30 @@ def test_standard_fans_construct():
     hirzebruch(0)
     hirzebruch(1)
     hirzebruch(2)
+
+
+def test_fans_and_character_boxes_make_no_elimination(monkeypatch):
+    # every determinant a fan takes has size <= 3 and is expanded by
+    # cofactors, so neither validation nor the character box eliminates
+    eliminations = []
+    echelon = linalg._echelon
+
+    def counted_echelon(rows):
+        eliminations.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    fans = [make() for _, make, _ in ORACLE_FANS]
+    for name in ("p1_fan.json", "p2_fan.json"):
+        doc = json.loads((FIXTURES / name).read_text())
+        fans.append(Fan(doc["rays"], doc["cones"]))
+    doc = json.loads((FIXTURES / "p2_double_cover_fan.json").read_text())
+    with pytest.raises(FanError):
+        Fan(doc["rays"], doc["cones"])
+    for fan in fans:
+        box = toric.character_box(fan, {i: 2 * i - 3 for i in range(len(fan.rays))})
+        assert len(box) == fan.rank
+    assert eliminations == []
 
 
 # --- divisor cohomology ----------------------------------------------------------
