@@ -12,10 +12,12 @@ coordinate-aligned; F^0 = C by definition.  Pages come from one persistence
 reduction (Edelsbrunner-Letscher-Zomorodian 2002; Basu-Parida 2017) in a
 basis B_k of each C^k adapted to the filtration, where each vector has a
 level, the largest p with the vector in F^p.  One ``pivot_columns`` of
-[F^{p+1} | F^p] per level, deepest first (F^P = 0, F^0 = C^k), both builds
-B_k and checks the filtration: its first-block pivots are the stored basis
-of F^{p+1}, F^{p+1} ⊆ F^p iff all its pivots number rank F^p, and the
-second-block pivots enter B_k at level p.  Every F^p is a subcomplex iff
+[F^{p+1} | F^p] for each p from P - 2 down to 0 (F^0 = C^k) both builds B_k
+and checks the filtration: its first-block pivots are the stored basis of
+F^{p+1}, which opens B_k at level P - 1 when p = P - 2; F^{p+1} ⊆ F^p iff
+all its pivots number rank F^p, the first-block pivots of the next pass;
+and the second-block pivots enter B_k at level p.  With no levels (P = 1)
+B_k is the identity and no pass is made.  Every F^p is a subcomplex iff
 X_k = B_{k+1}^-1 d_k B_k has no entry below the level diagonal.  A column
 reduction of X_k pairs elements of C^k with elements of C^{k+1}; the gap of a
 pair is the level of its target minus the level of its source.  Over a field
@@ -152,13 +154,9 @@ class ChainMap:
         lo = min(self.source.min_degree, self.target.min_degree)
         hi = max(self.source.max_degree, self.target.max_degree)
         for k in range(lo, hi + 1):
-            # d f_k and f_{k+1} d, each formed only when neither factor is zero
-            sides = [a * b for a, b in ((self.target.differential(k), self.component(k)),
-                                        (self.component(k + 1), self.source.differential(k)))
-                     if not (a.is_zero() or b.is_zero())]
-            commutes = (sides[0] == sides[1] if len(sides) == 2
-                        else all(s.is_zero() for s in sides))
-            if not commutes:
+            # both sides are dim target_{k+1} x dim source_k in canonical form
+            if (self.target.differential(k) * self.component(k)
+                    != self.component(k + 1) * self.source.differential(k)):
                 raise ChainMapError(f"map does not commute with differentials at degree {k}")
 
     def component(self, k: int) -> RationalMatrix:
@@ -328,24 +326,27 @@ class FilteredComplex:
                         f"{given[k].rows}, expected {c.dim(k)}")
         self.depth = depth = len(levels) + 1
         self.levels: list[dict[int, RationalMatrix]] = [{} for _ in levels]
-        self.basis_levels: dict[int, list[int]] = {k: [] for k in c.degrees()}
+        self.basis_levels: dict[int, list[int]] = {}
         adapted, not_nested = {}, []
         for k in c.degrees():
             empty = RationalMatrix.zeros(c.dim(k), 0)
-            deeper, span, parts = empty, 0, []  # F^{p+1}, rank(F^{p+2} + F^{p+1}), B_k
-            for p in range(depth - 1, -1, -1):
-                here = levels[p - 1].get(k, empty) if p else RationalMatrix.identity(c.dim(k))
-                pivots = pivot_columns(deeper.hstack(here))
+            given = [RationalMatrix.identity(c.dim(k))] + [f.get(k, empty) for f in levels]
+            # F^{p+1}, rank(F^{p+2} + F^{p+1}) and B_k, whose first part is F^{P-1}
+            deeper, span, parts = given[-1], None, [given[-1]]
+            for p in range(depth - 2, -1, -1):
+                pivots = pivot_columns(deeper.hstack(given[p]))
                 inner = [j for j in pivots if j < deeper.cols]
                 new = [j - deeper.cols for j in pivots[len(inner):]]
-                if p + 1 < depth:
-                    self.levels[p][k] = deeper.submatrix_columns(inner)
-                if span != len(inner):
+                self.levels[p][k] = deeper.submatrix_columns(inner)
+                if span is None:
+                    parts[0] = self.levels[p][k]
+                elif span != len(inner):
                     not_nested.append((p + 2, k))
-                parts.append(here.submatrix_columns(new))
-                self.basis_levels[k] += [p] * len(new)
-                deeper, span = here, len(pivots)
+                parts.append(given[p].submatrix_columns(new))
+                deeper, span = given[p], len(pivots)
             adapted[k] = parts[0].hstack(*parts[1:])
+            self.basis_levels[k] = [p for p, part in zip(range(depth - 1, -1, -1), parts)
+                                    for _ in range(part.cols)]
         if not_nested:
             p, k = min(not_nested)
             raise FiltrationError(f"levels not nested at level {p}, degree {k}")

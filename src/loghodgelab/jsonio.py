@@ -78,17 +78,17 @@ def _expect_keys(obj: dict, pointer: str, required: set[str], optional: set[str]
 # --- intersection data ------------------------------------------------------------
 
 
-def load_intersection_data(doc: Any, pointer: str = "") -> IntersectionData:
+def load_intersection_data(doc: Any) -> IntersectionData:
     from .conecx import Cell, IntersectionData
-    _expect_keys(doc, pointer, {"components", "strata"}, {"ray_coordinates"})
+    _expect_keys(doc, "", {"components", "strata"}, {"ray_coordinates"})
     comps = doc["components"]
     _expect(isinstance(comps, list) and all(isinstance(x, str) for x in comps),
-            f"{pointer}/components", "expected a list of strings")
+            "/components", "expected a list of strings")
     strata = doc["strata"]
-    _expect(isinstance(strata, list), f"{pointer}/strata", "expected a list")
+    _expect(isinstance(strata, list), "/strata", "expected a list")
     cells = []
     for i, raw in enumerate(strata):
-        sp = f"{pointer}/strata/{i}"
+        sp = f"/strata/{i}"
         _expect_keys(raw, sp, {"components"}, {"tag"})
         sub = raw["components"]
         _expect(isinstance(sub, list) and sub and all(isinstance(x, str) for x in sub),
@@ -102,10 +102,10 @@ def load_intersection_data(doc: Any, pointer: str = "") -> IntersectionData:
     rays = None
     if "ray_coordinates" in doc:
         raw_rays = doc["ray_coordinates"]
-        _expect(isinstance(raw_rays, dict), f"{pointer}/ray_coordinates", "expected an object")
+        _expect(isinstance(raw_rays, dict), "/ray_coordinates", "expected an object")
         rays = {}
         for name, vec in raw_rays.items():
-            rp = f"{pointer}/ray_coordinates/{name}"
+            rp = f"/ray_coordinates/{name}"
             _expect(isinstance(vec, list) and vec and all(
                 isinstance(x, int) and not isinstance(x, bool) for x in vec),
                 rp, "expected a nonempty list of integers")
@@ -116,25 +116,25 @@ def load_intersection_data(doc: Any, pointer: str = "") -> IntersectionData:
 # --- weights ----------------------------------------------------------------------
 
 
-def load_weights(doc: Any, pointer: str = "") -> tuple[Optional[WeightFunction], Optional[dict[str, Fraction]]]:
+def load_weights(doc: Any) -> tuple[Optional[WeightFunction], Optional[dict[str, Fraction]]]:
     """Returns (ray weights, per-cell weights keyed by cell key); exactly one
     of the two is populated."""
     from .weights import WeightFunction
-    _expect(isinstance(doc, dict), pointer, "expected an object")
+    _expect(isinstance(doc, dict), "", "expected an object")
     has_rays = "rays" in doc
     has_cells = "cells" in doc
-    _expect_keys(doc, pointer, set(), {"rays", "cells"})
-    _expect(has_rays != has_cells, pointer,
+    _expect_keys(doc, "", set(), {"rays", "cells"})
+    _expect(has_rays != has_cells, "",
             "expected exactly one of the fields 'rays' or 'cells'")
     if has_rays:
         raw = doc["rays"]
-        _expect(isinstance(raw, dict) and raw, f"{pointer}/rays", "expected a nonempty object")
-        values = {name: parse_rational(v, f"{pointer}/rays/{name}")
+        _expect(isinstance(raw, dict) and raw, "/rays", "expected a nonempty object")
+        values = {name: parse_rational(v, f"/rays/{name}")
                   for name, v in raw.items()}
         return WeightFunction(values), None
     raw = doc["cells"]
-    _expect(isinstance(raw, dict) and raw, f"{pointer}/cells", "expected a nonempty object")
-    values = {key: parse_rational(v, f"{pointer}/cells/{key}") for key, v in raw.items()}
+    _expect(isinstance(raw, dict) and raw, "/cells", "expected a nonempty object")
+    values = {key: parse_rational(v, f"/cells/{key}") for key, v in raw.items()}
     return None, values
 
 
@@ -150,37 +150,37 @@ def cell_weights_for(complex_, cell_values: dict[str, Fraction]) -> CellWeights:
 # --- fans and divisors -------------------------------------------------------------
 
 
-def load_fan(doc: Any, pointer: str = "") -> Fan:
+def load_fan(doc: Any) -> Fan:
     from .toric import Fan
-    _expect_keys(doc, pointer, {"rays", "cones"}, {"names"})
+    _expect_keys(doc, "", {"rays", "cones"}, {"names"})
     rays = doc["rays"]
-    _expect(isinstance(rays, list) and rays, f"{pointer}/rays", "expected a nonempty list")
+    _expect(isinstance(rays, list) and rays, "/rays", "expected a nonempty list")
     for i, ray in enumerate(rays):
         _expect(isinstance(ray, list) and ray and all(
             isinstance(x, int) and not isinstance(x, bool) for x in ray),
-            f"{pointer}/rays/{i}", "expected a nonempty list of integers")
+            f"/rays/{i}", "expected a nonempty list of integers")
     cones = doc["cones"]
-    _expect(isinstance(cones, list) and cones, f"{pointer}/cones", "expected a nonempty list")
+    _expect(isinstance(cones, list) and cones, "/cones", "expected a nonempty list")
     for i, cone in enumerate(cones):
         _expect(isinstance(cone, list) and all(
             isinstance(x, int) and not isinstance(x, bool) for x in cone),
-            f"{pointer}/cones/{i}", "expected a list of ray indices")
+            f"/cones/{i}", "expected a list of ray indices")
     names = doc.get("names")
     if names is not None:
         _expect(isinstance(names, list) and all(isinstance(x, str) for x in names),
-                f"{pointer}/names", "expected a list of strings")
+                "/names", "expected a list of strings")
     return Fan(rays, cones, names)
 
 
-def load_divisor(doc: Any, fan: Fan, pointer: str = "") -> QDivisor:
+def load_divisor(doc: Any, fan: Fan) -> QDivisor:
     from .toric import QDivisor
-    _expect_keys(doc, pointer, {"coefficients"})
+    _expect_keys(doc, "", {"coefficients"})
     raw = doc["coefficients"]
-    _expect(isinstance(raw, list), f"{pointer}/coefficients",
+    _expect(isinstance(raw, list), "/coefficients",
             "expected a list, one rational per ray")
-    _expect(len(raw) == len(fan.rays), f"{pointer}/coefficients",
+    _expect(len(raw) == len(fan.rays), "/coefficients",
             f"expected {len(fan.rays)} coefficients, got {len(raw)}")
-    coeffs = {i: parse_rational(v, f"{pointer}/coefficients/{i}")
+    coeffs = {i: parse_rational(v, f"/coefficients/{i}")
               for i, v in enumerate(raw)}
     return QDivisor(coeffs)
 
@@ -188,19 +188,19 @@ def load_divisor(doc: Any, fan: Fan, pointer: str = "") -> QDivisor:
 # --- nilpotent operators --------------------------------------------------------------
 
 
-def load_nilpotent_matrix(doc: Any, pointer: str = "") -> RationalMatrix:
+def load_nilpotent_matrix(doc: Any) -> RationalMatrix:
     """The square matrix of a nilpotent-operator document, before any power is formed."""
     from .linalg import RationalMatrix
-    _expect_keys(doc, pointer, {"matrix"})
+    _expect_keys(doc, "", {"matrix"})
     raw = doc["matrix"]
-    _expect(isinstance(raw, list) and raw, f"{pointer}/matrix", "expected a nonempty list of rows")
+    _expect(isinstance(raw, list) and raw, "/matrix", "expected a nonempty list of rows")
     n = len(raw)
     entries = {}
     for i, row in enumerate(raw):
-        _expect(isinstance(row, list) and len(row) == n, f"{pointer}/matrix/{i}",
+        _expect(isinstance(row, list) and len(row) == n, f"/matrix/{i}",
                 f"expected a row of length {n} (square matrix)")
         for j, v in enumerate(row):
-            entries[(i, j)] = parse_rational(v, f"{pointer}/matrix/{i}/{j}")
+            entries[(i, j)] = parse_rational(v, f"/matrix/{i}/{j}")
     return RationalMatrix(n, n, entries)
 
 
@@ -220,39 +220,39 @@ def _load_matrix(raw: Any, rows: int, cols: int, pointer: str) -> RationalMatrix
     return RationalMatrix(rows, cols, entries)
 
 
-def load_generic_complex(doc: Any, pointer: str = "") -> tuple[CochainComplex, Optional[list]]:
+def load_generic_complex(doc: Any) -> tuple[CochainComplex, Optional[list]]:
     """A bounded complex plus an optional filtration (the levels F^1, F^2,
     ...; each lists, per degree, the basis columns of the subspace)."""
     from .complexes import CochainComplex
     from .linalg import RationalMatrix
-    _expect_keys(doc, pointer, {"min_degree", "dims"}, {"differentials", "filtration"})
+    _expect_keys(doc, "", {"min_degree", "dims"}, {"differentials", "filtration"})
     min_degree = doc["min_degree"]
     _expect(isinstance(min_degree, int) and not isinstance(min_degree, bool),
-            f"{pointer}/min_degree", "expected an integer")
+            "/min_degree", "expected an integer")
     raw_dims = doc["dims"]
     _expect(isinstance(raw_dims, list) and raw_dims and all(
         isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in raw_dims),
-        f"{pointer}/dims", "expected a nonempty list of nonnegative integers")
+        "/dims", "expected a nonempty list of nonnegative integers")
     dims = {min_degree + i: d for i, d in enumerate(raw_dims)}
     raw_diffs = doc.get("differentials", [])
     _expect(isinstance(raw_diffs, list) and len(raw_diffs) <= max(len(raw_dims) - 1, 0),
-            f"{pointer}/differentials",
+            "/differentials",
             f"expected at most {max(len(raw_dims) - 1, 0)} matrices")
     diffs = {}
     for i, raw in enumerate(raw_diffs):
         k = min_degree + i
-        diffs[k] = _load_matrix(raw, dims[k + 1], dims[k], f"{pointer}/differentials/{i}")
+        diffs[k] = _load_matrix(raw, dims[k + 1], dims[k], f"/differentials/{i}")
     try:
         complex_ = CochainComplex(dims, diffs)
     except ValueError as exc:
-        raise SchemaError(f"{pointer}/differentials", str(exc)) from None
+        raise SchemaError("/differentials", str(exc)) from None
     filtration = None
     if "filtration" in doc:
         raw_filt = doc["filtration"]
-        _expect(isinstance(raw_filt, list), f"{pointer}/filtration", "expected a list of levels")
+        _expect(isinstance(raw_filt, list), "/filtration", "expected a list of levels")
         filtration = []
         for li, raw_level in enumerate(raw_filt):
-            lp = f"{pointer}/filtration/{li}"
+            lp = f"/filtration/{li}"
             _expect(isinstance(raw_level, list) and len(raw_level) == len(raw_dims), lp,
                     f"expected one basis list per degree ({len(raw_dims)})")
             level = {}

@@ -19,13 +19,12 @@ kernel, and the ranks of the powers are read off the kernels.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 
-from .linalg import RationalMatrix, extend_basis, kernel_basis, pivot_columns, rank
+from .linalg import RationalMatrix, contains_space, extend_basis, kernel_basis, rank
 
 
 class MonodromyError(ValueError):
@@ -156,67 +155,42 @@ def _graded_dims(ranks: dict[int, int]) -> dict[int, int]:
 
 def verify_weight_axioms(n: NilpotentOperator, w: WeightFiltration) -> dict[int, int]:
     """Raise unless W is increasing and exhaustive, N W_l ⊆ W_{l-2}, and
-    N^l : Gr_{k+l} -> Gr_{k-l} is an isomorphism for every l >= 1.
+    N^l : Gr_{k+l} -> Gr_{k-l} is an isomorphism for every l >= 1; return
+    rank W_l for the stored levels l = k - dim .. k + dim.
 
-    One `pivot_columns` serves each maximal run W_s = ... = W_{e-1} of equal
-    levels, on [W_s | W_{s-1} | N W_j for each j with s <= j - 2 < e |
-    N^l W_{k+l} if k - l = e].  Its pivots inside W_s count rank W_s, a
-    pivot in W_{s-1} or in N W_j is a failed containment, and, when no
-    block before it has one, the pivots in N^l W_{k+l} count the rank that
-    N^l induces from Gr_{k+l} to Gr_{k-l}.  A check that an earlier one
-    implies is left out: both containments when W_l = W_{l-1}, for then
-    N W_l = N W_{l-1} ⊆ W_{l-3} ⊆ W_{l-2}, and the isomorphism when
-    W_{k+l} = W_{k+l-1} or W_{k-l} = W_{k-l-1}.  The stored form is
-    canonical, so ``==`` on level matrices is exact.  N^l W_{k+l} ⊆ W_{k-l}
-    follows from N W_j ⊆ W_{j-2} for every j.
-
-    Failures are raised after the walk, the first of: not exhaustive, not
-    increasing at the smallest l, N W_l at the smallest l, then for
-    l = 1, 2, ... the Gr dimensions and the isomorphism.  W stores the
-    levels k - dim .. k + dim; returns rank W_l for each of them."""
+    Each check is one elimination, a `contains_space` per containment and a
+    `rank` per level, and the first failure is raised: not exhaustive, not
+    increasing, N W_l ⊄ W_{l-2} (each at the smallest l), then for l = 1,
+    2, ... the Gr dimensions and the isomorphism.  Where W_l = W_{l-1}
+    (``==`` is exact on the canonical stored form), W_l takes the rank of
+    W_{l-1} and both its containments are left out, for then N W_l =
+    N W_{l-1} ⊆ W_{l-3} ⊆ W_{l-2}.  N^l W_{k+l} ⊆ W_{k-l} follows from the
+    N W_j ⊆ W_{j-2}, so the isomorphism is a rank modulo W_{k-l-1}."""
     k, dim = w.center, n.dimension
     lo, hi = k - dim, k + dim
-    levels = {l: w.level(l) for l in range(lo - 3, hi + 1)}
-    # the first level of each run: W_l != W_{l-1} exactly for l in starts[1:]
-    starts = [lo - 2] + [l for l in range(lo - 1, hi + 1) if levels[l] != levels[l - 1]]
-    ranks, induced = {}, {}
-    not_increasing = not_inside = None
-    for s, e in zip(starts, starts[1:] + [hi + 1]):
-        inside = [j for j in range(s + 2, min(e + 2, hi + 1)) if j in starts]
-        blocks = [levels[s], levels[s - 1]] + [n.matrix * levels[j] for j in inside]
-        l = k - e   # W_{k-l-1} ends the run
-        isomorphism = 1 <= l <= dim and k + l in starts
-        if isomorphism:
-            blocks.append(n.power(l) * levels[k + l])
-        stacked = blocks[0].hstack(*blocks[1:])
-        pivots = [] if stacked.is_zero() else pivot_columns(stacked)
-        ends = [bisect_left(pivots, end) for end in accumulate(b.cols for b in blocks)]
-        found = [b - a for a, b in zip([0] + ends, ends)]   # pivots in each block
-        ranks.update(dict.fromkeys(range(max(s, lo), e), found[0]))
-        if found[1] and not_increasing is None:
-            not_increasing = s
-        bad = [j for j, f in zip(inside, found[2:]) if f]
-        if bad and not_inside is None:
-            not_inside = bad[0]
-        if isomorphism:
-            induced[l] = found[-1]
+    levels = {l: w.level(l) for l in range(lo - 2, hi + 1)}
+    changed = [l for l in range(lo, hi + 1) if levels[l] != levels[l - 1]]
+    ranks = {lo - 1: 0}
+    for l in range(lo, hi + 1):
+        ranks[l] = rank(levels[l]) if l in changed else ranks[l - 1]
     if ranks[hi] != dim:
         raise MonodromyError(f"filtration not exhaustive: dim W_{hi} < {dim}")
-    if not_increasing is not None:
-        raise MonodromyError(f"filtration not increasing: W_{not_increasing - 1} "
-                             f"not inside W_{not_increasing}")
-    if not_inside is not None:
-        raise MonodromyError(f"axiom failure: N W_{not_inside} not inside W_{not_inside - 2}")
-    graded = _graded_dims(ranks)
+    for l in changed:
+        if not contains_space(levels[l], levels[l - 1]):
+            raise MonodromyError(f"filtration not increasing: W_{l - 1} not inside W_{l}")
+    for l in changed:
+        if not contains_space(levels[l - 2], n.matrix * levels[l]):
+            raise MonodromyError(f"axiom failure: N W_{l} not inside W_{l - 2}")
     for l in range(1, dim + 1):
-        up = graded.get(k + l, 0)
-        if up != graded.get(k - l, 0):
+        up = ranks[k + l] - ranks[k + l - 1]
+        if up != ranks[k - l] - ranks[k - l - 1]:
             raise MonodromyError(
                 f"axiom failure: Gr_{k + l} and Gr_{k - l} have different dims")
-        if up and induced[l] != up:
+        span = up and rank(levels[k - l - 1].hstack(n.power(l) * levels[k + l]))
+        if up and span != ranks[k - l - 1] + up:   # N^l induces rank span - rank W_{k-l-1}
             raise MonodromyError(
                 f"axiom failure: N^{l} is not an isomorphism Gr_{k + l} -> Gr_{k - l}")
-    return ranks
+    return {l: ranks[l] for l in range(lo, hi + 1)}
 
 
 def _certified_levels(n: NilpotentOperator, basis: RationalMatrix, chains: list[list[int]],

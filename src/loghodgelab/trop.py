@@ -52,8 +52,8 @@ class CellWeights:
         self.values = {cell: Fraction(v) for cell, v in self.values.items()}
 
     @classmethod
-    def constant(cls, c: ConeComplex, value: Fraction = Fraction(1)) -> "CellWeights":
-        return cls({cell: Fraction(value) for cell in c.all_cells()})
+    def constant(cls, c: ConeComplex) -> "CellWeights":
+        return cls({cell: Fraction(1) for cell in c.all_cells()})
 
     @classmethod
     def from_weight_function(cls, c: ConeComplex, w: WeightFunction) -> "CellWeights":

@@ -10,6 +10,9 @@ from loghodgelab.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+# the source tree first on a subprocess's path, whether or not it is installed
+SRC_PATH = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
 
 
 def run(argv, capsys):
@@ -540,7 +543,7 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "loghodgelab.cli", "cone-complex",
          "--in", str(FIXTURES / "ex42.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC_PATH})
     assert proc.returncode == 0
     assert "H^1 = 1" in proc.stdout
 
@@ -551,15 +554,13 @@ def test_console_entry_point_runs():
      "--weights", str(FIXTURES / "ex42_cell_weights.json")],
 ])
 def test_report_bytes_do_not_depend_on_hash_seed(argv, tmp_path):
-    src = str(Path(__file__).parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     reports = []
     for seed in ("0", "1"):
         out = tmp_path / f"report-{seed}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "loghodgelab.cli", *argv, "--format", "json", "--out", str(out)],
             capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+            env={**os.environ, "PYTHONPATH": SRC_PATH, "PYTHONHASHSEED": seed})
         assert proc.returncode == 0, proc.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]

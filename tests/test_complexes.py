@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from loghodgelab import linalg
 from loghodgelab.complexes import (
     ChainMap,
     ChainMapError,
@@ -257,6 +258,29 @@ def test_trivial_filtration_gives_cohomology_at_e1():
     assert pages[-1].total_dims() == {0: 1, 1: 1}
     ok, first = degeneration_check(pages)
     assert ok and first is None
+
+
+def test_filtration_with_no_levels_eliminates_only_to_solve_for_x(monkeypatch):
+    """With no levels (F^0 = C, depth 1) B_k is the identity with no pivot
+    pass: the one elimination per nonzero d_k is the solve for X_k = d_k."""
+    circle, _ = load_generic_complex(json.loads((FIXTURES / "circle_complex.json").read_text()))
+    rng = random.Random(941)
+    complexes_ = [circle] + [random_complex(rng) for _ in range(40)]
+    assert any(len(c._differentials) > 1 for c in complexes_)
+    eliminations = []
+    echelon = linalg._echelon
+
+    def counted_echelon(rows):
+        eliminations.append(rows)
+        return echelon(rows)
+
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    for c in complexes_:
+        eliminations.clear()
+        fc = FilteredComplex(c, [])
+        assert len(eliminations) == len(c._differentials)
+        assert fc.basis_levels == {k: [0] * c.dim(k) for k in c.degrees()}
+        assert fc.adapted_differentials == c._differentials
 
 
 def test_two_step_filtration_of_acyclic_complex():

@@ -117,13 +117,14 @@ def test_persistence_pairs_match_fraction_column_reduction():
 def test_elimination_count_pinned(monkeypatch):
     """C = Q^3 -> Q -> Q^2 -> Q^3 in degrees 1..4 with d_1, d_3 nonzero and a
     depth-4 filtration whose first nonzero differential is d_2.  Checking the
-    filtration and reducing it take 20 eliminations for ranks, kernels and
-    pivots: 16 pivot passes (depth = 4 per degree, one per level, F^0 = C
-    included), 2 inverses (one per target of a nonzero d) and the 2
-    ranks of the E_infinity check (one per nonzero d; a zero d has rank 0
-    without an elimination); and one `leading_columns` call per nonzero d,
-    which is the persistence pairing.  The subquotient engine takes 584
-    eliminations and no pairing on the checked filtration."""
+    filtration and reducing it take 16 eliminations for ranks, kernels and
+    pivots: 12 pivot passes (depth - 1 = 3 per degree, one per pair
+    [F^{p+1} | F^p] of consecutive levels, F^0 = C included), 2 solves for
+    X_k (one per nonzero d) and the 2 ranks of the E_infinity check (one per
+    nonzero d; a zero d has rank 0 without an elimination); and one
+    `leading_columns` call per nonzero d, which is the persistence pairing.
+    The subquotient oracle in `ss_oracle` takes 584 eliminations and no
+    pairing on the checked filtration."""
     rng = random.Random(931)
     c = random_complex(rng, 10)
     levels = random_filtration_levels(rng, c, 4)
@@ -144,7 +145,7 @@ def test_elimination_count_pinned(monkeypatch):
     monkeypatch.setattr(complexes, "leading_columns", counted_leading_columns)
     fc = FilteredComplex(c, levels)
     spectral_sequence(fc)
-    assert (len(eliminations) - len(pairings), len(pairings)) == (20, 2)
+    assert (len(eliminations) - len(pairings), len(pairings)) == (16, 2)
     eliminations.clear()
     pairings.clear()
     ss_oracle.spectral_sequence(fc)
