@@ -1,8 +1,9 @@
 """Command-line front door: parse input documents, dispatch computations,
 emit a human-readable table or a canonical JSON report.
 
-Exit codes: 0 success, 1 validation failure (diagnostics on stderr), 2
-malformed input (JSON pointer of the offending field on stderr).  Reports
+Exit codes: 0 success, 1 validation failure (any ``ValueError``: a domain
+error or a cap; diagnostics on stderr), 2 malformed input (a ``SchemaError``,
+with the JSON pointer of the offending field, on stderr).  Reports
 carry a provenance block (input hashes, tool version, option values) and are
 byte-identical across runs for identical inputs and options.
 
@@ -29,11 +30,6 @@ from .jsonio import SchemaError, canonical_json, format_rational
 DEFAULT_MAX_DIM = 2000
 
 
-class ValidationFailure(ValueError):
-    """Computation ran but the verdict is invalid (exit 1).  Every domain
-    error is a ``ValueError`` too, and exits 1 the same way."""
-
-
 def _max_dim() -> int:
     raw = os.environ.get("LHL_MAX_DIM")
     if raw is None:
@@ -50,7 +46,7 @@ def _max_dim() -> int:
 def _check_cap(size: int, what: str):
     cap = _max_dim()
     if size > cap:
-        raise ValidationFailure(
+        raise ValueError(
             f"{what} needs dimension {size}, above the LHL_MAX_DIM cap of {cap}")
 
 
@@ -108,15 +104,6 @@ def _emit(args, command: str, result: dict, inputs: dict, options: dict,
         sys.stdout.write(text)
 
 
-def _parse_flavor(value: str) -> str:
-    from .localmodel import HOLOMORPHIC, LOGARITHMIC
-    if value == "holo":
-        return HOLOMORPHIC
-    if value == "log":
-        return LOGARITHMIC
-    raise SchemaError("/flavor", f"unknown flavor {value!r} (expected holo or log)")
-
-
 def _load_cone_complex(path: str, label: str):
     """The cone complex of the intersection data at ``path``, capped, and the
     file's provenance."""
@@ -155,7 +142,7 @@ def _local_model(args):
     for done in range(1, model.n + 1):
         size *= 2 * (2 * model.window + 1)
         if size > cap and done < model.n:
-            raise ValidationFailure(
+            raise ValueError(
                 f"local model section space needs dimension over {size} after {done} of "
                 f"{model.n} coordinates, above the LHL_MAX_DIM cap of {cap}")
     _check_cap(size, "local model section space")
@@ -324,8 +311,8 @@ def cmd_divisor_cohomology(args) -> int:
 
 
 def cmd_obstruction_stalk(args) -> int:
-    from .localmodel import assemble_stalk
-    flavor = _parse_flavor(args.flavor)
+    from .localmodel import HOLOMORPHIC, LOGARITHMIC, assemble_stalk
+    flavor = {"holo": HOLOMORPHIC, "log": LOGARITHMIC}[args.flavor]
     model = _local_model(args)
     report = assemble_stalk(model, flavor)
     result = report.to_json_dict()

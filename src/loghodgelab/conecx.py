@@ -75,11 +75,8 @@ class IntersectionData:
             if len(dims) > 1:
                 raise ConeComplexError("ray coordinate vectors have mixed lengths")
 
-    def subsets_present(self) -> set[tuple[str, ...]]:
-        return {cell.components for cell in self.strata}
-
     def validate_downward_closed(self):
-        present = self.subsets_present()
+        present = {cell.components for cell in self.strata}
         for subset in sorted(present):
             if len(subset) == 1:
                 continue
@@ -153,8 +150,7 @@ class ConeComplex:
         return self._cochain
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** p * n for p, n in
-                   ((p, self.cell_count(p)) for p in self.cells_by_dim))
+        return self._cochain.euler_characteristic()
 
 
 def _resolve_face_tag(subset: tuple[str, ...], tag: str,

@@ -120,10 +120,9 @@ def load_weights(doc: Any) -> tuple[Optional[WeightFunction], Optional[dict[str,
     """Returns (ray weights, per-cell weights keyed by cell key); exactly one
     of the two is populated."""
     from .weights import WeightFunction
-    _expect(isinstance(doc, dict), "", "expected an object")
+    _expect_keys(doc, "", set(), {"rays", "cells"})
     has_rays = "rays" in doc
     has_cells = "cells" in doc
-    _expect_keys(doc, "", set(), {"rays", "cells"})
     _expect(has_rays != has_cells, "",
             "expected exactly one of the fields 'rays' or 'cells'")
     if has_rays:
@@ -190,18 +189,10 @@ def load_divisor(doc: Any, fan: Fan) -> QDivisor:
 
 def load_nilpotent_matrix(doc: Any) -> RationalMatrix:
     """The square matrix of a nilpotent-operator document, before any power is formed."""
-    from .linalg import RationalMatrix
     _expect_keys(doc, "", {"matrix"})
     raw = doc["matrix"]
     _expect(isinstance(raw, list) and raw, "/matrix", "expected a nonempty list of rows")
-    n = len(raw)
-    entries = {}
-    for i, row in enumerate(raw):
-        _expect(isinstance(row, list) and len(row) == n, f"/matrix/{i}",
-                f"expected a row of length {n} (square matrix)")
-        for j, v in enumerate(row):
-            entries[(i, j)] = parse_rational(v, f"/matrix/{i}/{j}")
-    return RationalMatrix(n, n, entries)
+    return _load_matrix(raw, len(raw), len(raw), "/matrix")
 
 
 # --- generic complexes ------------------------------------------------------------------
@@ -224,7 +215,6 @@ def load_generic_complex(doc: Any) -> tuple[CochainComplex, Optional[list]]:
     """A bounded complex plus an optional filtration (the levels F^1, F^2,
     ...; each lists, per degree, the basis columns of the subspace)."""
     from .complexes import CochainComplex
-    from .linalg import RationalMatrix
     _expect_keys(doc, "", {"min_degree", "dims"}, {"differentials", "filtration"})
     min_degree = doc["min_degree"]
     _expect(isinstance(min_degree, int) and not isinstance(min_degree, bool),
@@ -260,13 +250,8 @@ def load_generic_complex(doc: Any) -> tuple[CochainComplex, Optional[list]]:
                 k = min_degree + i
                 cp = f"{lp}/{i}"
                 _expect(isinstance(raw_cols, list), cp, "expected a list of basis columns")
-                cols = []
-                for ci, col in enumerate(raw_cols):
-                    _expect(isinstance(col, list) and len(col) == dims[k], f"{cp}/{ci}",
-                            f"expected a column of length {dims[k]}")
-                    cols.append(tuple(parse_rational(v, f"{cp}/{ci}/{vi}")
-                                      for vi, v in enumerate(col)))
-                level[k] = RationalMatrix.from_columns(cols, dims[k])
+                # the basis columns, read as the rows of the transpose
+                level[k] = _load_matrix(raw_cols, len(raw_cols), dims[k], cp).transpose()
             filtration.append(level)
     return complex_, filtration
 

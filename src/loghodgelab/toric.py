@@ -73,6 +73,9 @@ class Fan:
         self.ray_names = list(ray_names)
         self._validate_smooth()
         self._validate_complete()
+        unused = set(range(len(self.rays))).difference(*self.maximal_cones)
+        if unused:
+            raise FanError(f"ray {min(unused)} lies in no maximal cone")
 
     def _validate_smooth(self):
         n = self.rank
@@ -141,11 +144,6 @@ class QDivisor:
     @classmethod
     def zero(cls, fan: Fan) -> "QDivisor":
         return cls({i: Fraction(0) for i in range(len(fan.rays))})
-
-    def validate_on(self, fan: Fan):
-        expected = set(range(len(fan.rays)))
-        if set(self.coefficients) != expected:
-            raise FanError("divisor does not assign a coefficient to every ray")
 
     def floor(self) -> dict[int, int]:
         return {i: floor(v) for i, v in sorted(self.coefficients.items())}
@@ -280,7 +278,6 @@ class LogHodgeTable:
 def log_hodge_numbers(fan: Fan, twist: QDivisor) -> LogHodgeTable:
     """Entry (p, q) = C(n, p) * h^q(O(floor(twist))); twist zero gives the
     first-page table of the full-boundary toric triple."""
-    twist.validate_on(fan)
     return log_hodge_table(fan.rank, twist, divisor_cohomology(fan, twist.floor()))
 
 

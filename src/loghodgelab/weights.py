@@ -51,9 +51,6 @@ class WeightFunction:
     def cell_value(self, cell: Cell) -> Fraction:
         return sum((self.ray_value(c) for c in cell.components), Fraction(0))
 
-    def scaled(self, factor: Fraction) -> "WeightFunction":
-        return WeightFunction({k: v * factor for k, v in self.ray_values.items()})
-
 
 @dataclass
 class PositivityReport:

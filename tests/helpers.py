@@ -4,16 +4,15 @@ and constructions that only the tests use."""
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from loghodgelab.complexes import (ChainMap, CochainComplex, FilteredComplex, FiltrationError,
-                                   _total_complex, cohomology_dims, identity_chain_map)
+                                   _total_complex, cohomology_dims)
 from loghodgelab.conecx import ConeComplex, IntersectionData
 from loghodgelab.linalg import (RationalMatrix, column_space_basis, contains_space, kernel_basis,
                                 rank)
-from loghodgelab.localmodel import (FLAVORS, LocalModel, LocalModelError, _cech_arrows,
-                                    _form_arrows, block_basis, block_complex,
-                                    reliable_multidegrees)
+from loghodgelab.localmodel import (FLAVORS, LAURENT, LocalModel, LocalModelError, _cech_arrows,
+                                    _form_arrows, block_basis)
 from loghodgelab.monodromy import MonodromyError
 from loghodgelab.toric import Fan, FanError, QDivisor
 from loghodgelab.weights import WeightFunction
@@ -196,6 +195,11 @@ def zero_chain_map(source: CochainComplex, target: CochainComplex) -> ChainMap:
     return ChainMap(source, target, {})
 
 
+def identity_chain_map(c: CochainComplex) -> ChainMap:
+    return ChainMap(c, c, {k: RationalMatrix.identity(c.dim(k))
+                           for k in c.degrees() if c.dim(k)})
+
+
 def trivial_filtration(c: CochainComplex) -> FilteredComplex:
     return FilteredComplex(c, [])
 
@@ -232,6 +236,30 @@ def dump_intersection_data(data: IntersectionData) -> dict:
 
 
 # --- local models --------------------------------------------------------------------
+
+
+def reliable_multidegrees(model: LocalModel, flavor: str):
+    """Multidegrees whose block lies entirely inside the window."""
+    lo = -model.window if flavor == LAURENT else 0
+    return product(*(range(lo if i <= model.r else 0, model.window + 1)
+                     for i in range(1, model.n + 1)))
+
+
+def block_complex(model: LocalModel, flavor: str, mu) -> CochainComplex:
+    """The multidegree-mu block of the flavor's form complex, degrees 0..n."""
+    return _total_complex({p: block_basis(model, flavor, mu, p) for p in range(model.n + 1)},
+                          lambda s: _form_arrows(model, mu, s))
+
+
+def block_inclusion(model: LocalModel, source_flavor: str, mu) -> ChainMap:
+    """Inclusion of a flavor block into the Laurent block at the same mu: the
+    flavor's keys are a subset of the Laurent keys, so each component is the
+    identity's columns at them."""
+    laurent = {p: block_basis(model, LAURENT, mu, p) for p in range(model.n + 1)}
+    return ChainMap(block_complex(model, source_flavor, mu), block_complex(model, LAURENT, mu),
+                    {p: RationalMatrix.identity(len(keys)).submatrix_columns(
+                        [keys.index(s) for s in block_basis(model, source_flavor, mu, p)])
+                     for p, keys in laurent.items()})
 
 
 def build_form_complex(model: LocalModel, flavor: str) -> CochainComplex:

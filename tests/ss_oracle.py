@@ -52,6 +52,16 @@ def preimage_space(f: RationalMatrix, w: RationalMatrix) -> RationalMatrix:
     return column_space_basis(ker.submatrix_rows(range(f.cols)))
 
 
+def level_basis(fc: FilteredComplex, p: int, k: int) -> RationalMatrix:
+    """Basis of F^p C^k: all of C^k for p <= 0, zero from the depth on."""
+    n = fc.underlying.dim(k)
+    if p <= 0:
+        return RationalMatrix.identity(n)
+    if p >= fc.depth or k not in fc.levels[p - 1]:
+        return RationalMatrix.zeros(n, 0)
+    return fc.levels[p - 1][k]
+
+
 class _PageEntry:
     """Representatives of E_r^{p,q} = Z_r / D_r for one spot (p, q)."""
 
@@ -85,17 +95,17 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
         """Z_r^{p, k-p} = F^p C^k ∩ d^{-1}(F^{p+r} C^{k+1}); for r <= 0 this
         is just F^p C^k (d preserves the filtration)."""
         if r <= 0:
-            return fc.level_basis(p, k)
+            return level_basis(fc, p, k)
         key = (r, p, k)
         if key not in z_cache:
-            fp = fc.level_basis(p, k)
+            fp = level_basis(fc, p, k)
             if fp.cols == 0:
                 z_cache[key] = fp
             else:
                 d = c.differential(k)
                 images = [d.apply(fp.column(j)) for j in range(fp.cols)]
                 dmat = RationalMatrix.from_columns(images, c.dim(k + 1))
-                coeff = preimage_space(dmat, fc.level_basis(p + r, k + 1))
+                coeff = preimage_space(dmat, level_basis(fc, p + r, k + 1))
                 vecs = [fp.apply(coeff.column(j)) for j in range(coeff.cols)]
                 z_cache[key] = column_space_basis(
                     RationalMatrix.from_columns(vecs, c.dim(k)))

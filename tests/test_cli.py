@@ -234,6 +234,18 @@ def test_divisor_cohomology_rejects_double_cover_fan(tmp_path, capsys):
     assert "overlap" in err
 
 
+def test_divisor_cohomology_rejects_fan_with_unused_ray(tmp_path, capsys):
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"rays": [[1, 0], [0, 1], [-1, -1], [1, 1]],
+                               "cones": [[0, 1], [1, 2], [0, 2]]}))
+    divisor = tmp_path / "divisor.json"
+    divisor.write_text(json.dumps({"coefficients": [0] * 4}))
+    code, _, err = run(["divisor-cohomology", "--fan", str(fan), "--divisor", str(divisor)],
+                       capsys)
+    assert code == 1
+    assert "ray 3 lies in no maximal cone" in err
+
+
 def test_divisor_sweep_charged_against_cap(tmp_path, capsys, monkeypatch):
     # the character box of 3000 H on P^2 has 3006 rows along its first axis
     divisor = tmp_path / "divisor.json"

@@ -16,7 +16,6 @@ from loghodgelab.complexes import (
     FiltrationError,
     cohomology_dims,
     degeneration_check,
-    identity_chain_map,
     long_exact_sequence,
     mapping_cone,
     spectral_sequence,
@@ -25,8 +24,8 @@ from loghodgelab.jsonio import load_generic_complex
 from loghodgelab.linalg import RationalMatrix
 
 import ss_oracle
-from helpers import (counting_fractions, mutated_filtration_levels, plus_identity_map,
-                     random_chain_map, random_complex, random_filtration_levels,
+from helpers import (counting_fractions, identity_chain_map, mutated_filtration_levels,
+                     plus_identity_map, random_chain_map, random_complex, random_filtration_levels,
                      reference_filtration_levels, stupid_filtration, trivial_filtration,
                      zero_chain_map)
 

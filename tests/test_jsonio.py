@@ -93,6 +93,26 @@ def test_nilpotent_requires_square_matrix():
     assert "/matrix/0" in str(info.value)
 
 
+SQUARE = {"min_degree": 0, "dims": [1, 2], "differentials": [[["0"], ["0"]]]}
+
+
+@pytest.mark.parametrize("load, doc, pointer", [
+    (load_nilpotent_matrix, {"matrix": [["0", "1"], ["0"]]}, "/matrix/1"),
+    (load_nilpotent_matrix, {"matrix": [["0", "x"], ["0", "0"]]}, "/matrix/0/1"),
+    (load_generic_complex, {"min_degree": 0, "dims": [2, 1], "differentials": [[["1"]]]},
+     "/differentials/0/0"),
+    (load_generic_complex, {**SQUARE, "filtration": [[[], "x"]]}, "/filtration/0/1"),
+    (load_generic_complex, {**SQUARE, "filtration": [[[], [["1"]]]]}, "/filtration/0/1/0"),
+    (load_generic_complex, {**SQUARE, "filtration": [[[], [["1", "0"], ["0", "y"]]]]},
+     "/filtration/0/1/1/1"),
+], ids=["ragged-row", "matrix-entry", "differential-row", "level-degree", "column-length",
+        "column-entry"])
+def test_matrix_reader_error_pointers(load, doc, pointer):
+    with pytest.raises(SchemaError) as info:
+        load(doc)
+    assert info.value.pointer == pointer
+
+
 def test_generic_complex_d_squared_checked():
     doc = {
         "min_degree": 0,

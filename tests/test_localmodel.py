@@ -18,14 +18,12 @@ from loghodgelab.localmodel import (
     _sign_classes,
     _sign_insert,
     assemble_stalk,
-    block_complex,
-    block_inclusion,
     koszul_local_cohomology,
     obstruction_cone,
-    reliable_multidegrees,
 )
 
-from helpers import build_form_complex, form_cohomology, stupid_filtration, subset_total_block
+from helpers import (block_complex, block_inclusion, build_form_complex, form_cohomology,
+                     reliable_multidegrees, stupid_filtration, subset_total_block)
 
 
 # --- form complexes -------------------------------------------------------------
@@ -402,6 +400,11 @@ def test_a_flavor_rule_that_d_does_not_preserve_is_refused(monkeypatch):
             obstruction_cone(LocalModel(2, 1, 2), flavor)
         with pytest.raises(ValueError):
             assemble_stalk(LocalModel(2, 2, 1), flavor)
+
+
+def test_laurent_is_not_a_source_flavor():
+    with pytest.raises(LocalModelError, match="'laurent'"):
+        obstruction_cone(LocalModel(2, 1, 2), LAURENT)
 
 
 def test_sign_classes_partition_the_reliable_multidegrees():

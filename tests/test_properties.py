@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from loghodgelab.complexes import (
     cohomology_dims,
-    identity_chain_map,
     long_exact_sequence,
     mapping_cone,
     spectral_sequence,
 )
 
-from helpers import plus_identity_map, random_chain_map, random_complex, random_filtration
+from helpers import (identity_chain_map, plus_identity_map, random_chain_map, random_complex,
+                     random_filtration)
 
 # Deterministic and bounded: each property runs the same examples every time.
 bounded = settings(derandomize=True, database=None, max_examples=30, deadline=None)

@@ -119,6 +119,12 @@ def test_missing_maximal_cones_rejected():
         Fan([(1,), (-1,)], [])
 
 
+def test_ray_in_no_maximal_cone_rejected():
+    # the cones of P^2 cover the plane; the extra ray (1, 1) lies in none
+    with pytest.raises(FanError, match="ray 3 lies in no maximal cone"):
+        Fan([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
+
+
 def test_standard_fans_construct():
     projective_line()
     projective_plane()

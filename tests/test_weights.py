@@ -99,7 +99,8 @@ def test_convexity_invariant_under_rescaling():
                             for k in ("a", "b", "c")})
         base = validate_convexity(w, c).valid
         for factor in (Fraction(2), Fraction(1, 3), Fraction(7, 5)):
-            assert validate_convexity(w.scaled(factor), c).valid == base
+            scaled = WeightFunction({k: v * factor for k, v in w.ray_values.items()})
+            assert validate_convexity(scaled, c).valid == base
 
 
 def test_p2_fan_all_ones_convex():
