@@ -27,9 +27,8 @@ that are unpaired or in a pair of gap >= r, and d_r is nonzero exactly where
 a pair of gap r starts.
 
 Every complex on a keyed basis (the cone complex, its weighted tropical
-twist, the toric chamber complexes and the local models) comes from one
-builder, ``_total_complex``: keys by degree and a rule listing the signed
-arrows out of a key.
+twist and the local models) comes from one builder, ``_total_complex``:
+keys by degree and a rule listing the signed arrows out of a key.
 """
 
 from __future__ import annotations

@@ -53,9 +53,10 @@ the flavor keys span a subcomplex is checked on the keys (no form arrow
 leaves them for another Laurent key), since the quotient alone would not
 notice a flavor rule that d does not preserve.  The Mayer-Vietoris keys are
 built on Cech bases computed once per (T, p) and shared by every I
-containing T; the nerve arrows are the only ones that change I, so I's own
-Cech total complex is the builder on I's keys with the same arrow rule,
-shifted in degree by |I| - 1.
+containing T.  The nerve arrows are the only ones that change I, and they
+only shrink it, so I's own Cech total complex is the I-to-I diagonal block
+of the Mayer-Vietoris differentials, shifted in degree by |I| - 1, and its
+d o d is the I-to-I block of D o D, which the total complex already checks.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
 from .complexes import CochainComplex, _total_complex, cohomology_dims
+from .linalg import rank
 
 HOLOMORPHIC = "holomorphic"
 LOGARITHMIC = "logarithmic"
@@ -348,28 +350,36 @@ def _mv_total_block(model: LocalModel, flavor: str, mu: Mu) -> tuple[
 def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:
     """Mayer-Vietoris assembly of the obstruction stalk, with the direct cone
     computed alongside and compared degree by degree and multidegree by
-    multidegree.  Per sign class, one total complex and one Cech complex per
-    subset I, each built on its own keys."""
+    multidegree.  Per sign class, one total complex; each subset I's
+    cohomology is read off its I-to-I diagonal blocks, one rank per degree."""
     report = obstruction_cone(model, source_flavor)
     assembled: dict[int, int] = {p: 0 for p in range(model.n + 1)}
     assembled_by_mu: dict[int, dict[Mu, int]] = {}
     per_subset: dict[Subset, dict[int, int]] = {}
     for cls, size in _sign_classes(model):
         basis, arrows = _mv_total_block(model, source_flavor, cls)
+        for keys in basis.values():
+            keys.sort()   # the builder's order, so positions below are its rows
+        total = _total_complex(basis, arrows)
         # cone degree p corresponds to assembled degree p + 1
-        _tally(model, cls, size, cohomology_dims(_total_complex(basis, arrows)), 1,
-               assembled, assembled_by_mu)
-        # I's keys in I's own degree |S| + |T|, the total degree plus |I| - 1
-        subsets: dict[Subset, dict[int, list[MVKey]]] = {}
+        _tally(model, cls, size, cohomology_dims(total), 1, assembled, assembled_by_mu)
+        # positions of I's keys in each total degree k
+        positions: dict[Subset, dict[int, list[int]]] = {}
         for k, keys in basis.items():
-            for key in keys:
-                subsets.setdefault(key[0], {}).setdefault(k + len(key[0]) - 1, []).append(key)
-        for i_set, keys in subsets.items():
-            for k, dim in cohomology_dims(_total_complex(keys, arrows)).items():
+            for pos, key in enumerate(keys):
+                positions.setdefault(key[0], {}).setdefault(k, []).append(pos)
+        for i_set, by_degree in positions.items():
+            ranks = {}
+            for k, cols in by_degree.items():
+                block = total.differential(k).submatrix_rows(
+                    by_degree.get(k + 1, [])).submatrix_columns(cols)
+                ranks[k] = 0 if block.is_zero() else rank(block)
+            for k, cols in by_degree.items():
+                dim = len(cols) - ranks[k] - ranks.get(k - 1, 0)
                 if dim:
-                    p = k - len(i_set)   # contribution H^{p + |I|} at degree p
+                    # I's own degree is k + |I| - 1, which holds H^{p + |I|} at p = k - 1
                     slot = per_subset.setdefault(i_set, {})
-                    slot[p] = slot.get(p, 0) + size * dim
+                    slot[k - 1] = slot.get(k - 1, 0) + size * dim
     report.per_subset = dict(sorted(per_subset.items()))
     report.assembled = assembled
     report.assembled_by_multidegree = assembled_by_mu

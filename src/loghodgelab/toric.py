@@ -3,9 +3,29 @@ logarithmic Hodge tables built from it.
 
 h^q(X, O(D)) is a sum over lattice characters m: the graded piece at m is the
 reduced cohomology, one degree down, of the simplicial complex spanned inside
-each maximal cone by the rays whose inequality <m, v> >= -a_v fails.  That
-piece depends only on the set of violating rays, its sign chamber, so it is
-computed once per chamber met (at most 2^#rays) and reused within the call.
+each maximal cone by the rays whose inequality <m, v> >= -a_v fails
+(Cox-Little-Schenck, Toric Varieties, Thm 9.1.3).  That piece depends only
+on the set V of violating rays, its sign chamber, so it is computed once per
+chamber met (at most 2^#rays) and reused within the call.
+
+The fan is simplicial and complete, so its rays and cones triangulate the
+unit sphere S^{n-1}, and the complex of V is the subcomplex of that sphere
+spanned by V.  Its reduced cohomology needs no complex: with c(W) the number
+of connected components of the sphere's 1-skeleton (rays joined when they
+share a maximal cone) restricted to W,
+
+    V empty:              H~^{-1} = 1 (the empty complex);
+    V every ray:          H~^{n-1} = 1 (the whole sphere);
+    otherwise:            H~^0 = c(V) - 1, and for n = 3 also
+                          H~^1 = c(V^c) - 1,
+
+and every other degree is 0.  H~^1 is Alexander duality: the sphere minus
+a spanned subcomplex retracts onto the subcomplex spanned by the
+complement, so H~^i(V) = H~_{n-2-i}(V^c) (Miller-Sturmfels, Combinatorial
+Commutative Algebra, ch. 5).  For n = 3 that gives H~^1 = c(V^c) - 1 and
+H~^2 = 0, since V^c is not empty; for n <= 2 a proper spanned subcomplex of
+a circle or of two points is a disjoint union of arcs or points.
+
 Characters with a nonzero contribution lie in bounded chambers whose vertices
 solve n x n subsystems with right hand sides -a_v or -a_v - 1, so the
 bounding box of those solutions (padded by one) is exhaustive.  The box is
@@ -25,8 +45,6 @@ from fractions import Fraction
 from itertools import combinations, count, product
 from math import comb, floor, gcd, prod
 from typing import Optional, Sequence
-
-from .complexes import _total_complex, cohomology_dims
 
 
 class FanError(ValueError):
@@ -152,22 +170,47 @@ class QDivisor:
         return all(v == 0 for v in self.coefficients.values())
 
 
-def _reduced_cohomology(facets: list[tuple[int, ...]]) -> dict[int, int]:
-    """Reduced simplicial cohomology of the complex generated by ``facets``.
-    Degree -1 holds the empty face ``()``, the empty-complex class."""
-    faces: set[tuple[int, ...]] = {()}
-    for facet in facets:
-        fs = tuple(sorted(facet))
-        for mask in range(1, 2 ** len(fs)):
-            faces.add(tuple(v for i, v in enumerate(fs) if mask >> i & 1))
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    cofaces: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-    for face in faces:
-        by_dim.setdefault(len(face) - 1, []).append(face)
-        for drop in range(len(face)):
-            cofaces.setdefault(face[:drop] + face[drop + 1:], []).append((face, (-1) ** drop))
-    complex_ = _total_complex(by_dim, lambda face: cofaces.get(face, ()))
-    return {k: v for k, v in cohomology_dims(complex_).items() if v}
+def _skeleton_edges(fan: Fan) -> set[tuple[int, int]]:
+    """Pairs of rays that share a maximal cone: the edges of the fan's sphere."""
+    return {pair for cone in fan.maximal_cones for pair in combinations(cone, 2)}
+
+
+def _components(rays: frozenset[int], edges: set[tuple[int, int]]) -> int:
+    """Connected components of the 1-skeleton restricted to ``rays``, by
+    union-find over the edges with both ends among them."""
+    parent = {v: v for v in rays}
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    components = len(rays)
+    for a, b in edges:
+        if a in parent and b in parent:
+            ra, rb = root(a), root(b)
+            if ra != rb:
+                parent[ra] = rb
+                components -= 1
+    return components
+
+
+def _chamber_cohomology(fan: Fan, violating: frozenset[int],
+                        edges: Optional[set[tuple[int, int]]] = None) -> dict[int, int]:
+    """Nonzero reduced cohomology of the subcomplex of the fan's sphere
+    spanned by the rays in ``violating``, by degree (-1 holds the empty
+    complex), from component counts as in the module docstring.  ``edges``
+    is ``_skeleton_edges(fan)`` unless the caller has it already."""
+    if not violating:
+        return {-1: 1}
+    if len(violating) == len(fan.rays):
+        return {fan.rank - 1: 1}
+    if edges is None:
+        edges = _skeleton_edges(fan)
+    out = {0: _components(violating, edges) - 1}
+    if fan.rank == 3:
+        out[1] = _components(frozenset(range(len(fan.rays))) - violating, edges) - 1
+    return {q: dim for q, dim in out.items() if dim}
 
 
 def character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
@@ -216,6 +259,7 @@ def divisor_cohomology(fan: Fan, divisor: dict[int, int],
         box = character_box(fan, divisor)
     first, stop = box[-1][0], box[-1][1] + 1
     chambers: dict[frozenset[int], list[tuple[int, int]]] = {}
+    edges = _skeleton_edges(fan)
     out = {q: 0 for q in range(n + 1)}
     for prefix in product(*[range(lo, hi + 1) for lo, hi in box[:-1]]):
         # ray i is violated for m_n in [begin, end), clipped to the row
@@ -237,12 +281,7 @@ def divisor_cohomology(fan: Fan, divisor: dict[int, int],
         for begin, end in zip(cuts, cuts[1:]):
             violating = frozenset(i for i, b, e in spans if b <= begin < e)
             if violating not in chambers:
-                facets = []
-                for cone in fan.maximal_cones:
-                    bad = tuple(i for i in cone if i in violating)
-                    if bad:
-                        facets.append(bad)
-                reduced = _reduced_cohomology(facets)
+                reduced = _chamber_cohomology(fan, violating, edges)
                 chambers[violating] = [(q_tilde + 1, dim) for q_tilde, dim in reduced.items()
                                        if 0 <= q_tilde + 1 <= n]
             for q, dim in chambers[violating]:

@@ -308,6 +308,36 @@ def subset_total_block(model: LocalModel, flavor: str, i_set, mu) -> CochainComp
 # --- toric ---------------------------------------------------------------------------
 
 
+def chamber_facets(fan: Fan, violating) -> list[tuple[int, ...]]:
+    """Facets of the complex spanned by ``violating``: the violating rays of
+    each maximal cone that has any."""
+    facets = []
+    for cone in fan.maximal_cones:
+        bad = tuple(i for i in cone if i in violating)
+        if bad:
+            facets.append(bad)
+    return facets
+
+
+def reduced_cohomology(facets: list[tuple[int, ...]]) -> dict[int, int]:
+    """Nonzero reduced simplicial cohomology of the complex generated by
+    ``facets``, by elimination on its cochain complex.  Degree -1 holds the
+    empty face ``()``, the empty-complex class."""
+    faces: set[tuple[int, ...]] = {()}
+    for facet in facets:
+        fs = tuple(sorted(facet))
+        for mask in range(1, 2 ** len(fs)):
+            faces.add(tuple(v for i, v in enumerate(fs) if mask >> i & 1))
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    cofaces: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for face in faces:
+        by_dim.setdefault(len(face) - 1, []).append(face)
+        for drop in range(len(face)):
+            cofaces.setdefault(face[:drop] + face[drop + 1:], []).append((face, (-1) ** drop))
+    complex_ = _total_complex(by_dim, lambda face: cofaces.get(face, ()))
+    return {k: v for k, v in cohomology_dims(complex_).items() if v}
+
+
 def weight_divisor(w: WeightFunction, fan: Fan) -> QDivisor:
     """The divisor with coefficient w(ray) on each boundary ray; callers take
     the floor separately.  Ray names must match the weight's ray set."""

@@ -25,9 +25,9 @@ ARGV_AND_MODULES = {
                         {"trop", "weights", "conecx", "complexes", "linalg"}),
     "trop-ss": (["--complex", "ex42.json", "--weights", "ex42_cell_weights.json",
                  "--thresholds", "2"], {"trop", "weights", "conecx", "complexes", "linalg"}),
-    "log-hodge": (["--fan", "p2_fan.json"], {"toric", "complexes", "linalg"}),
+    "log-hodge": (["--fan", "p2_fan.json"], {"toric"}),
     "divisor-cohomology": (["--fan", "p2_fan.json", "--divisor", "p2_canonical_divisor.json"],
-                           {"toric", "complexes", "linalg"}),
+                           {"toric"}),
     "obstruction-stalk": (["--n", "2", "--r", "2", "--window", "2"],
                           {"localmodel", "complexes", "linalg"}),
     "local-cohomology": (["--n", "2", "--r", "1", "--window", "2", "--subset", "1",

@@ -331,14 +331,6 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def subset_blocks(n, r):
-    """Cech complexes of the subsets I over all sign classes: one for each
-    nonempty I that contains the class's negative coordinates, so per
-    boundary coordinate the three signs give 1 + 2 + 2 choices, less the
-    classes with no negative coordinate, whose I may not be empty."""
-    return 2 ** (n - r) * (5 ** r - 2 ** r)
-
-
 def test_stalk_builds_one_block_per_sign_class(monkeypatch):
     # every complex comes from the builder: no cone, no sliced block, no chain map
     constructed, chain_maps = [], []
@@ -357,9 +349,9 @@ def test_stalk_builds_one_block_per_sign_class(monkeypatch):
                 calls.clear()
             assemble_stalk(LocalModel(n, r, window), flavor)
             assert len(totals) == classes, (n, r, window, flavor)
-            # a quotient block and a Mayer-Vietoris complex per class, and
-            # a Cech complex per subset block
-            assert len(built) == 2 * classes + subset_blocks(n, r), (n, r, window, flavor)
+            # a quotient block and a Mayer-Vietoris complex per class; each
+            # subset's Cech complex is a diagonal block of the latter
+            assert len(built) == 2 * classes, (n, r, window, flavor)
             assert len(constructed) == len(built), (n, r, window, flavor)
             # the Laurent keys, then the Cech frames once per localization T
             assert len(bases) == classes * (n + 1) * (1 + 2 ** r), (n, r, window, flavor)
@@ -384,7 +376,7 @@ def test_stalk_work_does_not_grow_with_the_window(monkeypatch):
             assemble_stalk(LocalModel(2, 2, window), flavor)
             work.append((len(built), len(eliminations)))
         assert work[0] == work[1], (flavor, work)
-        assert work[0][0] == 2 * 9 + subset_blocks(2, 2), (flavor, work)
+        assert work[0][0] == 2 * 9, (flavor, work)
 
 
 def test_a_flavor_rule_that_d_does_not_preserve_is_refused(monkeypatch):
