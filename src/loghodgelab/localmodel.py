@@ -27,28 +27,38 @@ key.  The form rule sends S to S u {j} with sign * a_j, the Cech rule sends a
 localization T <= I to T u {j}; total complexes compose them with the usual
 signs.
 
-Blocks are computed once per sign class.  At a reliable multidegree mu the
-form arrow from S to S u {j} carries sign(S, j) * mu_j (the exponent a_j is
-mu_j whenever j is not in S) and exists only when mu_j != 0.  In the basis
-f_S = (product of mu_i over i in S with mu_i != 0) * e_S it carries
-sign(S, j) alone.  Basis membership depends only on the signs of the mu_i:
-the lower bounds compare a_i with 0 or 1, and a_i = mu_i - [i in S] for
-i > r, while |a_i| <= window holds throughout a reliable block.  The Cech,
-nerve and inclusion arrows keep S, so the rescaling leaves them unchanged.
-Every block at mu (form, quotient, Cech, Mayer-Vietoris) is therefore
-diagonally conjugate to the block at sign(mu), whose entries lie in
+Blocks are computed once per orbit of sign classes.  At a reliable
+multidegree mu the form arrow from S to S u {j} carries sign(S, j) * mu_j (the
+exponent a_j is mu_j whenever j is not in S) and exists only when mu_j != 0.
+In the basis f_S = (product of mu_i over i in S with mu_i != 0) * e_S it
+carries sign(S, j) alone.  Basis membership depends only on the signs of the
+mu_i: the lower bounds compare a_i with 0 or 1, and a_i = mu_i - [i in S] for
+i > r.  The Cech, nerve and inclusion arrows keep S, so the rescaling leaves
+them unchanged.  Every block at mu (form, quotient, Cech, Mayer-Vietoris) is
+therefore diagonally conjugate to the block at sign(mu), whose entries lie in
 {-1, 0, 1}; sign(mu) is itself a reliable Laurent multidegree for every
-window >= 1.  ``obstruction_cone`` and ``assemble_stalk`` enumerate the
-3^r * 2^(n-r) sign classes with their sizes (window to the number of nonzero
-signs), so totals are size times the class's dimensions, and they list the
-multidegrees of a class only where its cohomology is nonzero; their work
-does not grow with the window.
+window >= 1.  A class's size, the number of multidegrees in it, is window to
+the number of nonzero signs.
 
-Within a class each complex is built once, from its own keys.  The flavor's
-keys are a subset of the Laurent keys and span a subcomplex, so the cone of
-the inclusion is quasi-isomorphic to the quotient (Weibel, An Introduction
-to Homological Algebra, 1.5): the form differential on the Laurent keys
-outside the flavor, whose arrows into the flavor the builder drops.  That
+A permutation sigma of z_1..z_r among themselves and of z_{r+1}..z_n among
+themselves leaves the pair and both flavors unchanged, and relabelling the
+coordinates by sigma carries every block at a class c, with the frames S,
+localizations T and subsets I in it, onto the block at sigma(c), up to the
+signs of the relabelled wedges.  So the 3^r * 2^(n-r) classes fall into
+C(r+2, 2) * (n-r+1) orbits (10 against 27 at n = r = 3), each with a
+representative sorted within each coordinate block.  ``obstruction_cone``
+and ``assemble_stalk`` compute both routes at the representative alone and
+tally every class of its orbit: totals are size times the class's
+dimensions, multidegrees are listed only where the cohomology is nonzero,
+and subset I's entries at the representative are subset sigma(I)'s at
+sigma(c).  Their work does not grow with the window.
+
+At a representative each complex is built once, from its own keys.  The
+flavor's keys are a subset of the Laurent keys and span a subcomplex, so the
+cone of the inclusion is quasi-isomorphic to the quotient (Weibel, An
+Introduction to Homological Algebra, 1.5): the form differential on the
+Laurent keys outside the flavor, whose arrows into the flavor the builder
+drops.  That
 the flavor keys span a subcomplex is checked on the keys (no form arrow
 leaves them for another Laurent key), since the quotient alone would not
 notice a flavor rule that d does not preserve.  The Mayer-Vietoris keys are
@@ -63,7 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -100,6 +110,7 @@ class LocalModel:
 Mu = tuple[int, ...]
 Subset = tuple[int, ...]   # sorted coordinate indices, 1-based
 MVKey = tuple[Subset, Subset, Subset]   # Mayer-Vietoris position (I, T, S)
+Orbit = list[tuple[Mu, tuple[int, ...]]]   # (sign class, permutation) pairs
 
 
 def _exponent(model: LocalModel, s: Subset, mu: Mu) -> tuple[int, ...]:
@@ -110,11 +121,12 @@ def _exponent(model: LocalModel, s: Subset, mu: Mu) -> tuple[int, ...]:
 def _flavor_allows(model: LocalModel, flavor: str, s: Subset,
                    a: tuple[int, ...], localized: frozenset[int] = frozenset()) -> bool:
     """Exponent constraints in the common frame; ``localized`` coordinates
-    (from a Cech localization) carry no lower bound."""
+    (from a Cech localization) carry no lower bound.  There is no upper bound
+    |a_i| <= window: every caller passes a reliable multidegree mu (in this
+    module a sign class, entries in {-1, 0, 1}), where a_i is mu_i or
+    mu_i - 1 >= -1 with mu_i >= 0, so |a_i| <= max(|mu_i|, 1) <= window."""
     for i in range(1, model.n + 1):
         ai = a[i - 1]
-        if abs(ai) > model.window:
-            return False
         if i in localized and i <= model.r:
             continue
         if i <= model.r:
@@ -131,14 +143,41 @@ def _flavor_allows(model: LocalModel, flavor: str, s: Subset,
     return True
 
 
-def _sign_classes(model: LocalModel) -> Iterator[tuple[Mu, int]]:
-    """(sign class, size) for every sign class of the reliable Laurent
-    multidegrees: the class is a multidegree with entries in {-1, 0, 1}, and
-    its size, the number of multidegrees in it, is window to the number of
-    nonzero signs."""
-    signs = [(-1, 0, 1) if i <= model.r else (0, 1) for i in range(1, model.n + 1)]
-    for cls in product(*signs):
-        yield cls, model.window ** sum(1 for c in cls if c)
+def _block_orbits(signs: Mu, first: int, count: int) -> list[tuple[Mu, Orbit]]:
+    """Every sorted block of ``count`` signs on the coordinates first,
+    first + 1, ..., with its distinct rearrangements, each with the
+    permutation sigma that carries the block onto it: sigma[i] is the image
+    of coordinate first + i."""
+    coords = tuple(range(first, first + count))
+    out = []
+    for block in combinations_with_replacement(signs, count):
+        if len(set(block)) < 2:   # a constant block is its one arrangement
+            out.append((block, [(block, coords)]))
+            continue
+        placed = [((), coords)]   # (images so far, free coordinates)
+        for value in sorted(set(block)):
+            placed = [(images + pick, tuple(c for c in free if c not in pick))
+                      for images, free in placed for pick in combinations(free, block.count(value))]
+        out.append((block, [(tuple(block[sigma.index(c)] for c in coords), sigma)
+                            for sigma, _ in placed]))
+    return out
+
+
+def _sign_classes(model: LocalModel) -> Iterator[tuple[Mu, int, Orbit]]:
+    """(representative, size, orbit) for every orbit of the sign classes of
+    the reliable Laurent multidegrees under the permutations of z_1..z_r and
+    of z_{r+1}..z_n.  A class is a multidegree with entries in {-1, 0, 1}; its
+    size, the number of multidegrees in it, is window to the number of
+    nonzero signs, the same across an orbit.  The representative is sorted
+    within each coordinate block, and the orbit lists each of its classes once
+    with a permutation sigma, class[sigma[i - 1] - 1] = representative[i - 1]."""
+    r = model.r
+    highs = _block_orbits((0, 1), r + 1, model.n - r)
+    for low, lows in _block_orbits((-1, 0, 1), 1, r):
+        for high, rearranged in highs:
+            yield (low + high, model.window ** (r - low.count(0) + high.count(1)),
+                   [(low_cls + high_cls, low_sigma + high_sigma)
+                    for low_cls, low_sigma in lows for high_cls, high_sigma in rearranged])
 
 
 def _class_multidegrees(model: LocalModel, cls: Mu) -> Iterator[Mu]:
@@ -230,29 +269,35 @@ class ObstructionStalkReport:
         return out
 
 
-def _tally(model: LocalModel, cls: Mu, size: int, dims: dict[int, int], shift: int,
-           totals: dict[int, int], by_mu: dict[int, dict[Mu, int]]) -> None:
-    """Add the cohomology ``dims`` of the block of class ``cls`` at degree
-    k - ``shift``: size times each dimension to ``totals``, and each
-    multidegree of the class to ``by_mu``."""
+def _tally(model: LocalModel, orbit: Orbit, size: int,
+           dims: dict[int, int], shift: int, totals: dict[int, int],
+           by_mu: dict[int, dict[Mu, int]]) -> None:
+    """Add the cohomology ``dims`` of an orbit's representative at degree
+    k - ``shift`` to every class of the orbit: size times each dimension per
+    class to ``totals``, and each multidegree of each class to ``by_mu``."""
     for k, dim in dims.items():
         if dim:
             p = k - shift
-            totals[p] = totals.get(p, 0) + size * dim
-            by_mu.setdefault(p, {}).update(dict.fromkeys(_class_multidegrees(model, cls), dim))
+            totals[p] = totals.get(p, 0) + len(orbit) * size * dim
+            entries = by_mu.setdefault(p, {})
+            for cls, _ in orbit:
+                entries.update(dict.fromkeys(_class_multidegrees(model, cls), dim))
 
 
-def obstruction_cone(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:
+def obstruction_cone(model: LocalModel, source_flavor: str,
+                     orbits: Optional[list[tuple[Mu, int, Orbit]]] = None
+                     ) -> ObstructionStalkReport:
     """Cone of (flavor -> Laurent) blockwise, as the quotient block of each
-    sign class; H dims per degree and multidegree."""
+    orbit's representative sign class; H dims per degree and multidegree.
+    ``orbits``, when given, is ``list(_sign_classes(model))``."""
     if source_flavor not in (HOLOMORPHIC, LOGARITHMIC):
         raise LocalModelError(
             f"source flavor must be holomorphic or logarithmic, got {source_flavor!r}")
     direct: dict[int, int] = {p: 0 for p in range(model.n + 1)}
     by_mu: dict[int, dict[Mu, int]] = {}
-    for cls, size in _sign_classes(model):
-        dims = cohomology_dims(_quotient_block(model, source_flavor, cls))
-        _tally(model, cls, size, dims, 0, direct, by_mu)
+    for rep, size, orbit in orbits or _sign_classes(model):
+        dims = cohomology_dims(_quotient_block(model, source_flavor, rep))
+        _tally(model, orbit, size, dims, 0, direct, by_mu)
     return ObstructionStalkReport(model, source_flavor, direct, by_mu)
 
 
@@ -314,11 +359,12 @@ def _mv_total_block(model: LocalModel, flavor: str, mu: Mu) -> tuple[
         D = d_form + (-1)^{|S|} cech + (-1)^{|S|+|T|} nerve-restriction.
 
     The frames are computed once per (T, p), the form arrows once per frame
-    and the Cech and nerve moves once per (I, T)."""
+    and the Cech and nerve moves once per (I, T).  Every T <= {1..r} lies in
+    I = {1..r} when r > 0; when r = 0 there is no I, so no frame is needed."""
     coords = tuple(range(1, model.r + 1))
     frames = {t: [s for p in range(model.n + 1)
                   for s in block_basis(model, flavor, mu, p, frozenset(t))]
-              for t in _subsets(coords)}
+              for t in (_subsets(coords) if coords else ())}
     forms = {s: list(_form_arrows(model, mu, s)) for t in frames for s in frames[t]}
     moves: dict[tuple[Subset, Subset], tuple[list, list]] = {}
     basis: dict[int, list[MVKey]] = {}
@@ -350,24 +396,27 @@ def _mv_total_block(model: LocalModel, flavor: str, mu: Mu) -> tuple[
 def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:
     """Mayer-Vietoris assembly of the obstruction stalk, with the direct cone
     computed alongside and compared degree by degree and multidegree by
-    multidegree.  Per sign class, one total complex; each subset I's
-    cohomology is read off its I-to-I diagonal blocks, one rank per degree."""
-    report = obstruction_cone(model, source_flavor)
+    multidegree.  Per orbit, one total complex at the representative; each
+    subset I's cohomology is read off its I-to-I diagonal blocks, one rank per
+    degree, and is subset sigma(I)'s at each class of the orbit."""
+    orbits = list(_sign_classes(model))
+    report = obstruction_cone(model, source_flavor, orbits)
     assembled: dict[int, int] = {p: 0 for p in range(model.n + 1)}
     assembled_by_mu: dict[int, dict[Mu, int]] = {}
     per_subset: dict[Subset, dict[int, int]] = {}
-    for cls, size in _sign_classes(model):
-        basis, arrows = _mv_total_block(model, source_flavor, cls)
+    for rep, size, orbit in orbits:
+        basis, arrows = _mv_total_block(model, source_flavor, rep)
         for keys in basis.values():
             keys.sort()   # the builder's order, so positions below are its rows
         total = _total_complex(basis, arrows)
         # cone degree p corresponds to assembled degree p + 1
-        _tally(model, cls, size, cohomology_dims(total), 1, assembled, assembled_by_mu)
+        _tally(model, orbit, size, cohomology_dims(total), 1, assembled, assembled_by_mu)
         # positions of I's keys in each total degree k
         positions: dict[Subset, dict[int, list[int]]] = {}
         for k, keys in basis.items():
             for pos, key in enumerate(keys):
                 positions.setdefault(key[0], {}).setdefault(k, []).append(pos)
+        at_rep: dict[Subset, dict[int, int]] = {}
         for i_set, by_degree in positions.items():
             ranks = {}
             for k, cols in by_degree.items():
@@ -378,8 +427,14 @@ def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkRep
                 dim = len(cols) - ranks[k] - ranks.get(k - 1, 0)
                 if dim:
                     # I's own degree is k + |I| - 1, which holds H^{p + |I|} at p = k - 1
-                    slot = per_subset.setdefault(i_set, {})
-                    slot[k - 1] = slot.get(k - 1, 0) + size * dim
+                    at_rep.setdefault(i_set, {})[k - 1] = size * dim
+        for _, sigma in orbit:
+            for i_set, dims in at_rep.items():
+                if len(orbit) > 1:   # a one-class orbit's sigma is the identity
+                    i_set = tuple(sorted(sigma[i - 1] for i in i_set))
+                slot = per_subset.setdefault(i_set, {})
+                for p, dim in dims.items():
+                    slot[p] = slot.get(p, 0) + dim
     report.per_subset = dict(sorted(per_subset.items()))
     report.assembled = assembled
     report.assembled_by_multidegree = assembled_by_mu

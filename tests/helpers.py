@@ -11,8 +11,9 @@ from loghodgelab.complexes import (ChainMap, CochainComplex, FilteredComplex, Fi
 from loghodgelab.conecx import ConeComplex, IntersectionData
 from loghodgelab.linalg import (RationalMatrix, column_space_basis, contains_space, kernel_basis,
                                 rank)
-from loghodgelab.localmodel import (FLAVORS, LAURENT, LocalModel, LocalModelError, _cech_arrows,
-                                    _form_arrows, block_basis)
+from loghodgelab.localmodel import (FLAVORS, LAURENT, LocalModel, LocalModelError,
+                                    ObstructionStalkReport, _cech_arrows, _form_arrows,
+                                    _mv_total_block, _quotient_block, _tally, block_basis)
 from loghodgelab.monodromy import MonodromyError
 from loghodgelab.toric import Fan, FanError, QDivisor
 from loghodgelab.weights import WeightFunction
@@ -303,6 +304,51 @@ def subset_total_block(model: LocalModel, flavor: str, i_set, mu) -> CochainComp
                 for s in block_basis(model, flavor, mu, p, frozenset(t)):
                     basis.setdefault(p + size, []).append((t, s))
     return _total_complex(basis, lambda key: cech_form_arrows(model, mu, i_set, *key))
+
+
+def sign_classes(model: LocalModel):
+    """(sign class, size) for every sign class of the reliable Laurent
+    multidegrees, one class at a time in product order."""
+    signs = [(-1, 0, 1) if i <= model.r else (0, 1) for i in range(1, model.n + 1)]
+    for cls in product(*signs):
+        yield cls, model.window ** sum(1 for c in cls if c)
+
+
+def per_class_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkReport:
+    """The obstruction stalk with both routes computed at every sign class,
+    the reference for ``assemble_stalk``, which computes them once per orbit:
+    per class the quotient block, one Mayer-Vietoris total complex, and each
+    subset I's cohomology read off its I-to-I diagonal blocks."""
+    direct = {p: 0 for p in range(model.n + 1)}
+    assembled = {p: 0 for p in range(model.n + 1)}
+    direct_by_mu, assembled_by_mu, per_subset = {}, {}, {}
+    for cls, size in sign_classes(model):
+        one = [(cls, None)]
+        _tally(model, one, size, cohomology_dims(_quotient_block(model, source_flavor, cls)), 0,
+               direct, direct_by_mu)
+        basis, arrows = _mv_total_block(model, source_flavor, cls)
+        for keys in basis.values():
+            keys.sort()
+        total = _total_complex(basis, arrows)
+        _tally(model, one, size, cohomology_dims(total), 1, assembled, assembled_by_mu)
+        positions = {}
+        for k, keys in basis.items():
+            for pos, key in enumerate(keys):
+                positions.setdefault(key[0], {}).setdefault(k, []).append(pos)
+        for i_set, by_degree in positions.items():
+            ranks = {}
+            for k, cols in by_degree.items():
+                block = total.differential(k).submatrix_rows(
+                    by_degree.get(k + 1, [])).submatrix_columns(cols)
+                ranks[k] = 0 if block.is_zero() else rank(block)
+            for k, cols in by_degree.items():
+                dim = len(cols) - ranks[k] - ranks.get(k - 1, 0)
+                if dim:
+                    slot = per_subset.setdefault(i_set, {})
+                    slot[k - 1] = slot.get(k - 1, 0) + size * dim
+    return ObstructionStalkReport(model, source_flavor, direct, direct_by_mu,
+                                  dict(sorted(per_subset.items())), assembled, assembled_by_mu,
+                                  assembled_by_mu == direct_by_mu)
 
 
 # --- toric ---------------------------------------------------------------------------

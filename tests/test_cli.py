@@ -285,6 +285,33 @@ def test_obstruction_stalk_holo_calibration(tmp_path):
     assert doc["result"]["matches"] is True
 
 
+def test_obstruction_stalk_mismatch_exits_1_and_still_writes_the_report(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the direct route gains a class at multidegree (0, 0) that the assembly lacks
+    from loghodgelab import localmodel
+    cone = localmodel.obstruction_cone
+
+    def one_more_class(*args):
+        report = cone(*args)
+        report.direct[0] += 1
+        report.direct_by_multidegree.setdefault(0, {})[(0, 0)] = 1
+        return report
+
+    monkeypatch.setattr(localmodel, "obstruction_cone", one_more_class)
+    code, doc, _ = run_json(["obstruction-stalk", "--n", "2", "--r", "2", "--window", "1",
+                             "--flavor", "log"], tmp_path)
+    assert code == 1
+    assert "disagrees with the direct cone" in capsys.readouterr().err
+    # the report is written as computed, with the verdict in it
+    assert doc["command"] == "obstruction-stalk"
+    result = doc["result"]
+    assert result["matches"] is False
+    assert result["direct"] == {"0": 1, "1": 0, "2": 0}
+    assert result["direct_by_multidegree"] == {"0": {"0,0": 1}}
+    assert result["assembled"] == {"0": 0, "1": 0, "2": 0}
+    assert result["assembled_by_multidegree"] == {} and result["per_subset"] == {}
+
+
 def test_local_cohomology_half_plane(tmp_path):
     code, doc, _ = run_json(
         ["local-cohomology", "--n", "2", "--r", "1", "--window", "2",

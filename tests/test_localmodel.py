@@ -6,6 +6,7 @@ import pytest
 from loghodgelab import complexes, linalg, localmodel
 from loghodgelab.complexes import (_total_complex, cohomology_dims, degeneration_check,
                                    mapping_cone, spectral_sequence)
+from loghodgelab.jsonio import canonical_json
 from loghodgelab.localmodel import (
     HOLOMORPHIC,
     LAURENT,
@@ -23,7 +24,8 @@ from loghodgelab.localmodel import (
 )
 
 from helpers import (block_complex, block_inclusion, build_form_complex, form_cohomology,
-                     reliable_multidegrees, stupid_filtration, subset_total_block)
+                     per_class_stalk, reliable_multidegrees, sign_classes, stupid_filtration,
+                     subset_total_block)
 
 
 # --- form complexes -------------------------------------------------------------
@@ -331,7 +333,7 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_stalk_builds_one_block_per_sign_class(monkeypatch):
+def test_stalk_builds_one_block_per_orbit(monkeypatch):
     # every complex comes from the builder: no cone, no sliced block, no chain map
     constructed, chain_maps = [], []
     init, check = complexes.CochainComplex.__init__, complexes.ChainMap.__post_init__
@@ -342,19 +344,20 @@ def test_stalk_builds_one_block_per_sign_class(monkeypatch):
     totals = count_calls(monkeypatch, "_mv_total_block")
     built = count_calls(monkeypatch, "_total_complex")
     bases = count_calls(monkeypatch, "block_basis")
-    for n, r, window in [(1, 1, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2), (3, 3, 2)]:
-        classes = 3 ** r * 2 ** (n - r)
+    for n, r, window in [(1, 1, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2), (3, 3, 2), (4, 4, 1)]:
+        orbits = comb(r + 2, 2) * (n - r + 1)
         for flavor in (HOLOMORPHIC, LOGARITHMIC):
             for calls in (totals, built, bases, constructed):
                 calls.clear()
             assemble_stalk(LocalModel(n, r, window), flavor)
-            assert len(totals) == classes, (n, r, window, flavor)
-            # a quotient block and a Mayer-Vietoris complex per class; each
+            assert len(totals) == orbits, (n, r, window, flavor)
+            # a quotient block and a Mayer-Vietoris complex per orbit; each
             # subset's Cech complex is a diagonal block of the latter
-            assert len(built) == 2 * classes, (n, r, window, flavor)
+            assert len(built) == 2 * orbits, (n, r, window, flavor)
             assert len(constructed) == len(built), (n, r, window, flavor)
             # the Laurent keys, then the Cech frames once per localization T
-            assert len(bases) == classes * (n + 1) * (1 + 2 ** r), (n, r, window, flavor)
+            assert len(bases) == orbits * (n + 1) * (1 + 2 ** r), (n, r, window, flavor)
+    assert len(built) == 2 * 15
     assert chain_maps == []
 
 
@@ -376,7 +379,8 @@ def test_stalk_work_does_not_grow_with_the_window(monkeypatch):
             assemble_stalk(LocalModel(2, 2, window), flavor)
             work.append((len(built), len(eliminations)))
         assert work[0] == work[1], (flavor, work)
-        assert work[0][0] == 2 * 9, (flavor, work)
+        # the 9 sign classes of (2, 2) fall into 6 orbits
+        assert work[0][0] == 2 * 6, (flavor, work)
 
 
 def test_a_flavor_rule_that_d_does_not_preserve_is_refused(monkeypatch):
@@ -404,7 +408,8 @@ def test_sign_classes_partition_the_reliable_multidegrees():
         for r in range(n + 1):
             for window in (1, 2, 3):
                 model = LocalModel(n, r, window)
-                classes = list(_sign_classes(model))
+                classes = [(cls, size) for _, size, orbit in _sign_classes(model)
+                           for cls, _ in orbit]
                 assert len(classes) == 3 ** r * 2 ** (n - r)
                 assert sum(size for _, size in classes) == \
                     (2 * window + 1) ** r * (window + 1) ** (n - r)
@@ -415,6 +420,63 @@ def test_sign_classes_partition_the_reliable_multidegrees():
                     assert all(tuple((m > 0) - (m < 0) for m in mu) == cls for mu in members)
                     seen += members
                 assert sorted(seen) == sorted(reliable_multidegrees(model, LAURENT)), (n, r, window)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbits_partition_the_sign_classes(n):
+    for r in range(n + 1):
+        model = LocalModel(n, r, 2)
+        orbits = list(_sign_classes(model))
+        assert len(orbits) == comb(r + 2, 2) * (n - r + 1), (n, r)
+        seen = []
+        for rep, size, orbit in orbits:
+            # sorted within each coordinate block
+            assert list(rep[:r]) == sorted(rep[:r]) and list(rep[r:]) == sorted(rep[r:])
+            assert size == 2 ** sum(1 for c in rep if c), (n, r, rep)
+            # the representative comes first, with the identity (assemble_stalk
+            # does not remap the subsets of a one-class orbit)
+            assert orbit[0] == (rep, tuple(range(1, n + 1))), (n, r, rep)
+            for cls, sigma in orbit:
+                # sigma permutes z_1..z_r and z_{r+1}..z_n among themselves
+                assert sorted(sigma[:r]) == list(range(1, r + 1)), (n, r, sigma)
+                assert sorted(sigma[r:]) == list(range(r + 1, n + 1)), (n, r, sigma)
+                assert all(cls[sigma[i] - 1] == rep[i] for i in range(n)), (n, r, rep, cls)
+                seen.append(cls)
+        # each class exactly once
+        assert sorted(seen) == sorted(cls for cls, _ in sign_classes(model)), (n, r)
+
+
+@pytest.mark.parametrize("n,r,window", [(n, r, w) for n in (1, 2, 3) for r in range(n + 1)
+                                        for w in (1, 2)] + [(4, r, 1) for r in range(5)])
+def test_orbit_route_matches_the_per_class_reference(n, r, window):
+    model = LocalModel(n, r, window)
+    for flavor in (HOLOMORPHIC, LOGARITHMIC):
+        report = assemble_stalk(model, flavor)
+        assert canonical_json(report.to_json_dict()) == \
+            canonical_json(per_class_stalk(model, flavor).to_json_dict()), (n, r, window, flavor)
+
+
+def test_per_subset_entries_off_multidegree_zero_follow_the_permutation(monkeypatch):
+    # The true cohomology lies at multidegree 0, a one-class orbit, so no
+    # real report shows how a class's subsets map to its representative's.
+    # A flavor rule that is still symmetric under the permutations (holomorphic
+    # forms vanish to order 2 along each boundary coordinate off their frame)
+    # has classes elsewhere; both routes must agree on it.
+    allows = localmodel._flavor_allows
+
+    def order_two(model, flavor, s, a, localized=frozenset()):
+        return allows(model, flavor, s, a, localized) and not (
+            flavor == HOLOMORPHIC and any(i not in s and i not in localized and a[i - 1] == 1
+                                          for i in range(1, model.r + 1)))
+
+    monkeypatch.setattr(localmodel, "_flavor_allows", order_two)
+    for n, r, window in [(2, 2, 1), (3, 2, 2), (3, 3, 1)]:
+        model = LocalModel(n, r, window)
+        report = assemble_stalk(model, HOLOMORPHIC)
+        assert any(mu != (0,) * n for by_mu in report.direct_by_multidegree.values()
+                   for mu in by_mu), (n, r, window)
+        assert canonical_json(report.to_json_dict()) == \
+            canonical_json(per_class_stalk(model, HOLOMORPHIC).to_json_dict()), (n, r, window)
 
 
 def test_local_cohomology_builds_one_complex_per_negative_set(monkeypatch):
