@@ -171,15 +171,18 @@ class ChainMap:
 # ---------------------------------------------------------------------------
 
 
-def cohomology_dims(c: CochainComplex) -> dict[int, int]:
-    """dim ker(d_k) - rank(d_{k-1}) per degree; a degree with no stored
-    differential has rank 0 and costs no elimination."""
-    out = {}
-    rank_d = dict.fromkeys(range(c.min_degree - 1, c.max_degree + 1), 0)
-    rank_d.update((k, rank(d)) for k, d in c._differentials.items())
-    for k in c.degrees():
-        out[k] = c.dim(k) - rank_d[k] - rank_d[k - 1]
-    return out
+def differential_ranks(c: CochainComplex) -> dict[int, int]:
+    """rank(d_k) for each stored differential; a degree with none has rank 0
+    and costs no elimination."""
+    return {k: rank(d) for k, d in c._differentials.items()}
+
+
+def cohomology_dims(c: CochainComplex, ranks: Optional[dict[int, int]] = None) -> dict[int, int]:
+    """dim ker(d_k) - rank(d_{k-1}) per degree, from ``ranks``
+    (``differential_ranks(c)`` unless the caller has them already)."""
+    if ranks is None:
+        ranks = differential_ranks(c)
+    return {k: c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()}
 
 
 # ---------------------------------------------------------------------------

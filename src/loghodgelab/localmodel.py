@@ -77,7 +77,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
-from .complexes import CochainComplex, _total_complex, cohomology_dims
+from .complexes import CochainComplex, _total_complex, cohomology_dims, differential_ranks
 from .linalg import rank
 
 HOLOMORPHIC = "holomorphic"
@@ -409,8 +409,10 @@ def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkRep
         for keys in basis.values():
             keys.sort()   # the builder's order, so positions below are its rows
         total = _total_complex(basis, arrows)
+        total_ranks = differential_ranks(total)
         # cone degree p corresponds to assembled degree p + 1
-        _tally(model, orbit, size, cohomology_dims(total), 1, assembled, assembled_by_mu)
+        _tally(model, orbit, size, cohomology_dims(total, total_ranks), 1, assembled,
+               assembled_by_mu)
         # positions of I's keys in each total degree k
         positions: dict[Subset, dict[int, list[int]]] = {}
         for k, keys in basis.items():
@@ -420,8 +422,13 @@ def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkRep
         for i_set, by_degree in positions.items():
             ranks = {}
             for k, cols in by_degree.items():
-                block = total.differential(k).submatrix_rows(
-                    by_degree.get(k + 1, [])).submatrix_columns(cols)
+                rows = by_degree.get(k + 1, [])
+                if len(cols) == total.dim(k) and len(rows) == total.dim(k + 1):
+                    # I holds every key on both sides (always at r = 1): the
+                    # block is d_k itself
+                    ranks[k] = total_ranks.get(k, 0)
+                    continue
+                block = total.differential(k).submatrix_rows(rows).submatrix_columns(cols)
                 ranks[k] = 0 if block.is_zero() else rank(block)
             for k, cols in by_degree.items():
                 dim = len(cols) - ranks[k] - ranks.get(k - 1, 0)

@@ -29,9 +29,14 @@ a circle or of two points is a disjoint union of arcs or points.
 Characters with a nonzero contribution lie in bounded chambers whose vertices
 solve n x n subsystems with right hand sides -a_v or -a_v - 1, so the
 bounding box of those solutions (padded by one) is exhaustive.  The box is
-swept row by row along its last coordinate: within a row each ray's
-inequality flips at most once, so the flips cut the row into segments of one
-chamber each, and a segment adds its length times that chamber's cohomology.
+walked row by row along its last coordinate.  Within a row each ray's
+inequality flips at most once, at its cut, so a row is one event walk: the
+chamber, a bitmask of the violated rays, starts as the rays violated at the
+row's first character, the cuts inside the row are sorted and each toggles
+its ray's bit, and every nonempty segment between them adds its length to
+its chamber's character count.  Only after the walk is each distinct
+chamber turned into a ray set, once, and its count multiplied into its
+cohomology.
 
 For the full toric boundary the sheaf of logarithmic p-forms is free of rank
 C(n, p), so every row of the log Hodge table is a binomial multiple of the
@@ -215,9 +220,13 @@ def _chamber_cohomology(fan: Fan, violating: frozenset[int],
 
 def character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
     """Bounding box containing every character with a nonzero contribution:
-    the chamber vertices solve n x n ray subsystems with rhs -a or -a-1.
-    By Cramer's rule vertex coordinate j is sum_k rhs_k C_kj / det, with C
-    the cofactors of the subsystem; only its floor and ceiling enter."""
+    the chamber vertices solve n x n ray subsystems with rhs -a_k + s_k,
+    s_k in {0, -1}.  By Cramer's rule vertex coordinate j is
+    sum_k rhs_k C_kj / det, with C the cofactors of the subsystem; only its
+    floor and ceiling enter, and both are monotone in the numerator, so the
+    extremes over the 2^n sign vectors come from the numerator's extremes
+    base + sum_k min(0, -C_kj) and base + sum_k max(0, -C_kj), with
+    base = -sum_k a_k C_kj (their roles swap when det < 0)."""
     n = fan.rank
     lo = [0] * n
     hi = [0] * n
@@ -229,12 +238,15 @@ def character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
         det = sum(a * c for a, c in zip(rows[0], cof[0]))
         if det == 0:
             continue
-        for signs in product((0, -1), repeat=n):
-            rhs = [-divisor[i] + s for i, s in zip(subset, signs)]
-            for j in range(n):
-                num = sum(b * cof[k][j] for k, b in enumerate(rhs))
-                lo[j] = min(lo[j], num // det)
-                hi[j] = max(hi[j], -(-num // det))
+        for j in range(n):
+            column = [cof[k][j] for k in range(n)]
+            base = -sum(divisor[i] * c for i, c in zip(subset, column))
+            least = base + sum(-c for c in column if c > 0)
+            most = base + sum(-c for c in column if c < 0)
+            if det < 0:
+                least, most = most, least
+            lo[j] = min(lo[j], least // det)
+            hi[j] = max(hi[j], -(-most // det))
     return [(lo[j] - 1, hi[j] + 1) for j in range(n)]
 
 
@@ -247,45 +259,52 @@ def sweep_rows(box: list[tuple[int, int]]) -> int:
 def divisor_cohomology(fan: Fan, divisor: dict[int, int],
                        box: Optional[list[tuple[int, int]]] = None) -> dict[int, int]:
     """h^q(X_Sigma, O(D)) for an integral divisor D = sum a_i D_i, by the
-    chamber cache and row sweep of the module docstring, over ``box``
+    event walk of the module docstring over ``box``
     (``character_box(fan, divisor)`` unless the caller has it already).
     With m_1..m_{n-1} fixed, <m, v> < -a_v reads m_n v_n < c: it holds for
-    m_n below ceil(c / v_n) when v_n > 0, from floor(c / v_n) + 1 on when
-    v_n < 0, and for all m_n or none when v_n = 0."""
+    m_n below the cut ceil(c / v_n) when v_n > 0, from the cut
+    floor(c / v_n) + 1 on when v_n < 0, and for all m_n or none when
+    v_n = 0.  Chambers are bitmasks of violated rays (bit i for ray i)."""
     if set(divisor) != set(range(len(fan.rays))):
         raise FanError("divisor must be defined on every ray")
-    n = fan.rank
     if box is None:
         box = character_box(fan, divisor)
     first, stop = box[-1][0], box[-1][1] + 1
-    chambers: dict[frozenset[int], list[tuple[int, int]]] = {}
-    edges = _skeleton_edges(fan)
-    out = {q: 0 for q in range(n + 1)}
+    rays = [(1 << i, ray[:-1], ray[-1], -divisor[i]) for i, ray in enumerate(fan.rays)]
+    characters: dict[int, int] = {}   # chamber -> characters in it
     for prefix in product(*[range(lo, hi + 1) for lo, hi in box[:-1]]):
-        # ray i is violated for m_n in [begin, end), clipped to the row
-        spans = []
-        cuts = {first, stop}
-        for i, ray in enumerate(fan.rays):
-            c = -divisor[i] - sum(a * b for a, b in zip(prefix, ray))
-            vn = ray[-1]
+        chamber = 0   # the rays violated at m_n = first
+        events = []   # (cut, bit): ray bit flips at m_n = cut inside the row
+        for bit, head, vn, c in rays:
+            for x, v in zip(prefix, head):
+                c -= x * v
             if vn > 0:
-                begin, end = first, min(stop, -(-c // vn))
+                cut = -(-c // vn)
+                if cut > first:
+                    chamber |= bit
+                    if cut < stop:
+                        events.append((cut, bit))
             elif vn < 0:
-                begin, end = max(first, c // vn + 1), stop
-            else:
-                begin, end = first, (stop if c > 0 else first)
-            if begin < end:
-                spans.append((i, begin, end))
-                cuts.update((begin, end))
-        cuts = sorted(cuts)
-        for begin, end in zip(cuts, cuts[1:]):
-            violating = frozenset(i for i, b, e in spans if b <= begin < e)
-            if violating not in chambers:
-                reduced = _chamber_cohomology(fan, violating, edges)
-                chambers[violating] = [(q_tilde + 1, dim) for q_tilde, dim in reduced.items()
-                                       if 0 <= q_tilde + 1 <= n]
-            for q, dim in chambers[violating]:
-                out[q] += (end - begin) * dim
+                cut = c // vn + 1
+                if cut <= first:
+                    chamber |= bit
+                elif cut < stop:
+                    events.append((cut, bit))
+            elif c > 0:
+                chamber |= bit
+        at = first
+        for cut, bit in sorted(events):
+            if cut > at:
+                characters[chamber] = characters.get(chamber, 0) + cut - at
+                at = cut
+            chamber ^= bit
+        characters[chamber] = characters.get(chamber, 0) + stop - at
+    edges = _skeleton_edges(fan)
+    out = {q: 0 for q in range(fan.rank + 1)}
+    for chamber, length in characters.items():
+        violating = frozenset(i for i in range(len(rays)) if chamber >> i & 1)
+        for q_tilde, dim in _chamber_cohomology(fan, violating, edges).items():
+            out[q_tilde + 1] += length * dim
     return out
 
 

@@ -15,7 +15,8 @@ from loghodgelab.localmodel import (FLAVORS, LAURENT, LocalModel, LocalModelErro
                                     ObstructionStalkReport, _cech_arrows, _form_arrows,
                                     _mv_total_block, _quotient_block, _tally, block_basis)
 from loghodgelab.monodromy import MonodromyError
-from loghodgelab.toric import Fan, FanError, QDivisor
+from loghodgelab.toric import (Fan, FanError, QDivisor, _chamber_cohomology, _det,
+                               _skeleton_edges)
 from loghodgelab.weights import WeightFunction
 
 
@@ -382,6 +383,67 @@ def reduced_cohomology(facets: list[tuple[int, ...]]) -> dict[int, int]:
             cofaces.setdefault(face[:drop] + face[drop + 1:], []).append((face, (-1) ** drop))
     complex_ = _total_complex(by_dim, lambda face: cofaces.get(face, ()))
     return {k: v for k, v in cohomology_dims(complex_).items() if v}
+
+
+def reference_character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
+    """``toric.character_box`` by every one of the 2^n sign vectors of each
+    ray subsystem, the floor and ceiling taken of each vertex coordinate."""
+    n = fan.rank
+    lo = [0] * n
+    hi = [0] * n
+    for subset in combinations(range(len(fan.rays)), n):
+        rows = [fan.rays[i] for i in subset]
+        cof = [[(-1) ** (k + j)
+                * _det([r[:j] + r[j + 1:] for i, r in enumerate(rows) if i != k])
+                for j in range(n)] for k in range(n)]
+        det = sum(a * c for a, c in zip(rows[0], cof[0]))
+        if det == 0:
+            continue
+        for signs in product((0, -1), repeat=n):
+            rhs = [-divisor[i] + s for i, s in zip(subset, signs)]
+            for j in range(n):
+                num = sum(b * cof[k][j] for k, b in enumerate(rhs))
+                lo[j] = min(lo[j], num // det)
+                hi[j] = max(hi[j], -(-num // det))
+    return [(lo[j] - 1, hi[j] + 1) for j in range(n)]
+
+
+def reference_divisor_cohomology(fan: Fan, divisor: dict[int, int],
+                                 box: list[tuple[int, int]]) -> dict[int, int]:
+    """``toric.divisor_cohomology`` by the breakpoint sweep: each row of
+    ``box`` is cut at every ray's flip, and each segment's violating set is
+    formed from the rays' spans and looked up in a chamber cache."""
+    n = fan.rank
+    first, stop = box[-1][0], box[-1][1] + 1
+    chambers: dict[frozenset[int], list[tuple[int, int]]] = {}
+    edges = _skeleton_edges(fan)
+    out = {q: 0 for q in range(n + 1)}
+    for prefix in product(*[range(lo, hi + 1) for lo, hi in box[:-1]]):
+        # ray i is violated for m_n in [begin, end), clipped to the row
+        spans = []
+        cuts = {first, stop}
+        for i, ray in enumerate(fan.rays):
+            c = -divisor[i] - sum(a * b for a, b in zip(prefix, ray))
+            vn = ray[-1]
+            if vn > 0:
+                begin, end = first, min(stop, -(-c // vn))
+            elif vn < 0:
+                begin, end = max(first, c // vn + 1), stop
+            else:
+                begin, end = first, (stop if c > 0 else first)
+            if begin < end:
+                spans.append((i, begin, end))
+                cuts.update((begin, end))
+        cuts = sorted(cuts)
+        for begin, end in zip(cuts, cuts[1:]):
+            violating = frozenset(i for i, b, e in spans if b <= begin < e)
+            if violating not in chambers:
+                reduced = _chamber_cohomology(fan, violating, edges)
+                chambers[violating] = [(q_tilde + 1, dim) for q_tilde, dim in reduced.items()
+                                       if 0 <= q_tilde + 1 <= n]
+            for q, dim in chambers[violating]:
+                out[q] += (end - begin) * dim
+    return out
 
 
 def weight_divisor(w: WeightFunction, fan: Fan) -> QDivisor:

@@ -257,11 +257,62 @@ def test_divisor_sweep_charged_against_cap(tmp_path, capsys, monkeypatch):
         code, _, err = run(argv, capsys)
         assert code == 1
         assert "divisor character sweep" in err and "LHL_MAX_DIM" in err
-    monkeypatch.setenv("LHL_MAX_DIM", "10000")
-    code, doc, _ = run_json(["divisor-cohomology", "--fan", fan, "--divisor", str(divisor)],
-                            tmp_path)
+    # the edge: refused one below the charge, accepted at it
+    argv = ["divisor-cohomology", "--fan", fan, "--divisor", str(divisor)]
+    monkeypatch.setenv("LHL_MAX_DIM", "3005")
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert "needs dimension 3006, above the LHL_MAX_DIM cap of 3005" in err
+    monkeypatch.setenv("LHL_MAX_DIM", "3006")
+    code, doc, _ = run_json(argv, tmp_path)
     assert code == 0
     assert doc["result"]["cohomology"] == {"0": 4504501, "1": 0, "2": 0}
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("divisor_p2_canonical.json",
+     ["divisor-cohomology", "--fan", "p2_fan.json", "--divisor", "p2_canonical_divisor.json"]),
+    ("log_hodge_p2_zero.json", ["log-hodge", "--fan", "p2_fan.json"]),
+    ("log_hodge_p2_canonical_twist.json",
+     ["log-hodge", "--fan", "p2_fan.json", "--twist", "p2_canonical_divisor.json"]),
+    ("divisor_f3_fractional.json",
+     ["divisor-cohomology", "--fan", "f3_fan.json", "--divisor", "f3_fractional_divisor.json"]),
+    ("log_hodge_f2_twist.json", ["log-hodge", "--fan", "f2_fan.json", "--twist", "f2_twist.json"]),
+])
+def test_divisor_golden_reports(tmp_path, golden, argv):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code, _, out = run_json(argv, tmp_path)
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("fan, reason", [
+    ({"rays": [[1, 0, 0, 0], [-1, 0, 0, 0]], "cones": [[0], [1]]},
+     "fan rank 4 not supported"),
+    ({"rays": [[1, 0], [0, 1], [-1]], "cones": [[0, 1], [1, 2], [0, 2]]},
+     "rays have mixed lengths"),
+    ({"rays": [[1, 0], [0, 1], [1, 0]], "cones": [[0, 1], [1, 2], [0, 2]]},
+     "duplicate rays"),
+    ({"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 0], [1, 2], [0, 2]]},
+     "repeated ray in cone (0, 0)"),
+    ({"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 3], [0, 2]]},
+     "cone (1, 3) references a missing ray"),
+    ({"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]],
+      "names": ["a", "b", "a"]},
+     "ray names must be distinct, one per ray"),
+], ids=["rank-4", "mixed-lengths", "duplicate-rays", "repeated-ray-in-cone",
+        "missing-ray", "duplicate-names"])
+def test_divisor_cohomology_rejects_invalid_fan(fan, reason, tmp_path, capsys):
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(fan))
+    divisor = tmp_path / "divisor.json"
+    divisor.write_text(json.dumps({"coefficients": [0] * len(fan["rays"])}))
+    out = tmp_path / "report.json"
+    code, _, err = run(["divisor-cohomology", "--fan", str(fan_file), "--divisor", str(divisor),
+                        "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("validation failure: ") and reason in err
+    assert not out.exists()
 
 
 # --- local models --------------------------------------------------------------------

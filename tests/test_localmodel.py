@@ -383,6 +383,28 @@ def test_stalk_work_does_not_grow_with_the_window(monkeypatch):
         assert work[0][0] == 2 * 6, (flavor, work)
 
 
+def test_subset_ranks_at_r_1_come_from_the_total_complex(monkeypatch):
+    # at r = 1 the only subset {1} holds every Mayer-Vietoris key, so each of
+    # its diagonal blocks is a whole differential of the total complex, whose
+    # rank the total's cohomology has taken already: every rank is a quotient
+    # block's or the total's, taken once in ``complexes``
+    calls = {"complexes": 0, "localmodel": 0}
+    for module in (complexes, localmodel):
+        original = module.rank
+
+        def counted(matrix, _original=original, _name=module.__name__.split(".")[-1]):
+            calls[_name] += 1
+            return _original(matrix)
+
+        monkeypatch.setattr(module, "rank", counted)
+    for (n, r, window), flavor, expected in [
+            ((2, 1, 2), HOLOMORPHIC, 16), ((2, 1, 2), LOGARITHMIC, 16),
+            ((3, 1, 2), HOLOMORPHIC, 32), ((3, 1, 2), LOGARITHMIC, 30)]:
+        calls.update(complexes=0, localmodel=0)
+        assemble_stalk(LocalModel(n, r, window), flavor)
+        assert calls == {"complexes": expected, "localmodel": 0}, (n, r, flavor)
+
+
 def test_a_flavor_rule_that_d_does_not_preserve_is_refused(monkeypatch):
     # flavors cut down to their 0-forms: d leaves them for the Laurent 1-forms
     allows = localmodel._flavor_allows

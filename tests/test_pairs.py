@@ -1,6 +1,8 @@
-"""The verdicts of ``tools/pairs.py`` on fixed pairs of benchmark numbers."""
+"""The verdicts of ``tools/pairs.py`` on fixed pairs of benchmark numbers, and
+the trees it exports."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -57,3 +59,34 @@ def test_report_lines_give_one_summary_and_one_verdict_per_metric():
     assert [line.split(":")[0] for line in lines[1:3]] == ["p50", "rps"]
     assert "change better 10/10" in lines[1]
     assert lines[3:] == ["verdict p50: gain", "verdict rps: gain"]
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@localhost", *args],
+                          cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def test_the_change_side_exports_uncommitted_edits(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    (repo / "module.py").write_text("VALUE = 1\n")
+    git(repo, "add", "module.py")
+    git(repo, "commit", "-q", "-m", "first")
+    # a clean tree exports HEAD
+    assert pairs_tool.working_tree_ref(repo) == "HEAD"
+    (repo / "module.py").write_text("VALUE = 2\n")
+    (repo / "added.py").write_text("NEW = 3\n")
+    git(repo, "add", "added.py")
+    (repo / "untracked.py").write_text("\n")
+    status = git(repo, "status", "--porcelain")
+    ref = pairs_tool.working_tree_ref(repo)
+    pairs_tool.export(ref, tmp_path / "change", repo)
+    pairs_tool.export("HEAD", tmp_path / "parent", repo)
+    assert (tmp_path / "change" / "module.py").read_text() == "VALUE = 2\n"
+    assert (tmp_path / "change" / "added.py").read_text() == "NEW = 3\n"
+    assert not (tmp_path / "change" / "untracked.py").exists()
+    assert (tmp_path / "parent" / "module.py").read_text() == "VALUE = 1\n"
+    # the working tree, the index and the refs are as they were
+    assert git(repo, "status", "--porcelain") == status
+    assert git(repo, "stash", "list") == ""

@@ -19,6 +19,10 @@ FIXTURE_SCHEMA = {
     "circle_complex.json": "generic-complex.schema.json",
     "ex42.json": "intersection-data.schema.json",
     "ex42_cell_weights.json": "weights.schema.json",
+    "f2_fan.json": "fan.schema.json",
+    "f2_twist.json": "divisor.schema.json",
+    "f3_fan.json": "fan.schema.json",
+    "f3_fractional_divisor.json": "divisor.schema.json",
     "nilpotent_3plus1.json": "nilpotent-operator.schema.json",
     "nilpotent_nine_by_nine.json": "nilpotent-operator.schema.json",
     "p1_fan.json": "fan.schema.json",

@@ -21,7 +21,8 @@ from loghodgelab.toric import (
 )
 from loghodgelab.weights import WeightFunction
 
-from helpers import chamber_facets, reduced_cohomology, weight_divisor
+from helpers import (chamber_facets, reduced_cohomology, reference_character_box,
+                     reference_divisor_cohomology, weight_divisor)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -285,6 +286,37 @@ def test_chamber_cohomology_matches_elimination(name, make):
         for violating in combinations(rays, size):
             assert toric._chamber_cohomology(fan, frozenset(violating)) == \
                 reduced_cohomology(chamber_facets(fan, violating)), (name, violating)
+
+
+# coefficient bound and draws per rank: rank 2 reaches |a_i| = 30, past the
+# brute-force oracle's reach
+EVENT_WALK_DRAWS = {1: (30, 40), 2: (30, 25), 3: (6, 8)}
+
+
+@pytest.mark.parametrize("name,make", CHAMBER_FANS, ids=[f[0] for f in CHAMBER_FANS])
+def test_event_walk_matches_the_reference_sweep(name, make):
+    # the closed-form box and the bitmask event walk against the 2^n-sign box
+    # and the breakpoint sweep with per-segment violating sets
+    fan = make()
+    bound, draws = EVENT_WALK_DRAWS[fan.rank]
+    rng = random.Random(f"event-walk-{name}")
+    for _ in range(draws):
+        divisor = {i: rng.randint(-bound, bound) for i in range(len(fan.rays))}
+        box = toric.character_box(fan, divisor)
+        reference_box = reference_character_box(fan, divisor)
+        assert box == reference_box, divisor
+        assert toric.sweep_rows(box) == toric.sweep_rows(reference_box)
+        assert divisor_cohomology(fan, divisor) == \
+            reference_divisor_cohomology(fan, divisor, box), divisor
+        # the sum over any box: on the character box a row's first and last
+        # segments lie in dead chambers, on a box cut through the live
+        # chambers they need not
+        inner = []
+        for lo, hi in box:
+            low = rng.randint(lo, hi)
+            inner.append((low, rng.randint(low, hi)))
+        assert divisor_cohomology(fan, divisor, inner) == \
+            reference_divisor_cohomology(fan, divisor, inner), (divisor, inner)
 
 
 def test_reduced_cohomology_computed_once_per_violating_set(monkeypatch):

@@ -4,12 +4,16 @@
     python3 tools/pairs.py --ref main --workload stalk --seeds 91 92 93
     python3 tools/pairs.py --ref main --workload stalk spectral nilpotent divisor --seeds 1-10
 
-The ref is exported once with ``git archive`` into a temporary directory.
-Each workload named by ``--workload`` runs the same seeds in turn and gets
-its own pairs, summary and verdicts.  Each pair runs the unchanged ``bench/run.py --workload W --seed S --seconds T
---trace 0``, with T the ``run_seconds`` of ``BENCHMARK.json``, once in that
-export and once in the working tree, with the same seed on both sides; which
-side runs first alternates from pair to pair.  For every end-to-end metric
+Both sides are exported once with ``git archive`` into sibling directories
+of one temporary directory, so that where a tree sits cannot tell the sides
+apart: the ref, and the working tree as HEAD plus its uncommitted edits to
+tracked files (a ``git stash create`` commit, or HEAD when there are none;
+untracked files are left out until they are added).  Each workload named by
+``--workload`` runs the same seeds in turn and gets its own pairs, summary
+and verdicts.  Each pair runs the unchanged ``bench/run.py --workload W
+--seed S --seconds T --trace 0``, with T the ``run_seconds`` of
+``BENCHMARK.json``, once in each export, with the same seed on both sides;
+which side runs first alternates from pair to pair.  For every end-to-end metric
 of ``BENCHMARK.json`` it prints each pair, each side's median and quartiles,
 the pairs the change wins (ties count for neither) and whether every change
 run beats every parent run, then one verdict per metric, with the metric's
@@ -42,8 +46,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def export(ref: str, into: Path) -> None:
-    tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
+def working_tree_ref(root: Path = ROOT) -> str:
+    """A commit of HEAD plus the uncommitted edits to tracked files, made
+    without touching the working tree, the index or any ref; HEAD when there
+    are no such edits."""
+    created = subprocess.run(
+        ["git", "-c", "user.name=pairs", "-c", "user.email=pairs@localhost", "stash", "create"],
+        cwd=root, check=True, capture_output=True, text=True).stdout.strip()
+    return created or "HEAD"
+
+
+def export(ref: str, into: Path, root: Path = ROOT) -> None:
+    tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=root,
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into)
@@ -111,12 +125,12 @@ def summary(name: str, higher_is_better: bool, bound: float,
     return s
 
 
-def run_pairs(workload: str, seeds: list[int], parent_tree: Path, metrics: list[dict],
-              seconds: float) -> list[tuple[dict, dict]]:
+def run_pairs(workload: str, seeds: list[int], parent_tree: Path, change_tree: Path,
+              metrics: list[dict], seconds: float) -> list[tuple[dict, dict]]:
     """(parent, change) metrics of one pair per seed, printed as they come."""
     pairs = []
     for index, seed in enumerate(seeds):
-        sides = [("parent", parent_tree), ("change", ROOT)]
+        sides = [("parent", parent_tree), ("change", change_tree)]
         if index % 2:
             sides.reverse()
         run = {side: bench(tree, workload, seed, seconds) for side, tree in sides}
@@ -156,11 +170,13 @@ def main() -> int:
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        parent_tree = Path(tmp)
+        parent_tree, change_tree = Path(tmp) / "parent", Path(tmp) / "change"
         export(args.ref, parent_tree)
+        export(working_tree_ref(), change_tree)
         for workload in args.workload:
             print(f"{workload}:", flush=True)
-            pairs = run_pairs(workload, seed_list(args.seeds), parent_tree, metrics, seconds)
+            pairs = run_pairs(workload, seed_list(args.seeds), parent_tree, change_tree,
+                              metrics, seconds)
             print("\n".join(report_lines(workload, args.ref, pairs, metrics)), flush=True)
     return 0
 
