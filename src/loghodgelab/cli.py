@@ -384,25 +384,21 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_spectral_sequence(args) -> int:
-    from .complexes import FilteredComplex, degeneration_check, spectral_sequence
+    from .complexes import FilteredComplex, spectral_sequence
     doc, meta = _read_json(args.infile, "in")
     complex_, filtration = jsonio.load_generic_complex(doc)
     _check_cap(max(complex_.dims.values(), default=0), "complex")
     fc = FilteredComplex(complex_, filtration or [])
-    # one run serves both: the verdict and the E_infinity totals read all
-    # pages through depth + 1, the report shows the first r_max + 1
-    full = fc.depth + 1
-    shown = full if args.r_max is None else max(args.r_max, 0)
+    shown = fc.depth + 1 if args.r_max is None else max(args.r_max, 0)
     _check_cap(shown + 1, "spectral-sequence pages")
-    pages = spectral_sequence(fc, max(shown, full))
-    ok, first = degeneration_check(pages[:full + 1])
-    totals = pages[full].total_dims()
-    pages = pages[:shown + 1]
+    pages = spectral_sequence(fc, shown)
+    first = fc.first_nonzero_differential
+    ok = first is None
     result = {
         "pages": [p.to_json_dict() for p in pages],
         "degenerates_at_e1": ok,
         "first_nonzero_differential": first,
-        "e_infinity_totals": {str(k): v for k, v in totals.items()},
+        "e_infinity_totals": {str(k): v for k, v in fc.e_infinity_totals.items()},
     }
     lines = ["filtration spectral sequence",
              f"  degenerates at first page: {'yes' if ok else 'no'}"]

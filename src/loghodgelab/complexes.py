@@ -24,7 +24,9 @@ pair is the level of its target minus the level of its source.  Over a field
 a filtered complex splits into one- and two-element interval pieces, so the
 gaps do not depend on the basis.  E_r^{p,q} counts the elements at (p, q)
 that are unpaired or in a pair of gap >= r, and d_r is nonzero exactly where
-a pair of gap r starts.
+a pair of gap r starts.  The pairs are made once, with the filtered complex,
+and so are the E_infinity totals and the first nonzero differential that
+they decide; ``spectral_sequence`` only renders pages from them.
 
 Every complex on a keyed basis (the cone complex, its weighted tropical
 twist and the local models) comes from one builder, ``_total_complex``:
@@ -62,7 +64,8 @@ class CochainComplex:
 
     ``dims`` maps every degree of a contiguous range to a dimension (zero
     allowed); ``differentials[k]`` is the matrix of d_k : C^k -> C^{k+1},
-    of shape dims[k+1] x dims[k].  d o d = 0 is enforced at construction.
+    of shape dims[k+1] x dims[k].  d o d = 0 is enforced at construction;
+    ``ranks`` are computed on first use and kept.
     """
 
     def __init__(self, dims: dict[int, int], differentials: dict[int, RationalMatrix]):
@@ -89,6 +92,15 @@ class CochainComplex:
             after = self._differentials.get(k + 1)
             if after is not None and not (after * self._differentials[k]).is_zero():
                 raise ComplexError(f"d o d != 0 at degree {k}")
+        self._ranks: Optional[dict[int, int]] = None
+
+    @property
+    def ranks(self) -> dict[int, int]:
+        """rank(d_k) for each stored differential, computed on first use; a
+        degree with none has rank 0 and costs no elimination."""
+        if self._ranks is None:
+            self._ranks = {k: rank(d) for k, d in self._differentials.items()}
+        return self._ranks
 
     def degrees(self) -> range:
         return range(self.min_degree, self.max_degree + 1)
@@ -171,17 +183,9 @@ class ChainMap:
 # ---------------------------------------------------------------------------
 
 
-def differential_ranks(c: CochainComplex) -> dict[int, int]:
-    """rank(d_k) for each stored differential; a degree with none has rank 0
-    and costs no elimination."""
-    return {k: rank(d) for k, d in c._differentials.items()}
-
-
-def cohomology_dims(c: CochainComplex, ranks: Optional[dict[int, int]] = None) -> dict[int, int]:
-    """dim ker(d_k) - rank(d_{k-1}) per degree, from ``ranks``
-    (``differential_ranks(c)`` unless the caller has them already)."""
-    if ranks is None:
-        ranks = differential_ranks(c)
+def cohomology_dims(c: CochainComplex) -> dict[int, int]:
+    """dim ker(d_k) - rank(d_{k-1}) per degree, from ``c.ranks``."""
+    ranks = c.ranks
     return {k: c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()}
 
 
@@ -310,8 +314,13 @@ class FilteredComplex:
     level must be a subcomplex and the levels must be nested, as checked
     while building the adapted bases B_k (module docstring).  ``levels``
     keeps the basis of each given F^p that the check picked,
-    ``basis_levels[k]`` is the level of each column of B_k, and
-    ``adapted_differentials[k]`` is X_k for each nonzero d_k.
+    ``basis_levels[k]`` is the level of each column of B_k,
+    ``adapted_differentials[k]`` is X_k for each nonzero d_k, ``pairs`` lists
+    (k, j, i, gap) for each persistence pair of j in C^k with i in C^{k+1},
+    and ``gaps[k][j]`` is the gap of the pair of j, None if unpaired.  The
+    unpaired elements give ``e_infinity_totals``, checked against
+    ``cohomology_dims``; ``first_nonzero_differential`` is the least positive
+    gap, None when the sequence degenerates at E_1.
     """
 
     def __init__(self, underlying: CochainComplex, levels: list[dict[int, RationalMatrix]]):
@@ -362,6 +371,17 @@ class FilteredComplex:
             raise FiltrationError(
                 f"level {p} is not a subcomplex: d(F^{p} C^{k}) is not "
                 f"contained in F^{p} C^{k + 1}")
+        self.gaps: dict[int, list[Optional[int]]] = {k: [None] * c.dim(k) for k in c.degrees()}
+        self.pairs: list[tuple[int, int, int, int]] = []
+        for k, x in self.adapted_differentials.items():
+            for j, i in _persistence_pairs(x, level[k], level[k + 1]):
+                g = level[k + 1][i] - level[k][j]
+                self.gaps[k][j] = self.gaps[k + 1][i] = g
+                self.pairs.append((k, j, i, g))
+        self.e_infinity_totals = {k: v for k in c.degrees() if (v := self.gaps[k].count(None))}
+        if self.e_infinity_totals != {k: v for k, v in cohomology_dims(c).items() if v}:
+            raise ComplexError("internal: E_infinity totals differ from the cohomology")
+        self.first_nonzero_differential = min((g for *_, g in self.pairs if g), default=None)
 
 
 @dataclass
@@ -380,9 +400,6 @@ class SpectralSequencePage:
 
     def differential(self, p: int, q: int) -> Optional[RationalMatrix]:
         return self.differentials.get((p, q))
-
-    def is_zero_page_differential(self) -> bool:
-        return all(m.is_zero() for m in self.differentials.values())
 
     def total_dims(self) -> dict[int, int]:
         totals: dict[int, int] = {}
@@ -412,47 +429,32 @@ def _persistence_pairs(x: RationalMatrix, col_level: list[int],
 
 
 def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[SpectralSequencePage]:
-    """Pages E_0 .. E_{r_max} of the filtration spectral sequence, read off
-    one persistence reduction of the X_k stored by ``fc`` (module docstring).
+    """Pages E_0 .. E_{r_max} of the filtration spectral sequence, rendered
+    from the persistence pairs of ``fc`` (module docstring).
 
     d_r^{p,q} is the 0/1 matrix, in the surviving elements of (p, q) and of
-    (p + r, q - r + 1) ordered by index, with one 1 per pair of gap r.  The
-    E_infinity totals are checked against ``cohomology_dims`` (ranks of d);
-    a mismatch raises (it would indicate an internal bug).  Default r_max is
-    depth + 1, past which all pages are stable: at most pages 0..depth+1 are
-    computed, and each later page is a copy of page depth + 1 (whose
-    differentials all land outside the grid) relabelled r.
+    (p + r, q - r + 1) ordered by index, with one 1 per pair of gap r.
+    Default r_max is depth + 1, past which all pages are stable: at most
+    pages 0..depth+1 are computed, and each later page is a copy of page
+    depth + 1 (whose differentials all land outside the grid) relabelled r.
     """
     c = fc.underlying
     depth = fc.depth
     if r_max is None:
         r_max = depth + 1
     r_max = max(r_max, 0)
-
     level = fc.basis_levels
-    gap: dict[int, list[Optional[int]]] = {k: [None] * c.dim(k) for k in c.degrees()}
-    pairs: list[tuple[int, int, int, int]] = []  # (k, j, i, gap) with j in C^k, i in C^{k+1}
-    for k, x in fc.adapted_differentials.items():
-        for j, i in _persistence_pairs(x, level[k], level[k + 1]):
-            g = level[k + 1][i] - level[k][j]
-            gap[k][j] = gap[k + 1][i] = g
-            pairs.append((k, j, i, g))
-
-    totals = {k: v for k in c.degrees() if (v := gap[k].count(None))}
-    if totals != {k: v for k, v in cohomology_dims(c).items() if v}:
-        raise ComplexError("internal: E_infinity totals differ from the cohomology")
-
     pages: list[SpectralSequencePage] = []
     for r in range(0, min(r_max, depth + 1) + 1):
         survivors: dict[tuple[int, int], list[int]] = {}  # (level, degree) -> indices
         for k in c.degrees():
-            for x, g in enumerate(gap[k]):
+            for x, g in enumerate(fc.gaps[k]):
                 if g is None or g >= r:
                     survivors.setdefault((level[k][x], k), []).append(x)
         entries = {(p, k - p): len(survivors[(p, k)])
                    for k in c.degrees() for p in range(depth) if (p, k) in survivors}
         ones: dict[tuple[int, int], dict[tuple[int, int], int]] = {pq: {} for pq in entries}
-        for k, j, i, g in pairs:
+        for k, j, i, g in fc.pairs:
             if g == r:
                 p = level[k][j]
                 ones[(p, k - p)][(survivors[(p + r, k + 1)].index(i),
@@ -464,12 +466,3 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
     pages += [SpectralSequencePage(r, dict(stable.entries), dict(stable.differentials))
               for r in range(depth + 2, r_max + 1)]
     return pages
-
-
-def degeneration_check(pages: list[SpectralSequencePage]) -> tuple[bool, Optional[int]]:
-    """True iff every d_r with r >= 1 on ``pages`` vanishes; else the first
-    nonzero page."""
-    for page in pages[1:]:
-        if not page.is_zero_page_differential():
-            return False, page.r
-    return True, None

@@ -82,8 +82,8 @@ def load_intersection_data(doc: Any) -> IntersectionData:
     from .conecx import Cell, IntersectionData
     _expect_keys(doc, "", {"components", "strata"}, {"ray_coordinates"})
     comps = doc["components"]
-    _expect(isinstance(comps, list) and all(isinstance(x, str) for x in comps),
-            "/components", "expected a list of strings")
+    _expect(isinstance(comps, list) and comps and all(isinstance(x, str) for x in comps),
+            "/components", "expected a nonempty list of strings")
     strata = doc["strata"]
     _expect(isinstance(strata, list), "/strata", "expected a list")
     cells = []
@@ -155,15 +155,17 @@ def load_fan(doc: Any) -> Fan:
     rays = doc["rays"]
     _expect(isinstance(rays, list) and rays, "/rays", "expected a nonempty list")
     for i, ray in enumerate(rays):
-        _expect(isinstance(ray, list) and ray and all(
+        _expect(isinstance(ray, list) and 1 <= len(ray) <= 3 and all(
             isinstance(x, int) and not isinstance(x, bool) for x in ray),
-            f"/rays/{i}", "expected a nonempty list of integers")
+            f"/rays/{i}", "expected a list of 1 to 3 integers")
     cones = doc["cones"]
     _expect(isinstance(cones, list) and cones, "/cones", "expected a nonempty list")
     for i, cone in enumerate(cones):
         _expect(isinstance(cone, list) and all(
             isinstance(x, int) and not isinstance(x, bool) for x in cone),
             f"/cones/{i}", "expected a list of ray indices")
+        for j, x in enumerate(cone):
+            _expect(x >= 0, f"/cones/{i}/{j}", "expected a nonnegative ray index")
     names = doc.get("names")
     if names is not None:
         _expect(isinstance(names, list) and all(isinstance(x, str) for x in names),

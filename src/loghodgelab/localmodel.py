@@ -73,11 +73,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
-from .complexes import CochainComplex, _total_complex, cohomology_dims, differential_ranks
+from .complexes import CochainComplex, _total_complex, cohomology_dims
 from .linalg import rank
 
 HOLOMORPHIC = "holomorphic"
@@ -147,20 +147,15 @@ def _block_orbits(signs: Mu, first: int, count: int) -> list[tuple[Mu, Orbit]]:
     """Every sorted block of ``count`` signs on the coordinates first,
     first + 1, ..., with its distinct rearrangements, each with the
     permutation sigma that carries the block onto it: sigma[i] is the image
-    of coordinate first + i."""
-    coords = tuple(range(first, first + count))
-    out = []
-    for block in combinations_with_replacement(signs, count):
-        if len(set(block)) < 2:   # a constant block is its one arrangement
-            out.append((block, [(block, coords)]))
-            continue
-        placed = [((), coords)]   # (images so far, free coordinates)
-        for value in sorted(set(block)):
-            placed = [(images + pick, tuple(c for c in free if c not in pick))
-                      for images, free in placed for pick in combinations(free, block.count(value))]
-        out.append((block, [(tuple(block[sigma.index(c)] for c in coords), sigma)
-                            for sigma, _ in placed]))
-    return out
+    of coordinate first + i.  A rearrangement's stable argsort sorts it, so
+    sigma is that argsort moved to the coordinates; the sorted block comes
+    first in ``product`` order, with the identity."""
+    orbits: dict[Mu, Orbit] = {}
+    for cls in product(signs, repeat=count):
+        order = sorted(range(count), key=cls.__getitem__)
+        orbits.setdefault(tuple(cls[i] for i in order), []).append(
+            (cls, tuple(first + i for i in order)))
+    return list(orbits.items())
 
 
 def _sign_classes(model: LocalModel) -> Iterator[tuple[Mu, int, Orbit]]:
@@ -409,10 +404,8 @@ def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkRep
         for keys in basis.values():
             keys.sort()   # the builder's order, so positions below are its rows
         total = _total_complex(basis, arrows)
-        total_ranks = differential_ranks(total)
         # cone degree p corresponds to assembled degree p + 1
-        _tally(model, orbit, size, cohomology_dims(total, total_ranks), 1, assembled,
-               assembled_by_mu)
+        _tally(model, orbit, size, cohomology_dims(total), 1, assembled, assembled_by_mu)
         # positions of I's keys in each total degree k
         positions: dict[Subset, dict[int, list[int]]] = {}
         for k, keys in basis.items():
@@ -426,7 +419,7 @@ def assemble_stalk(model: LocalModel, source_flavor: str) -> ObstructionStalkRep
                 if len(cols) == total.dim(k) and len(rows) == total.dim(k + 1):
                     # I holds every key on both sides (always at r = 1): the
                     # block is d_k itself
-                    ranks[k] = total_ranks.get(k, 0)
+                    ranks[k] = total.ranks.get(k, 0)
                     continue
                 block = total.differential(k).submatrix_rows(rows).submatrix_columns(cols)
                 ranks[k] = 0 if block.is_zero() else rank(block)

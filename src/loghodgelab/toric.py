@@ -12,7 +12,7 @@ The fan is simplicial and complete, so its rays and cones triangulate the
 unit sphere S^{n-1}, and the complex of V is the subcomplex of that sphere
 spanned by V.  Its reduced cohomology needs no complex: with c(W) the number
 of connected components of the sphere's 1-skeleton (rays joined when they
-share a maximal cone) restricted to W,
+share a maximal cone, the ``edges`` of the ``Fan``) restricted to W,
 
     V empty:              H~^{-1} = 1 (the empty complex);
     V every ray:          H~^{n-1} = 1 (the whole sphere);
@@ -66,7 +66,8 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
 
 
 class Fan:
-    """Smooth complete simplicial fan of rank <= 3."""
+    """Smooth complete simplicial fan of rank <= 3.  ``edges`` are the pairs
+    of rays that share a maximal cone: the 1-skeleton of the fan's sphere."""
 
     def __init__(self, rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence[int]],
                  ray_names: Optional[Sequence[str]] = None):
@@ -99,6 +100,7 @@ class Fan:
         unused = set(range(len(self.rays))).difference(*self.maximal_cones)
         if unused:
             raise FanError(f"ray {min(unused)} lies in no maximal cone")
+        self.edges = {pair for cone in self.maximal_cones for pair in combinations(cone, 2)}
 
     def _validate_smooth(self):
         n = self.rank
@@ -175,11 +177,6 @@ class QDivisor:
         return all(v == 0 for v in self.coefficients.values())
 
 
-def _skeleton_edges(fan: Fan) -> set[tuple[int, int]]:
-    """Pairs of rays that share a maximal cone: the edges of the fan's sphere."""
-    return {pair for cone in fan.maximal_cones for pair in combinations(cone, 2)}
-
-
 def _components(rays: frozenset[int], edges: set[tuple[int, int]]) -> int:
     """Connected components of the 1-skeleton restricted to ``rays``, by
     union-find over the edges with both ends among them."""
@@ -200,21 +197,17 @@ def _components(rays: frozenset[int], edges: set[tuple[int, int]]) -> int:
     return components
 
 
-def _chamber_cohomology(fan: Fan, violating: frozenset[int],
-                        edges: Optional[set[tuple[int, int]]] = None) -> dict[int, int]:
+def _chamber_cohomology(fan: Fan, violating: frozenset[int]) -> dict[int, int]:
     """Nonzero reduced cohomology of the subcomplex of the fan's sphere
     spanned by the rays in ``violating``, by degree (-1 holds the empty
-    complex), from component counts as in the module docstring.  ``edges``
-    is ``_skeleton_edges(fan)`` unless the caller has it already."""
+    complex), from component counts as in the module docstring."""
     if not violating:
         return {-1: 1}
     if len(violating) == len(fan.rays):
         return {fan.rank - 1: 1}
-    if edges is None:
-        edges = _skeleton_edges(fan)
-    out = {0: _components(violating, edges) - 1}
+    out = {0: _components(violating, fan.edges) - 1}
     if fan.rank == 3:
-        out[1] = _components(frozenset(range(len(fan.rays))) - violating, edges) - 1
+        out[1] = _components(frozenset(range(len(fan.rays))) - violating, fan.edges) - 1
     return {q: dim for q, dim in out.items() if dim}
 
 
@@ -299,11 +292,10 @@ def divisor_cohomology(fan: Fan, divisor: dict[int, int],
                 at = cut
             chamber ^= bit
         characters[chamber] = characters.get(chamber, 0) + stop - at
-    edges = _skeleton_edges(fan)
     out = {q: 0 for q in range(fan.rank + 1)}
     for chamber, length in characters.items():
         violating = frozenset(i for i in range(len(rays)) if chamber >> i & 1)
-        for q_tilde, dim in _chamber_cohomology(fan, violating, edges).items():
+        for q_tilde, dim in _chamber_cohomology(fan, violating).items():
             out[q_tilde + 1] += length * dim
     return out
 

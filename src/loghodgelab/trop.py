@@ -30,7 +30,6 @@ from .complexes import (
     SpectralSequencePage,
     _total_complex,
     cohomology_dims,
-    degeneration_check,
     spectral_sequence,
 )
 from .conecx import Cell, ConeComplex
@@ -168,15 +167,13 @@ def weight_filtration_ss(t: WeightedTropComplex,
     for threshold in thresholds:
         _check_sublevel_closed(t, threshold)
     fc = FilteredComplex(t.complex, [_sublevel_indicator(t, threshold) for threshold in thresholds])
-    pages = spectral_sequence(fc)
-    ok, first = degeneration_check(pages)
-    # spectral_sequence has checked the E_infinity totals against the cohomology
-    totals = pages[-1].total_dims()
+    # fc has checked its E_infinity totals against the cohomology
+    totals = fc.e_infinity_totals
     return TropSpectralReport(
         thresholds=list(thresholds),
-        pages=pages,
-        degenerates_at_e1=ok,
-        first_nonzero_differential=first,
+        pages=spectral_sequence(fc),
+        degenerates_at_e1=fc.first_nonzero_differential is None,
+        first_nonzero_differential=fc.first_nonzero_differential,
         e_infinity_totals=totals,
         cohomology={k: totals.get(k, 0) for k in t.complex.degrees()},
     )

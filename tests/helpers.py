@@ -15,8 +15,7 @@ from loghodgelab.localmodel import (FLAVORS, LAURENT, LocalModel, LocalModelErro
                                     ObstructionStalkReport, _cech_arrows, _form_arrows,
                                     _mv_total_block, _quotient_block, _tally, block_basis)
 from loghodgelab.monodromy import MonodromyError
-from loghodgelab.toric import (Fan, FanError, QDivisor, _chamber_cohomology, _det,
-                               _skeleton_edges)
+from loghodgelab.toric import Fan, FanError, QDivisor, _chamber_cohomology, _det
 from loghodgelab.weights import WeightFunction
 
 
@@ -416,7 +415,6 @@ def reference_divisor_cohomology(fan: Fan, divisor: dict[int, int],
     n = fan.rank
     first, stop = box[-1][0], box[-1][1] + 1
     chambers: dict[frozenset[int], list[tuple[int, int]]] = {}
-    edges = _skeleton_edges(fan)
     out = {q: 0 for q in range(n + 1)}
     for prefix in product(*[range(lo, hi + 1) for lo, hi in box[:-1]]):
         # ray i is violated for m_n in [begin, end), clipped to the row
@@ -438,7 +436,7 @@ def reference_divisor_cohomology(fan: Fan, divisor: dict[int, int],
         for begin, end in zip(cuts, cuts[1:]):
             violating = frozenset(i for i, b, e in spans if b <= begin < e)
             if violating not in chambers:
-                reduced = _chamber_cohomology(fan, violating, edges)
+                reduced = _chamber_cohomology(fan, violating)
                 chambers[violating] = [(q_tilde + 1, dim) for q_tilde, dim in reduced.items()
                                        if 0 <= q_tilde + 1 <= n]
             for q, dim in chambers[violating]:

@@ -10,6 +10,9 @@ shares no code with the persistence reduction of
 ``loghodgelab.complexes.spectral_sequence`` beyond the elimination in
 ``linalg``, which makes it an independent reference for it.
 
+``degeneration_check`` reads the verdict of ``FilteredComplex`` off the
+pages instead of the persistence pairs.
+
 ``persistence_pairs`` is the Fraction column reduction that pairs elements
 for that persistence reduction before the pairing became a row reduction in
 ``linalg``; it is the reference for ``complexes._persistence_pairs``.
@@ -174,6 +177,15 @@ def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[
     pages += [SpectralSequencePage(r, dict(stable.entries), dict(stable.differentials))
               for r in range(depth + 2, r_max + 1)]
     return pages
+
+
+def degeneration_check(pages: list[SpectralSequencePage]) -> tuple[bool, Optional[int]]:
+    """True iff every d_r with r >= 1 on ``pages`` vanishes; else the first
+    nonzero page."""
+    for page in pages[1:]:
+        if not all(m.is_zero() for m in page.differentials.values()):
+            return False, page.r
+    return True, None
 
 
 def persistence_pairs(x: RationalMatrix, col_level: list[int],

@@ -73,6 +73,37 @@ def test_cone_complex_schema_violation_pointer(tmp_path, capsys):
     assert "/strata/0" in err
 
 
+@pytest.mark.parametrize("data, code, reason", [
+    ({"components": [], "strata": []}, 2, "/components: expected a nonempty list"),
+    ({"components": ["A", "A"], "strata": [{"components": ["A"]}]}, 1,
+     "duplicate component names"),
+    ({"components": ["A"], "strata": [{"components": ["B"]}]}, 1,
+     "stratum references unknown component 'B'"),
+    ({"components": ["A"], "strata": [{"components": ["A"]}, {"components": ["A"]}]}, 1,
+     "duplicate stratum A#0"),
+    ({"components": ["A"], "strata": [{"components": ["A", "A"]}]}, 2,
+     "/strata/0: repeated component in cell"),
+    ({"components": ["A", "B"], "strata": [{"components": ["A"]}, {"components": ["B"]}],
+      "ray_coordinates": {"A": [1, 0], "B": [1]}}, 1,
+     "ray coordinate vectors have mixed lengths"),
+    ({"components": ["A", "B"], "strata": [{"components": ["A"]}, {"components": ["B"]}],
+      "ray_coordinates": {"A": [1, 0]}}, 1, "missing ray coordinates for 'B'"),
+    ({"components": ["A", "B"], "strata": [{"components": ["A"]}, {"components": ["B"]}],
+      "ray_coordinates": {"A": [2, 0], "B": [0, 1]}}, 1, "ray vector for 'A' is not primitive"),
+], ids=["no-components", "duplicate-components", "unknown-component", "duplicate-stratum",
+        "repeated-component-in-stratum", "mixed-ray-lengths", "missing-ray-coordinates",
+        "non-primitive-ray"])
+def test_cone_complex_rejects_invalid_intersection_data(data, code, reason, tmp_path, capsys):
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    got, _, err = run(["cone-complex", "--in", str(data_file), "--out", str(out)], capsys)
+    assert got == code
+    prefix = "malformed input: " if code == 2 else "validation failure: "
+    assert err.startswith(prefix) and reason in err
+    assert not out.exists()
+
+
 def test_cone_complex_downward_closure_is_validation_failure(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -287,8 +318,6 @@ def test_divisor_golden_reports(tmp_path, golden, argv):
 
 
 @pytest.mark.parametrize("fan, reason", [
-    ({"rays": [[1, 0, 0, 0], [-1, 0, 0, 0]], "cones": [[0], [1]]},
-     "fan rank 4 not supported"),
     ({"rays": [[1, 0], [0, 1], [-1]], "cones": [[0, 1], [1, 2], [0, 2]]},
      "rays have mixed lengths"),
     ({"rays": [[1, 0], [0, 1], [1, 0]], "cones": [[0, 1], [1, 2], [0, 2]]},
@@ -300,8 +329,8 @@ def test_divisor_golden_reports(tmp_path, golden, argv):
     ({"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]],
       "names": ["a", "b", "a"]},
      "ray names must be distinct, one per ray"),
-], ids=["rank-4", "mixed-lengths", "duplicate-rays", "repeated-ray-in-cone",
-        "missing-ray", "duplicate-names"])
+], ids=["mixed-lengths", "duplicate-rays", "repeated-ray-in-cone", "missing-ray",
+        "duplicate-names"])
 def test_divisor_cohomology_rejects_invalid_fan(fan, reason, tmp_path, capsys):
     fan_file = tmp_path / "fan.json"
     fan_file.write_text(json.dumps(fan))
@@ -312,6 +341,24 @@ def test_divisor_cohomology_rejects_invalid_fan(fan, reason, tmp_path, capsys):
                         "--out", str(out)], capsys)
     assert code == 1
     assert err.startswith("validation failure: ") and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fan, pointer", [
+    ({"rays": [[1, 0, 0, 0], [-1, 0, 0, 0]], "cones": [[0], [1]]}, "/rays/0"),
+    ({"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [-1, 2], [0, 2]]}, "/cones/1/0"),
+], ids=["rank-4", "negative-index"])
+def test_divisor_cohomology_rejects_malformed_fan(fan, pointer, tmp_path, capsys):
+    # the fan schema's maxItems and minimum, which the loader enforces too
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(fan))
+    divisor = tmp_path / "divisor.json"
+    divisor.write_text(json.dumps({"coefficients": [0] * len(fan["rays"])}))
+    out = tmp_path / "report.json"
+    code, _, err = run(["divisor-cohomology", "--fan", str(fan_file), "--divisor", str(divisor),
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith(f"malformed input: {pointer}: ")
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from loghodgelab.complexes import (
     FilteredComplex,
     FiltrationError,
     cohomology_dims,
-    degeneration_check,
     long_exact_sequence,
     mapping_cone,
     spectral_sequence,
@@ -251,17 +250,19 @@ def test_filtration_checks_agree_with_one_elimination_per_check():
 
 def test_trivial_filtration_gives_cohomology_at_e1():
     c = circle_complex()
-    pages = spectral_sequence(trivial_filtration(c))
+    fc = trivial_filtration(c)
+    pages = spectral_sequence(fc)
     e1 = pages[1]
     assert e1.entry(0, 0) == 1 and e1.entry(0, 1) == 1
-    assert pages[-1].total_dims() == {0: 1, 1: 1}
-    ok, first = degeneration_check(pages)
-    assert ok and first is None
+    assert pages[-1].total_dims() == fc.e_infinity_totals == {0: 1, 1: 1}
+    assert fc.first_nonzero_differential is None
 
 
 def test_filtration_with_no_levels_eliminates_only_to_solve_for_x(monkeypatch):
     """With no levels (F^0 = C, depth 1) B_k is the identity with no pivot
-    pass: the one elimination per nonzero d_k is the solve for X_k = d_k."""
+    pass.  Construction makes three eliminations per nonzero d_k: the solve
+    for X_k = d_k, its persistence pairing and the rank of d_k for the
+    E_infinity check; the pages are then rendered with none."""
     circle, _ = load_generic_complex(json.loads((FIXTURES / "circle_complex.json").read_text()))
     rng = random.Random(941)
     complexes_ = [circle] + [random_complex(rng) for _ in range(40)]
@@ -277,9 +278,12 @@ def test_filtration_with_no_levels_eliminates_only_to_solve_for_x(monkeypatch):
     for c in complexes_:
         eliminations.clear()
         fc = FilteredComplex(c, [])
-        assert len(eliminations) == len(c._differentials)
+        assert len(eliminations) == 3 * len(c._differentials)
         assert fc.basis_levels == {k: [0] * c.dim(k) for k in c.degrees()}
         assert fc.adapted_differentials == c._differentials
+        eliminations.clear()
+        spectral_sequence(fc)
+        assert not eliminations
 
 
 def test_two_step_filtration_of_acyclic_complex():
@@ -294,19 +298,16 @@ def test_stupid_filtration_circle():
     pages = spectral_sequence(fc)
     e1 = pages[1]
     assert e1.entry(0, 0) == 3 and e1.entry(1, 0) == 3  # E_1^{p,0} = C^p
-    ok, first = degeneration_check(pages)
-    assert not ok and first == 1
+    assert fc.first_nonzero_differential == 1
     # degenerates at E_2 with totals (1, 1)
-    assert pages[2].is_zero_page_differential()
+    assert all(m.is_zero() for m in pages[2].differentials.values())
     assert pages[-1].total_dims() == {0: 1, 1: 1}
 
 
 def test_engineered_nonzero_d1():
     c = two_term_identity()
     levels = [{0: RationalMatrix.zeros(1, 0), 1: RationalMatrix.identity(1)}]
-    fc = FilteredComplex(c, levels)
-    ok, first = degeneration_check(spectral_sequence(fc))
-    assert not ok and first == 1
+    assert FilteredComplex(c, levels).first_nonzero_differential == 1
 
 
 def test_e_infinity_totals_match_cohomology_random():

@@ -1,11 +1,10 @@
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
 
 from loghodgelab import complexes, linalg, localmodel
-from loghodgelab.complexes import (_total_complex, cohomology_dims, degeneration_check,
-                                   mapping_cone, spectral_sequence)
+from loghodgelab.complexes import _total_complex, cohomology_dims, mapping_cone
 from loghodgelab.jsonio import canonical_json
 from loghodgelab.localmodel import (
     HOLOMORPHIC,
@@ -14,6 +13,7 @@ from loghodgelab.localmodel import (
     LocalModel,
     LocalModelError,
     _cech_arrows,
+    _block_orbits,
     _class_multidegrees,
     _mv_total_block,
     _sign_classes,
@@ -93,16 +93,14 @@ def test_degeneration_of_invariant_block_filtration():
     model = LocalModel(1, 1, 3)
     block = block_complex(model, LOGARITHMIC, (0,))
     assert cohomology_dims(block) == {0: 1, 1: 1}
-    ok, first = degeneration_check(spectral_sequence(stupid_filtration(block)))
-    assert ok and first is None
+    assert stupid_filtration(block).first_nonzero_differential is None
 
 
 def test_full_window_column_filtration_does_not_degenerate():
     # away from multidegree 0 the Euler field makes the first-page map nonzero
     model = LocalModel(1, 1, 3)
     full = build_form_complex(model, LOGARITHMIC)
-    ok, first = degeneration_check(spectral_sequence(stupid_filtration(full)))
-    assert not ok and first == 1
+    assert stupid_filtration(full).first_nonzero_differential == 1
 
 
 # --- obstruction cones ------------------------------------------------------------
@@ -442,6 +440,25 @@ def test_sign_classes_partition_the_reliable_multidegrees():
                     assert all(tuple((m > 0) - (m < 0) for m in mu) == cls for mu in members)
                     seen += members
                 assert sorted(seen) == sorted(reliable_multidegrees(model, LAURENT)), (n, r, window)
+
+
+@pytest.mark.parametrize("signs", [(0, 1), (-1, 0, 1)])
+def test_block_orbits_group_every_arrangement_under_its_sorted_block(signs):
+    for count in range(5):
+        for first in (1, 3):
+            coords = tuple(range(first, first + count))
+            orbits = _block_orbits(signs, first, count)
+            # one orbit per sorted block, in the order of the sorted blocks
+            assert [block for block, _ in orbits] == \
+                list(combinations_with_replacement(signs, count))
+            seen = []
+            for block, orbit in orbits:
+                assert orbit[0] == (block, coords)
+                for cls, sigma in orbit:
+                    assert sorted(sigma) == list(coords), (signs, first, cls, sigma)
+                    assert all(cls[sigma[i] - first] == block[i] for i in range(count))
+                    seen.append(cls)
+            assert sorted(seen) == sorted(product(signs, repeat=count))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

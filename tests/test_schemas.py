@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from loghodgelab import jsonio
 from loghodgelab.jsonio import SchemaError, parse_rational
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -86,3 +87,20 @@ def test_schemas_and_loader_accept_the_same_rationals(schema, wrap):
                 for v in RATIONAL_CASES}
     assert all(schema_ok == loader_ok for schema_ok, loader_ok in verdicts.values()), verdicts
     assert sum(ok for ok, _ in verdicts.values()) == 9
+
+
+@pytest.mark.parametrize("schema, loader, doc, pointer", [
+    ("fan.schema.json", "load_fan",
+     {"rays": [[1, 0, 0, 0], [-1, 0, 0, 0]], "cones": [[0], [1]]}, "/rays/0"),
+    ("fan.schema.json", "load_fan",
+     {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [-1, 2], [0, 2]]}, "/cones/1/0"),
+    ("intersection-data.schema.json", "load_intersection_data",
+     {"components": [], "strata": []}, "/components"),
+], ids=["ray-of-four", "negative-cone-index", "no-components"])
+def test_schema_and_loader_reject_the_same_document(schema, loader, doc, pointer):
+    # the loader stops at the first violation, the schema lists them all
+    errors = VALIDATORS[schema].iter_errors(doc)
+    assert sorted("/" + "/".join(map(str, e.absolute_path)) for e in errors)[0] == pointer
+    with pytest.raises(SchemaError) as raised:
+        getattr(jsonio, loader)(doc)
+    assert raised.value.pointer == pointer

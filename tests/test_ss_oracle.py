@@ -1,7 +1,7 @@
 """The persistence reduction of ``spectral_sequence`` against the subquotient
-engine kept in ``ss_oracle``: pages, nonzero differentials and the
-degeneration verdict must agree on seeded random filtrations and on the
-fixtures."""
+engine kept in ``ss_oracle``: pages, nonzero differentials, the
+degeneration verdict and the E_infinity totals must agree on seeded random
+filtrations and on the fixtures."""
 
 import json
 import random
@@ -11,15 +11,12 @@ from pathlib import Path
 import pytest
 
 from loghodgelab import complexes, jsonio, linalg, trop
-from loghodgelab.complexes import (
-    FilteredComplex,
-    degeneration_check,
-    spectral_sequence,
-)
+from loghodgelab.complexes import CochainComplex, FilteredComplex, spectral_sequence
 from loghodgelab.conecx import build_cone_complex
 from loghodgelab.linalg import RationalMatrix, rank
 
 import ss_oracle
+from ss_oracle import degeneration_check
 from helpers import random_complex, random_filtration, random_filtration_levels, random_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,7 +39,16 @@ def test_random_filtrations_match_oracle():
         r_max = rng.choice([None, 0, 1, 3, 8])
         pages = spectral_sequence(fc, r_max)
         assert_same_pages(pages, ss_oracle.spectral_sequence(fc, r_max))
-        first_nonzero.add(degeneration_check(spectral_sequence(fc))[1])
+        # the verdict and totals made with fc, against the oracle's stable page
+        stable = ss_oracle.spectral_sequence(fc)
+        first = fc.first_nonzero_differential
+        assert degeneration_check(stable) == (first is None, first)
+        assert fc.e_infinity_totals == stable[-1].total_dims()
+        # pages cut at r_max show the verdict once it is on them
+        shown = fc.depth + 1 if r_max is None else r_max
+        assert degeneration_check(pages) == \
+            ((True, None) if first is None or first > shown else (False, first))
+        first_nonzero.add(first)
     # the generator reaches a first nonzero d_r on every page it can
     assert first_nonzero >= {None, 1, 2, 3, 4}
 
@@ -123,13 +129,16 @@ def test_elimination_count_pinned(monkeypatch):
     X_k (one per nonzero d) and the 2 ranks of the E_infinity check (one per
     nonzero d; a zero d has rank 0 without an elimination); and one
     `leading_columns` call per nonzero d, which is the persistence pairing.
-    The subquotient oracle in `ss_oracle` takes 584 eliminations and no
-    pairing on the checked filtration."""
+    All are made when the filtered complex is built, on a complex whose
+    ranks are not yet kept; rendering the pages makes none.  The subquotient
+    oracle in `ss_oracle` takes 584 eliminations and no pairing on the
+    checked filtration."""
     rng = random.Random(931)
     c = random_complex(rng, 10)
     levels = random_filtration_levels(rng, c, 4)
     assert c.dims == {1: 3, 2: 1, 3: 2, 4: 3}
-    assert degeneration_check(spectral_sequence(FilteredComplex(c, levels))) == (False, 2)
+    assert FilteredComplex(c, levels).first_nonzero_differential == 2
+    fresh = CochainComplex(c.dims, c._differentials)
     eliminations, pairings = [], []
     echelon, leading_columns = linalg._echelon, linalg.leading_columns
 
@@ -143,7 +152,8 @@ def test_elimination_count_pinned(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon", counted_echelon)
     monkeypatch.setattr(complexes, "leading_columns", counted_leading_columns)
-    fc = FilteredComplex(c, levels)
+    fc = FilteredComplex(fresh, levels)
+    assert (len(eliminations) - len(pairings), len(pairings)) == (16, 2)
     spectral_sequence(fc)
     assert (len(eliminations) - len(pairings), len(pairings)) == (16, 2)
     eliminations.clear()

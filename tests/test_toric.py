@@ -137,6 +137,22 @@ def test_ray_in_no_maximal_cone_rejected():
         Fan([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)])
 
 
+@pytest.mark.parametrize("rays, cones", [
+    ([(1, 0, 0, 0), (-1, 0, 0, 0)], [(0,), (1,)]),
+    ([(), ()], [(), ()]),
+], ids=["rank-4", "rank-0"])
+def test_fan_rank_outside_1_to_3_rejected(rays, cones):
+    # the fan loader refuses these rays first; the constructor guards alone
+    with pytest.raises(FanError, match=f"fan rank {len(rays[0])} not supported"):
+        Fan(rays, cones)
+
+
+def test_fan_edges_are_the_rays_sharing_a_maximal_cone():
+    assert projective_line().edges == set()
+    assert projective_plane().edges == {(0, 1), (1, 2), (0, 2)}
+    assert hirzebruch(1).edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
+
+
 def test_standard_fans_construct():
     projective_line()
     projective_plane()
@@ -323,9 +339,9 @@ def test_reduced_cohomology_computed_once_per_violating_set(monkeypatch):
     calls = []
     original = toric._chamber_cohomology
 
-    def counted(fan, violating, edges=None):
+    def counted(fan, violating):
         calls.append(violating)
-        return original(fan, violating, edges)
+        return original(fan, violating)
 
     monkeypatch.setattr(toric, "_chamber_cohomology", counted)
     rng = random.Random("chamber-cache")
