@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import __version__
 from . import jsonio
-from .jsonio import SchemaError, canonical_json, format_rational
+from .jsonio import SchemaError, canonical_json
 
 DEFAULT_MAX_DIM = 2000
 
@@ -75,9 +75,8 @@ def _provenance(inputs: dict, options: dict) -> dict:
     }
 
 
-def _emit(args, command: str, result: dict, inputs: dict, options: dict,
-          table_lines: list[str]) -> None:
-    report = {"command": command, "provenance": _provenance(inputs, options),
+def _emit(args, result: dict, inputs: dict, options: dict, table_lines: list[str]) -> None:
+    report = {"command": args.command, "provenance": _provenance(inputs, options),
               "result": result}
     if args.format == "json":
         text = canonical_json(report)
@@ -168,7 +167,7 @@ def cmd_cone_complex(args) -> int:
     lines.append(f"  euler characteristic: {complex_.euler_characteristic()}")
     for k, v in sorted(cohomology.items()):
         lines.append(f"  H^{k} = {v}")
-    _emit(args, "cone-complex", result, {"in": meta}, {}, lines)
+    _emit(args, result, {"in": meta}, {}, lines)
     return 0
 
 
@@ -183,7 +182,7 @@ def cmd_validate_weights(args) -> int:
     lines = ["weight validation",
              f"  positivity: {'valid' if positivity.valid else 'INVALID'}"]
     for ray, value in positivity.offenders:
-        lines.append(f"    ray {ray} has nonpositive weight {format_rational(value)}")
+        lines.append(f"    ray {ray} has nonpositive weight {value}")
     convexity = None
     if complex_.ray_coordinates is not None and positivity.valid:
         convexity = validate_convexity(ray_w, complex_)
@@ -194,17 +193,16 @@ def cmd_validate_weights(args) -> int:
     if positivity.valid:
         coeffs = face_compatibility(ray_w, complex_)
         result["face_coefficients"] = {
-            cell: [{"face": face, "coefficient": format_rational(co)}
-                   for face, co in pairs]
+            cell: [{"face": face, "coefficient": str(co)} for face, co in pairs]
             for cell, pairs in sorted(coeffs.items())}
         lines.append("  face coefficients:")
         for cell, pairs in sorted(coeffs.items()):
-            rendered = ", ".join(f"{face}: {format_rational(co)}" for face, co in pairs)
+            rendered = ", ".join(f"{face}: {co}" for face, co in pairs)
             lines.append(f"    {cell} = {rendered}")
     valid = positivity.valid and (convexity is None or convexity.valid)
     result["valid"] = valid
     lines.append(f"  verdict: {'valid' if valid else 'INVALID'}")
-    _emit(args, "validate-weights", result, inputs, {}, lines)
+    _emit(args, result, inputs, {}, lines)
     if not valid:
         detail = "; ".join(v.describe() for v in (convexity.violations if convexity else []))
         print(f"validation failed: {detail or 'nonpositive weights'}", file=sys.stderr)
@@ -227,7 +225,7 @@ def cmd_trop_cohomology(args) -> int:
     lines = ["weighted tropical cohomology"]
     for k, v in sorted(dims.items()):
         lines.append(f"  H^{k} = {v}")
-    _emit(args, "trop-cohomology", result, inputs, {}, lines)
+    _emit(args, result, inputs, {}, lines)
     return 0
 
 
@@ -243,19 +241,19 @@ def cmd_trop_ss(args) -> int:
         if not thresholds:
             raise SchemaError("/thresholds",
                               f"expected at least one rational: {args.thresholds!r}")
-        options["thresholds"] = [format_rational(t) for t in thresholds]
+        options["thresholds"] = [str(t) for t in thresholds]
     # t thresholds give t + 1 levels, so pages 0 .. t + 2
     _check_cap(len(thresholds) + 3, "trop-ss pages")
     report = weight_filtration_ss(trop, thresholds)
     result = report.to_json_dict()
     lines = ["weight filtration spectral sequence",
-             f"  thresholds: {', '.join(format_rational(t) for t in report.thresholds)}",
+             f"  thresholds: {', '.join(map(str, report.thresholds))}",
              f"  degenerates at first page: {'yes' if report.degenerates_at_e1 else 'no'}"]
     if report.first_nonzero_differential is not None:
         lines.append(f"  first nonzero differential on page {report.first_nonzero_differential}")
     totals = ", ".join(f"H^{k}={v}" for k, v in sorted(report.e_infinity_totals.items()))
     lines.append(f"  limit totals: {totals}")
-    _emit(args, "trop-ss", result, inputs, options, lines)
+    _emit(args, result, inputs, options, lines)
     return 0
 
 
@@ -288,7 +286,7 @@ def cmd_log_hodge(args) -> int:
         for k, (total, expected, ok) in sorted(check.per_degree.items()):
             lines.append(f"    degree {k}: {total} (expected {expected}) "
                          f"{'ok' if ok else 'MISMATCH'}")
-    _emit(args, "log-hodge", result, inputs, options, lines)
+    _emit(args, result, inputs, options, lines)
     return 0
 
 
@@ -306,7 +304,7 @@ def cmd_divisor_cohomology(args) -> int:
              "  floored divisor: " + ", ".join(f"D{i}:{v}" for i, v in floored.items())]
     for q, v in sorted(h.items()):
         lines.append(f"  h^{q} = {v}")
-    _emit(args, "divisor-cohomology", result, {"fan": meta, "divisor": meta_d}, {}, lines)
+    _emit(args, result, {"fan": meta, "divisor": meta_d}, {}, lines)
     return 0
 
 
@@ -323,7 +321,7 @@ def cmd_obstruction_stalk(args) -> int:
                      f"assembled {report.assembled.get(p, 0)}")
     lines.append(f"  dual-method match: {'yes' if report.matches else 'NO'}")
     options = {"n": args.n, "r": args.r, "window": args.window, "flavor": args.flavor}
-    _emit(args, "obstruction-stalk", result, {}, options, lines)
+    _emit(args, result, {}, options, lines)
     if not report.matches:
         print("assembled Mayer-Vietoris stalk disagrees with the direct cone",
               file=sys.stderr)
@@ -352,7 +350,7 @@ def cmd_local_cohomology(args) -> int:
         lines.append(f"  multidegree ({','.join(map(str, mu))}): {v}")
     options = {"n": args.n, "r": args.r, "window": args.window,
                "subset": args.subset, "form_degree": args.form_degree}
-    _emit(args, "local-cohomology", result, {}, options, lines)
+    _emit(args, result, {}, options, lines)
     return 0
 
 
@@ -368,18 +366,18 @@ def cmd_monodromy(args) -> int:
     result = {
         "dimension": operator.dimension,
         "jordan_type": list(partition),
-        "stratum_weight": format_rational(weight),
+        "stratum_weight": str(weight),
         "weight_filtration": filtration.to_json_dict(),
     }
     lines = ["monodromy weight data",
              f"  dimension: {operator.dimension}",
              f"  jordan type: {list(partition)}",
-             f"  stratum weight: {format_rational(weight)}"]
+             f"  stratum weight: {weight}"]
     for l, d in filtration.level_dims().items():
         lines.append(f"  dim W_{l} = {d}")
     for l, d in filtration.graded_dims().items():
         lines.append(f"  dim Gr_{l} = {d}")
-    _emit(args, "monodromy", result, {"in": meta}, {"center": args.center}, lines)
+    _emit(args, result, {"in": meta}, {"center": args.center}, lines)
     return 0
 
 
@@ -411,11 +409,45 @@ def cmd_spectral_sequence(args) -> int:
     options = {}
     if args.r_max is not None:
         options["r_max"] = args.r_max
-    _emit(args, "spectral-sequence", result, {"in": meta}, options, lines)
+    _emit(args, result, {"in": meta}, options, lines)
     return 0
 
 
 # --- parser -------------------------------------------------------------------------
+
+
+# Each option group is written once; a command's options are the groups it
+# lists, in order, then --out and --format.
+_IN = [("--in", {"dest": "infile", "required": True})]
+_FAN = [("--fan", {"required": True})]
+_WEIGHTED = [("--complex", {"required": True}), ("--weights", {"required": True})]
+_MODEL = [("--n", {"type": int, "required": True}), ("--r", {"type": int, "required": True}),
+          ("--window", {"type": int, "default": 3})]
+_COMMON = [("--out", {"help": "write the report to this file (atomic)"}),
+           ("--format", {"choices": ("table", "json"), "default": "table"})]
+
+COMMANDS = {
+    "cone-complex": (cmd_cone_complex, "build a cone complex from intersection data", _IN),
+    "validate-weights": (cmd_validate_weights, "positivity, convexity and face coefficients",
+                         _WEIGHTED),
+    "trop-cohomology": (cmd_trop_cohomology, "weighted tropical cohomology dims", _WEIGHTED),
+    "trop-ss": (cmd_trop_ss, "sublevel weight filtration spectral sequence", _WEIGHTED + [
+        ("--thresholds", {"help": "comma-separated rational thresholds"})]),
+    "log-hodge": (cmd_log_hodge, "log Hodge table of a smooth complete fan", _FAN + [
+        ("--twist", {"default": "zero", "help": "'zero' or a path to a divisor file"})]),
+    "divisor-cohomology": (cmd_divisor_cohomology, "h^q of a divisor on a fan", _FAN + [
+        ("--divisor", {"required": True})]),
+    "obstruction-stalk": (cmd_obstruction_stalk, "direct cone vs Mayer-Vietoris assembled stalk",
+                          _MODEL + [("--flavor", {"choices": ("holo", "log"), "default": "log"})]),
+    "local-cohomology": (cmd_local_cohomology,
+                         "graded local cohomology supported on boundary coordinates", _MODEL + [
+        ("--subset", {"required": True, "help": "comma-separated coordinates, 1-based"}),
+        ("--form-degree", {"type": int, "required": True})]),
+    "monodromy": (cmd_monodromy, "Jordan type and monodromy weight filtration", _IN + [
+        ("--center", {"type": int, "default": 0})]),
+    "spectral-sequence": (cmd_spectral_sequence, "pages of a filtered complex", _IN + [
+        ("--r-max", {"type": int})]),
+}
 
 
 @functools.cache
@@ -427,79 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "models, monodromy filtrations and weighted tropical "
                     "cohomology.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="write the report to this file (atomic)")
-        p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = sub.add_parser("cone-complex", help="build a cone complex from intersection data")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p)
-    p.set_defaults(func=cmd_cone_complex)
-
-    p = sub.add_parser("validate-weights", help="positivity, convexity and face coefficients")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--weights", required=True)
-    common(p)
-    p.set_defaults(func=cmd_validate_weights)
-
-    p = sub.add_parser("trop-cohomology", help="weighted tropical cohomology dims")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--weights", required=True)
-    common(p)
-    p.set_defaults(func=cmd_trop_cohomology)
-
-    p = sub.add_parser("trop-ss", help="sublevel weight filtration spectral sequence")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--thresholds", help="comma-separated rational thresholds")
-    common(p)
-    p.set_defaults(func=cmd_trop_ss)
-
-    p = sub.add_parser("log-hodge", help="log Hodge table of a smooth complete fan")
-    p.add_argument("--fan", required=True)
-    p.add_argument("--twist", default="zero",
-                   help="'zero' or a path to a divisor file")
-    common(p)
-    p.set_defaults(func=cmd_log_hodge)
-
-    p = sub.add_parser("divisor-cohomology", help="h^q of a divisor on a fan")
-    p.add_argument("--fan", required=True)
-    p.add_argument("--divisor", required=True)
-    common(p)
-    p.set_defaults(func=cmd_divisor_cohomology)
-
-    p = sub.add_parser("obstruction-stalk",
-                       help="direct cone vs Mayer-Vietoris assembled stalk")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--flavor", choices=("holo", "log"), default="log")
-    common(p)
-    p.set_defaults(func=cmd_obstruction_stalk)
-
-    p = sub.add_parser("local-cohomology",
-                       help="graded local cohomology supported on boundary coordinates")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--subset", required=True, help="comma-separated coordinates, 1-based")
-    p.add_argument("--form-degree", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_local_cohomology)
-
-    p = sub.add_parser("monodromy", help="Jordan type and monodromy weight filtration")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--center", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_monodromy)
-
-    p = sub.add_parser("spectral-sequence", help="pages of a filtered complex")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--r-max", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_spectral_sequence)
-
+    for name, (func, help_, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in options + _COMMON:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -1,7 +1,7 @@
 """JSON input formats and canonical report serialization.
 
-Every rational is serialized as a string "p/q" (or "n" for integers) so no
-consumer ever sees a float.  Validation errors carry a JSON pointer to the
+Every rational is serialized as ``str(Fraction)``, a string "p/q" (or "n"
+for integers), so no consumer ever sees a float.  Validation errors carry a JSON pointer to the
 offending field.  Report dumping is canonical (sorted keys, fixed indent,
 trailing newline) so identical inputs produce byte-identical reports.
 Each loader imports the domain types it builds, so serializing a report
@@ -51,13 +51,6 @@ def parse_rational(value: Any, pointer: str) -> Fraction:
         except ValueError:  # more digits than int() converts
             raise SchemaError(pointer, f"{len(value)}-digit rational is too long") from None
     raise SchemaError(pointer, f"expected a rational string or integer, got {type(value).__name__}")
-
-
-def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _expect(condition: bool, pointer: str, message: str):

@@ -407,8 +407,12 @@ def smith_normal_form(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
 
     ``m`` must have integer entries (else MatrixError).  U and V are products
     of row/column swaps, transvections and sign flips, so det(U), det(V) are
-    +-1.  Pivoting is on the minimal absolute value (ties broken by lowest
-    row, then column) which keeps entries small.
+    +-1.  One pivot rule, applied at each t until row t and column t are
+    clear: the least |entry| of the trailing block (ties to the lowest row,
+    then column) goes to (t, t) and reduces its column and row; a remainder
+    left behind is smaller and is picked next.  Once both are clear, a row
+    with an entry the pivot does not divide is added to row t, and the rule
+    runs again; else the pivot is made positive.
 
     >>> m = RationalMatrix.from_rows([[2, 4], [6, 8]])
     >>> u, d, v = smith_normal_form(m)
@@ -420,88 +424,43 @@ def smith_normal_form(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix
     if m._den:
         raise MatrixError("Smith normal form needs integer entries")
     nr, nc = m.rows, m.cols
-    d = [[m._num.get(i, {}).get(j, 0) for j in range(nc)] for i in range(nr)]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    # the rows of [D | U] take the row operations, those of [D ; V] the column ones
+    a = [[m._num.get(i, {}).get(j, 0) for j in range(nc)] + [int(i == k) for k in range(nr)]
+         for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        d[i] = [a - q * b for a, b in zip(d[i], d[k])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[k])]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for row in d:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-    def swap_rows(i, k):
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in d:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    while t < min(nr, nc):
-        # minimal nonzero absolute value in the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                val = d[i][j]
-                if val != 0 and (best is None or abs(val) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+    for t in range(min(nr, nc)):
         while True:
-            # clear column t
-            restart = False
-            for i in range(t + 1, nr):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    row_op(i, t, q)
-                    if d[i][t] != 0:  # smaller remainder becomes the pivot
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    col_op(j, t, q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # divisibility chain: fold a non-multiple into the pivot row
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            pivot = min(((abs(x), i, j) for i in range(t, nr)
+                         for j, x in enumerate(a[i][t:nc], t) if x), default=None)
+            if pivot is None:
                 break
-            row_op(t, offender, -1)  # row_t += row_offender
-        if d[t][t] < 0:
-            d[t] = [-a for a in d[t]]
-            u[t] = [-a for a in u[t]]
-        t += 1
-
-    def shaped(rows, cols):  # from_rows cannot tell the width of a matrix with no rows
-        num = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
-        return RationalMatrix._trusted(len(rows), cols, {i: r for i, r in num.items() if r}, {})
-
-    return shaped(u, nr), shaped(d, nc), shaped(v, nc)
+            _, i, j = pivot
+            a[t], a[i] = a[i], a[t]
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, nr):
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, nc):
+                q = a[t][j] // p
+                if q:
+                    for row in a + v:
+                        row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][t + 1:nc]):
+                continue  # a remainder, smaller than |p|, is the next pivot
+            # divisibility chain: fold a row holding a non-multiple of p into row t
+            fold = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:nc])), None)
+            if fold is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[fold])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+    return tuple(RationalMatrix(len(rows), width, {(i, j): x for i, row in enumerate(rows)
+                                                   for j, x in enumerate(row)})
+                 for rows, width in (([row[nc:] for row in a], nr),
+                                     ([row[:nc] for row in a], nc), (v, nc)))
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,22 @@ def test_monodromy_golden_reports(tmp_path, golden, fixture, center):
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+# the table format, on commands that print rationals
+@pytest.mark.parametrize("golden, argv, code", [
+    ("wedge_w131.txt",
+     ["validate-weights", "--complex", "wedge_fan.json", "--weights", "w131.json"], 1),
+    ("trop_ss_ex42_t12_3.txt", ["trop-ss", "--complex", "ex42.json", "--weights",
+                                "ex42_cell_weights.json", "--thresholds", "1/2,3"], 0),
+    ("monodromy_nine_by_nine_c2.txt",
+     ["monodromy", "--in", "nilpotent_nine_by_nine.json", "--center", "2"], 0),
+])
+def test_table_golden_reports(tmp_path, golden, argv, code):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "report.txt"
+    assert main(argv + ["--format", "table", "--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_nine_by_nine_fixture_is_the_test_operator():
     from loghodgelab.jsonio import load_nilpotent_matrix
     from test_monodromy import nine_by_nine

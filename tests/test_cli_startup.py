@@ -2,6 +2,7 @@
 once per process, a command loads only the modules it uses, and nothing one
 call parses carries over into the next."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from loghodgelab.cli import main
+from loghodgelab.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -111,3 +112,55 @@ def test_help_names_every_command():
     proc = python("-m", "loghodgelab.cli", "--help")
     assert proc.returncode == 0
     assert len(COMMANDS) == 10 and all(command in proc.stdout for command in COMMANDS)
+
+
+# every subcommand's help line and options, as the parser had them before
+# the subcommands came from one table: (option strings, dest, default, type,
+# choices, required, help) per option, the -h action left out
+OUT_FORMAT = [
+    (("--out",), "out", None, None, None, False, "write the report to this file (atomic)"),
+    (("--format",), "format", "table", None, ("table", "json"), False, None),
+]
+IN = [(("--in",), "infile", None, None, None, True, None)]
+WEIGHTED = [(("--complex",), "complex", None, None, None, True, None),
+            (("--weights",), "weights", None, None, None, True, None)]
+MODEL = [(("--n",), "n", None, int, None, True, None),
+         (("--r",), "r", None, int, None, True, None),
+         (("--window",), "window", 3, int, None, False, None)]
+EXPECTED_OPTIONS = {
+    "cone-complex": ("build a cone complex from intersection data", IN + OUT_FORMAT),
+    "validate-weights": ("positivity, convexity and face coefficients", WEIGHTED + OUT_FORMAT),
+    "trop-cohomology": ("weighted tropical cohomology dims", WEIGHTED + OUT_FORMAT),
+    "trop-ss": ("sublevel weight filtration spectral sequence", WEIGHTED + [
+        (("--thresholds",), "thresholds", None, None, None, False,
+         "comma-separated rational thresholds")] + OUT_FORMAT),
+    "log-hodge": ("log Hodge table of a smooth complete fan", [
+        (("--fan",), "fan", None, None, None, True, None),
+        (("--twist",), "twist", "zero", None, None, False,
+         "'zero' or a path to a divisor file")] + OUT_FORMAT),
+    "divisor-cohomology": ("h^q of a divisor on a fan", [
+        (("--fan",), "fan", None, None, None, True, None),
+        (("--divisor",), "divisor", None, None, None, True, None)] + OUT_FORMAT),
+    "obstruction-stalk": ("direct cone vs Mayer-Vietoris assembled stalk", MODEL + [
+        (("--flavor",), "flavor", "log", None, ("holo", "log"), False, None)] + OUT_FORMAT),
+    "local-cohomology": ("graded local cohomology supported on boundary coordinates", MODEL + [
+        (("--subset",), "subset", None, None, None, True, "comma-separated coordinates, 1-based"),
+        (("--form-degree",), "form_degree", None, int, None, True, None)] + OUT_FORMAT),
+    "monodromy": ("Jordan type and monodromy weight filtration", IN + [
+        (("--center",), "center", 0, int, None, False, None)] + OUT_FORMAT),
+    "spectral-sequence": ("pages of a filtered complex", IN + [
+        (("--r-max",), "r_max", None, int, None, False, None)] + OUT_FORMAT),
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    actual = {
+        name: (helps[name], [(tuple(a.option_strings), a.dest, a.default, a.type,
+                              tuple(a.choices) if a.choices else None, a.required, a.help)
+                             for a in p._actions if a.dest != "help"])
+        for name, p in sub.choices.items()}
+    assert actual == EXPECTED_OPTIONS
+    assert list(actual) == list(EXPECTED_OPTIONS)  # the order --help lists them in

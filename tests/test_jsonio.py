@@ -4,7 +4,6 @@ from fractions import Fraction
 from loghodgelab.conecx import build_cone_complex, simplicial_cohomology
 from loghodgelab.jsonio import (
     SchemaError,
-    format_rational,
     load_fan,
     load_generic_complex,
     load_intersection_data,
@@ -37,11 +36,6 @@ def test_parse_rational_rejects(bad):
     with pytest.raises(SchemaError) as info:
         parse_rational(bad, "/field")
     assert "/field" in str(info.value)
-
-
-def test_format_rational():
-    assert format_rational(Fraction(3, 4)) == "3/4"
-    assert format_rational(Fraction(-6, 3)) == "-2"
 
 
 def test_intersection_data_roundtrip_is_identity():

@@ -108,13 +108,15 @@ def test_determinant_matches_det():
 
 def test_smith_normal_form_diagonal_matches_sympy():
     rng = random.Random(705)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        dense = [[rng.randint(-6, 6) if rng.random() < 0.5 else 0 for _ in range(cols)]
-                 for _ in range(rows)]
-        _, d, _ = smith_normal_form(RationalMatrix.from_rows(dense))
-        ours = [x for x in d.diagonal() if x != 0]
-        theirs = sympy_snf(sympy.Matrix(dense), domain=ZZ)
-        expected = [abs(int(theirs[i, i])) for i in range(min(rows, cols))
-                    if theirs[i, i] != 0]
-        assert ours == expected
+    # entries up to 1000 give long chains of ever smaller remainders at a pivot
+    for bound in (6, 1000):
+        for _ in range(60):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            dense = [[rng.randint(-bound, bound) if rng.random() < 0.5 else 0
+                      for _ in range(cols)] for _ in range(rows)]
+            _, d, _ = smith_normal_form(RationalMatrix.from_rows(dense))
+            ours = [x for x in d.diagonal() if x != 0]
+            theirs = sympy_snf(sympy.Matrix(dense), domain=ZZ)
+            expected = [abs(int(theirs[i, i])) for i in range(min(rows, cols))
+                        if theirs[i, i] != 0]
+            assert ours == expected
