@@ -14,12 +14,12 @@ command imports only the domain modules it uses.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -28,6 +28,7 @@ from . import jsonio
 from .jsonio import SchemaError, canonical_json
 
 DEFAULT_MAX_DIM = 2000
+TMP_ATTEMPTS = 100  # fresh temporary names tried per report, as mkstemp retries
 
 
 def _max_dim() -> int:
@@ -82,25 +83,30 @@ def _emit(args, result: dict, inputs: dict, options: dict, table_lines: list[str
         text = canonical_json(report)
     else:
         text = "\n".join(table_lines) + "\n"
-    if args.out:
-        out = Path(args.out)
-        tmp = None
-        try:
-            fd, tmp = tempfile.mkstemp(dir=str(out.parent) or ".", prefix=out.name)
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            # mkstemp makes the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, out)
-        except OSError as exc:
-            raise SchemaError("/out", f"cannot write {args.out}: {exc.strerror}") from None
-        finally:
-            if tmp is not None and os.path.exists(tmp):
-                os.unlink(tmp)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")  # before any file exists: a failure here leaves none
+    try:
+        for _ in range(TMP_ATTEMPTS):
+            # beside the report, so the replace stays on one file system; the
+            # kernel gives it mode 0666 less the umask, as a shell redirect would
+            tmp = f"{args.out}.{os.urandom(8).hex()}.tmp"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                continue
+            try:
+                with open(fd, "wb") as handle:
+                    handle.write(data)
+                os.replace(tmp, args.out)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+            return
+        raise FileExistsError(errno.EEXIST, "No usable temporary file name found")
+    except OSError as exc:
+        raise SchemaError("/out", f"cannot write {args.out}: {exc.strerror}") from None
 
 
 def _load_cone_complex(path: str, label: str):

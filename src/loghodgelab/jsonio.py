@@ -4,15 +4,21 @@ Every rational is serialized as ``str(Fraction)``, a string "p/q" (or "n"
 for integers), so no consumer ever sees a float.  Validation errors carry a JSON pointer to the
 offending field.  Report dumping is canonical (sorted keys, fixed indent,
 trailing newline) so identical inputs produce byte-identical reports.
+``canonical_json`` is one recursive encoder, byte for byte
+``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` plus a
+newline on the documents it accepts: dicts with ``str`` keys, lists and
+tuples, strings (escaped by ``json.encoder.encode_basestring``), ints,
+booleans and None.  Anything else, a float or a key that is not a string
+included, raises ``TypeError``.
 Each loader imports the domain types it builds, so serializing a report
 loads no domain module.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:
@@ -255,4 +261,33 @@ def load_generic_complex(doc: Any) -> tuple[CochainComplex, Optional[list]]:
 
 
 def canonical_json(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The report text of ``doc``, as the module docstring describes."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value: Any, indent: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring(key)}: {_encode(value[key], inner)}")
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return ("[" + inner + ("," + inner).join([_encode(v, inner) for v in value])
+                + indent + "]")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

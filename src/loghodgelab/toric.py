@@ -38,6 +38,10 @@ its chamber's character count.  Only after the walk is each distinct
 chamber turned into a ray set, once, and its count multiplied into its
 cohomology.
 
+Every determinant and cofactor the module takes is of size at most 3 (the
+smoothness and completeness checks, the character box's Cramer's rule), so
+``_det`` and ``_adjugate`` write them out; nothing here eliminates.
+
 For the full toric boundary the sheaf of logarithmic p-forms is free of rank
 C(n, p), so every row of the log Hodge table is a binomial multiple of the
 divisor cohomology of the twist.
@@ -58,11 +62,32 @@ class FanError(ValueError):
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix of size 0..3 (a fan has rank
-    at most 3), by cofactor expansion along the first row."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, a in enumerate(rows[0]) if a)
+    at most 3), written out."""
+    n = len(rows)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    return rows[0][0] if n else 1
+
+
+def _adjugate(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Cofactor rows of a square integer matrix of size 1..3, written out:
+    entry (k, j) is the signed minor of entry (k, j), so rows . adj^T =
+    det . I.  For size 3 they are the cross products r1 x r2, r2 x r0 and
+    r0 x r1."""
+    n = len(rows)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return [(e * i - f * h, f * g - d * i, d * h - e * g),
+                (h * c - i * b, i * a - g * c, g * b - h * a),
+                (b * f - c * e, c * d - a * f, a * e - b * d)]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return [(d, -c), (-b, a)]
+    return [(1,)]
 
 
 class Fan:
@@ -225,14 +250,11 @@ def character_box(fan: Fan, divisor: dict[int, int]) -> list[tuple[int, int]]:
     hi = [0] * n
     for subset in combinations(range(len(fan.rays)), n):
         rows = [fan.rays[i] for i in subset]
-        cof = [[(-1) ** (k + j)
-                * _det([r[:j] + r[j + 1:] for i, r in enumerate(rows) if i != k])
-                for j in range(n)] for k in range(n)]
+        cof = _adjugate(rows)
         det = sum(a * c for a, c in zip(rows[0], cof[0]))
         if det == 0:
             continue
-        for j in range(n):
-            column = [cof[k][j] for k in range(n)]
+        for j, column in enumerate(zip(*cof)):
             base = -sum(divisor[i] * c for i, c in zip(subset, column))
             least = base + sum(-c for c in column if c > 0)
             most = base + sum(-c for c in column if c < 0)

@@ -692,6 +692,38 @@ def test_out_report_mode_follows_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(previous)
 
+
+def test_out_report_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide: setting it even briefly would change the
+    # mode of a file another thread creates meanwhile
+    umask = os.umask
+    calls = []
+    monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or umask(mask))
+    previous = umask(0o027)
+    try:
+        assert main(["cone-complex", "--in", str(FIXTURES / "ex42.json"),
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert umask(0o027) == 0o027
+    finally:
+        umask(previous)
+    assert calls == []
+
+
+def test_unencodable_report_creates_no_file(tmp_path, capsys):
+    # a lone surrogate in a component name survives JSON input but has no
+    # UTF-8 encoding: the report fails before anything is created
+    doc = {"components": ["\ud800", "B"],
+           "strata": [{"components": ["\ud800"]}, {"components": ["B"]},
+                      {"components": ["\ud800", "B"]}]}
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc))
+    code, out, err = run(["cone-complex", "--in", str(data), "--format", "json",
+                          "--out", str(tmp_path / "report.json")], capsys)
+    assert code == 1 and out == ""
+    assert "surrogates not allowed" in err
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "loghodgelab.cli", "cone-complex",

@@ -72,6 +72,18 @@ def test_command_loads_only_its_modules(command, tmp_path):
         f"loghodgelab.{name}" for name in expected)
 
 
+def test_report_write_loads_no_tempfile(tmp_path):
+    # -S: a site that runs .pth files may import tempfile before any request
+    argv = fixture_argv("divisor-cohomology") + ["--out", str(tmp_path / "report.txt")]
+    proc = python("-S", "-c", f"import sys\n"
+                              f"from loghodgelab.cli import main\n"
+                              f"assert main({argv!r}) == 0\n"
+                              f"print('tempfile' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
 def test_parser_is_built_once_per_process():
     # one root parser and one subparser per command, however many calls
     argv = fixture_argv("monodromy") + ["--out", os.devnull]

@@ -1,9 +1,13 @@
-import pytest
+import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from loghodgelab.conecx import build_cone_complex, simplicial_cohomology
 from loghodgelab.jsonio import (
     SchemaError,
+    canonical_json,
     load_fan,
     load_generic_complex,
     load_intersection_data,
@@ -129,3 +133,35 @@ def test_generic_complex_with_filtration():
     assert complex_.dim(0) == 1 and complex_.dim(1) == 1
     assert len(filtration) == 1
     assert filtration[0][1].cols == 1
+
+
+# --- canonical output --------------------------------------------------------------
+
+
+def dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("golden", sorted((Path(__file__).parent / "golden").glob("*.json")),
+                         ids=lambda path: path.name)
+def test_canonical_json_reencodes_every_golden(golden):
+    text = golden.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert canonical_json(doc) == dumps(doc) == text
+
+
+def test_canonical_json_matches_json_dumps_on_edge_values():
+    doc = {"z": [], "a": {}, "m": [True, False, None, 0, -1, 2 ** 70, -(3 ** 50)],
+           "é": ("tuple", ["nested", {"b": "\"quoted\" \\ \x00\x1f\x7f \u2028 \ud800 ☃"}])}
+    assert canonical_json(doc) == dumps(doc)
+    assert canonical_json("plain") == dumps("plain")
+    assert canonical_json([]) == "[]\n" and canonical_json({}) == "{}\n"
+
+
+@pytest.mark.parametrize("doc", [1.5, {"x": [0.0]}, {1: "a"}, {"a": 1, 2: "b"}, {"a"},
+                                 [frozenset()], b"bytes", Fraction(1, 2)],
+                         ids=["float", "nested-float", "int-key", "mixed-keys", "set",
+                              "nested-frozenset", "bytes", "fraction"])
+def test_canonical_json_rejects_what_it_does_not_encode(doc):
+    with pytest.raises(TypeError):
+        canonical_json(doc)

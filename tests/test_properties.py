@@ -1,5 +1,8 @@
 """Hypothesis properties of chain maps, cones, long exact sequences and
-spectral sequences on random complexes (test-only dependency)."""
+spectral sequences on random complexes, and of the canonical JSON encoder
+on random documents (test-only dependency)."""
+
+import json
 
 import pytest
 
@@ -12,6 +15,7 @@ from loghodgelab.complexes import (
     mapping_cone,
     spectral_sequence,
 )
+from loghodgelab.jsonio import canonical_json
 
 from helpers import (identity_chain_map, plus_identity_map, random_chain_map, random_complex,
                      random_filtration)
@@ -56,3 +60,23 @@ def test_e_infinity_totals_are_the_cohomology(rng, depth):
     fc = random_filtration(rng, c, depth)
     assert spectral_sequence(fc)[-1].total_dims() == \
         {k: v for k, v in cohomology_dims(c).items() if v}
+
+
+# strings with what JSON escapes or passes through: quotes, backslashes,
+# control characters, non-ASCII text and lone surrogates
+json_text = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "é", "☃", "\U0001F600",
+     "\ud800", "\udfff"])), max_size=8)
+big_ints = st.integers(min_value=2 ** 64) | st.integers(max_value=-2 ** 64)
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | big_ints | json_text,
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.dictionaries(json_text, children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(json_docs)
+def test_canonical_json_is_json_dumps(doc):
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2,
+                                              ensure_ascii=False) + "\n"

@@ -161,9 +161,41 @@ def test_standard_fans_construct():
     hirzebruch(2)
 
 
+def laplace_det(rows):
+    """Determinant by cofactor expansion along the first row, minor by minor."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]))
+
+
+def test_written_out_determinants_and_cofactors_match_their_definition():
+    rng = random.Random(35)
+    singular = 0
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            # singular: one row a multiple of another
+            i, k = rng.sample(range(n), 2)
+            rows[i] = tuple(rng.randint(-3, 3) * x for x in rows[k])
+        det = laplace_det(rows)
+        cofactors = [tuple((-1) ** (k + j) * laplace_det(
+            [r[:j] + r[j + 1:] for i, r in enumerate(rows) if i != k]) for j in range(n))
+            for k in range(n)]
+        assert toric._det(rows) == det, rows
+        adjugate = toric._adjugate(rows)
+        assert adjugate == cofactors, rows
+        # rows . adj^T = det . I
+        assert [[sum(a * c for a, c in zip(row, cof)) for cof in adjugate] for row in rows] \
+            == [[det * (i == k) for k in range(n)] for i in range(n)], rows
+        singular += det == 0
+    assert singular > 100
+
+
 def test_fans_and_character_boxes_make_no_elimination(monkeypatch):
-    # every determinant a fan takes has size <= 3 and is expanded by
-    # cofactors, so neither validation nor the character box eliminates
+    # every determinant a fan takes has size <= 3 and is written out, so
+    # neither validation nor the character box eliminates
     eliminations = []
     echelon = linalg._echelon
 
