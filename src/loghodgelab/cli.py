@@ -23,6 +23,7 @@ import functools
 import hashlib
 import json
 import os
+import stat
 import sys
 
 from . import __version__
@@ -72,11 +73,22 @@ def _read_json(data: bytes, path: str, label: str):
 
 
 def _write(text: str, out: str | None) -> None:
+    """``text`` to stdout, or to the file ``out``: a regular or absent file
+    through a temporary file renamed onto it, a device or a FIFO in place."""
     if not out:
         sys.stdout.write(text)
         return
     data = text.encode("utf-8")  # before any file exists: a failure here leaves none
     try:
+        try:
+            in_place = not stat.S_ISREG(os.stat(out).st_mode)
+        except FileNotFoundError:
+            in_place = False
+        if in_place:
+            # a device or a FIFO: a rename would replace the node itself
+            with open(os.open(out, os.O_WRONLY), "wb") as handle:
+                handle.write(data)
+            return
         for _ in range(TMP_ATTEMPTS):
             # beside the report, so the replace stays on one file system; the
             # kernel gives it mode 0666 less the umask, as a shell redirect would

@@ -401,12 +401,6 @@ class SpectralSequencePage:
     def differential(self, p: int, q: int) -> Optional[RationalMatrix]:
         return self.differentials.get((p, q))
 
-    def total_dims(self) -> dict[int, int]:
-        totals: dict[int, int] = {}
-        for (p, q), n in self.entries.items():
-            totals[p + q] = totals.get(p + q, 0) + n
-        return {k: v for k, v in sorted(totals.items()) if v}
-
     def to_json_dict(self) -> dict:
         return {
             "r": self.r,

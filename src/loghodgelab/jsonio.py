@@ -1,9 +1,13 @@
 """JSON input formats and canonical report serialization.
 
 Every rational is serialized as ``str(Fraction)``, a string "p/q" (or "n"
-for integers), so no consumer ever sees a float.  Validation errors carry a JSON pointer to the
-offending field.  Report dumping is canonical (sorted keys, fixed indent,
-trailing newline) so identical inputs produce byte-identical reports.
+for integers), so no consumer ever sees a float.  Validation errors carry a
+JSON pointer to the offending field.  One grammar, `_ratio`, reads every
+rational as an integer pair (p, q); a matrix's entries go from it straight
+into `RationalMatrix.from_ratios`, with no Fraction and no pointer made unless
+an entry is at fault, and `parse_rational` names the fault.  Report dumping
+is canonical (sorted keys, fixed indent, trailing newline) so identical
+inputs produce byte-identical reports.
 ``canonical_json`` is one recursive encoder, byte for byte
 ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` plus a
 newline on the documents it accepts: dicts with ``str`` keys, lists and
@@ -43,20 +47,30 @@ class SchemaError(ValueError):
         super().__init__(f"{self.pointer}: {message}")
 
 
-def parse_rational(value: Any, pointer: str) -> Fraction:
-    if isinstance(value, bool):
-        raise SchemaError(pointer, "expected a rational string or integer, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value: Any) -> tuple[int, int]:
+    """The one rational grammar: (p, q), q > 0 and not reduced, of an integer
+    or a `RATIONAL` string; anything else raises ValueError, with the message
+    `parse_rational` gives it."""
     if isinstance(value, str):
         if not RATIONAL.fullmatch(value):
-            raise SchemaError(pointer, f"not a rational 'p/q' string: {value!r}")
+            raise ValueError(f"not a rational 'p/q' string: {value!r}")
         p, _, q = value.partition("/")
         try:
-            return Fraction(int(p), int(q or 1))
+            return int(p), int(q or 1)
         except ValueError:  # more digits than int() converts
-            raise SchemaError(pointer, f"{len(value)}-digit rational is too long") from None
-    raise SchemaError(pointer, f"expected a rational string or integer, got {type(value).__name__}")
+            raise ValueError(f"{len(value)}-digit rational is too long") from None
+    if isinstance(value, bool):
+        raise ValueError("expected a rational string or integer, got a boolean")
+    if isinstance(value, int):
+        return int(value), 1
+    raise ValueError(f"expected a rational string or integer, got {type(value).__name__}")
+
+
+def parse_rational(value: Any, pointer: str) -> Fraction:
+    try:
+        return Fraction(*_ratio(value))
+    except ValueError as exc:
+        raise SchemaError(pointer, str(exc)) from None
 
 
 def _expect(condition: bool, pointer: str, message: str):
@@ -154,9 +168,11 @@ def load_fan(doc: Any) -> Fan:
     rays = doc["rays"]
     _expect(isinstance(rays, list) and rays, "/rays", "expected a nonempty list")
     for i, ray in enumerate(rays):
-        _expect(isinstance(ray, list) and 1 <= len(ray) <= 3 and all(
-            isinstance(x, int) and not isinstance(x, bool) for x in ray),
-            f"/rays/{i}", "expected a list of 1 to 3 integers")
+        _expect(isinstance(ray, list) and 1 <= len(ray) <= 3,
+                f"/rays/{i}", "expected a list of 1 to 3 integers")
+        for j, x in enumerate(ray):
+            _expect(isinstance(x, int) and not isinstance(x, bool),
+                    f"/rays/{i}/{j}", "expected an integer")
     cones = doc["cones"]
     _expect(isinstance(cones, list) and cones, "/cones", "expected a nonempty list")
     for i, cone in enumerate(cones):
@@ -199,23 +215,35 @@ def load_nilpotent_matrix(doc: Any) -> RationalMatrix:
 # --- generic complexes ------------------------------------------------------------------
 
 
+def _ratio_rows(raw: Any, rows: int, cols: int, pointer: str) -> list[list[tuple[int, int]]]:
+    """The `_ratio` pairs of ``raw``, a list of ``rows`` lists of ``cols``
+    rationals; a pointer is made only for the first fault."""
+    if not (isinstance(raw, list) and len(raw) == rows):
+        raise SchemaError(pointer, f"expected {rows} rows, got "
+                          f"{len(raw) if isinstance(raw, list) else type(raw).__name__}")
+    out = []
+    for i, row in enumerate(raw):
+        if not (isinstance(row, list) and len(row) == cols):
+            raise SchemaError(f"{pointer}/{i}", f"expected {cols} entries")
+        try:
+            out.append([_ratio(v) for v in row])
+        except ValueError:
+            for j, v in enumerate(row):
+                parse_rational(v, f"{pointer}/{i}/{j}")
+            raise  # not reached: parse_rational refuses what _ratio refused
+    return out
+
+
 def _load_matrix(raw: Any, rows: int, cols: int, pointer: str) -> RationalMatrix:
     from .linalg import RationalMatrix
-    _expect(isinstance(raw, list) and len(raw) == rows, pointer,
-            f"expected {rows} rows, got {len(raw) if isinstance(raw, list) else type(raw).__name__}")
-    entries = {}
-    for i, row in enumerate(raw):
-        _expect(isinstance(row, list) and len(row) == cols, f"{pointer}/{i}",
-                f"expected {cols} entries")
-        for j, v in enumerate(row):
-            entries[(i, j)] = parse_rational(v, f"{pointer}/{i}/{j}")
-    return RationalMatrix(rows, cols, entries)
+    return RationalMatrix.from_ratios(rows, cols, _ratio_rows(raw, rows, cols, pointer))
 
 
 def load_generic_complex(doc: Any) -> tuple[CochainComplex, Optional[list]]:
     """A bounded complex plus an optional filtration (the levels F^1, F^2,
     ...; each lists, per degree, the basis columns of the subspace)."""
     from .complexes import CochainComplex
+    from .linalg import RationalMatrix
     _expect_keys(doc, "", {"min_degree", "dims"}, {"differentials", "filtration"})
     min_degree = doc["min_degree"]
     _expect(isinstance(min_degree, int) and not isinstance(min_degree, bool),
@@ -251,8 +279,9 @@ def load_generic_complex(doc: Any) -> tuple[CochainComplex, Optional[list]]:
                 k = min_degree + i
                 cp = f"{lp}/{i}"
                 _expect(isinstance(raw_cols, list), cp, "expected a list of basis columns")
-                # the basis columns, read as the rows of the transpose
-                level[k] = _load_matrix(raw_cols, len(raw_cols), dims[k], cp).transpose()
+                # the basis columns, each entry i of them joined into row i
+                columns = _ratio_rows(raw_cols, len(raw_cols), dims[k], cp)
+                level[k] = RationalMatrix.from_ratios(dims[k], len(raw_cols), zip(*columns))
             filtration.append(level)
     return complex_, filtration
 

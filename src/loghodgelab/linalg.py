@@ -8,11 +8,13 @@ over one positive denominator, in lowest terms (the gcd of the numerators and
 the denominator is 1), so ``==`` and ``hash`` compare the storage as it is.
 The public constructor checks bounds and entry types and drops zeros; the
 matrices made here, whose rows are already in that form, go through a
-trusted constructor that checks nothing.  ``entries`` is a read-only view that
-makes a Fraction only when an entry is read.  Products run in ints, with one
-gcd per product row whose denominator is not 1.  Rows over reduced fractions,
-or rows in lowest terms joined over the lcm of their denominators, are in
-lowest terms already.
+trusted constructor that checks nothing.  `RationalMatrix.from_ratios` takes
+rows of integer pairs (p, q), q > 0, as the JSON loaders parse them, straight
+into that form: one lcm and one gcd per row, and no Fraction.  ``entries`` is
+a read-only view that makes a Fraction only when an entry is read.  Products
+run in ints, with one gcd per product row whose denominator is not 1.  Rows
+over reduced fractions, or rows in lowest terms joined over the lcm of their
+denominators, are in lowest terms already.
 
 The one elimination is `_echelon`, on copies of the integer rows (a row times
 its denominator keeps rank, kernel and the column dependencies): each row in
@@ -121,6 +123,22 @@ class RationalMatrix:
         m = object.__new__(cls)
         m.rows, m.cols, m._num, m._den = rows, cols, num, den
         return m
+
+    @classmethod
+    def from_ratios(cls, rows: int, cols: int, ratio_rows) -> "RationalMatrix":
+        """The matrix whose row i is ``ratio_rows[i]``: one pair (p, q) of ints
+        with q > 0, not necessarily coprime, per column; rows past the last
+        one given are zero.  The pairs are trusted: nothing is checked, and no
+        Fraction is made."""
+        num, den = {}, {}
+        for i, ratios in enumerate(ratio_rows):
+            d = lcm(*[q for _, q in ratios])
+            row = {j: p * (d // q) for j, (p, q) in enumerate(ratios) if p}
+            if row:
+                num[i], d = _lowest_terms(row, d)
+                if d != 1:
+                    den[i] = d
+        return cls._trusted(rows, cols, num, den)
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "RationalMatrix":
@@ -476,12 +494,6 @@ def pivot_columns(m: RationalMatrix) -> list[int]:
 def column_space_basis(m: RationalMatrix) -> RationalMatrix:
     """Deterministic basis of col(m): the pivot columns of ``m`` itself."""
     return m.submatrix_columns(pivot_columns(m))
-
-
-def sum_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.rows != b.rows:
-        raise MatrixError("ambient dimension mismatch")
-    return column_space_basis(a.hstack(b))
 
 
 def contains_space(a: RationalMatrix, b: RationalMatrix) -> bool:

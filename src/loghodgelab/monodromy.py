@@ -12,14 +12,18 @@ from an explicit Jordan basis B (a chain v, Nv, ..., N^{s-1}v of length s
 contributes the weights k+s-1, k+s-3, ..., k-s+1): W_l is the slice of B's
 columns of weight <= l, certified by B itself (`_certified_levels`: one
 elimination and one product) rather than by `verify_weight_axioms`, which
-checks the axioms of any filtration.  Each power N^j and each chain vector
-N^i v is one product; each N^j with 0 < j < index is eliminated once for its
-kernel, and the ranks of the powers are read off the kernels.
+checks the axioms of any filtration.  The filtration keeps B, its columns'
+order by weight and dim W_l for each l; a level is sliced out of B the first
+time it is read, and the report, which reads only the dimensions, slices
+none.  Each power N^j and each chain vector N^i v is one product; each N^j
+with 0 < j < index is eliminated once for its kernel, and the ranks of the
+powers are read off the kernels.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -111,16 +115,42 @@ def jordan_chains(n: NilpotentOperator) -> tuple[RationalMatrix, list[list[int]]
     return RationalMatrix.zeros(n.dimension, 0).hstack(*blocks), chains
 
 
+class _Slices(Mapping):
+    """{l: W_l}, W_l spanned by the first ``ranks[l]`` columns of ``basis`` in
+    the column ``order``; each slice is made on its first read, once per
+    distinct rank."""
+
+    __slots__ = ("_basis", "_order", "_ranks", "_made")
+
+    def __init__(self, basis: RationalMatrix, order: list[int], ranks: dict[int, int]):
+        self._basis, self._order, self._ranks, self._made = basis, order, ranks, {}
+
+    def __getitem__(self, l: int) -> RationalMatrix:
+        c = self._ranks[l]
+        m = self._made.get(c)
+        if m is None:
+            m = self._made[c] = self._basis.submatrix_columns(self._order[:c])
+        return m
+
+    def __iter__(self):
+        return iter(self._ranks)
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+
 @dataclass
 class WeightFiltration:
     """Increasing filtration W centered at ``center``; ``subspaces[l]`` spans W_l.
 
     ``ranks[l]`` is dim W_l for each stored l, as `weight_filtration` reads
-    it off its certificate and `verify_weight_axioms` finds it."""
+    it off its certificate and `verify_weight_axioms` finds it.
+    `weight_filtration` gives ``subspaces`` as slices of its Jordan basis,
+    each made when it is first read."""
 
     center: int
     dimension: int
-    subspaces: dict[int, RationalMatrix]
+    subspaces: Mapping[int, RationalMatrix]
     ranks: dict[int, int] = field(default_factory=dict)
 
     def level(self, l: int) -> RationalMatrix:
@@ -227,17 +257,16 @@ def weight_filtration(n: NilpotentOperator, center: int = 0) -> WeightFiltration
 
     A Jordan chain of size s places N^i v in weight center + (s-1) - 2i.
     With the Jordan basis sorted by weight, W_l is the slice of its columns
-    of weight <= l.  The basis certifies the axioms before the result is
-    returned.
+    of weight <= l, made when W_l is first read.  The basis certifies the
+    axioms before the result is returned.
     """
     dim = n.dimension
     basis, chains = jordan_chains(n)
     weights = {j: center + (len(chain) - 1) - 2 * i
                for chain in chains for i, j in enumerate(chain)}
     counts = _certified_levels(n, basis, chains, weights, center)
-    basis = basis.submatrix_columns(sorted(range(dim), key=weights.__getitem__))
-    slices = {c: basis.submatrix_columns(range(c)) for c in set(counts.values())}
-    return WeightFiltration(center, dim, {l: slices[c] for l, c in counts.items()}, counts)
+    order = sorted(range(dim), key=weights.__getitem__)
+    return WeightFiltration(center, dim, _Slices(basis, order, counts), counts)
 
 
 def stratum_weight(n: NilpotentOperator) -> Fraction:

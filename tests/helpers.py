@@ -7,10 +7,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from loghodgelab.complexes import (ChainMap, CochainComplex, FilteredComplex, FiltrationError,
-                                   _total_complex, cohomology_dims)
+                                   SpectralSequencePage, _total_complex, cohomology_dims)
 from loghodgelab.conecx import ConeComplex, IntersectionData
-from loghodgelab.linalg import (RationalMatrix, column_space_basis, contains_space, kernel_basis,
-                                rank)
+from loghodgelab.linalg import (MatrixError, RationalMatrix, column_space_basis, contains_space,
+                                kernel_basis, rank)
 from loghodgelab.localmodel import (FLAVORS, LAURENT, LocalModel, LocalModelError,
                                     ObstructionStalkReport, _cech_arrows, _form_arrows,
                                     _mv_total_block, _quotient_block, _tally, block_basis)
@@ -189,7 +189,22 @@ def mutated_filtration_levels(rng: random.Random, c: CochainComplex,
     return levels
 
 
-# --- complexes -----------------------------------------------------------------------
+# --- linear algebra and complexes ------------------------------------------------------
+
+
+def sum_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """A basis of col(a) + col(b): the pivot columns of [a | b]."""
+    if a.rows != b.rows:
+        raise MatrixError("ambient dimension mismatch")
+    return column_space_basis(a.hstack(b))
+
+
+def total_dims(page: SpectralSequencePage) -> dict[int, int]:
+    """The nonzero sums of dim E_r^{p,q} over p + q = k, by total degree k."""
+    totals: dict[int, int] = {}
+    for (p, q), n in page.entries.items():
+        totals[p + q] = totals.get(p + q, 0) + n
+    return {k: v for k, v in sorted(totals.items()) if v}
 
 
 def zero_chain_map(source: CochainComplex, target: CochainComplex) -> ChainMap:

@@ -33,8 +33,9 @@ from loghodgelab.linalg import (
     kernel_basis,
     rank,
     solve_rational,
-    sum_spaces,
 )
+
+from helpers import sum_spaces
 
 
 def intersect_spaces(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:

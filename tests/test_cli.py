@@ -1,8 +1,10 @@
 import builtins
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -633,6 +635,24 @@ def test_unwritable_out_is_malformed_input(tmp_path, capsys):
         assert code == 2
         assert "/out" in err
     assert list(tmp_path.iterdir()) == [existing] and not any(existing.iterdir())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_out_onto_a_fifo_writes_in_place(tmp_path):
+    # a rename onto a FIFO (or a device) would replace the node with a file
+    argv = ["cone-complex", "--in", str(FIXTURES / "ex42.json"), "--format", "json"]
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(argv + ["--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [(tmp_path / "report.json").read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "report.json"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

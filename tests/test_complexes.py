@@ -25,8 +25,8 @@ from loghodgelab.linalg import RationalMatrix
 import ss_oracle
 from helpers import (counting_fractions, identity_chain_map, mutated_filtration_levels,
                      plus_identity_map, random_chain_map, random_complex, random_filtration_levels,
-                     reference_filtration_levels, stupid_filtration, trivial_filtration,
-                     zero_chain_map)
+                     reference_filtration_levels, stupid_filtration, total_dims,
+                     trivial_filtration, zero_chain_map)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -254,7 +254,7 @@ def test_trivial_filtration_gives_cohomology_at_e1():
     pages = spectral_sequence(fc)
     e1 = pages[1]
     assert e1.entry(0, 0) == 1 and e1.entry(0, 1) == 1
-    assert pages[-1].total_dims() == fc.e_infinity_totals == {0: 1, 1: 1}
+    assert total_dims(pages[-1]) == fc.e_infinity_totals == {0: 1, 1: 1}
     assert fc.first_nonzero_differential is None
 
 
@@ -289,7 +289,7 @@ def test_filtration_with_no_levels_eliminates_only_to_solve_for_x(monkeypatch):
 def test_two_step_filtration_of_acyclic_complex():
     c = two_term_identity()
     fc = stupid_filtration(c)
-    assert spectral_sequence(fc)[-1].total_dims() == {}
+    assert total_dims(spectral_sequence(fc)[-1]) == {}
 
 
 def test_stupid_filtration_circle():
@@ -301,7 +301,7 @@ def test_stupid_filtration_circle():
     assert fc.first_nonzero_differential == 1
     # degenerates at E_2 with totals (1, 1)
     assert all(m.is_zero() for m in pages[2].differentials.values())
-    assert pages[-1].total_dims() == {0: 1, 1: 1}
+    assert total_dims(pages[-1]) == {0: 1, 1: 1}
 
 
 def test_engineered_nonzero_d1():
@@ -315,7 +315,7 @@ def test_e_infinity_totals_match_cohomology_random():
     for _ in range(15):
         c = random_complex(rng, 6)
         fc = stupid_filtration(c)
-        assert spectral_sequence(fc)[-1].total_dims() == \
+        assert total_dims(spectral_sequence(fc)[-1]) == \
                {k: v for k, v in cohomology_dims(c).items() if v}
 
 
@@ -338,7 +338,7 @@ def test_spectral_sequence_of_boundary_subcomplex_filtration():
         c = random_complex(rng, 7)
         level = {k: column_space_basis(c.differential(k - 1)) for k in c.degrees()}
         fc = FilteredComplex(c, [level])
-        assert spectral_sequence(fc)[-1].total_dims() == \
+        assert total_dims(spectral_sequence(fc)[-1]) == \
                {k: v for k, v in cohomology_dims(c).items() if v}
 
 
@@ -353,7 +353,7 @@ def test_spectral_sequence_makes_no_fraction():
         with counting_fractions() as made:
             pages = spectral_sequence(fc)
         assert not made
-        assert pages[-1].total_dims() == {0: 1, 1: 1}
+        assert total_dims(pages[-1]) == {0: 1, 1: 1}
 
 
 def test_page_differentials_compose_to_zero():

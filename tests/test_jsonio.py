@@ -111,6 +111,25 @@ def test_matrix_reader_error_pointers(load, doc, pointer):
     assert info.value.pointer == pointer
 
 
+@pytest.mark.parametrize("bad, message", [
+    (True, "expected a rational string or integer, got a boolean"),
+    (1.5, "expected a rational string or integer, got float"),
+    ("1/0", "not a rational 'p/q' string: '1/0'"),
+    ("1/-2", "not a rational 'p/q' string: '1/-2'"),
+    (" 1", "not a rational 'p/q' string: ' 1'"),
+    ("1" * 5000, "5000-digit rational is too long"),
+], ids=["bool", "float", "zero-denominator", "negative-denominator", "space", "5000-digits"])
+def test_matrix_entry_faults_keep_message_and_pointer(bad, message):
+    # the first fault in reading order is named, with the message parse_rational gives
+    rows = [["0", "1/2", "3"], ["4", "5", bad], ["x", "7", "8"]]
+    with pytest.raises(SchemaError) as info:
+        load_nilpotent_matrix({"matrix": rows})
+    assert (info.value.pointer, str(info.value)) == ("/matrix/1/2", f"/matrix/1/2: {message}")
+    with pytest.raises(SchemaError) as direct:
+        parse_rational(bad, "/matrix/1/2")
+    assert str(direct.value) == str(info.value)
+
+
 def test_generic_complex_d_squared_checked():
     doc = {
         "min_degree": 0,

@@ -11,11 +11,10 @@ from loghodgelab.linalg import (
     smith_normal_form,
     solve_rational,
     spaces_equal,
-    sum_spaces,
 )
 from loghodgelab.localmodel import HOLOMORPHIC, LocalModel, assemble_stalk, koszul_local_cohomology
 
-from helpers import counting_fractions
+from helpers import counting_fractions, sum_spaces
 from ss_oracle import intersect_spaces, preimage_space
 
 

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 import pytest
 
-from helpers import counting_fractions, reference_weight_axioms
+from helpers import counting_fractions, reference_weight_axioms, sum_spaces
 
 import loghodgelab.linalg as linalg
 from loghodgelab.linalg import (
@@ -13,7 +13,6 @@ from loghodgelab.linalg import (
     kernel_basis,
     rank,
     spaces_equal,
-    sum_spaces,
 )
 from loghodgelab.monodromy import (
     MonodromyError,
@@ -411,6 +410,43 @@ def test_certificate_rejects_corrupted_bases():
         with pytest.raises(MonodromyError):
             certify(n, bad_basis, bad_chains, weights=weights)
             pytest.fail(f"certificate accepts a basis with its {name}")
+
+
+def test_levels_sliced_on_read_equal_the_eager_slices(monkeypatch):
+    """On seeded operators, each W_l read from `weight_filtration` is the
+    slice of the Jordan basis sorted by weight that it used to make eagerly,
+    ``subspaces`` is {l: level(l)}, the report slices no level, and levels of
+    equal rank share one slice."""
+    rng = random.Random(3705)
+    slices = []
+    submatrix_columns = RationalMatrix.submatrix_columns
+
+    def counted(m, cols):
+        slices.append(len(cols))
+        return submatrix_columns(m, cols)
+
+    for _ in range(60):
+        dim = rng.randint(0, 7)
+        n = (conjugated_nilpotent if dim and rng.random() < 0.5 else random_nilpotent)(rng, dim)
+        center = rng.randint(-3, 3)
+        basis, chains = jordan_chains(n)
+        weights = {j: center + len(chain) - 1 - 2 * i
+                   for chain in chains for i, j in enumerate(chain)}
+        eager = basis.submatrix_columns(sorted(range(dim), key=weights.__getitem__))
+        w = weight_filtration(n, center)
+        stored = list(range(center - dim, center + dim + 1))
+        expected = {l: eager.submatrix_columns(range(w.ranks[l])) for l in stored}
+        monkeypatch.setattr(RationalMatrix, "submatrix_columns", counted)
+        slices.clear()
+        w.to_json_dict()
+        assert slices == []
+        for l in rng.sample(stored, len(stored)) * 2:
+            assert w.level(l) == expected[l], l
+        assert len(slices) == len(set(w.ranks.values()))
+        monkeypatch.undo()
+        assert list(w.subspaces) == stored
+        assert dict(w.subspaces) == expected
+        assert w.subspaces == {l: w.level(l) for l in stored}
 
 
 def test_weight_filtration_center_shift():

@@ -105,9 +105,8 @@ def test_schemas_and_loader_accept_the_same_rationals(schema, wrap):
      "/cones/1/0"),
     ("intersection-data.schema.json", "load_intersection_data",
      {"components": [], "strata": []}, "/components", "/components"),
-    # integers written as floats: the loader names the ray, the schema its entry
     ("fan.schema.json", "load_fan",
-     {"rays": [[1.0, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}, "/rays/0",
+     {"rays": [[1.0, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}, "/rays/0/0",
      "/rays/0/0"),
     ("nilpotent-operator.schema.json", "load_nilpotent_matrix",
      {"matrix": [[0, 1.0], [0, 0]]}, "/matrix/0/1", "/matrix/0/1"),

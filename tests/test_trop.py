@@ -16,6 +16,8 @@ from loghodgelab.trop import (
 )
 from loghodgelab.weights import WeightFunction
 
+from helpers import total_dims
+
 
 def circle():
     cells = [Cell(("H1",)), Cell(("H2",)), Cell(("H3",)),
@@ -141,7 +143,7 @@ def test_threshold_below_min_gives_trivial_filtration():
     assert report.degenerates_at_e1
     assert report.e_infinity_totals == {0: 1, 1: 1}
     e1 = report.pages[1]
-    assert e1.total_dims() == {0: 1, 1: 1}
+    assert total_dims(e1) == {0: 1, 1: 1}
 
 
 def test_circle_edge_only_filtration():
