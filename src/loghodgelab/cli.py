@@ -73,26 +73,29 @@ def _read_json(data: bytes, path: str, label: str):
 
 
 def _write(text: str, out: str | None) -> None:
-    """``text`` to stdout, or to the file ``out``: a regular or absent file
-    through a temporary file renamed onto it, a device or a FIFO in place."""
+    """``text`` to stdout, or to the file ``out`` resolves to: a regular or
+    absent file through a temporary file renamed onto it, a device or a FIFO
+    in place.  Messages name ``out`` as given."""
     if not out:
         sys.stdout.write(text)
         return
     data = text.encode("utf-8")  # before any file exists: a failure here leaves none
+    # a rename onto a symlink would replace the link
+    target = os.path.realpath(out) if os.path.islink(out) else out
     try:
         try:
-            in_place = not stat.S_ISREG(os.stat(out).st_mode)
+            in_place = not stat.S_ISREG(os.stat(target).st_mode)
         except FileNotFoundError:
             in_place = False
         if in_place:
             # a device or a FIFO: a rename would replace the node itself
-            with open(os.open(out, os.O_WRONLY), "wb") as handle:
+            with open(os.open(target, os.O_WRONLY), "wb") as handle:
                 handle.write(data)
             return
         for _ in range(TMP_ATTEMPTS):
             # beside the report, so the replace stays on one file system; the
             # kernel gives it mode 0666 less the umask, as a shell redirect would
-            tmp = f"{out}.{os.urandom(8).hex()}.tmp"
+            tmp = f"{target}.{os.urandom(8).hex()}.tmp"
             try:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             except FileExistsError:
@@ -100,7 +103,7 @@ def _write(text: str, out: str | None) -> None:
             try:
                 with open(fd, "wb") as handle:
                     handle.write(data)
-                os.replace(tmp, out)
+                os.replace(tmp, target)
             except BaseException:
                 os.unlink(tmp)
                 raise
@@ -209,10 +212,11 @@ def cmd_validate_weights(docs, args):
 
 
 def _trop_complex(docs):
-    from .trop import weighted_complex
+    from .trop import CellWeights, weighted_complex
     complex_ = _load_cone_complex(docs["complex"])
     ray_w, cell_w = jsonio.load_weights(docs["weights"])
-    weights = ray_w if ray_w is not None else jsonio.cell_weights_for(complex_, cell_w)
+    weights = ray_w if ray_w is not None else CellWeights(
+        {complex_.find_cell(key): v for key, v in cell_w.items()})
     return weighted_complex(complex_, weights)
 
 

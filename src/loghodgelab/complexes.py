@@ -35,8 +35,8 @@ keys by degree and a rule listing the signed arrows out of a key.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
 
 from .linalg import (
     RationalMatrix,
@@ -92,7 +92,7 @@ class CochainComplex:
             after = self._differentials.get(k + 1)
             if after is not None and not (after * self._differentials[k]).is_zero():
                 raise ComplexError(f"d o d != 0 at degree {k}")
-        self._ranks: Optional[dict[int, int]] = None
+        self._ranks: dict[int, int] | None = None
 
     @property
     def ranks(self) -> dict[int, int]:
@@ -116,10 +116,6 @@ class CochainComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in self.dims.items())
-
-    def __repr__(self) -> str:
-        return (f"CochainComplex(degrees {self.min_degree}..{self.max_degree}, "
-                f"dims {list(self.dims.values())})")
 
 
 def _total_complex(basis_by_degree: dict[int, list[Hashable]],
@@ -371,7 +367,7 @@ class FilteredComplex:
             raise FiltrationError(
                 f"level {p} is not a subcomplex: d(F^{p} C^{k}) is not "
                 f"contained in F^{p} C^{k + 1}")
-        self.gaps: dict[int, list[Optional[int]]] = {k: [None] * c.dim(k) for k in c.degrees()}
+        self.gaps: dict[int, list[int | None]] = {k: [None] * c.dim(k) for k in c.degrees()}
         self.pairs: list[tuple[int, int, int, int]] = []
         for k, x in self.adapted_differentials.items():
             for j, i in _persistence_pairs(x, level[k], level[k + 1]):
@@ -398,7 +394,7 @@ class SpectralSequencePage:
     def entry(self, p: int, q: int) -> int:
         return self.entries.get((p, q), 0)
 
-    def differential(self, p: int, q: int) -> Optional[RationalMatrix]:
+    def differential(self, p: int, q: int) -> RationalMatrix | None:
         return self.differentials.get((p, q))
 
     def to_json_dict(self) -> dict:
@@ -422,7 +418,7 @@ def _persistence_pairs(x: RationalMatrix, col_level: list[int],
     return [(j, rows[low]) for j, low in zip(cols, leading_columns(xt)) if low is not None]
 
 
-def spectral_sequence(fc: FilteredComplex, r_max: Optional[int] = None) -> list[SpectralSequencePage]:
+def spectral_sequence(fc: FilteredComplex, r_max: int | None = None) -> list[SpectralSequencePage]:
     """Pages E_0 .. E_{r_max} of the filtration spectral sequence, rendered
     from the persistence pairs of ``fc`` (module docstring).
 

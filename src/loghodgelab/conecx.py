@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
 
 from .complexes import CochainComplex, _total_complex, cohomology_dims
 
@@ -55,7 +54,7 @@ class IntersectionData:
 
     components: list[str]
     strata: list[Cell]
-    ray_coordinates: Optional[dict[str, tuple[int, ...]]] = None
+    ray_coordinates: dict[str, tuple[int, ...]] | None = None
 
     def __post_init__(self):
         if len(set(self.components)) != len(self.components):
@@ -93,7 +92,7 @@ class ConeComplex:
 
     def __init__(self, cells: list[Cell],
                  face_maps: dict[Cell, list[tuple[Cell, int]]],
-                 ray_coordinates: Optional[dict[str, tuple[int, ...]]] = None):
+                 ray_coordinates: dict[str, tuple[int, ...]] | None = None):
         by_dim: dict[int, list[Cell]] = {}
         for cell in cells:
             by_dim.setdefault(cell.dim, []).append(cell)

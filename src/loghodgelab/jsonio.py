@@ -1,42 +1,53 @@
 """JSON input formats and canonical report serialization.
 
-Every rational is serialized as ``str(Fraction)``, a string "p/q" (or "n"
-for integers), so no consumer ever sees a float.  Validation errors carry a
-JSON pointer to the offending field.  One grammar, `_ratio`, reads every
-rational as an integer pair (p, q); a matrix's entries go from it straight
-into `RationalMatrix.from_ratios`, with no Fraction and no pointer made unless
-an entry is at fault, and `parse_rational` names the fault.  Report dumping
-is canonical (sorted keys, fixed indent, trailing newline) so identical
-inputs produce byte-identical reports.
-``canonical_json`` is one recursive encoder, byte for byte
-``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)`` plus a
-newline on the documents it accepts: dicts with ``str`` keys, lists and
-tuples, strings (escaped by ``json.encoder.encode_basestring``), ints,
-booleans and None.  Anything else, a float or a key that is not a string
-included, raises ``TypeError``.
-Each loader imports the domain types it builds, so serializing a report
-loads no domain module.
+The six schemas in ``schemas/`` are the input grammar.  A loader first runs
+its document's schema, read once per process and compiled into closures
+that return None or the first fault in document order; a document that
+passes builds no pointer, message or exception.  A schema key outside
+`KEYWORDS` and the annotations raises as its schema compiles.  ``integer``
+is an int, never a bool or ``1.0``.  A fault at a value a ``$ref`` names
+reads "expected a <definition>", such as "expected a rational".  After every
+schema fault, a loader adds only what a schema cannot say: a divisor has one
+coefficient per ray; the nilpotent matrix is square; a complex has at most
+``len(dims) - 1`` differentials, of shape ``dims[k+1] x dims[k]``; a
+filtration level has one basis per degree, of columns ``dims[k]`` long; the
+faults of `conecx.Cell`; and a rational of more digits than ``int()`` reads.
+`_ratio` reads a rational as ints (p, q), and matrices go from those to
+`RationalMatrix.from_ratios` with no Fraction per entry.
+
+Reports write every rational as ``str(Fraction)``, never as a float.
+``canonical_json`` is byte for byte ``json.dumps(doc, sort_keys=True,
+indent=2, ensure_ascii=False)`` plus a newline on the documents it accepts:
+dicts with ``str`` keys, lists and tuples, strings, ints, booleans and None;
+anything else raises ``TypeError``.  Each loader imports the domain types
+it builds, so serializing a report loads no domain module.
 """
 
 from __future__ import annotations
 
+import functools
+import json
+import os
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring
-from typing import TYPE_CHECKING, Any, Optional
 
-if TYPE_CHECKING:
-    from .complexes import CochainComplex
-    from .conecx import IntersectionData
-    from .linalg import RationalMatrix
-    from .toric import Fan, QDivisor
-    from .trop import CellWeights
-    from .weights import WeightFunction
-
-
-# The one rational grammar.  Every shipped schema has it as its "pattern",
-# between ^ and $(?!\n): Python's $ also matches before a final newline.
-RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+# the draft-07 keywords checked; "definitions" is read at the root alone
+KEYWORDS = {"type", "properties", "required", "additionalProperties", "items", "minItems",
+            "maxItems", "minimum", "minProperties", "pattern", "oneOf", "not", "$ref"}
+ANNOTATIONS = {"$schema", "$id", "title", "description", "default"}
+TYPES = {"object": (dict, "an object"), "array": (list, "a list"),  # each by type(v) is
+         "string": (str, "a string"), "integer": (int, "an integer")}
+# the keywords that bound a value: each bound's (types it applies to, test, message)
+BOUNDS = {
+    "minProperties": lambda n: ((dict,), lambda v: len(v) >= n, "expected a nonempty object"
+                                if n == 1 else f"expected at least {n} fields"),
+    "minItems": lambda n: ((list,), lambda v: len(v) >= n, "expected a nonempty list"
+                           if n == 1 else f"expected at least {n} items"),
+    "maxItems": lambda n: ((list,), lambda v: len(v) <= n, f"expected at most {n} items"),
+    "minimum": lambda n: ((int, float), lambda v: v >= n, f"expected at least {n}"),
+    "pattern": lambda p: ((str,), re.compile(p).search, f"does not match {p}"),
+}
 
 
 class SchemaError(ValueError):
@@ -47,254 +58,263 @@ class SchemaError(ValueError):
         super().__init__(f"{self.pointer}: {message}")
 
 
-def _ratio(value: Any) -> tuple[int, int]:
-    """The one rational grammar: (p, q), q > 0 and not reduced, of an integer
-    or a `RATIONAL` string; anything else raises ValueError, with the message
-    `parse_rational` gives it."""
-    if isinstance(value, str):
-        if not RATIONAL.fullmatch(value):
-            raise ValueError(f"not a rational 'p/q' string: {value!r}")
-        p, _, q = value.partition("/")
+# --- the schema checker -------------------------------------------------------------
+# A check takes a JSON value and returns None or its first fault (path,
+# message), the path being the keys below the value.  Every message is made
+# when the schema compiles; a container adds its key to a fault that comes up.
+
+
+def _compile(root: dict) -> dict:
+    """The checks of the draft-07 schema ``root``: "#" for a document, and
+    "#/definitions/<name>" for a value a ``$ref`` to that definition names."""
+    definitions = root.get("definitions", {})
+
+    def ref(target):
+        name = target.removeprefix("#/definitions/")
+        # every fault at the value itself names the definition
+        return compile_(definitions[name], ((), f"expected a {name}"))
+
+    def compile_(schema, own=None):  # own: the fault of the value itself, if one is named
+        keys = schema.keys() - ANNOTATIONS
+        if not keys <= KEYWORDS or "$ref" in keys and len(keys) > 1:
+            raise NotImplementedError(f"schema keywords not checked: {sorted(keys)}")
+        if "$ref" in keys:
+            return ref(schema["$ref"])
+        tests = []  # (the types a test applies to, None for all; test; fault)
+
+        def need(kinds, ok, message):
+            tests.append((kinds, ok, own or ((), message)))
+
+        for key in schema.get("required", ()):
+            need((dict,), lambda v, key=key: key in v, f"missing required field {key!r}")
+        for word, bound in BOUNDS.items():
+            if word in keys:
+                need(*bound(schema[word]))
+        if "oneOf" in keys:
+            branches = [compile_(s) for s in schema["oneOf"]]
+            by_type = {TYPES[s["type"]][0]: b for s, b in zip(schema["oneOf"], branches)
+                       if "type" in s}
+            # branches of distinct types: only the one of the value's type can pass
+            need(None, (lambda v: (b := by_type.get(type(v))) is not None and b(v) is None)
+                 if len(by_type) == len(branches) else
+                 (lambda v: [b(v) for b in branches].count(None) == 1),
+                 f"expected exactly one of {len(branches)} oneOf forms")
+        if "not" in keys:
+            inner = compile_(schema["not"])
+            need(None, lambda v: inner(v) is not None, "matches the form under not")
+        inside = []  # the checks of the values inside
+        if "properties" in keys or "additionalProperties" in keys:
+            named = {k: compile_(s) for k, s in schema.get("properties", {}).items()}
+            extra = schema.get("additionalProperties", True)
+            inside.append(_fields(named, (lambda v: ((), "unknown field")) if extra is False
+                                  else None if extra is True else compile_(extra)))
+        if "items" in keys:
+            inside.append(_items(compile_(schema["items"])))
+        kind = fault = None
+        if "type" in keys:
+            kind, noun = TYPES[schema["type"]]  # a KeyError: a type not checked
+            fault = own or ((), f"expected {noun}")
+            # past the type check, a test that does not apply to the type is moot
+            tests = [(None, ok, f) for kinds, ok, f in tests if kinds is None or kind in kinds]
+        if not inside and len(tests) == 1 and tests[0][0] is None:  # the common leaves
+            (_, ok, f), = tests
+            if kind is None:
+                return lambda v: None if ok(v) else f
+            return lambda v: fault if type(v) is not kind else None if ok(v) else f
+
+        def check(v):
+            if kind is not None and type(v) is not kind:
+                return fault
+            for kinds, ok, f in tests:
+                if (kinds is None or type(v) in kinds) and not ok(v):
+                    return f
+            for c in inside:
+                if f := c(v):
+                    return f
+        return check
+
+    return {"#": compile_({k: v for k, v in root.items() if k != "definitions"}),
+            **{f"#/definitions/{name}": ref(f"#/definitions/{name}") for name in definitions}}
+
+
+def _fields(named, extra):
+    """Each field by its own check, or else by ``extra`` (None: any passes)."""
+    def check(v):
+        for key, x in v.items() if type(v) is dict else ():
+            if (c := named.get(key, extra)) and (f := c(x)):
+                return (key, *f[0]), f[1]
+    return check
+
+
+def _items(item):
+    def check(v):
+        for i, x in enumerate(v) if type(v) is list else ():
+            if f := item(x):
+                return (i, *f[0]), f[1]
+    return check
+
+
+@functools.cache
+def _schema(name: str) -> dict:
+    """The compiled checks of ``schemas/<name>.schema.json``."""
+    path = os.path.join(os.path.dirname(__file__), "schemas", f"{name}.schema.json")
+    with open(path, encoding="utf-8") as handle:
+        return _compile(json.load(handle))
+
+
+def _check(doc: object, name: str, ref: str = "#", pointer: str = "") -> None:
+    """Raise the first fault of ``doc`` under ``ref`` of the schema ``name``."""
+    if fault := _schema(name)[ref](doc):
+        raise SchemaError(pointer + "".join(f"/{k}" for k in fault[0]), fault[1])
+
+
+# --- rationals ------------------------------------------------------------------------
+
+
+def _ratio(value: int | str) -> tuple[int, int]:
+    """(p, q), q > 0 and not reduced, of a rational its schema has passed;
+    the one fault left, more digits than int() reads, raises ValueError."""
+    if type(value) is int:
+        return value, 1
+    p, _, q = value.partition("/")
+    try:
+        return int(p), int(q or 1)
+    except ValueError:
+        raise ValueError(f"{len(value)}-digit rational is too long") from None
+
+
+def _ratios(raw: list | dict, pointer: str) -> list[tuple[int, int]]:
+    """The `_ratio` pairs of the list, or the dict's values, ``raw``."""
+    out = []
+    for key, v in (raw.items() if type(raw) is dict else enumerate(raw)):
         try:
-            return int(p), int(q or 1)
-        except ValueError:  # more digits than int() converts
-            raise ValueError(f"{len(value)}-digit rational is too long") from None
-    if isinstance(value, bool):
-        raise ValueError("expected a rational string or integer, got a boolean")
-    if isinstance(value, int):
-        return int(value), 1
-    raise ValueError(f"expected a rational string or integer, got {type(value).__name__}")
+            out.append(_ratio(v))
+        except ValueError as exc:
+            raise SchemaError(f"{pointer}/{key}", str(exc)) from None
+    return out
 
 
-def parse_rational(value: Any, pointer: str) -> Fraction:
+def parse_rational(value: object, pointer: str) -> Fraction:
+    """The rational ``value``, as the schemas' ``rational`` definition
+    says; ``pointer`` names it in a fault."""
+    _check(value, "weights", "#/definitions/rational", pointer)
     try:
         return Fraction(*_ratio(value))
     except ValueError as exc:
         raise SchemaError(pointer, str(exc)) from None
 
 
-def _expect(condition: bool, pointer: str, message: str):
-    if not condition:
-        raise SchemaError(pointer, message)
+# --- intersection data and weights ----------------------------------------------
 
 
-def _expect_keys(obj: dict, pointer: str, required: set[str], optional: set[str] = frozenset()):
-    _expect(isinstance(obj, dict), pointer, "expected an object")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(pointer, f"missing required field {key!r}")
-    for key in obj:
-        if key not in required | set(optional):
-            raise SchemaError(f"{pointer}/{key}", "unknown field")
-
-
-# --- intersection data ------------------------------------------------------------
-
-
-def load_intersection_data(doc: Any) -> IntersectionData:
+def load_intersection_data(doc: object) -> IntersectionData:
     from .conecx import Cell, IntersectionData
-    _expect_keys(doc, "", {"components", "strata"}, {"ray_coordinates"})
-    comps = doc["components"]
-    _expect(isinstance(comps, list) and comps and all(isinstance(x, str) for x in comps),
-            "/components", "expected a nonempty list of strings")
-    strata = doc["strata"]
-    _expect(isinstance(strata, list), "/strata", "expected a list")
+    _check(doc, "intersection-data")
     cells = []
-    for i, raw in enumerate(strata):
-        sp = f"/strata/{i}"
-        _expect_keys(raw, sp, {"components"}, {"tag"})
-        sub = raw["components"]
-        _expect(isinstance(sub, list) and sub and all(isinstance(x, str) for x in sub),
-                f"{sp}/components", "expected a nonempty list of strings")
-        tag = raw.get("tag", "0")
-        _expect(isinstance(tag, str), f"{sp}/tag", "expected a string")
+    for i, raw in enumerate(doc["strata"]):
         try:
-            cells.append(Cell(tuple(sorted(sub)), tag))
+            cells.append(Cell(tuple(sorted(raw["components"])), raw.get("tag", "0")))
         except ValueError as exc:
-            raise SchemaError(sp, str(exc)) from None
-    rays = None
-    if "ray_coordinates" in doc:
-        raw_rays = doc["ray_coordinates"]
-        _expect(isinstance(raw_rays, dict), "/ray_coordinates", "expected an object")
-        rays = {}
-        for name, vec in raw_rays.items():
-            rp = f"/ray_coordinates/{name}"
-            _expect(isinstance(vec, list) and vec and all(
-                isinstance(x, int) and not isinstance(x, bool) for x in vec),
-                rp, "expected a nonempty list of integers")
-            rays[name] = tuple(vec)
-    return IntersectionData(list(comps), cells, rays)
+            raise SchemaError(f"/strata/{i}", str(exc)) from None
+    rays = doc.get("ray_coordinates")
+    return IntersectionData(list(doc["components"]), cells,
+                            rays and {name: tuple(vec) for name, vec in rays.items()})
 
 
-# --- weights ----------------------------------------------------------------------
-
-
-def load_weights(doc: Any) -> tuple[Optional[WeightFunction], Optional[dict[str, Fraction]]]:
-    """Returns (ray weights, per-cell weights keyed by cell key); exactly one
-    of the two is populated."""
+def load_weights(doc: object) -> tuple[WeightFunction | None, dict[str, Fraction] | None]:
+    """(ray weights, None) or (None, per-cell weights by cell key)."""
     from .weights import WeightFunction
-    _expect_keys(doc, "", set(), {"rays", "cells"})
-    has_rays = "rays" in doc
-    has_cells = "cells" in doc
-    _expect(has_rays != has_cells, "",
-            "expected exactly one of the fields 'rays' or 'cells'")
-    if has_rays:
-        raw = doc["rays"]
-        _expect(isinstance(raw, dict) and raw, "/rays", "expected a nonempty object")
-        values = {name: parse_rational(v, f"/rays/{name}")
-                  for name, v in raw.items()}
-        return WeightFunction(values), None
-    raw = doc["cells"]
-    _expect(isinstance(raw, dict) and raw, "/cells", "expected a nonempty object")
-    values = {key: parse_rational(v, f"/cells/{key}") for key, v in raw.items()}
-    return None, values
-
-
-def cell_weights_for(complex_, cell_values: dict[str, Fraction]) -> CellWeights:
-    from .trop import CellWeights
-    values = {}
-    for key, v in cell_values.items():
-        cell = complex_.find_cell(key)
-        values[cell] = v
-    return CellWeights(values)
+    _check(doc, "weights")
+    kind = "rays" if "rays" in doc else "cells"
+    raw = doc[kind]
+    values = {key: Fraction(p, q) for key, (p, q) in zip(raw, _ratios(raw, f"/{kind}"))}
+    return (WeightFunction(values), None) if kind == "rays" else (None, values)
 
 
 # --- fans and divisors -------------------------------------------------------------
 
 
-def load_fan(doc: Any) -> Fan:
+def load_fan(doc: object) -> Fan:
     from .toric import Fan
-    _expect_keys(doc, "", {"rays", "cones"}, {"names"})
-    rays = doc["rays"]
-    _expect(isinstance(rays, list) and rays, "/rays", "expected a nonempty list")
-    for i, ray in enumerate(rays):
-        _expect(isinstance(ray, list) and 1 <= len(ray) <= 3,
-                f"/rays/{i}", "expected a list of 1 to 3 integers")
-        for j, x in enumerate(ray):
-            _expect(isinstance(x, int) and not isinstance(x, bool),
-                    f"/rays/{i}/{j}", "expected an integer")
-    cones = doc["cones"]
-    _expect(isinstance(cones, list) and cones, "/cones", "expected a nonempty list")
-    for i, cone in enumerate(cones):
-        _expect(isinstance(cone, list) and all(
-            isinstance(x, int) and not isinstance(x, bool) for x in cone),
-            f"/cones/{i}", "expected a list of ray indices")
-        for j, x in enumerate(cone):
-            _expect(x >= 0, f"/cones/{i}/{j}", "expected a nonnegative ray index")
-    names = doc.get("names")
-    if names is not None:
-        _expect(isinstance(names, list) and all(isinstance(x, str) for x in names),
-                "/names", "expected a list of strings")
-    return Fan(rays, cones, names)
+    _check(doc, "fan")
+    return Fan(doc["rays"], doc["cones"], doc.get("names"))
 
 
-def load_divisor(doc: Any, fan: Fan) -> QDivisor:
+def load_divisor(doc: object, fan: Fan) -> QDivisor:
     from .toric import QDivisor
-    _expect_keys(doc, "", {"coefficients"})
+    _check(doc, "divisor")
     raw = doc["coefficients"]
-    _expect(isinstance(raw, list), "/coefficients",
-            "expected a list, one rational per ray")
-    _expect(len(raw) == len(fan.rays), "/coefficients",
-            f"expected {len(fan.rays)} coefficients, got {len(raw)}")
-    coeffs = {i: parse_rational(v, f"/coefficients/{i}")
-              for i, v in enumerate(raw)}
-    return QDivisor(coeffs)
+    if len(raw) != len(fan.rays):
+        raise SchemaError("/coefficients",
+                          f"expected {len(fan.rays)} coefficients, got {len(raw)}")
+    return QDivisor({i: Fraction(p, q) for i, (p, q) in enumerate(_ratios(raw, "/coefficients"))})
 
 
-# --- nilpotent operators --------------------------------------------------------------
+# --- matrices: nilpotent operators and generic complexes -----------------------------
 
 
-def load_nilpotent_matrix(doc: Any) -> RationalMatrix:
-    """The square matrix of a nilpotent-operator document, before any power is formed."""
-    _expect_keys(doc, "", {"matrix"})
-    raw = doc["matrix"]
-    _expect(isinstance(raw, list) and raw, "/matrix", "expected a nonempty list of rows")
-    return _load_matrix(raw, len(raw), len(raw), "/matrix")
-
-
-# --- generic complexes ------------------------------------------------------------------
-
-
-def _ratio_rows(raw: Any, rows: int, cols: int, pointer: str) -> list[list[tuple[int, int]]]:
-    """The `_ratio` pairs of ``raw``, a list of ``rows`` lists of ``cols``
-    rationals; a pointer is made only for the first fault."""
-    if not (isinstance(raw, list) and len(raw) == rows):
-        raise SchemaError(pointer, f"expected {rows} rows, got "
-                          f"{len(raw) if isinstance(raw, list) else type(raw).__name__}")
+def _ratio_rows(raw: list, rows: int, cols: int, pointer: str) -> list[list[tuple[int, int]]]:
+    """The `_ratio` pairs of ``raw``, which must be ``rows`` lists of ``cols``."""
+    if len(raw) != rows:
+        raise SchemaError(pointer, f"expected {rows} rows, got {len(raw)}")
     out = []
     for i, row in enumerate(raw):
-        if not (isinstance(row, list) and len(row) == cols):
+        if len(row) != cols:
             raise SchemaError(f"{pointer}/{i}", f"expected {cols} entries")
-        try:
-            out.append([_ratio(v) for v in row])
-        except ValueError:
-            for j, v in enumerate(row):
-                parse_rational(v, f"{pointer}/{i}/{j}")
-            raise  # not reached: parse_rational refuses what _ratio refused
+        out.append(_ratios(row, f"{pointer}/{i}"))
     return out
 
 
-def _load_matrix(raw: Any, rows: int, cols: int, pointer: str) -> RationalMatrix:
+def load_nilpotent_matrix(doc: object) -> RationalMatrix:
+    """The square matrix of a nilpotent-operator document, before any power is formed."""
     from .linalg import RationalMatrix
-    return RationalMatrix.from_ratios(rows, cols, _ratio_rows(raw, rows, cols, pointer))
+    _check(doc, "nilpotent-operator")
+    n = len(doc["matrix"])
+    return RationalMatrix.from_ratios(n, n, _ratio_rows(doc["matrix"], n, n, "/matrix"))
 
 
-def load_generic_complex(doc: Any) -> tuple[CochainComplex, Optional[list]]:
+def load_generic_complex(doc: object) -> tuple[CochainComplex, list | None]:
     """A bounded complex plus an optional filtration (the levels F^1, F^2,
     ...; each lists, per degree, the basis columns of the subspace)."""
     from .complexes import CochainComplex
     from .linalg import RationalMatrix
-    _expect_keys(doc, "", {"min_degree", "dims"}, {"differentials", "filtration"})
-    min_degree = doc["min_degree"]
-    _expect(isinstance(min_degree, int) and not isinstance(min_degree, bool),
-            "/min_degree", "expected an integer")
+    _check(doc, "generic-complex")
     raw_dims = doc["dims"]
-    _expect(isinstance(raw_dims, list) and raw_dims and all(
-        isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in raw_dims),
-        "/dims", "expected a nonempty list of nonnegative integers")
-    dims = {min_degree + i: d for i, d in enumerate(raw_dims)}
+    dims = {doc["min_degree"] + i: d for i, d in enumerate(raw_dims)}
     raw_diffs = doc.get("differentials", [])
-    _expect(isinstance(raw_diffs, list) and len(raw_diffs) <= max(len(raw_dims) - 1, 0),
-            "/differentials",
-            f"expected at most {max(len(raw_dims) - 1, 0)} matrices")
+    if len(raw_diffs) >= len(raw_dims):
+        raise SchemaError("/differentials", f"expected at most {len(raw_dims) - 1} matrices")
     diffs = {}
-    for i, raw in enumerate(raw_diffs):
-        k = min_degree + i
-        diffs[k] = _load_matrix(raw, dims[k + 1], dims[k], f"/differentials/{i}")
+    for i, (k, raw) in enumerate(zip(dims, raw_diffs)):
+        pairs = _ratio_rows(raw, dims[k + 1], dims[k], f"/differentials/{i}")
+        diffs[k] = RationalMatrix.from_ratios(dims[k + 1], dims[k], pairs)
     try:
         complex_ = CochainComplex(dims, diffs)
     except ValueError as exc:
         raise SchemaError("/differentials", str(exc)) from None
-    filtration = None
-    if "filtration" in doc:
-        raw_filt = doc["filtration"]
-        _expect(isinstance(raw_filt, list), "/filtration", "expected a list of levels")
-        filtration = []
-        for li, raw_level in enumerate(raw_filt):
-            lp = f"/filtration/{li}"
-            _expect(isinstance(raw_level, list) and len(raw_level) == len(raw_dims), lp,
-                    f"expected one basis list per degree ({len(raw_dims)})")
-            level = {}
-            for i, raw_cols in enumerate(raw_level):
-                k = min_degree + i
-                cp = f"{lp}/{i}"
-                _expect(isinstance(raw_cols, list), cp, "expected a list of basis columns")
-                # the basis columns, each entry i of them joined into row i
-                columns = _ratio_rows(raw_cols, len(raw_cols), dims[k], cp)
-                level[k] = RationalMatrix.from_ratios(dims[k], len(raw_cols), zip(*columns))
-            filtration.append(level)
-    return complex_, filtration
+    filtration = []
+    for li, raw_level in enumerate(doc.get("filtration", ())):
+        if len(raw_level) != len(raw_dims):
+            raise SchemaError(f"/filtration/{li}",
+                              f"expected one basis list per degree ({len(raw_dims)})")
+        level = {}
+        for i, (k, cols) in enumerate(zip(dims, raw_level)):
+            # the basis columns, each entry i of them joined into row i
+            pairs = _ratio_rows(cols, len(cols), dims[k], f"/filtration/{li}/{i}")
+            level[k] = RationalMatrix.from_ratios(dims[k], len(cols), zip(*pairs))
+        filtration.append(level)
+    return complex_, filtration if "filtration" in doc else None
 
 
 # --- canonical output --------------------------------------------------------------------
 
 
-def canonical_json(doc: Any) -> str:
+def canonical_json(doc: object) -> str:
     """The report text of ``doc``, as the module docstring describes."""
     return _encode(doc, "\n") + "\n"
 
 
-def _encode(value: Any, indent: str) -> str:
+def _encode(value: object, indent: str) -> str:
     if isinstance(value, str):
         return encode_basestring(value)
     if isinstance(value, dict):

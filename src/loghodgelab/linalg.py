@@ -32,10 +32,9 @@ for bit.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
 
 
 class MatrixError(ValueError):
@@ -209,9 +208,6 @@ class RationalMatrix:
         return hash((self.rows, self.cols, frozenset(self._den.items()),
                      frozenset((i, frozenset(row.items())) for i, row in self._num.items())))
 
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
-
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise MatrixError("shape mismatch in addition")
@@ -335,7 +331,7 @@ def _echelon(rows: list[dict[int, int]]):
     Returns the pivot row of each pivot column and the new leading column of
     each input row (None if it vanished)."""
     pivots: dict[int, dict[int, int]] = {}
-    leads: list[Optional[int]] = []
+    leads: list[int | None] = []
     for r in rows:
         while r:
             c = min(r)
@@ -392,7 +388,7 @@ def kernel_basis(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix._trusted(m.cols, len(free), num, den)
 
 
-def solve_rational(m: RationalMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
+def solve_rational(m: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     """A solution x of m x = b, or None if inconsistent.
 
     Free variables are set to zero, so the support of the returned solution
@@ -409,7 +405,7 @@ def solve_rational(m: RationalMatrix, b: Sequence) -> Optional[tuple[Fraction, .
     return tuple(x)
 
 
-def leading_columns(m: RationalMatrix) -> list[Optional[int]]:
+def leading_columns(m: RationalMatrix) -> list[int | None]:
     """For each row of ``m``, the leading column it has once reduced against
     the rows above it, or None if it lies in their span."""
     return _echelon(_integer_rows(m))[1]

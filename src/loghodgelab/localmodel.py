@@ -71,11 +71,11 @@ d o d is the I-to-I block of D o D, which the total complex already checks.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterator, Optional, Sequence
 
 from .complexes import CochainComplex, _total_complex, cohomology_dims
 from .linalg import rank
@@ -238,10 +238,10 @@ class ObstructionStalkReport:
     source_flavor: str
     direct: dict[int, int]
     direct_by_multidegree: dict[int, dict[Mu, int]]
-    per_subset: Optional[dict[Subset, dict[int, int]]] = None
-    assembled: Optional[dict[int, int]] = None
-    assembled_by_multidegree: Optional[dict[int, dict[Mu, int]]] = None
-    matches: Optional[bool] = None
+    per_subset: dict[Subset, dict[int, int]] | None = None
+    assembled: dict[int, int] | None = None
+    assembled_by_multidegree: dict[int, dict[Mu, int]] | None = None
+    matches: bool | None = None
 
     def to_json_dict(self) -> dict:
         def mu_map(by_mu):
@@ -280,7 +280,7 @@ def _tally(model: LocalModel, orbit: Orbit, size: int,
 
 
 def obstruction_cone(model: LocalModel, source_flavor: str,
-                     orbits: Optional[list[tuple[Mu, int, Orbit]]] = None
+                     orbits: list[tuple[Mu, int, Orbit]] | None = None
                      ) -> ObstructionStalkReport:
     """Cone of (flavor -> Laurent) blockwise, as the quotient block of each
     orbit's representative sign class; H dims per degree and multidegree.

@@ -70,9 +70,6 @@ class NilpotentOperator:
         """rank(N^j) for j = 0 .. index, read off the kernels."""
         return tuple(self.dimension - k.cols for k in self.kernels)
 
-    def __repr__(self):
-        return f"NilpotentOperator(dim {self.dimension}, index {self.index})"
-
 
 def jordan_type(n: NilpotentOperator) -> tuple[int, ...]:
     """Multiset of Jordan block sizes, descending; sums to the dimension.

@@ -49,11 +49,11 @@ divisor cohomology of the twist.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product
 from math import comb, floor, gcd, prod
-from typing import Optional, Sequence
 
 
 class FanError(ValueError):
@@ -95,7 +95,7 @@ class Fan:
     of rays that share a maximal cone: the 1-skeleton of the fan's sphere."""
 
     def __init__(self, rays: Sequence[Sequence[int]], maximal_cones: Sequence[Sequence[int]],
-                 ray_names: Optional[Sequence[str]] = None):
+                 ray_names: Sequence[str] | None = None):
         self.rays = [tuple(int(x) for x in ray) for ray in rays]
         if not self.rays:
             raise FanError("fan needs at least one ray")
@@ -177,9 +177,6 @@ class Fan:
             reason = "fan is not complete" if inside == 0 else "maximal cones overlap"
             raise FanError(
                 f"generic point {point} lies in {inside} maximal cones (needs 1): {reason}")
-
-    def __repr__(self):
-        return f"Fan(rank {self.rank}, {len(self.rays)} rays, {len(self.maximal_cones)} cones)"
 
 
 @dataclass
@@ -272,7 +269,7 @@ def sweep_rows(box: list[tuple[int, int]]) -> int:
 
 
 def divisor_cohomology(fan: Fan, divisor: dict[int, int],
-                       box: Optional[list[tuple[int, int]]] = None) -> dict[int, int]:
+                       box: list[tuple[int, int]] | None = None) -> dict[int, int]:
     """h^q(X_Sigma, O(D)) for an integral divisor D = sum a_i D_i, by the
     event walk of the module docstring over ``box``
     (``character_box(fan, divisor)`` unless the caller has it already).

@@ -20,9 +20,9 @@ reproduces the unweighted simplicial coboundary matrix for matrix.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 from .complexes import (
     CochainComplex,
@@ -54,23 +54,10 @@ class CellWeights:
     def constant(cls, c: ConeComplex) -> "CellWeights":
         return cls({cell: Fraction(1) for cell in c.all_cells()})
 
-    @classmethod
-    def from_weight_function(cls, c: ConeComplex, w: WeightFunction) -> "CellWeights":
-        return cls({cell: w.cell_value(cell) for cell in c.all_cells()})
-
     def value(self, cell: Cell) -> Fraction:
         if cell not in self.values:
             raise TropError(f"missing weight for cell {cell.key()}")
         return self.values[cell]
-
-
-Weights = Union[WeightFunction, CellWeights]
-
-
-def _as_cell_weights(c: ConeComplex, w: Weights) -> CellWeights:
-    if isinstance(w, WeightFunction):
-        return CellWeights.from_weight_function(c, w)
-    return w
 
 
 @dataclass
@@ -83,9 +70,10 @@ class WeightedTropComplex:
         return self.weights.value(cell)
 
 
-def weighted_complex(c: ConeComplex, w: Weights) -> WeightedTropComplex:
+def weighted_complex(c: ConeComplex, w: WeightFunction | CellWeights) -> WeightedTropComplex:
     """Twist the simplicial coboundary by the facet/cell weight ratio."""
-    weights = _as_cell_weights(c, w)
+    weights = (CellWeights({cell: w.cell_value(cell) for cell in c.all_cells()})
+               if isinstance(w, WeightFunction) else w)
     for cell in c.all_cells():
         value = weights.value(cell)
         if value <= 0:
@@ -106,7 +94,7 @@ class TropSpectralReport:
     thresholds: list[Fraction]
     pages: list[SpectralSequencePage]
     degenerates_at_e1: bool
-    first_nonzero_differential: Optional[int]
+    first_nonzero_differential: int | None
     e_infinity_totals: dict[int, int]
     cohomology: dict[int, int]
 
@@ -152,7 +140,7 @@ def _check_sublevel_closed(t: WeightedTropComplex, threshold: Fraction) -> None:
 
 
 def weight_filtration_ss(t: WeightedTropComplex,
-                         thresholds: Optional[Sequence[Fraction]] = None) -> TropSpectralReport:
+                         thresholds: Sequence[Fraction] | None = None) -> TropSpectralReport:
     """Filtration by sublevel sets {w >= threshold}, one level per threshold.
 
     Each sublevel set must span a subcomplex under the weighted coboundary;

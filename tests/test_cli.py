@@ -655,6 +655,34 @@ def test_out_onto_a_fifo_writes_in_place(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "report.json"]
 
 
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    # a rename onto the link's own name would replace the link with the report
+    argv = ["cone-complex", "--in", str(FIXTURES / "ex42.json"), "--format", "json"]
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    (tmp_path / "dir").mkdir()
+    real = tmp_path / "dir" / "real.json"
+    real.write_text("old bytes")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    # a chain of links, and a dangling one, which names the file to create
+    chain = tmp_path / "chain.json"
+    chain.symlink_to(link)
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(tmp_path / "dir" / "new.json")
+    for out, target in [(link, real), (chain, real), (dangling, tmp_path / "dir" / "new.json")]:
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.is_symlink()
+        assert target.read_bytes() == (tmp_path / "report.json").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "chain.json", "dangling.json", "dir", "link.json", "report.json"]
+    assert sorted(p.name for p in (tmp_path / "dir").iterdir()) == ["new.json", "real.json"]
+    # a fault names the path given, not the file it resolves to
+    blocked = tmp_path / "blocked.json"
+    blocked.symlink_to(tmp_path / "missing" / "r.json")
+    code, _, err = run(argv + ["--out", str(blocked)], capsys)
+    assert code == 2 and err.startswith(f"malformed input: /out: cannot write {blocked}: ")
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_out_report_mode_follows_the_umask(tmp_path, umask, mode):
     # as a shell redirect would create it: 0666 less the umask, also on a rewrite

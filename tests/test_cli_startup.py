@@ -96,6 +96,38 @@ def test_request_loads_no_pathlib(command, tmp_path):
     assert proc.stdout == "False\n"
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_request_loads_neither_typing_nor_jsonschema(command, tmp_path):
+    # -S: a site that runs .pth files may import either before any request;
+    # the loaders check documents with their own schema checker
+    argv = fixture_argv(command) + ["--out", str(tmp_path / "report.txt")]
+    proc = python("-S", "-c", f"import sys\n"
+                              f"from loghodgelab.cli import main\n"
+                              f"assert main({argv!r}) == 0\n"
+                              f"print([m for m in ('typing', 'jsonschema') if m in sys.modules])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_each_schema_file_is_read_once_per_process(tmp_path):
+    # two requests open the two schemas they use once each, and no other
+    argv = fixture_argv("divisor-cohomology") + ["--out", str(tmp_path / "report.txt")]
+    proc = python("-c", f"import builtins, os\n"
+                        f"opened = []\n"
+                        f"real_open = builtins.open\n"
+                        f"def counted(file, *a, **k):\n"
+                        f"    if str(file).endswith('.schema.json'):\n"
+                        f"        opened.append(os.path.basename(file))\n"
+                        f"    return real_open(file, *a, **k)\n"
+                        f"builtins.open = counted\n"
+                        f"from loghodgelab.cli import main\n"
+                        f"for _ in range(2):\n"
+                        f"    assert main({argv!r}) == 0\n"
+                        f"print(sorted(opened))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['divisor.schema.json', 'fan.schema.json']\n"
+
+
 def test_parser_is_built_once_per_process(tmp_path):
     # one root parser and one subparser per command, however many calls
     argv = fixture_argv("monodromy") + ["--out", str(tmp_path / "report.txt")]

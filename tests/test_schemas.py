@@ -4,6 +4,7 @@ the same rationals.  jsonschema is a test-only dependency; the module is
 skipped without it."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -122,3 +123,97 @@ def test_schema_and_loader_reject_the_same_document(schema, loader, doc, pointer
     with pytest.raises(SchemaError) as raised:
         getattr(jsonio, loader)(doc)
     assert raised.value.pointer == pointer
+
+
+# --- the loaders' checker against jsonschema ----------------------------------------
+
+# valid documents beside the fixtures, so that every optional field is mutated
+EXTRA_DOCS = {
+    "intersection-data.schema.json": [
+        {"components": ["A", "B"], "strata": [{"components": ["A"], "tag": "1"},
+                                             {"components": ["B"]}],
+         "ray_coordinates": {"A": [1, 0], "B": [0, 1]}}],
+    "weights.schema.json": [{"rays": {"A": 2, "B": "-3/4"}}],
+    "fan.schema.json": [{"rays": [[1], [-1]], "cones": [[0], [1]], "names": ["a", "b"]}],
+    "generic-complex.schema.json": [
+        {"min_degree": -1, "dims": [0, 2, 1], "differentials": [[], [[1, "1/2"]]],
+         "filtration": [[[], [[1, 0]], []], [[], [], [["0"]]]]}],
+}
+SCALARS = [0, 1, -1, 2 ** 70, 1.0, 1.5, True, False, None, "", "x", [], {}, [0], {"a": 1},
+           *RATIONAL_CASES]
+MUTATIONS = 1000
+
+
+def nodes(doc, path=()):
+    """Every (path, value) of ``doc``, the document itself first."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from nodes(value, path + (key,))
+
+
+def mutate(doc, rng):
+    """``doc`` with one seeded change at one of its nodes: a type swap, a
+    dropped or unknown key, an emptied, shortened or grown container, or a
+    negated integer."""
+    path, node = rng.choice(list(nodes(doc)))
+    kind = rng.randrange(6)
+    if kind == 0 or not path and not isinstance(node, (dict, list)):
+        new = rng.choice(SCALARS)
+    elif isinstance(node, dict):
+        new = dict(node)
+        if kind == 1 and new:
+            del new[rng.choice(sorted(new))]
+        elif kind == 2:
+            new[rng.choice(["bogus", "tag", "names", "rays", "cells", "filtration"])] = \
+                rng.choice(SCALARS)
+        else:
+            new = {}
+    elif isinstance(node, list):
+        new = list(node)
+        if kind == 1 and new:
+            del new[rng.randrange(len(new))]
+        elif kind == 2:
+            new.append(rng.choice(new) if new and rng.random() < 0.5 else rng.choice(SCALARS))
+        else:
+            new = []
+    elif type(node) is int:
+        new = -node - 1
+    else:
+        new = rng.choice(SCALARS)
+    if not path:
+        return new
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return copy
+
+
+@pytest.mark.parametrize("schema", sorted(VALIDATORS))
+def test_checker_agrees_with_jsonschema(schema):
+    check = jsonio._schema(schema.removesuffix(".schema.json"))["#"]
+    validator = VALIDATORS[schema]
+    valid = [json.loads((FIXTURES / name).read_text())
+             for name in sorted(FIXTURE_SCHEMA) if FIXTURE_SCHEMA[name] == schema]
+    valid += EXTRA_DOCS.get(schema, [])
+    rng = random.Random(schema)
+    docs = list(valid)
+    while len(docs) < len(valid) + MUTATIONS:
+        doc = rng.choice(valid)
+        for _ in range(rng.randint(1, 3)):
+            doc = mutate(doc, rng)
+        docs.append(doc)
+    refused = 0
+    for doc in docs:
+        fault = check(doc)
+        paths = [tuple(e.absolute_path) for e in validator.iter_errors(doc)]
+        assert (fault is None) == (not paths), (doc, fault, paths)
+        if fault is not None:
+            # the checker names the first fault: at or below one jsonschema names
+            refused += 1
+            assert any(fault[0][:len(p)] == p for p in paths), (doc, fault, paths)
+    assert all(check(doc) is None for doc in valid)
+    # both verdicts occur often enough to mean something
+    assert MUTATIONS // 5 < refused < MUTATIONS

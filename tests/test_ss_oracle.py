@@ -64,7 +64,8 @@ def test_trop_fixtures_match_oracle(complex_file, weights_file, thresholds, monk
     complex_ = build_cone_complex(jsonio.load_intersection_data(
         json.loads((FIXTURES / complex_file).read_text())))
     ray_w, cell_w = jsonio.load_weights(json.loads((FIXTURES / weights_file).read_text()))
-    weights = ray_w if ray_w is not None else jsonio.cell_weights_for(complex_, cell_w)
+    weights = ray_w if ray_w is not None else trop.CellWeights(
+        {complex_.find_cell(key): v for key, v in cell_w.items()})
     t = trop.weighted_complex(complex_, weights)
     report = trop.weight_filtration_ss(t, thresholds).to_json_dict()
     monkeypatch.setattr(trop, "spectral_sequence", ss_oracle.spectral_sequence)
