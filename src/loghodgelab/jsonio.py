@@ -38,14 +38,23 @@ KEYWORDS = {"type", "properties", "required", "additionalProperties", "items", "
 ANNOTATIONS = {"$schema", "$id", "title", "description", "default"}
 TYPES = {"object": (dict, "an object"), "array": (list, "a list"),  # each by type(v) is
          "string": (str, "a string"), "integer": (int, "an integer")}
+
+
+def _nonempty(kind, noun):
+    """The bound ``minItems`` or ``minProperties`` of 1, the one size the schemas set."""
+    def bound(n):
+        if n != 1:
+            raise NotImplementedError(f"a minimum size of {n}")
+        return (kind,), len, f"expected a nonempty {noun}"
+    return bound
+
+
 # the keywords that bound a value: each bound's (types it applies to, test, message)
 BOUNDS = {
-    "minProperties": lambda n: ((dict,), lambda v: len(v) >= n, "expected a nonempty object"
-                                if n == 1 else f"expected at least {n} fields"),
-    "minItems": lambda n: ((list,), lambda v: len(v) >= n, "expected a nonempty list"
-                           if n == 1 else f"expected at least {n} items"),
+    "minProperties": _nonempty(dict, "object"),
+    "minItems": _nonempty(list, "list"),
     "maxItems": lambda n: ((list,), lambda v: len(v) <= n, f"expected at most {n} items"),
-    "minimum": lambda n: ((int, float), lambda v: v >= n, f"expected at least {n}"),
+    "minimum": lambda n: ((int,), lambda v: v >= n, f"expected at least {n}"),
     "pattern": lambda p: ((str,), re.compile(p).search, f"does not match {p}"),
 }
 
@@ -92,12 +101,7 @@ def _compile(root: dict) -> dict:
                 need(*bound(schema[word]))
         if "oneOf" in keys:
             branches = [compile_(s) for s in schema["oneOf"]]
-            by_type = {TYPES[s["type"]][0]: b for s, b in zip(schema["oneOf"], branches)
-                       if "type" in s}
-            # branches of distinct types: only the one of the value's type can pass
-            need(None, (lambda v: (b := by_type.get(type(v))) is not None and b(v) is None)
-                 if len(by_type) == len(branches) else
-                 (lambda v: [b(v) for b in branches].count(None) == 1),
+            need(None, lambda v: [b(v) for b in branches].count(None) == 1,
                  f"expected exactly one of {len(branches)} oneOf forms")
         if "not" in keys:
             inner = compile_(schema["not"])
@@ -116,11 +120,6 @@ def _compile(root: dict) -> dict:
             fault = own or ((), f"expected {noun}")
             # past the type check, a test that does not apply to the type is moot
             tests = [(None, ok, f) for kinds, ok, f in tests if kinds is None or kind in kinds]
-        if not inside and len(tests) == 1 and tests[0][0] is None:  # the common leaves
-            (_, ok, f), = tests
-            if kind is None:
-                return lambda v: None if ok(v) else f
-            return lambda v: fault if type(v) is not kind else None if ok(v) else f
 
         def check(v):
             if kind is not None and type(v) is not kind:

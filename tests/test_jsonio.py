@@ -154,8 +154,10 @@ def test_schema_faults_come_first_in_document_order(load, doc, pointer):
     {"items": {"$ref": "#/definitions/missing"}},
     {"items": {"$ref": "#/definitions/r", "type": "string"}, "definitions": {"r": {}}},
     {"properties": {"a": {"definitions": {"r": {}}}}},
+    {"type": "array", "minItems": 2},
+    {"type": "object", "minProperties": 0},
 ], ids=["unknown-keyword", "unknown-type", "unknown-definition", "ref-beside-keywords",
-        "nested-definitions"])
+        "nested-definitions", "min-items-2", "min-properties-0"])
 def test_checker_refuses_a_schema_it_does_not_read(schema):
     # a later schema edit the checker would not enforce fails loudly, at compile time
     with pytest.raises((NotImplementedError, KeyError)):
