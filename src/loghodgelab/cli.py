@@ -12,7 +12,9 @@ error or a cap), 2 malformed input (a ``SchemaError``, with the JSON pointer
 of the offending field); diagnostics go to stderr.  Reports carry a
 provenance block (input hashes, tool version, option values) and are
 byte-identical across runs for identical inputs and options.  The parser is
-built once per process, and each command imports only the modules it uses.
+built once per process, a request that opens with a command's name is
+parsed by that command's subparser alone, and each command imports only the
+modules it uses.
 """
 
 from __future__ import annotations
@@ -442,7 +444,8 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and its subparser of each command, built once."""
     parser = argparse.ArgumentParser(
         prog="lhl",
         description="Exact-arithmetic computations on cone complexes, weight "
@@ -457,7 +460,26 @@ def build_parser() -> argparse.ArgumentParser:
         # each file option with its default, which names no file to read
         p.set_defaults(func=func, files=[(label, dest, p.get_default(dest))
                                          for label, dest in files])
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass when
+    ``argv[0]`` names a command: its subparser alone parses the rest, and
+    the arguments it leaves go to the root parser's error, as the full parse
+    sends them.  Anything else takes the full parse."""
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def run(args, data: dict[str, bytes]) -> tuple[str, str | None]:
@@ -482,7 +504,7 @@ def run(args, data: dict[str, bytes]) -> tuple[str, str | None]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         data = {label: _read(getattr(args, dest), label)
                 for label, dest, default in args.files if getattr(args, dest) != default}

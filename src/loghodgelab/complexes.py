@@ -19,7 +19,8 @@ all its pivots number rank F^p, the first-block pivots of the next pass;
 and the second-block pivots enter B_k at level p.  With no levels (P = 1)
 B_k is the identity and no pass is made.  Every F^p is a subcomplex iff
 X_k = B_{k+1}^-1 d_k B_k has no entry below the level diagonal.  A column
-reduction of X_k pairs elements of C^k with elements of C^{k+1}; the gap of a
+reduction of X_k, read off its integer rows in filtration order by one
+`column_lows`, pairs elements of C^k with elements of C^{k+1}; the gap of a
 pair is the level of its target minus the level of its source.  Over a field
 a filtered complex splits into one- and two-element interval pieces, so the
 gaps do not depend on the basis.  E_r^{p,q} counts the elements at (p, q)
@@ -28,20 +29,22 @@ a pair of gap r starts.  The pairs are made once, with the filtered complex,
 and so are the E_infinity totals and the first nonzero differential that
 they decide; ``spectral_sequence`` only renders pages from them.
 
-Every complex on a keyed basis (the cone complex, its weighted tropical
-twist and the local models) comes from one builder, ``_total_complex``:
-keys by degree and a rule listing the signed arrows out of a key.
+Every complex on a keyed basis (the cone complex and the local models) comes
+from one builder, ``_total_complex``: keys by degree and a rule listing the
+signed arrows out of a key.  The weighted tropical twist is the cone
+complex's ``conjugate`` by the diagonal of its cell weights.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import (
     RationalMatrix,
+    column_lows,
     kernel_basis,
-    leading_columns,
     pivot_columns,
     rank,
 )
@@ -116,6 +119,23 @@ class CochainComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in self.dims.items())
+
+    def conjugate(self, scales: dict[int, list[Fraction]]) -> "CochainComplex":
+        """The complex with differentials D_{k+1}^-1 d_k D_k, for D_k the
+        diagonal of the nonzero ``scales[k]``, one per basis vector of C^k.
+        D is an isomorphism of complexes onto this one, so d o d = 0 carries
+        over and is not checked again."""
+        def diagonal(values):
+            return RationalMatrix(len(values), len(values),
+                                  {(i, i): v for i, v in enumerate(values)})
+
+        out = object.__new__(CochainComplex)
+        out.min_degree, out.max_degree, out.dims = self.min_degree, self.max_degree, self.dims
+        out._differentials = {
+            k: diagonal([1 / v for v in scales[k + 1]]) * d * diagonal(scales[k])
+            for k, d in self._differentials.items()}
+        out._ranks = None
+        return out
 
 
 def _total_complex(basis_by_degree: dict[int, list[Hashable]],
@@ -410,12 +430,10 @@ def _persistence_pairs(x: RationalMatrix, col_level: list[int],
                        row_level: list[int]) -> list[tuple[int, int]]:
     """Pairs (j, i) of a column reduction of X in filtration order: columns
     in the order (-level, index), the low of a column being its last nonzero
-    row in the same order on the rows.  That is the row reduction of X^T with
-    its columns in reverse row order, where the low is the leading column."""
+    row in the same order on the rows."""
     cols = sorted(range(x.cols), key=lambda j: (-col_level[j], j))
-    rows = sorted(range(x.rows), key=lambda i: (-row_level[i], i), reverse=True)
-    xt = x.submatrix_columns(cols).transpose().submatrix_columns(rows)
-    return [(j, rows[low]) for j, low in zip(cols, leading_columns(xt)) if low is not None]
+    rows = sorted(range(x.rows), key=lambda i: (-row_level[i], i))
+    return [(j, i) for j, i in zip(cols, column_lows(x, cols, rows)) if i is not None]
 
 
 def spectral_sequence(fc: FilteredComplex, r_max: int | None = None) -> list[SpectralSequencePage]:

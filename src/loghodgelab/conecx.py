@@ -1,16 +1,18 @@
 """Cone complexes of a toroidal boundary: cells from intersection data.
 
 Vertices are the named boundary components; a p-cell records a (p+1)-subset
-of components together with a connected-component tag.  Incidence signs
-follow the Delta-complex convention, fixed by the lexicographic order of the
-component names within each cell, so the boundary of a boundary vanishes and
-everything downstream is deterministic.
+of components together with a connected-component tag, as the tuple
+(components, tag), so cells hash, compare and sort as tuples do.  Incidence
+signs follow the Delta-complex convention, fixed by the lexicographic order
+of the component names within each cell, so the boundary of a boundary
+vanishes and everything downstream is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .complexes import CochainComplex, _total_complex, cohomology_dims
 
@@ -19,25 +21,33 @@ class ConeComplexError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Cell:
-    components: tuple[str, ...]     # sorted, distinct
-    tag: str = "0"
+class Cell(tuple):
+    """A cell as the pair (components, tag), the components sorted and
+    distinct; hashing, equality and ordering are the pair's own."""
 
-    def __post_init__(self):
-        if not self.components:
+    __slots__ = ()
+
+    def __new__(cls, components: tuple[str, ...], tag: str = "0"):
+        if not components:
             raise ConeComplexError("a cell needs at least one component")
-        if tuple(sorted(self.components)) != self.components:
-            raise ConeComplexError(f"cell components must be sorted: {self.components}")
-        if len(set(self.components)) != len(self.components):
-            raise ConeComplexError(f"repeated component in cell: {self.components}")
+        if tuple(sorted(components)) != components:
+            raise ConeComplexError(f"cell components must be sorted: {components}")
+        if len(set(components)) != len(components):
+            raise ConeComplexError(f"repeated component in cell: {components}")
+        return tuple.__new__(cls, (components, tag))
+
+    def __getnewargs__(self):  # copy and pickle rebuild a cell from its pair
+        return tuple(self)
+
+    components = property(itemgetter(0))
+    tag = property(itemgetter(1))
 
     @property
     def dim(self) -> int:
-        return len(self.components) - 1
+        return len(self[0]) - 1
 
     def key(self) -> str:
-        return ",".join(self.components) + "#" + self.tag
+        return ",".join(self[0]) + "#" + self[1]
 
     @classmethod
     def from_key(cls, key: str) -> "Cell":

@@ -29,6 +29,7 @@ import functools
 import json
 import os
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
 
@@ -153,12 +154,21 @@ def _items(item):
     return check
 
 
+SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
+
+
 @functools.cache
 def _schema(name: str) -> dict:
-    """The compiled checks of ``schemas/<name>.schema.json``."""
-    path = os.path.join(os.path.dirname(__file__), "schemas", f"{name}.schema.json")
-    with open(path, encoding="utf-8") as handle:
-        return _compile(json.load(handle))
+    """The compiled checks of ``schemas/<name>.schema.json``.  A package
+    that lacks the file is broken, not the request: one line on stderr names
+    the file, and the process exits 1."""
+    path = os.path.join(SCHEMA_DIR, f"{name}.schema.json")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return _compile(json.load(handle))
+    except OSError as exc:
+        print(f"broken installation: cannot read {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(1) from None
 
 
 def _check(doc: object, name: str, ref: str = "#", pointer: str = "") -> None:

@@ -405,10 +405,22 @@ def solve_rational(m: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | Non
     return tuple(x)
 
 
-def leading_columns(m: RationalMatrix) -> list[int | None]:
-    """For each row of ``m``, the leading column it has once reduced against
-    the rows above it, or None if it lies in their span."""
-    return _echelon(_integer_rows(m))[1]
+def column_lows(m: RationalMatrix, cols: Sequence[int], rows: Sequence[int]) -> list[int | None]:
+    """The column reduction of ``m`` in the orders ``cols`` and ``rows``, each
+    listing every index once: for each column of ``cols``, reduced against
+    the columns before it, its low, the last row in ``rows`` order where it
+    is nonzero, or None if it lies in their span.  That is the leading column
+    of the rows of m^T with its columns in reverse ``rows`` order, read off
+    the integer rows of ``m``: a row's denominator scales a column of m^T,
+    which moves no leading column."""
+    last = len(rows) - 1
+    place = {i: last - p for p, i in enumerate(rows)}
+    at = {j: p for p, j in enumerate(cols)}
+    columns: list[dict[int, int]] = [{} for _ in cols]
+    for i, row in m._num.items():
+        for j, v in row.items():
+            columns[at[j]][place[i]] = v
+    return [None if c is None else rows[last - c] for c in _echelon(columns)[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ so it squares to zero automatically and has the same cohomology dimensions
 for every positive weight: the genuinely weighted information lives in the
 sublevel filtration {cells with w >= t} and its spectral sequence, whose
 first-page degeneration is reported as an experimental outcome, never
-assumed.
+assumed.  The weighted complex is built as that conjugate, D^-1 d D for D
+the diagonal of the cell weights, of the cone cochains, whose d o d = 0
+`ConeComplex` has checked once; it is not checked again.  Each sublevel set
+must be a subcomplex: one pass over the facet/cofacet pairs finds the least
+threshold at which one is not, and each cell's weight is read once to build
+every level.
 
 Weights here are per cell: every cell of the tropical complex carries its
 own positive rational.  A ray-level WeightFunction is accepted too and is
@@ -20,6 +25,7 @@ reproduces the unweighted simplicial coboundary matrix for matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +34,6 @@ from .complexes import (
     CochainComplex,
     FilteredComplex,
     SpectralSequencePage,
-    _total_complex,
     cohomology_dims,
     spectral_sequence,
 )
@@ -71,18 +76,18 @@ class WeightedTropComplex:
 
 
 def weighted_complex(c: ConeComplex, w: WeightFunction | CellWeights) -> WeightedTropComplex:
-    """Twist the simplicial coboundary by the facet/cell weight ratio."""
+    """Twist the simplicial coboundary by the facet/cell weight ratio: the
+    conjugate of the cone cochains by the diagonal of the cell weights."""
     weights = (CellWeights({cell: w.cell_value(cell) for cell in c.all_cells()})
                if isinstance(w, WeightFunction) else w)
-    for cell in c.all_cells():
-        value = weights.value(cell)
-        if value <= 0:
-            raise TropError(f"weight at cell {cell.key()} must be positive, got {value}")
-    complex_ = _total_complex(
-        {p: c.cells(p) for p in range(c.max_dim + 1)},
-        lambda face: ((cell, sign * weights.value(face) / weights.value(cell))
-                      for cell, sign in c.cofaces(face)))
-    return WeightedTropComplex(c, weights, complex_)
+    scales = {p: [] for p in c.cochain_complex().degrees()}
+    for p, values in scales.items():
+        for cell in c.cells(p):
+            value = weights.value(cell)
+            if value <= 0:
+                raise TropError(f"weight at cell {cell.key()} must be positive, got {value}")
+            values.append(value)
+    return WeightedTropComplex(c, weights, c.cochain_complex().conjugate(scales))
 
 
 def tropical_cohomology(t: WeightedTropComplex) -> dict[int, int]:
@@ -114,29 +119,32 @@ def default_thresholds(t: WeightedTropComplex) -> list[Fraction]:
     return sorted(values)
 
 
-def _sublevel_indicator(t: WeightedTropComplex, threshold: Fraction) -> dict[int, RationalMatrix]:
+def _check_sublevels_closed(t: WeightedTropComplex, thresholds: list[Fraction]) -> None:
+    """Raise for the least threshold whose sublevel set is not a subcomplex,
+    naming its first facet/cofacet pair in face-map order.  A pair breaks
+    closure at every threshold in (w(cofacet), w(facet)], so at the least
+    threshold above w(cofacet) if any does; one pass over the pairs finds the
+    least of these."""
     c = t.base
-    return {p: RationalMatrix.identity(c.cell_count(p)).submatrix_columns(
-                [i for i, cell in enumerate(c.cells(p)) if t.cell_weight(cell) >= threshold])
-            for p in range(c.max_dim + 1)}
-
-
-def _check_sublevel_closed(t: WeightedTropComplex, threshold: Fraction) -> None:
-    c = t.base
-    for p in range(c.max_dim):
-        for cell in c.cells(p + 1):
-            wc = t.cell_weight(cell)
+    first = None  # (threshold index, facet, cofacet)
+    for p in range(1, c.max_dim + 1):
+        for cell in c.cells(p):
+            i = bisect_right(thresholds, t.cell_weight(cell))
+            if i == len(thresholds) or (first is not None and i >= first[0]):
+                continue
             for face, sign in c.faces(cell):
-                if sign == 0:
-                    continue
-                wf = t.cell_weight(face)
-                if wf >= threshold and wc < threshold:
-                    raise TropError(
-                        f"sublevel set at threshold {threshold} is not a subcomplex: "
-                        f"facet {face.key()} has weight {wf} >= {threshold} but its "
-                        f"cofacet {cell.key()} has weight {wc} < {threshold}; weights "
-                        f"must not decrease from a cell to its cofacets above the "
-                        f"threshold")
+                if sign and t.cell_weight(face) >= thresholds[i]:
+                    first = i, face, cell
+                    break
+    if first is not None:
+        i, face, cell = first
+        threshold, wf, wc = thresholds[i], t.cell_weight(face), t.cell_weight(cell)
+        raise TropError(
+            f"sublevel set at threshold {threshold} is not a subcomplex: "
+            f"facet {face.key()} has weight {wf} >= {threshold} but its "
+            f"cofacet {cell.key()} has weight {wc} < {threshold}; weights "
+            f"must not decrease from a cell to its cofacets above the "
+            f"threshold")
 
 
 def weight_filtration_ss(t: WeightedTropComplex,
@@ -152,9 +160,13 @@ def weight_filtration_ss(t: WeightedTropComplex,
     thresholds = sorted(Fraction(x) for x in thresholds)
     if len(set(thresholds)) != len(thresholds):
         raise TropError("thresholds must be distinct")
-    for threshold in thresholds:
-        _check_sublevel_closed(t, threshold)
-    fc = FilteredComplex(t.complex, [_sublevel_indicator(t, threshold) for threshold in thresholds])
+    _check_sublevels_closed(t, thresholds)
+    c = t.base
+    weights = {p: [t.cell_weight(cell) for cell in c.cells(p)] for p in t.complex.degrees()}
+    fc = FilteredComplex(t.complex, [
+        {p: RationalMatrix.identity(len(ws)).submatrix_columns(
+            [i for i, w in enumerate(ws) if w >= threshold]) for p, ws in weights.items()}
+        for threshold in thresholds])
     # fc has checked its E_infinity totals against the cohomology
     totals = fc.e_infinity_totals
     return TropSpectralReport(

@@ -16,6 +16,7 @@ from loghodgelab.localmodel import (FLAVORS, LAURENT, LocalModel, LocalModelErro
                                     _mv_total_block, _quotient_block, _tally, block_basis)
 from loghodgelab.monodromy import MonodromyError
 from loghodgelab.toric import Fan, FanError, QDivisor, _chamber_cohomology, _det
+from loghodgelab.trop import TropError
 from loghodgelab.weights import WeightFunction
 
 
@@ -249,6 +250,41 @@ def dump_intersection_data(data: IntersectionData) -> dict:
     if data.ray_coordinates is not None:
         out["ray_coordinates"] = {k: list(v) for k, v in sorted(data.ray_coordinates.items())}
     return out
+
+
+# --- weighted tropical complexes ------------------------------------------------------
+
+
+def keyed_weighted_complex(c: ConeComplex, weights) -> CochainComplex:
+    """The weighted coboundary by the keyed builder, one arrow per face map
+    entry with coefficient sign * w(facet) / w(cell), with its own d o d
+    check: the reference for `trop.weighted_complex`, which conjugates the
+    checked cone cochains instead."""
+    return _total_complex({p: c.cells(p) for p in range(c.max_dim + 1)},
+                          lambda face: ((cell, sign * weights.value(face) / weights.value(cell))
+                                        for cell, sign in c.cofaces(face)))
+
+
+def per_threshold_closure(t, thresholds) -> None:
+    """The sublevel closure check of `trop.weight_filtration_ss` as one walk
+    over the facet/cofacet pairs per threshold, ascending, raising at the
+    first pair that breaks closure: the reference for its one-pass check."""
+    c = t.base
+    for threshold in sorted(thresholds):
+        for p in range(c.max_dim):
+            for cell in c.cells(p + 1):
+                wc = t.cell_weight(cell)
+                for face, sign in c.faces(cell):
+                    if sign == 0:
+                        continue
+                    wf = t.cell_weight(face)
+                    if wf >= threshold and wc < threshold:
+                        raise TropError(
+                            f"sublevel set at threshold {threshold} is not a subcomplex: "
+                            f"facet {face.key()} has weight {wf} >= {threshold} but its "
+                            f"cofacet {cell.key()} has weight {wc} < {threshold}; weights "
+                            f"must not decrease from a cell to its cofacets above the "
+                            f"threshold")
 
 
 # --- local models --------------------------------------------------------------------

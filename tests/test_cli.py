@@ -1,4 +1,6 @@
+import argparse
 import builtins
+import importlib.util
 import json
 import os
 import stat
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from loghodgelab import cli
+from loghodgelab import cli, jsonio
 from loghodgelab.cli import build_parser, main
 from test_cli_startup import COMMANDS as FIXTURE_COMMANDS, fixture_argv
 
@@ -222,6 +224,25 @@ def test_trop_ss_pages_charged_against_cap(thresholds, cap, expected, tmp_path, 
         assert f"LHL_MAX_DIM cap of {cap}" in err and doc is None
     else:
         assert len(doc["result"]["pages"]) == int(cap)
+
+
+# the face maps of the triangle abc#1 reach a#1 through ac#1 and a#0 through
+# ab#0, the only tag of ab, so d o d = a#1 - a#0 is not 0
+UNCLOSED_TAGS = {"components": ["a", "b", "c"], "strata": [
+    {"components": ["a"]}, {"components": ["a"], "tag": "1"}, {"components": ["b"]},
+    {"components": ["c"]}, {"components": ["a", "b"]}, {"components": ["a", "c"], "tag": "1"},
+    {"components": ["b", "c"], "tag": "1"}, {"components": ["a", "b", "c"], "tag": "1"}]}
+
+
+@pytest.mark.parametrize("command", ["cone-complex", "validate-weights", "trop-cohomology",
+                                     "trop-ss"])
+def test_face_maps_with_nonzero_d_squared_are_refused(command, tmp_path, capsys):
+    complex_, weights = tmp_path / "complex.json", tmp_path / "weights.json"
+    complex_.write_text(json.dumps(UNCLOSED_TAGS))
+    weights.write_text(json.dumps({"rays": {"a": 1, "b": 1, "c": 1}}))
+    files = (["--in", str(complex_)] if command == "cone-complex"
+             else ["--complex", str(complex_), "--weights", str(weights)])
+    assert run([command, *files], capsys) == (1, "", "validation failure: d o d != 0 at degree 0\n")
 
 
 # --- toric --------------------------------------------------------------------------
@@ -726,6 +747,55 @@ def test_unencodable_report_creates_no_file(tmp_path, capsys):
     assert code == 1 and out == ""
     assert "surrogates not allowed" in err
     assert list(tmp_path.iterdir()) == [data]
+
+
+def test_missing_schema_names_the_file_and_exits_1(tmp_path, monkeypatch, capsys):
+    # a package without its schemas: one stderr line, no traceback
+    monkeypatch.setattr(jsonio, "SCHEMA_DIR", str(tmp_path))
+    jsonio._schema.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(fixture_argv("monodromy"))
+    finally:
+        jsonio._schema.cache_clear()
+    assert exc.value.code == 1
+    path = tmp_path / "nilpotent-operator.schema.json"
+    assert capsys.readouterr() == (
+        "", f"broken installation: cannot read {path}: No such file or directory\n")
+
+
+spec = importlib.util.spec_from_file_location(
+    "goldens", Path(__file__).parents[1] / "tools" / "goldens.py")
+goldens_tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(goldens_tool)
+
+
+def usage_outcome(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", goldens_tool.USAGE_ARGVS, ids=" ".join)
+def test_dispatch_matches_the_full_parse(argv, capsys):
+    # stdout, stderr and exit code of -h and of each usage error, against
+    # this interpreter's own argparse, whose wording varies by version
+    assert (usage_outcome(main, argv, capsys)
+            == usage_outcome(build_parser().parse_args, argv, capsys))
+
+
+def test_a_named_command_is_parsed_in_one_pass(monkeypatch, tmp_path):
+    # its subparser alone; the full parse runs the root parser, then it
+    passes = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(fixture_argv("monodromy") + ["--out", str(tmp_path / "report")]) == 0
+    assert passes == ["lhl monodromy"]
 
 
 # --- goldens and the disk-free path ---------------------------------------------------

@@ -116,3 +116,32 @@ def test_roundtrip_through_intersection_data():
     assert again.all_cells() == c.all_cells()
     assert again.ray_coordinates == c.ray_coordinates
     assert simplicial_cohomology(again) == simplicial_cohomology(c)
+
+
+def test_cell_sorts_hashes_and_compares_as_its_pair():
+    rng = random.Random(302)
+    names = ["A", "B", "C", "D"]
+    pairs = [(tuple(sorted(rng.sample(names, rng.randint(1, 3)))), rng.choice("0012"))
+             for _ in range(60)]
+    cells = [Cell(*pair) for pair in pairs]
+    assert [tuple(cell) for cell in sorted(cells)] == sorted(pairs)
+    for cell, pair in zip(cells, pairs):
+        assert (cell.components, cell.tag) == pair
+        assert hash(cell) == hash(pair)
+        assert cell.key() == ",".join(pair[0]) + "#" + pair[1]
+        assert Cell.from_key(cell.key()) == cell
+        for other, other_pair in zip(cells, pairs):
+            assert (cell == other) == (pair == other_pair)
+            assert (cell < other) == (pair < other_pair)
+    assert len(set(cells)) == len(set(pairs))
+
+
+@pytest.mark.parametrize("components, message", [
+    ((), "a cell needs at least one component"),
+    (("B", "A"), "cell components must be sorted: ('B', 'A')"),
+    (("A", "A"), "repeated component in cell: ('A', 'A')"),
+])
+def test_cell_keeps_its_construction_faults(components, message):
+    with pytest.raises(ConeComplexError) as exc:
+        Cell(components, "1")
+    assert str(exc.value) == message

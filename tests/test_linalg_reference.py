@@ -348,15 +348,25 @@ def test_elimination_matches_dense_bareiss():
     assert solvable > 700 and inconsistent > 300
 
 
-def test_leading_columns_are_the_pivots_in_row_order():
-    # row i vanishes iff it lies in the span of the rows above it
+def test_column_lows_are_the_last_pivot_rows():
+    # in seeded orders: a column has no low iff it lies in the span of the
+    # columns before it, and row rows[s] is a low iff it adds to the rank of
+    # the rows after it
+    rng = random.Random(616)
     for m in elimination_inputs():
-        leads = linalg.leading_columns(m)
-        assert sorted(c for c in leads if c is not None) == reference_pivot_columns(m)
-        ranks = [reference_rank(RationalMatrix(i, m.cols, {(r, j): v for (r, j), v in
-                                                           m.entries.items() if r < i}))
-                 for i in range(m.rows + 1)]
-        assert [c is None for c in leads] == [a == b for a, b in zip(ranks, ranks[1:])]
+        cols, rows = rng.sample(range(m.cols), m.cols), rng.sample(range(m.rows), m.rows)
+        lows = linalg.column_lows(m, cols, rows)
+
+        def rank_of(row_set, col_set):
+            return reference_rank(RationalMatrix(len(row_set), len(col_set), {
+                (row_set.index(i), col_set.index(j)): v for (i, j), v in m.entries.items()
+                if i in row_set and j in col_set}))
+
+        col_ranks = [rank_of(rows, cols[:t]) for t in range(m.cols + 1)]
+        assert [c is None for c in lows] == [a == b for a, b in zip(col_ranks, col_ranks[1:])]
+        row_ranks = [rank_of(rows[s:], cols) for s in range(m.rows + 1)]
+        assert sorted(i for i in lows if i is not None) == sorted(
+            rows[s] for s in range(m.rows) if row_ranks[s] > row_ranks[s + 1])
 
 
 def reference_inverse(b):

@@ -97,7 +97,7 @@ def test_next_page_is_cohomology_of_its_differentials():
 
 
 def test_persistence_pairs_match_fraction_column_reduction():
-    """The pairing read off `leading_columns` of the reordered X^T against
+    """The pairing read off `column_lows` of X in filtration order against
     the Fraction column reduction it replaced, pair for pair and in order, on
     seeded X with random levels: sparse, dense, low-rank (a product through
     a narrow middle) and empty."""
@@ -125,16 +125,18 @@ def test_persistence_pairs_match_fraction_column_reduction():
 def test_elimination_count_pinned(monkeypatch):
     """C = Q^3 -> Q -> Q^2 -> Q^3 in degrees 1..4 with d_1, d_3 nonzero and a
     depth-4 filtration whose first nonzero differential is d_2.  Checking the
-    filtration and reducing it take 16 eliminations for ranks, kernels and
-    pivots: 12 pivot passes (depth - 1 = 3 per degree, one per pair
-    [F^{p+1} | F^p] of consecutive levels, F^0 = C included), 2 solves for
-    X_k (one per nonzero d) and the 2 ranks of the E_infinity check (one per
-    nonzero d; a zero d has rank 0 without an elimination); and one
-    `leading_columns` call per nonzero d, which is the persistence pairing.
-    All are made when the filtered complex is built, on a complex whose
-    ranks are not yet kept; rendering the pages makes none.  The subquotient
-    oracle in `ss_oracle` takes 584 eliminations and no pairing on the
-    checked filtration."""
+    filtration and reducing it take 18 eliminations: 16 for ranks, kernels
+    and pivots, namely 12 pivot passes (depth - 1 = 3 per degree, one per
+    pair [F^{p+1} | F^p] of consecutive levels, F^0 = C included), 2 solves
+    for X_k (one per nonzero d) and the 2 ranks of the E_infinity check (one
+    per nonzero d; a zero d has rank 0 without an elimination); and 2 for the
+    persistence pairing, one `column_lows` call per nonzero d.  The pairing
+    is counted where it runs, at `column_lows`, which reads X's integer rows
+    in filtration order; it was counted at `leading_columns`, which took a
+    reordered copy of X^T.  All are made when the filtered complex is built,
+    on a complex whose ranks are not yet kept; rendering the pages makes
+    none.  The subquotient oracle in `ss_oracle` takes 584 eliminations and
+    no pairing on the checked filtration."""
     rng = random.Random(931)
     c = random_complex(rng, 10)
     levels = random_filtration_levels(rng, c, 4)
@@ -142,22 +144,22 @@ def test_elimination_count_pinned(monkeypatch):
     assert FilteredComplex(c, levels).first_nonzero_differential == 2
     fresh = CochainComplex(c.dims, c._differentials)
     eliminations, pairings = [], []
-    echelon, leading_columns = linalg._echelon, linalg.leading_columns
+    echelon, column_lows = linalg._echelon, linalg.column_lows
 
     def counted_echelon(rows):
         eliminations.append(rows)
         return echelon(rows)
 
-    def counted_leading_columns(m):
-        pairings.append(m)
-        return leading_columns(m)
+    def counted_column_lows(*args):
+        pairings.append(args)
+        return column_lows(*args)
 
     monkeypatch.setattr(linalg, "_echelon", counted_echelon)
-    monkeypatch.setattr(complexes, "leading_columns", counted_leading_columns)
+    monkeypatch.setattr(complexes, "column_lows", counted_column_lows)
     fc = FilteredComplex(fresh, levels)
-    assert (len(eliminations) - len(pairings), len(pairings)) == (16, 2)
+    assert (len(eliminations), len(pairings)) == (18, 2)
     spectral_sequence(fc)
-    assert (len(eliminations) - len(pairings), len(pairings)) == (16, 2)
+    assert (len(eliminations), len(pairings)) == (18, 2)
     eliminations.clear()
     pairings.clear()
     ss_oracle.spectral_sequence(fc)

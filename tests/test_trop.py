@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from loghodgelab.trop import (
 )
 from loghodgelab.weights import WeightFunction
 
-from helpers import total_dims
+from helpers import keyed_weighted_complex, per_threshold_closure, total_dims
 
 
 def circle():
@@ -49,6 +50,15 @@ def random_downward_closed_complex(rng):
     return build_cone_complex(IntersectionData(names, cells))
 
 
+def random_tagged_complex(rng):
+    """A downward-closed set of strata on A..E in which some edges carry a
+    second tag, so two cells share a subset."""
+    c = random_downward_closed_complex(rng)
+    cells = c.all_cells() + [Cell(cell.components, "1") for cell in c.cells(1)
+                             if rng.random() < 0.3]
+    return build_cone_complex(IntersectionData(["A", "B", "C", "D", "E"], cells))
+
+
 # --- weighted coboundary ----------------------------------------------------------
 
 
@@ -77,6 +87,48 @@ def test_weighted_coboundary_is_the_diagonal_conjugate_of_the_simplicial_one():
         for p in range(c.max_dim):
             expected = diagonal(p + 1, -1) * plain.differential(p) * diagonal(p, 1)
             assert t.complex.differential(p).to_dense() == expected.to_dense(), p
+
+
+def test_weighted_differentials_equal_the_keyed_route():
+    # entry for entry, with cell weights and with ray weights summed over cells
+    rng = random.Random(606)
+    entries = 0
+    for n in range(80):
+        c = random_tagged_complex(rng)
+        if n % 2:
+            weights = random_cell_weights(rng, c)
+            cell_weights = weights
+        else:
+            weights = WeightFunction({cell.components[0]: Fraction(rng.randint(1, 9),
+                                                                   rng.randint(1, 6))
+                                      for cell in c.cells(0)})
+            cell_weights = CellWeights({cell: weights.cell_value(cell)
+                                        for cell in c.all_cells()})
+        got = weighted_complex(c, weights).complex
+        expected = keyed_weighted_complex(c, cell_weights)
+        assert got.dims == expected.dims
+        for k in expected.degrees():
+            assert got.differential(k) == expected.differential(k)
+            assert got.differential(k).to_dense() == expected.differential(k).to_dense()
+            entries += len(expected.differential(k).entries)
+    assert entries > 1000
+
+
+def test_d_squared_is_checked_once_per_cone_complex(monkeypatch):
+    # by the cone complex's face maps; the weighted complex is its conjugate
+    built = []
+    init = complexes.CochainComplex.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(complexes.CochainComplex, "__init__", counted)
+    c = two_simplex()
+    assert len(built) == 1
+    t = weighted_complex(c, CellWeights({cell: Fraction(cell.dim + 1) for cell in c.all_cells()}))
+    weight_filtration_ss(t)
+    assert len(built) == 1
 
 
 def test_ray_weight_function_accepted_via_sum_convention():
@@ -165,6 +217,36 @@ def test_decreasing_weights_rejected_with_diagnostic():
     t = weighted_complex(c, weights)
     with pytest.raises(TropError, match="H1#0"):
         weight_filtration_ss(t, [Fraction(10)])
+
+
+def closure_fault(check, t, thresholds):
+    try:
+        check(t, thresholds)
+    except TropError as exc:
+        return str(exc)
+    return None
+
+
+def test_one_pass_closure_raises_what_the_per_threshold_walk_raises():
+    # weights that grow with dimension, some cells then made heavier than
+    # their cofacets; thresholds among the weights and between them
+    rng = random.Random(607)
+    broken = Counter()
+    for _ in range(500):
+        c = random_tagged_complex(rng)
+        values = {cell: Fraction(4 * cell.dim + rng.randint(1, 4), rng.randint(1, 2))
+                  for cell in c.all_cells()}
+        for cell in rng.sample(c.all_cells(), min(len(values), rng.randint(1, 4))):
+            values[cell] += rng.randint(1, 10)
+        t = weighted_complex(c, CellWeights(values))
+        candidates = sorted(set(values.values()) | {Fraction(rng.randint(1, 60), rng.randint(1, 3))
+                                                    for _ in range(4)})
+        thresholds = sorted(rng.sample(candidates, rng.randint(1, min(9, len(candidates)))))
+        expected = closure_fault(per_threshold_closure, t, thresholds)
+        assert closure_fault(weight_filtration_ss, t, thresholds) == expected
+        broken[sum(closure_fault(per_threshold_closure, t, [x]) is not None
+                   for x in thresholds)] += 1
+    assert all(broken[n] >= 10 for n in range(6)), broken
 
 
 def test_e_infinity_totals_match_cohomology_for_admissible_thresholds():

@@ -9,9 +9,14 @@ and its exit code.  Under each interpreter (default: the one running this
 script), every entry runs as ``python -m loghodgelab.cli ARGV --format F
 --out FILE`` in a fresh process, from ``tests/fixtures`` and with this
 checkout's ``src`` first on ``PYTHONPATH``.  The report bytes and the exit
-code must equal the golden's.  Prints each difference and one summary line
-per interpreter, and exits 1 on any difference.  Stdlib only: the
-interpreters need no pytest.
+code must equal the golden's.
+
+Usage errors are checked against the interpreter's own argparse, not
+stored text: for every argv of `usage_argvs`, ``python -m loghodgelab.cli
+ARGV`` must print the same stdout and stderr, and exit with the same code,
+as the full parse ``build_parser().parse_args(ARGV)`` in another fresh
+process.  Prints each difference and one summary line per interpreter, and
+exits 1 on any difference.  Stdlib only: the interpreters need no pytest.
 """
 
 from __future__ import annotations
@@ -49,6 +54,50 @@ def check(python: str, entries: list[dict], workdir: Path) -> list[str]:
     return differences
 
 
+def usage_argvs() -> list[list[str]]:
+    """For each command: ``-h``, an unknown option, a missing required
+    option and a non-integer value of each integer option; and ``lhl``,
+    ``lhl --help`` and an unknown command.  File options name no file:
+    argparse opens none."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from loghodgelab.cli import COMMANDS
+
+    def argv(name: str, values: dict[str, str]) -> list[str]:
+        return [name, *(word for pair in values.items() for word in pair)]
+
+    argvs = [[], ["--help"], ["nosuch"]]
+    for name, (_, _, options, _) in COMMANDS.items():
+        required = {flag: "1" if kwargs.get("type") is int else "x"
+                    for flag, kwargs in options if kwargs.get("required")}
+        argvs += [[name, "-h"], argv(name, {**required, "--bogus": "1"}),
+                  argv(name, dict(list(required.items())[:-1]))]
+        argvs += [argv(name, {**required, flag: "x"})
+                  for flag, kwargs in options if kwargs.get("type") is int]
+    return argvs
+
+
+USAGE_ARGVS = usage_argvs()
+FULL_PARSE = "import sys; from loghodgelab.cli import build_parser; build_parser().parse_args()"
+
+
+def check_usage(python: str) -> list[str]:
+    """The argvs of `usage_argvs` whose run under ``python`` differs from the
+    full parse's, in stdout, stderr or exit code."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    differences = []
+    for argv in USAGE_ARGVS:
+        runs = [subprocess.run([python, *route, *argv], env=env, capture_output=True, text=True,
+                               timeout=300)
+                for route in (["-m", "loghodgelab.cli"], ["-c", FULL_PARSE])]
+        if len({(p.returncode, p.stdout, p.stderr) for p in runs}) > 1:
+            lhl, full = ((p.returncode, p.stderr.strip().splitlines()[-1:]) for p in runs)
+            differences.append(f"usage {argv}: exit and last stderr line {lhl}, "
+                               f"full parse {full}")
+    return differences
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--python", nargs="+", default=[sys.executable],
@@ -63,11 +112,14 @@ def main() -> int:
             workdir = Path(tmp) / str(i)
             workdir.mkdir()
             differences = check(python, entries, workdir)
-            for line in differences:
+            usage = check_usage(python)
+            for line in differences + usage:
                 print(f"{python}: {line}")
             print(f"{python} ({version or 'did not start'}): "
-                  f"{len(entries) - len(differences)} of {len(entries)} goldens match")
-            failed = failed or bool(differences) or not version
+                  f"{len(entries) - len(differences)} of {len(entries)} goldens match, "
+                  f"{len(USAGE_ARGVS) - len(usage)} of {len(USAGE_ARGVS)} usage errors "
+                  f"match the full parse")
+            failed = failed or bool(differences + usage) or not version
     return 1 if failed else 0
 
 
