@@ -6,24 +6,28 @@ exact sequence of a cone is verified by ranks alone: a chain map g induces
 on H^k a map of rank rank[B | g Z] - rank B, for Z the cocycles of its
 source and B the coboundaries of its target (Weibel 1994, 1.5).
 
-Filtrations are stored as explicit subspace bases per degree (not index
-markers), because the weighted filtrations built elsewhere are not
-coordinate-aligned; F^0 = C by definition.  Pages come from one persistence
-reduction (Edelsbrunner-Letscher-Zomorodian 2002; Basu-Parida 2017) in a
-basis B_k of each C^k adapted to the filtration, where each vector has a
-level, the largest p with the vector in F^p.  One ``pivot_columns`` of
-[F^{p+1} | F^p] for each p from P - 2 down to 0 (F^0 = C^k) both builds B_k
-and checks the filtration: its first-block pivots are the stored basis of
-F^{p+1}, which opens B_k at level P - 1 when p = P - 2; F^{p+1} ⊆ F^p iff
-all its pivots number rank F^p, the first-block pivots of the next pass;
-and the second-block pivots enter B_k at level p.  With no levels (P = 1)
-B_k is the identity and no pass is made.  Every F^p is a subcomplex iff
-X_k = B_{k+1}^-1 d_k B_k has no entry below the level diagonal.  A column
-reduction of X_k, read off its integer rows in filtration order by one
-`column_lows`, pairs elements of C^k with elements of C^{k+1}; the gap of a
-pair is the level of its target minus the level of its source.  Over a field
-a filtered complex splits into one- and two-element interval pieces, so the
-gaps do not depend on the basis.  E_r^{p,q} counts the elements at (p, q)
+Filtrations are given in one of two ways; F^0 = C by definition.  Pages
+come from one persistence reduction (Edelsbrunner-Letscher-Zomorodian 2002;
+Basu-Parida 2017) in a basis B_k of each C^k adapted to the filtration,
+where each vector has a level, the largest p with the vector in F^p.  A
+filtration given by explicit subspace bases per degree (``FilteredComplex``,
+for filtrations that are not coordinate-aligned) has B_k built and checked
+by one ``pivot_columns`` of [F^{p+1} | F^p] for each p from P - 2 down to 0
+(F^0 = C^k): its first-block pivots are the stored basis of F^{p+1}, which
+opens B_k at level P - 1 when p = P - 2; F^{p+1} ⊆ F^p iff all its pivots
+number rank F^p, the first-block pivots of the next pass; and the
+second-block pivots enter B_k at level p.  With no levels (P = 1) B_k is the
+identity and no pass is made.  A filtration spanned by standard basis
+vectors, such as the tropical sublevel filtrations, whose levels are spanned
+by cells, is given by the level of each vector (``coordinate_filtration``):
+it is nested by construction, B_k is the identity and no pass is made.
+Both then run one core.  Every F^p is a subcomplex iff X_k =
+B_{k+1}^-1 d_k B_k, which is d_k itself on the standard basis, has no entry
+below the level diagonal.  A column reduction of X_k, read off its integer
+rows in filtration order by one `column_lows`, pairs elements of C^k with
+elements of C^{k+1}; the gap of a pair is the level of its target minus the
+level of its source.  Over a field a filtered complex splits into one- and
+two-element interval pieces, so the gaps do not depend on the basis.  E_r^{p,q} counts the elements at (p, q)
 that are unpaired or in a pair of gap >= r, and d_r is nonzero exactly where
 a pair of gap r starts.  The pairs are made once, with the filtered complex,
 and so are the E_infinity totals and the first nonzero differential that
@@ -32,7 +36,8 @@ they decide; ``spectral_sequence`` only renders pages from them.
 Every complex on a keyed basis (the cone complex and the local models) comes
 from one builder, ``_total_complex``: keys by degree and a rule listing the
 signed arrows out of a key.  The weighted tropical twist is the cone
-complex's ``conjugate`` by the diagonal of its cell weights.
+complex's ``conjugate`` by the diagonal of its cell weights, one
+`RationalMatrix.rescaled` per differential.
 """
 
 from __future__ import annotations
@@ -124,16 +129,11 @@ class CochainComplex:
         """The complex with differentials D_{k+1}^-1 d_k D_k, for D_k the
         diagonal of the nonzero ``scales[k]``, one per basis vector of C^k.
         D is an isomorphism of complexes onto this one, so d o d = 0 carries
-        over and is not checked again."""
-        def diagonal(values):
-            return RationalMatrix(len(values), len(values),
-                                  {(i, i): v for i, v in enumerate(values)})
-
+        over and is not checked again.  Each d_k is rescaled in one pass."""
         out = object.__new__(CochainComplex)
         out.min_degree, out.max_degree, out.dims = self.min_degree, self.max_degree, self.dims
-        out._differentials = {
-            k: diagonal([1 / v for v in scales[k + 1]]) * d * diagonal(scales[k])
-            for k, d in self._differentials.items()}
+        out._differentials = {k: d.rescaled(scales[k + 1], scales[k])
+                              for k, d in self._differentials.items()}
         out._ranks = None
         return out
 
@@ -336,7 +336,10 @@ class FilteredComplex:
     and ``gaps[k][j]`` is the gap of the pair of j, None if unpaired.  The
     unpaired elements give ``e_infinity_totals``, checked against
     ``cohomology_dims``; ``first_nonzero_differential`` is the least positive
-    gap, None when the sequence degenerates at E_1.
+    gap, None when the sequence degenerates at E_1.  A filtration spanned by
+    standard basis vectors is given by their levels instead, through
+    ``coordinate_filtration``: the same attributes, with B_k = I, X_k = d_k
+    and ``levels`` made on first read.
     """
 
     def __init__(self, underlying: CochainComplex, levels: list[dict[int, RationalMatrix]]):
@@ -348,8 +351,8 @@ class FilteredComplex:
                         f"level {p} basis at degree {k} has ambient dimension "
                         f"{given[k].rows}, expected {c.dim(k)}")
         self.depth = depth = len(levels) + 1
-        self.levels: list[dict[int, RationalMatrix]] = [{} for _ in levels]
-        self.basis_levels: dict[int, list[int]] = {}
+        self._levels: list[dict[int, RationalMatrix]] | None = [{} for _ in levels]
+        basis_levels: dict[int, list[int]] = {}
         adapted, not_nested = {}, []
         for k in c.degrees():
             empty = RationalMatrix.zeros(c.dim(k), 0)
@@ -360,27 +363,34 @@ class FilteredComplex:
                 pivots = pivot_columns(deeper.hstack(given[p]))
                 inner = [j for j in pivots if j < deeper.cols]
                 new = [j - deeper.cols for j in pivots[len(inner):]]
-                self.levels[p][k] = deeper.submatrix_columns(inner)
+                self._levels[p][k] = deeper.submatrix_columns(inner)
                 if span is None:
-                    parts[0] = self.levels[p][k]
+                    parts[0] = self._levels[p][k]
                 elif span != len(inner):
                     not_nested.append((p + 2, k))
                 parts.append(given[p].submatrix_columns(new))
                 deeper, span = given[p], len(pivots)
             adapted[k] = parts[0].hstack(*parts[1:])
-            self.basis_levels[k] = [p for p, part in zip(range(depth - 1, -1, -1), parts)
-                                    for _ in range(part.cols)]
+            basis_levels[k] = [p for p, part in zip(range(depth - 1, -1, -1), parts)
+                               for _ in range(part.cols)]
         if not_nested:
             p, k = min(not_nested)
             raise FiltrationError(f"levels not nested at level {p}, degree {k}")
         # B_{k+1} is invertible, so the kernel basis of [B_{k+1} | -d_k B_k]
         # is (X_k; I), one column per free column dim C^{k+1} + j
-        self.adapted_differentials = {
+        self._pair(basis_levels, {
             k: kernel_basis(adapted[k + 1].hstack(-(d * adapted[k])))
             .submatrix_rows(range(c.dim(k + 1)))
-            for k, d in sorted(c._differentials.items())}
-        level = self.basis_levels
-        not_closed = [(level[k + 1][i] + 1, k) for k, x in self.adapted_differentials.items()
+            for k, d in sorted(c._differentials.items())})
+
+    def _pair(self, basis_levels: dict[int, list[int]],
+              adapted_differentials: dict[int, RationalMatrix]) -> None:
+        """The core on an adapted basis: check that every level is a
+        subcomplex, make the persistence pairs and what they decide."""
+        c = self.underlying
+        self.basis_levels = level = basis_levels
+        self.adapted_differentials = adapted_differentials
+        not_closed = [(level[k + 1][i] + 1, k) for k, x in adapted_differentials.items()
                       for i, j in x.entries if level[k + 1][i] < level[k][j]]
         if not_closed:
             p, k = min(not_closed)
@@ -389,7 +399,7 @@ class FilteredComplex:
                 f"contained in F^{p} C^{k + 1}")
         self.gaps: dict[int, list[int | None]] = {k: [None] * c.dim(k) for k in c.degrees()}
         self.pairs: list[tuple[int, int, int, int]] = []
-        for k, x in self.adapted_differentials.items():
+        for k, x in adapted_differentials.items():
             for j, i in _persistence_pairs(x, level[k], level[k + 1]):
                 g = level[k + 1][i] - level[k][j]
                 self.gaps[k][j] = self.gaps[k + 1][i] = g
@@ -398,6 +408,32 @@ class FilteredComplex:
         if self.e_infinity_totals != {k: v for k, v in cohomology_dims(c).items() if v}:
             raise ComplexError("internal: E_infinity totals differ from the cohomology")
         self.first_nonzero_differential = min((g for *_, g in self.pairs if g), default=None)
+
+    @property
+    def levels(self) -> list[dict[int, RationalMatrix]]:
+        """The bases of F^1, ..., F^{P-1}; for a coordinate filtration, made
+        on first read from the basis levels."""
+        if self._levels is None:
+            self._levels = [
+                {k: RationalMatrix.identity(len(ls)).submatrix_columns(
+                    [i for i, level in enumerate(ls) if level >= p])
+                 for k, ls in self.basis_levels.items()}
+                for p in range(1, self.depth)]
+        return self._levels
+
+
+def coordinate_filtration(underlying: CochainComplex, basis_levels: dict[int, list[int]],
+                          depth: int) -> FilteredComplex:
+    """The filtered complex of depth P = ``depth`` in which F^p C^k is
+    spanned by the standard basis vectors j with ``basis_levels[k][j]`` >= p.
+    The standard basis is adapted to it, so B_k = I and X_k = d_k: no pivot
+    pass and no solve.  Nested by construction; every level must still be a
+    subcomplex.  ``basis_levels[k]`` has one level in 0..P-1 per basis
+    vector of C^k, for every degree k."""
+    fc = object.__new__(FilteredComplex)
+    fc.underlying, fc.depth, fc._levels = underlying, depth, None
+    fc._pair(basis_levels, underlying._differentials)
+    return fc
 
 
 @dataclass

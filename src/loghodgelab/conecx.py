@@ -163,37 +163,38 @@ class ConeComplex:
 
 
 def _resolve_face_tag(subset: tuple[str, ...], tag: str,
-                      strata: set[Cell], tags_by_subset: dict[tuple[str, ...], list[str]]) -> Cell:
+                      cells_by_subset: dict[tuple[str, ...], dict[str, Cell]]) -> Cell:
     """Face tag rule: keep the same tag when present, otherwise use the unique
-    tag of the facet subset; anything else is ambiguous and rejected."""
-    same = Cell(subset, tag)
-    if same in strata:
-        return same
-    tags = tags_by_subset.get(subset, [])
-    if len(tags) == 1:
-        return Cell(subset, tags[0])
+    tag of the facet subset; anything else is ambiguous and rejected.  The
+    face is the stored cell: the subset is a slice of a checked cell."""
+    cells = cells_by_subset.get(subset, {})
+    face = cells.get(tag)
+    if face is not None:
+        return face
+    if len(cells) == 1:
+        return next(iter(cells.values()))
     raise ConeComplexError(
-        f"ambiguous face: subset {subset} carries tags {tags}, cannot resolve "
+        f"ambiguous face: subset {subset} carries tags {list(cells)}, cannot resolve "
         f"the facet of tag {tag!r}; rename tags so faces match")
 
 
 def build_cone_complex(data: IntersectionData) -> ConeComplex:
     """Cells in bijection with the present strata, ordered lexicographically."""
-    strata = set(data.strata)
-    tags_by_subset: dict[tuple[str, ...], list[str]] = {}
-    for cell in sorted(strata):
-        tags_by_subset.setdefault(cell.components, []).append(cell.tag)
+    strata = sorted(set(data.strata))
+    cells_by_subset: dict[tuple[str, ...], dict[str, Cell]] = {}
+    for cell in strata:
+        cells_by_subset.setdefault(cell.components, {})[cell.tag] = cell
     face_maps: dict[Cell, list[tuple[Cell, int]]] = {}
-    for cell in sorted(strata):
+    for cell in strata:
         if cell.dim == 0:
             continue
         faces = []
         for i in range(len(cell.components)):
             subset = cell.components[:i] + cell.components[i + 1:]
-            face = _resolve_face_tag(subset, cell.tag, strata, tags_by_subset)
+            face = _resolve_face_tag(subset, cell.tag, cells_by_subset)
             faces.append((face, (-1) ** i))
         face_maps[cell] = faces
-    return ConeComplex(sorted(strata), face_maps, data.ray_coordinates)
+    return ConeComplex(strata, face_maps, data.ray_coordinates)
 
 
 def simplicial_cohomology(c: ConeComplex) -> dict[int, int]:

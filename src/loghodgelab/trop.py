@@ -10,10 +10,14 @@ sublevel filtration {cells with w >= t} and its spectral sequence, whose
 first-page degeneration is reported as an experimental outcome, never
 assumed.  The weighted complex is built as that conjugate, D^-1 d D for D
 the diagonal of the cell weights, of the cone cochains, whose d o d = 0
-`ConeComplex` has checked once; it is not checked again.  Each sublevel set
-must be a subcomplex: one pass over the facet/cofacet pairs finds the least
-threshold at which one is not, and each cell's weight is read once to build
-every level.
+`ConeComplex` has checked once; it is not checked again.  Each differential
+is rescaled in one pass over its integer rows.  Each cell's level, the
+number of thresholds at or below its weight, is found once.  Each sublevel
+set must be a subcomplex: one pass over the facet/cofacet pairs, comparing
+their levels, finds the least threshold at which one is not.  The sublevel
+sets are spanned by cells, so the cell basis is adapted to the filtration:
+the levels enter `coordinate_filtration` as they are, no level basis is
+built and no elimination recovers the adapted basis.
 
 Weights here are per cell: every cell of the tropical complex carries its
 own positive rational.  A ray-level WeightFunction is accepted too and is
@@ -32,13 +36,12 @@ from fractions import Fraction
 
 from .complexes import (
     CochainComplex,
-    FilteredComplex,
     SpectralSequencePage,
     cohomology_dims,
+    coordinate_filtration,
     spectral_sequence,
 )
 from .conecx import Cell, ConeComplex
-from .linalg import RationalMatrix
 from .weights import WeightFunction
 
 
@@ -119,21 +122,23 @@ def default_thresholds(t: WeightedTropComplex) -> list[Fraction]:
     return sorted(values)
 
 
-def _check_sublevels_closed(t: WeightedTropComplex, thresholds: list[Fraction]) -> None:
+def _check_sublevels_closed(t: WeightedTropComplex, thresholds: list[Fraction],
+                            level: dict[Cell, int]) -> None:
     """Raise for the least threshold whose sublevel set is not a subcomplex,
-    naming its first facet/cofacet pair in face-map order.  A pair breaks
+    naming its first facet/cofacet pair in face-map order.  ``level`` is the
+    number of thresholds at or below each cell's weight.  A pair breaks
     closure at every threshold in (w(cofacet), w(facet)], so at the least
-    threshold above w(cofacet) if any does; one pass over the pairs finds the
-    least of these."""
+    threshold above w(cofacet), thresholds[level(cofacet)], iff the facet's
+    level is the greater; one pass over the pairs finds the least of these."""
     c = t.base
     first = None  # (threshold index, facet, cofacet)
     for p in range(1, c.max_dim + 1):
         for cell in c.cells(p):
-            i = bisect_right(thresholds, t.cell_weight(cell))
+            i = level[cell]
             if i == len(thresholds) or (first is not None and i >= first[0]):
                 continue
             for face, sign in c.faces(cell):
-                if sign and t.cell_weight(face) >= thresholds[i]:
+                if sign and level[face] > i:
                     first = i, face, cell
                     break
     if first is not None:
@@ -160,13 +165,12 @@ def weight_filtration_ss(t: WeightedTropComplex,
     thresholds = sorted(Fraction(x) for x in thresholds)
     if len(set(thresholds)) != len(thresholds):
         raise TropError("thresholds must be distinct")
-    _check_sublevels_closed(t, thresholds)
+    # a cell lies in the sublevel sets of the thresholds at or below its weight
     c = t.base
-    weights = {p: [t.cell_weight(cell) for cell in c.cells(p)] for p in t.complex.degrees()}
-    fc = FilteredComplex(t.complex, [
-        {p: RationalMatrix.identity(len(ws)).submatrix_columns(
-            [i for i, w in enumerate(ws) if w >= threshold]) for p, ws in weights.items()}
-        for threshold in thresholds])
+    level = {cell: bisect_right(thresholds, t.cell_weight(cell)) for cell in c.all_cells()}
+    _check_sublevels_closed(t, thresholds, level)
+    fc = coordinate_filtration(t.complex, {p: [level[cell] for cell in c.cells(p)]
+                                           for p in t.complex.degrees()}, len(thresholds) + 1)
     # fc has checked its E_infinity totals against the cohomology
     totals = fc.e_infinity_totals
     return TropSpectralReport(

@@ -265,6 +265,20 @@ def keyed_weighted_complex(c: ConeComplex, weights) -> CochainComplex:
                                         for cell, sign in c.cofaces(face)))
 
 
+def identity_submatrix_filtration(t, thresholds) -> FilteredComplex:
+    """The sublevel filtration {w >= threshold} of a weighted tropical complex
+    given to `FilteredComplex` as level bases, each the columns of the
+    identity at the cells it keeps, so the pivot passes and a solve per
+    nonzero d recover the adapted basis: the reference for the per-cell
+    levels that `trop.weight_filtration_ss` gives `coordinate_filtration`."""
+    weights = {p: [t.cell_weight(cell) for cell in t.base.cells(p)]
+               for p in t.complex.degrees()}
+    return FilteredComplex(t.complex, [
+        {p: RationalMatrix.identity(len(ws)).submatrix_columns(
+            [i for i, w in enumerate(ws) if w >= threshold]) for p, ws in weights.items()}
+        for threshold in sorted(thresholds)])
+
+
 def per_threshold_closure(t, thresholds) -> None:
     """The sublevel closure check of `trop.weight_filtration_ss` as one walk
     over the facet/cofacet pairs per threshold, ascending, raising at the

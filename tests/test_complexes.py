@@ -15,6 +15,7 @@ from loghodgelab.complexes import (
     FilteredComplex,
     FiltrationError,
     cohomology_dims,
+    coordinate_filtration,
     long_exact_sequence,
     mapping_cone,
     spectral_sequence,
@@ -246,6 +247,46 @@ def test_filtration_checks_agree_with_one_elimination_per_check():
                [page.to_json_dict() for page in ss_oracle.spectral_sequence(fc)]
         seen["accepted"] = seen.get("accepted", 0) + 1
     assert len(seen) == 4 and min(seen.values()) >= 30  # every message, and acceptance
+
+
+def test_coordinate_filtration_agrees_with_the_pivot_route():
+    """Per-vector levels on the standard basis against the same filtration
+    given as identity columns, on seeded complexes and levels, half of them
+    raised along d until every level is a subcomplex: the same
+    `FiltrationError` message or none, and when none, the same pages,
+    E_infinity totals, first nonzero differential and level bases, with
+    X_k = d_k."""
+    rng = random.Random(209)
+    seen = {}
+    for n in range(600):
+        c = random_complex(rng, 8)
+        depth = rng.randint(1, 4)
+        levels = {k: [rng.randrange(depth) for _ in range(c.dim(k))] for k in c.degrees()}
+        if n % 2:
+            for k, d in sorted(c._differentials.items()):
+                for i, j in d.entries:
+                    levels[k + 1][i] = max(levels[k + 1][i], levels[k][j])
+        given = [{k: RationalMatrix.identity(c.dim(k)).submatrix_columns(
+                      [j for j, level in enumerate(ls) if level >= p])
+                  for k, ls in levels.items()} for p in range(1, depth)]
+        try:
+            expected = FilteredComplex(c, given)
+        except FiltrationError as exc:
+            with pytest.raises(FiltrationError) as raised:
+                coordinate_filtration(c, levels, depth)
+            assert str(raised.value) == str(exc)
+            seen["refused"] = seen.get("refused", 0) + 1
+            continue
+        fc = coordinate_filtration(c, levels, depth)
+        assert [page.to_json_dict() for page in spectral_sequence(fc)] == \
+               [page.to_json_dict() for page in spectral_sequence(expected)]
+        assert fc.e_infinity_totals == expected.e_infinity_totals
+        assert fc.first_nonzero_differential == expected.first_nonzero_differential
+        assert (fc.basis_levels, fc.adapted_differentials) == (levels, c._differentials)
+        assert fc.levels == expected.levels == given
+        first = fc.first_nonzero_differential
+        seen[first] = seen.get(first, 0) + 1
+    assert all(seen.get(key, 0) >= 10 for key in ("refused", None, 1, 2)), seen
 
 
 def test_trivial_filtration_gives_cohomology_at_e1():

@@ -1,10 +1,13 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from loghodgelab import complexes, trop
+from loghodgelab import complexes, jsonio, linalg, trop
+from loghodgelab.complexes import FiltrationError, spectral_sequence
 from loghodgelab.conecx import Cell, IntersectionData, build_cone_complex, simplicial_cohomology
 from loghodgelab.linalg import RationalMatrix
 from loghodgelab.trop import (
@@ -17,7 +20,10 @@ from loghodgelab.trop import (
 )
 from loghodgelab.weights import WeightFunction
 
-from helpers import keyed_weighted_complex, per_threshold_closure, total_dims
+from helpers import (identity_submatrix_filtration, keyed_weighted_complex,
+                     per_threshold_closure, total_dims)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def circle():
@@ -247,6 +253,120 @@ def test_one_pass_closure_raises_what_the_per_threshold_walk_raises():
         broken[sum(closure_fault(per_threshold_closure, t, [x]) is not None
                    for x in thresholds)] += 1
     assert all(broken[n] >= 10 for n in range(6)), broken
+
+
+def random_admissible_weights(rng, c):
+    """Ray weights, or cell weights that do not decrease from a cell to its
+    cofacets (ties included), so that every sublevel set is a subcomplex."""
+    if rng.random() < 0.5:
+        return WeightFunction({cell.components[0]: Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                               for cell in c.cells(0)})
+    values = {}
+    for cell in c.all_cells():
+        floor = max((values[face] for face, _ in c.faces(cell)), default=Fraction(0))
+        values[cell] = floor + Fraction(rng.randint(0 if cell.dim else 1, 3), rng.randint(1, 2))
+    return CellWeights(values)
+
+
+def adapted_order(levels):
+    """The columns of the identity that the pivot passes put into B_k: the
+    deepest level first, by index within a level."""
+    return sorted(range(len(levels)), key=lambda j: (-levels[j], j))
+
+
+def test_cell_levels_match_the_identity_submatrix_route(monkeypatch):
+    # 0-4 thresholds among the weights, between them and outside their range
+    made = []
+
+    def kept(*args):
+        made.append(coordinate_filtration(*args))
+        return made[-1]
+
+    coordinate_filtration = trop.coordinate_filtration
+    monkeypatch.setattr(trop, "coordinate_filtration", kept)
+    rng = random.Random(608)
+    seen = Counter()
+    for _ in range(240):
+        c = random_tagged_complex(rng)
+        t = weighted_complex(c, random_admissible_weights(rng, c))
+        values = sorted({t.cell_weight(cell) for cell in c.all_cells()})
+        candidates = values + [values[0] / 2, values[-1] + 1] + [
+            (a + b) / 2 for a, b in zip(values, values[1:])]
+        thresholds = rng.sample(candidates, min(len(candidates), rng.randint(0, 4)))
+        report = weight_filtration_ss(t, thresholds)
+        fc, expected = made[-1], identity_submatrix_filtration(t, thresholds)
+        assert [page.to_json_dict() for page in report.pages] == \
+               [page.to_json_dict() for page in spectral_sequence(expected)]
+        assert report.e_infinity_totals == expected.e_infinity_totals
+        assert report.first_nonzero_differential == expected.first_nonzero_differential
+        assert fc.levels == expected.levels
+        # X_k is the weighted d_k; the pivot route's B_k permutes the cells
+        order = {k: adapted_order(levels) for k, levels in fc.basis_levels.items()}
+        assert {k: [levels[j] for j in order[k]] for k, levels in fc.basis_levels.items()} == \
+               expected.basis_levels
+        assert fc.adapted_differentials.keys() == expected.adapted_differentials.keys()
+        for k, x in fc.adapted_differentials.items():
+            assert x == t.complex.differential(k)
+            assert x.submatrix_rows(order[k + 1]).submatrix_columns(order[k]) == \
+                   expected.adapted_differentials[k]
+        seen[len(thresholds), report.first_nonzero_differential] += 1
+    assert {n for n, _ in seen} == {0, 1, 2, 3, 4}
+    assert {first for _, first in seen} >= {None, 1, 2}, seen
+
+
+def test_the_subcomplex_check_runs_on_the_cell_levels(monkeypatch):
+    # with the closure check of trop switched off, the filtered complex
+    # refuses a sublevel set that is not a subcomplex, as the pivot route does
+    monkeypatch.setattr(trop, "_check_sublevels_closed", lambda t, thresholds, level: None)
+    rng = random.Random(609)
+    outcomes = Counter()
+    for n in range(200):
+        c = random_tagged_complex(rng)
+        weights = random_cell_weights(rng, c) if n % 4 else random_admissible_weights(rng, c)
+        t = weighted_complex(c, weights)
+        values = sorted({t.cell_weight(cell) for cell in c.all_cells()})
+        thresholds = sorted(rng.sample(values, min(len(values), rng.randint(1, 3))))
+        try:
+            identity_submatrix_filtration(t, thresholds)
+        except FiltrationError as exc:
+            with pytest.raises(FiltrationError) as raised:
+                weight_filtration_ss(t, thresholds)
+            assert str(raised.value) == str(exc)
+            outcomes[str(exc).split(" is ")[0]] += 1
+            continue
+        weight_filtration_ss(t, thresholds)
+        outcomes["accepted"] += 1
+    assert all(outcomes[key] >= 10 for key in ("level 1", "level 2", "accepted")), outcomes
+
+
+def test_cell_levels_make_one_pairing_and_one_rank_per_nonzero_differential(monkeypatch):
+    """On ex42 with its cell weights: no pivot pass and no solve, so the only
+    eliminations are one `column_lows` and one `rank` (of the E_infinity
+    check) per nonzero differential."""
+    complex_ = build_cone_complex(jsonio.load_intersection_data(
+        json.loads((FIXTURES / "ex42.json").read_text())))
+    _, cell_w = jsonio.load_weights(json.loads((FIXTURES / "ex42_cell_weights.json").read_text()))
+    t = weighted_complex(complex_, CellWeights(
+        {complex_.find_cell(key): v for key, v in cell_w.items()}))
+    calls = {"_echelon": [], "column_lows": [], "rank": []}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def count(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    counted(linalg, "_echelon")
+    counted(complexes, "column_lows")
+    counted(complexes, "rank")
+    report = weight_filtration_ss(t)
+    nonzero = len(t.complex._differentials)
+    assert (nonzero, report.first_nonzero_differential) == (1, 1)
+    assert {name: len(args) for name, args in calls.items()} == \
+           {"_echelon": 2 * nonzero, "column_lows": nonzero, "rank": nonzero}
 
 
 def test_e_infinity_totals_match_cohomology_for_admissible_thresholds():
