@@ -124,6 +124,16 @@ def _load_cone_complex(doc):
     return complex_
 
 
+def _known_rays(ray_w, complex_):
+    """``ray_w``, refused if it names a ray that ``complex_`` lacks."""
+    from .conecx import ConeComplexError
+    rays = {cell.components[0] for cell in complex_.cells(0)}
+    for ray in ray_w.ray_values:
+        if ray not in rays:
+            raise ConeComplexError(f"unknown ray {ray!r}")
+    return ray_w
+
+
 def _divisor_cohomology(fan, divisor) -> tuple[dict[int, int], dict[int, int]]:
     """The floor of the QDivisor ``divisor`` and its h^q, the character sweep
     capped first."""
@@ -182,6 +192,7 @@ def cmd_validate_weights(docs, args):
     if ray_w is None:
         raise SchemaError("/weights", "validate-weights expects ray weights "
                                       "(field 'rays')")
+    _known_rays(ray_w, complex_)
     positivity = validate_positivity(ray_w, complex_)
     result = {"positivity": positivity.to_json_dict()}
     lines = ["weight validation",
@@ -214,12 +225,21 @@ def cmd_validate_weights(docs, args):
 
 
 def _trop_complex(docs):
+    """The request's weighted complex; two keys naming one cell are refused."""
+    from .conecx import ConeComplexError
     from .trop import CellWeights, weighted_complex
     complex_ = _load_cone_complex(docs["complex"])
     ray_w, cell_w = jsonio.load_weights(docs["weights"])
-    weights = ray_w if ray_w is not None else CellWeights(
-        {complex_.find_cell(key): v for key, v in cell_w.items()})
-    return weighted_complex(complex_, weights)
+    if ray_w is not None:
+        return weighted_complex(complex_, _known_rays(ray_w, complex_))
+    keys = {}
+    for key in cell_w:
+        cell = complex_.find_cell(key)
+        first = keys.setdefault(cell, key)
+        if first != key:
+            raise ConeComplexError(f"cell keys {first!r} and {key!r} name one cell {cell.key()}")
+    values = {cell: cell_w[key] for cell, key in keys.items()}
+    return weighted_complex(complex_, CellWeights(values))
 
 
 def cmd_trop_cohomology(docs, args):

@@ -33,18 +33,15 @@ a pair of gap r starts.  The pairs are made once, with the filtered complex,
 and so are the E_infinity totals and the first nonzero differential that
 they decide; ``spectral_sequence`` only renders pages from them.
 
-Every complex on a keyed basis (the cone complex and the local models) comes
-from one builder, ``_total_complex``: keys by degree and a rule listing the
-signed arrows out of a key.  The weighted tropical twist is the cone
-complex's ``conjugate`` by the diagonal of its cell weights, one
-`RationalMatrix.rescaled` per differential.
+Every complex on a keyed basis (the cone complex, the weighted tropical
+complex and the local models) comes from one builder, ``_total_complex``:
+keys by degree and a rule listing the signed arrows out of a key.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import (
     RationalMatrix,
@@ -124,18 +121,6 @@ class CochainComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in self.dims.items())
-
-    def conjugate(self, scales: dict[int, list[Fraction]]) -> "CochainComplex":
-        """The complex with differentials D_{k+1}^-1 d_k D_k, for D_k the
-        diagonal of the nonzero ``scales[k]``, one per basis vector of C^k.
-        D is an isomorphism of complexes onto this one, so d o d = 0 carries
-        over and is not checked again.  Each d_k is rescaled in one pass."""
-        out = object.__new__(CochainComplex)
-        out.min_degree, out.max_degree, out.dims = self.min_degree, self.max_degree, self.dims
-        out._differentials = {k: d.rescaled(scales[k + 1], scales[k])
-                              for k, d in self._differentials.items()}
-        out._ranks = None
-        return out
 
 
 def _total_complex(basis_by_degree: dict[int, list[Hashable]],

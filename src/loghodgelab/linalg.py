@@ -12,10 +12,9 @@ trusted constructor that checks nothing.  `RationalMatrix.from_ratios` takes
 rows of integer pairs (p, q), q > 0, as the JSON loaders parse them, straight
 into that form: one lcm and one gcd per row, and no Fraction.  ``entries`` is
 a read-only view that makes a Fraction only when an entry is read.  Products
-run in ints, with one gcd per product row whose denominator is not 1, and so
-does `RationalMatrix.rescaled`, a product with a diagonal on each side, in
-one pass over the rows.  Rows over reduced fractions, or rows in lowest terms
-joined over the lcm of their denominators, are in lowest terms already.
+run in ints, with one gcd per product row whose denominator is not 1.  Rows
+over reduced fractions, or rows in lowest terms joined over the lcm of their
+denominators, are in lowest terms already.
 
 The one elimination is `_echelon`, on copies of the integer rows (a row times
 its denominator keeps rank, kernel and the column dependencies): each row in
@@ -222,27 +221,6 @@ class RationalMatrix:
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
-
-    def rescaled(self, row_divisors: Sequence, column_factors: Sequence) -> "RationalMatrix":
-        """diag(row_divisors)^-1 · self · diag(column_factors), for nonzero
-        ints or Fractions, one per row and one per column, in one pass over
-        the integer rows: each row times the factors' numerators over the lcm
-        of their denominators, divided by its divisor, then one gcd."""
-        factors = [v.as_integer_ratio() for v in column_factors]
-        num, den = {}, {}
-        for i, row in self._num.items():
-            b, a = row_divisors[i].as_integer_ratio()  # dividing by b/a: times a, over b
-            if b < 0:
-                a, b = -a, -b
-            t = lcm(*[factors[j][1] for j in row])
-            scaled = {}
-            for j, v in row.items():
-                p, q = factors[j]
-                scaled[j] = a * v * p * (t // q)
-            num[i], d = _lowest_terms(scaled, self._den.get(i, 1) * b * t)
-            if d != 1:
-                den[i] = d
-        return RationalMatrix._trusted(self.rows, self.cols, num, den)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:

@@ -1,30 +1,28 @@
 """Weighted tropical cochain complexes on a cone complex.
 
-The weighted coboundary is the diagonal conjugation of the simplicial one,
+The weighted coboundary
 
-    (d_w f)(cell) = sum over facets of sign * (w(facet) / w(cell)) * f(facet),
+    (d_w f)(cell) = sum over facets of sign * (w(facet) / w(cell)) * f(facet)
 
-so it squares to zero automatically and has the same cohomology dimensions
-for every positive weight: the genuinely weighted information lives in the
-sublevel filtration {cells with w >= t} and its spectral sequence, whose
-first-page degeneration is reported as an experimental outcome, never
-assumed.  The weighted complex is built as that conjugate, D^-1 d D for D
-the diagonal of the cell weights, of the cone cochains, whose d o d = 0
-`ConeComplex` has checked once; it is not checked again.  Each differential
-is rescaled in one pass over its integer rows.  Each cell's level, the
-number of thresholds at or below its weight, is found once.  Each sublevel
-set must be a subcomplex: one pass over the facet/cofacet pairs, comparing
-their levels, finds the least threshold at which one is not.  The sublevel
-sets are spanned by cells, so the cell basis is adapted to the filtration:
-the levels enter `coordinate_filtration` as they are, no level basis is
-built and no elimination recovers the adapted basis.
+is D^-1 d D, for d the cone cochains and D the diagonal of the positive
+cell weights.  D is an isomorphism of complexes that maps every sublevel
+space {cells with w >= t} onto itself, and a column reduction is unchanged
+by nonzero row and column scalings (Zomorodian-Carlsson 2005), so the
+persistence pairs, gaps, pages, 0/1 differentials d_r and E_infinity are
+the same on d and on D^-1 d D.  The reports therefore run on the cone
+cochains, built and checked once by `ConeComplex`; the weights enter only
+through each cell's level (the number of thresholds at or below its
+weight), the closure check and the default thresholds.  D^-1 d D itself is
+built only when ``WeightedTropComplex.complex`` is read.  One pass over the
+facet/cofacet pairs, comparing their levels, finds the least threshold whose
+sublevel set is not a subcomplex.  The cell basis is adapted to the
+filtration, so the levels enter `coordinate_filtration` as they are.
+First-page degeneration is reported as an observation, never assumed.
 
-Weights here are per cell: every cell of the tropical complex carries its
-own positive rational.  A ray-level WeightFunction is accepted too and is
-expanded with the usual sum convention (cell value = sum of its ray values);
-note that such weights strictly increase with cell dimension, so every
-sublevel set is automatically a subcomplex.  The constant per-cell weight 1
-reproduces the unweighted simplicial coboundary matrix for matrix.
+Weights are per cell: each cell carries its own positive rational.  Ray
+weights are summed over each cell's components; they strictly increase with
+cell dimension, so every sublevel set is a subcomplex.  The constant weight
+1 reproduces the simplicial coboundary matrix for matrix.
 """
 
 from __future__ import annotations
@@ -33,10 +31,12 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import (
     CochainComplex,
     SpectralSequencePage,
+    _total_complex,
     cohomology_dims,
     coordinate_filtration,
     spectral_sequence,
@@ -51,12 +51,14 @@ class TropError(ValueError):
 
 @dataclass
 class CellWeights:
-    """A positive rational for every cell of a complex."""
+    """A positive rational for every cell of a complex; ints become
+    Fractions, Fractions are kept as given."""
 
     values: dict[Cell, Fraction]
 
     def __post_init__(self):
-        self.values = {cell: Fraction(v) for cell, v in self.values.items()}
+        self.values = {cell: v if type(v) is Fraction else Fraction(v)
+                       for cell, v in self.values.items()}
 
     @classmethod
     def constant(cls, c: ConeComplex) -> "CellWeights":
@@ -72,29 +74,35 @@ class CellWeights:
 class WeightedTropComplex:
     base: ConeComplex
     weights: CellWeights
-    complex: CochainComplex
 
     def cell_weight(self, cell: Cell) -> Fraction:
         return self.weights.value(cell)
 
+    @cached_property
+    def complex(self) -> CochainComplex:
+        """The weighted coboundary, one arrow sign * w(facet) / w(cell) per
+        face map entry, built on first read; no report reads it."""
+        c, w = self.base, self.weights.values
+        return _total_complex({p: c.cells(p) for p in range(c.max_dim + 1)},
+                              lambda face: ((cell, sign * w[face] / w[cell])
+                                            for cell, sign in c.cofaces(face)))
+
 
 def weighted_complex(c: ConeComplex, w: WeightFunction | CellWeights) -> WeightedTropComplex:
-    """Twist the simplicial coboundary by the facet/cell weight ratio: the
-    conjugate of the cone cochains by the diagonal of the cell weights."""
+    """The cone complex with a positive weight on every cell: ray weights
+    are summed over each cell's components."""
     weights = (CellWeights({cell: w.cell_value(cell) for cell in c.all_cells()})
                if isinstance(w, WeightFunction) else w)
-    scales = {p: [] for p in c.cochain_complex().degrees()}
-    for p, values in scales.items():
-        for cell in c.cells(p):
-            value = weights.value(cell)
-            if value <= 0:
-                raise TropError(f"weight at cell {cell.key()} must be positive, got {value}")
-            values.append(value)
-    return WeightedTropComplex(c, weights, c.cochain_complex().conjugate(scales))
+    for cell in c.all_cells():
+        value = weights.value(cell)
+        if value <= 0:
+            raise TropError(f"weight at cell {cell.key()} must be positive, got {value}")
+    return WeightedTropComplex(c, weights)
 
 
 def tropical_cohomology(t: WeightedTropComplex) -> dict[int, int]:
-    return cohomology_dims(t.complex)
+    """The cohomology of the cone cochains, which the weights do not change."""
+    return cohomology_dims(t.base.cochain_complex())
 
 
 @dataclass
@@ -154,11 +162,12 @@ def _check_sublevels_closed(t: WeightedTropComplex, thresholds: list[Fraction],
 
 def weight_filtration_ss(t: WeightedTropComplex,
                          thresholds: Sequence[Fraction] | None = None) -> TropSpectralReport:
-    """Filtration by sublevel sets {w >= threshold}, one level per threshold.
+    """Filtration by sublevel sets {w >= threshold}, one level per threshold,
+    on the cone cochains (module docstring).
 
-    Each sublevel set must span a subcomplex under the weighted coboundary;
-    a violation names the offending facet/cofacet pair.  Degeneration at the
-    first page is recorded as an observation.
+    Each sublevel set must span a subcomplex; a violation names the
+    offending facet/cofacet pair.  Degeneration at the first page is
+    recorded as an observation.
     """
     if thresholds is None:
         thresholds = default_thresholds(t)
@@ -166,11 +175,11 @@ def weight_filtration_ss(t: WeightedTropComplex,
     if len(set(thresholds)) != len(thresholds):
         raise TropError("thresholds must be distinct")
     # a cell lies in the sublevel sets of the thresholds at or below its weight
-    c = t.base
+    c, d = t.base, t.base.cochain_complex()
     level = {cell: bisect_right(thresholds, t.cell_weight(cell)) for cell in c.all_cells()}
     _check_sublevels_closed(t, thresholds, level)
-    fc = coordinate_filtration(t.complex, {p: [level[cell] for cell in c.cells(p)]
-                                           for p in t.complex.degrees()}, len(thresholds) + 1)
+    fc = coordinate_filtration(d, {p: [level[cell] for cell in c.cells(p)] for p in d.degrees()},
+                               len(thresholds) + 1)
     # fc has checked its E_infinity totals against the cohomology
     totals = fc.e_infinity_totals
     return TropSpectralReport(
@@ -179,5 +188,5 @@ def weight_filtration_ss(t: WeightedTropComplex,
         degenerates_at_e1=fc.first_nonzero_differential is None,
         first_nonzero_differential=fc.first_nonzero_differential,
         e_infinity_totals=totals,
-        cohomology={k: totals.get(k, 0) for k in t.complex.degrees()},
+        cohomology={k: totals.get(k, 0) for k in d.degrees()},
     )

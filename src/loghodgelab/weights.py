@@ -49,7 +49,8 @@ class WeightFunction:
         return self.ray_values[ray]
 
     def cell_value(self, cell: Cell) -> Fraction:
-        return sum((self.ray_value(c) for c in cell.components), Fraction(0))
+        first, *rest = (self.ray_value(c) for c in cell.components)
+        return sum(rest, first)
 
 
 @dataclass

@@ -258,19 +258,21 @@ def dump_intersection_data(data: IntersectionData) -> dict:
 def keyed_weighted_complex(c: ConeComplex, weights) -> CochainComplex:
     """The weighted coboundary by the keyed builder, one arrow per face map
     entry with coefficient sign * w(facet) / w(cell), with its own d o d
-    check: the reference for `trop.weighted_complex`, which conjugates the
-    checked cone cochains instead."""
+    check, written out here from the face maps and ``weights.value``: the
+    reference for `WeightedTropComplex.complex`, which no report reads,
+    with ray weights summed over each cell by the test."""
     return _total_complex({p: c.cells(p) for p in range(c.max_dim + 1)},
                           lambda face: ((cell, sign * weights.value(face) / weights.value(cell))
                                         for cell, sign in c.cofaces(face)))
 
 
 def identity_submatrix_filtration(t, thresholds) -> FilteredComplex:
-    """The sublevel filtration {w >= threshold} of a weighted tropical complex
-    given to `FilteredComplex` as level bases, each the columns of the
-    identity at the cells it keeps, so the pivot passes and a solve per
-    nonzero d recover the adapted basis: the reference for the per-cell
-    levels that `trop.weight_filtration_ss` gives `coordinate_filtration`."""
+    """The sublevel filtration {w >= threshold} of a weighted tropical complex,
+    on its weighted coboundary ``t.complex``, given to `FilteredComplex` as
+    level bases, each the columns of the identity at the cells it keeps, so
+    the pivot passes and a solve per nonzero d recover the adapted basis:
+    the reference for the per-cell levels that `trop.weight_filtration_ss`
+    gives `coordinate_filtration` on the plain cone cochains."""
     weights = {p: [t.cell_weight(cell) for cell in t.base.cells(p)]
                for p in t.complex.degrees()}
     return FilteredComplex(t.complex, [

@@ -197,6 +197,43 @@ def test_trop_ray_weights_are_summed_over_cell_components(command, tmp_path):
     assert results[0]["cohomology"] == {"0": 1, "1": 0}
 
 
+EX42_CELL_WEIGHTS = {"H1#0": "1", "H2#0": "1", "H3#0": "1",
+                     "H1,H2#0": "2", "H1,H3#0": "2", "H2,H3#0": "2"}
+
+
+@pytest.mark.parametrize("command", ["trop-cohomology", "trop-ss"])
+def test_trop_refuses_two_keys_for_one_cell(command, tmp_path, capsys):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"cells": {**EX42_CELL_WEIGHTS, "H2,H1": "1/2"}}))
+    out = tmp_path / "report.json"
+    code, _, err = run([command, "--complex", str(FIXTURES / "ex42.json"),
+                        "--weights", str(weights), "--out", str(out)], capsys)
+    assert (code, err) == (1, "validation failure: cell keys 'H1,H2#0' and 'H2,H1' name "
+                              "one cell H1,H2#0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate-weights", "trop-cohomology", "trop-ss"])
+def test_weights_on_an_unknown_ray_are_refused(command, tmp_path, capsys):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"rays": {"a": 1, "b": 1, "c": 1, "z": "-5"}}))
+    out = tmp_path / "report.json"
+    code, _, err = run([command, "--complex", str(FIXTURES / "wedge_fan.json"),
+                        "--weights", str(weights), "--out", str(out)], capsys)
+    assert (code, err) == (1, "validation failure: unknown ray 'z'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trop-cohomology", "trop-ss"])
+def test_trop_refuses_a_zero_cell_weight(command, tmp_path, capsys):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"cells": {**EX42_CELL_WEIGHTS, "H2#0": "0"}}))
+    code, out, err = run([command, "--complex", str(FIXTURES / "ex42.json"),
+                          "--weights", str(weights)], capsys)
+    assert (code, out, err) == (1, "", "validation failure: weight at cell H2#0 must be "
+                                       "positive, got 0\n")
+
+
 @pytest.mark.parametrize("thresholds", [",", ""])
 def test_trop_ss_thresholds_without_entries_is_malformed_input(thresholds, capsys):
     code, out, err = run(["trop-ss", "--complex", str(FIXTURES / "ex42.json"),

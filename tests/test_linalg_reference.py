@@ -239,31 +239,6 @@ def test_contains_and_equal_match_two_rank_tests():
         assert spaces_equal(a, b) == reference_spaces_equal(a, b)
 
 
-def test_rescaled_is_the_product_with_diagonals():
-    """diag(l)^-1 M diag(r) in one pass equals the Fraction products with
-    the diagonals, in stored form, on seeded matrices with row denominators
-    and scales that are negative, fractional or both."""
-    rng = random.Random(617)
-    fractional = 0
-    for _ in range(400):
-        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
-        m = random_sparse(rng, rows, cols, rng.random() < 0.3)
-        left, right = ([Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6))
-                        for _ in range(n)] for n in (rows, cols))
-
-        def diagonal(values):
-            return RationalMatrix(len(values), len(values),
-                                  {(i, i): v for i, v in enumerate(values)})
-
-        expected = reference_product(reference_product(diagonal([1 / v for v in left]), m),
-                                     diagonal(right))
-        assert m.rescaled(left, right) == expected
-        assert m.rescaled([int(v) or 1 for v in left], [1] * cols) == \
-               reference_product(diagonal([1 / Fraction(int(v) or 1) for v in left]), m)
-        fractional += bool(m._den)
-    assert fractional > 150
-
-
 def random_sparse(rng, rows, cols, integral):
     density = rng.choice((0.2, 0.5, 0.9))
     entries = {}
