@@ -31,6 +31,7 @@ FIXTURE_SCHEMA = {
     "p2_canonical_divisor.json": "divisor.schema.json",
     "p2_double_cover_fan.json": "fan.schema.json",
     "p2_fan.json": "fan.schema.json",
+    "twisted_depth3_complex.json": "generic-complex.schema.json",
     "w111.json": "weights.schema.json",
     "w131.json": "weights.schema.json",
     "wedge_fan.json": "intersection-data.schema.json",
