@@ -9,29 +9,29 @@ source and B the coboundaries of its target (Weibel 1994, 1.5).
 Filtrations are given in one of two ways; F^0 = C by definition.  Pages
 come from one persistence reduction (Edelsbrunner-Letscher-Zomorodian 2002;
 Basu-Parida 2017) in a basis B_k of each C^k adapted to the filtration,
-where each vector has a level, the largest p with the vector in F^p.  A
-filtration given by explicit subspace bases per degree (``FilteredComplex``,
-for filtrations that are not coordinate-aligned) has B_k built and checked
-by one ``pivot_columns`` of [F^{p+1} | F^p] for each p from P - 2 down to 0
-(F^0 = C^k): its first-block pivots are the stored basis of F^{p+1}, which
-opens B_k at level P - 1 when p = P - 2; F^{p+1} ⊆ F^p iff all its pivots
-number rank F^p, the first-block pivots of the next pass; and the
-second-block pivots enter B_k at level p.  With no levels (P = 1) B_k is the
-identity and no pass is made.  A filtration spanned by standard basis
-vectors, such as the tropical sublevel filtrations, whose levels are spanned
-by cells, is given by the level of each vector (``coordinate_filtration``):
-it is nested by construction, B_k is the identity and no pass is made.
-Both then run one core.  Every F^p is a subcomplex iff X_k =
-B_{k+1}^-1 d_k B_k, which is d_k itself on the standard basis, has no entry
-below the level diagonal.  A column reduction of X_k, read off its integer
-rows in filtration order by one `column_lows`, pairs elements of C^k with
-elements of C^{k+1}; the gap of a pair is the level of its target minus the
-level of its source.  Over a field a filtered complex splits into one- and
-two-element interval pieces, so the gaps do not depend on the basis.  E_r^{p,q} counts the elements at (p, q)
-that are unpaired or in a pair of gap >= r, and d_r is nonzero exactly where
-a pair of gap r starts.  The pairs are made once, with the filtered complex,
-and so are the E_infinity totals and the first nonzero differential that
-they decide; ``spectral_sequence`` only renders pages from them.
+where each vector has a level, the largest p with the vector in F^p.  Given
+by explicit subspace bases per degree (``FilteredComplex``), each basis is
+read once as integer columns (a column scaling moves no pivot and no pair),
+and for each p from P - 2 down to 0 one pass inserts the columns of F^{p+1},
+then of F^p (F^0 = C^k: the standard basis), into an integer echelon.  The
+independent columns of the first block are the basis of F^{p+1} that
+``levels`` slices, and open B_k at level P - 1 when p = P - 2; F^{p+1} ⊆ F^p
+iff they number rank(F^{p+2} + F^{p+1}), from the pass before; those of the
+second block enter B_k at level p.  X_k = B_{k+1}^-1 d_k B_k, on these scaled
+columns, comes from one elimination of the integer rows of
+[B_{k+1} | d_k B_k].  With no levels, and for a filtration given by the level
+of each standard basis vector (``coordinate_filtration``, such as a tropical
+sublevel filtration), B_k = I and X_k = d_k: no pass and no solve.  Both
+then run one core.  Every F^p is a subcomplex iff X_k has no entry below the
+level diagonal.  A column reduction of X_k, read off its integer rows in
+filtration order by one `column_lows`, pairs elements of C^k with elements
+of C^{k+1}; the gap of a pair is the level of its target minus the level of
+its source.  Over a field a filtered complex splits into one- and
+two-element interval pieces, so the gaps do not depend on the basis.
+E_r^{p,q} counts the elements at (p, q) that are unpaired or in a pair of
+gap >= r, and d_r is nonzero exactly where a pair of gap r starts.  The
+pairs, the E_infinity totals and the first nonzero differential are made
+once, with the filtered complex; ``spectral_sequence`` only renders pages.
 
 Every complex on a keyed basis (the cone complex, the weighted tropical
 complex and the local models) comes from one builder, ``_total_complex``:
@@ -46,8 +46,10 @@ from dataclasses import dataclass
 from .linalg import (
     RationalMatrix,
     column_lows,
+    independent_columns,
+    integer_columns,
     kernel_basis,
-    pivot_columns,
+    matrix_in_bases,
     rank,
 )
 
@@ -313,18 +315,16 @@ class FilteredComplex:
     ``levels[p - 1][k]`` is a matrix whose columns span F^p C^k, for
     1 <= p < P; F^0 = C by definition, and ``depth`` = P counts it.  Every
     level must be a subcomplex and the levels must be nested, as checked
-    while building the adapted bases B_k (module docstring).  ``levels``
-    keeps the basis of each given F^p that the check picked,
-    ``basis_levels[k]`` is the level of each column of B_k,
-    ``adapted_differentials[k]`` is X_k for each nonzero d_k, ``pairs`` lists
+    while building the adapted bases B_k (module docstring).  ``levels`` reads
+    back the basis of each F^p that the passes picked, ``basis_levels[k]`` is
+    the level of each column of B_k, ``adapted_differentials[k]`` is X_k for
+    each nonzero d_k, in the basis of the scaled columns, ``pairs`` lists
     (k, j, i, gap) for each persistence pair of j in C^k with i in C^{k+1},
     and ``gaps[k][j]`` is the gap of the pair of j, None if unpaired.  The
     unpaired elements give ``e_infinity_totals``, checked against
     ``cohomology_dims``; ``first_nonzero_differential`` is the least positive
-    gap, None when the sequence degenerates at E_1.  A filtration spanned by
-    standard basis vectors is given by their levels instead, through
-    ``coordinate_filtration``: the same attributes, with B_k = I, X_k = d_k
-    and ``levels`` made on first read.
+    gap, None when the sequence degenerates at E_1.  ``coordinate_filtration``
+    makes the same attributes from the level of each standard basis vector.
     """
 
     def __init__(self, underlying: CochainComplex, levels: list[dict[int, RationalMatrix]]):
@@ -336,37 +336,31 @@ class FilteredComplex:
                         f"level {p} basis at degree {k} has ambient dimension "
                         f"{given[k].rows}, expected {c.dim(k)}")
         self.depth = depth = len(levels) + 1
-        self._levels: list[dict[int, RationalMatrix]] | None = [{} for _ in levels]
-        basis_levels: dict[int, list[int]] = {}
-        adapted, not_nested = {}, []
+        self._given, self._picked, self._levels = levels, [{} for _ in levels], None
+        if not levels:  # B_k = I and X_k = d_k
+            return self._pair({k: [0] * c.dim(k) for k in c.degrees()}, c._differentials)
+        basis, basis_levels, not_nested = {}, {}, []
         for k in c.degrees():
-            empty = RationalMatrix.zeros(c.dim(k), 0)
-            given = [RationalMatrix.identity(c.dim(k))] + [f.get(k, empty) for f in levels]
-            # F^{p+1}, rank(F^{p+2} + F^{p+1}) and B_k, whose first part is F^{P-1}
-            deeper, span, parts = given[-1], None, [given[-1]]
+            given = [[{i: 1} for i in range(c.dim(k))]] + [
+                integer_columns(f[k]) if k in f else [] for f in levels]
+            # F^{p+1}, rank(F^{p+2} + F^{p+1}), and B_k with the level of each column
+            deeper, span, basis[k], basis_levels[k] = given[-1], None, [], []
             for p in range(depth - 2, -1, -1):
-                pivots = pivot_columns(deeper.hstack(given[p]))
-                inner = [j for j in pivots if j < deeper.cols]
-                new = [j - deeper.cols for j in pivots[len(inner):]]
-                self._levels[p][k] = deeper.submatrix_columns(inner)
+                picks = independent_columns(deeper + given[p])
+                self._picked[p][k] = inner = [j for j in picks if j < len(deeper)]
                 if span is None:
-                    parts[0] = self._levels[p][k]
+                    basis[k] += [deeper[j] for j in inner]
+                    basis_levels[k] += [depth - 1] * len(inner)
                 elif span != len(inner):
                     not_nested.append((p + 2, k))
-                parts.append(given[p].submatrix_columns(new))
-                deeper, span = given[p], len(pivots)
-            adapted[k] = parts[0].hstack(*parts[1:])
-            basis_levels[k] = [p for p, part in zip(range(depth - 1, -1, -1), parts)
-                               for _ in range(part.cols)]
+                basis[k] += [given[p][j - len(deeper)] for j in picks[len(inner):]]
+                basis_levels[k] += [p] * (len(picks) - len(inner))
+                deeper, span = given[p], len(picks)
         if not_nested:
             p, k = min(not_nested)
             raise FiltrationError(f"levels not nested at level {p}, degree {k}")
-        # B_{k+1} is invertible, so the kernel basis of [B_{k+1} | -d_k B_k]
-        # is (X_k; I), one column per free column dim C^{k+1} + j
-        self._pair(basis_levels, {
-            k: kernel_basis(adapted[k + 1].hstack(-(d * adapted[k])))
-            .submatrix_rows(range(c.dim(k + 1)))
-            for k, d in sorted(c._differentials.items())})
+        self._pair(basis_levels, {k: matrix_in_bases(d, basis[k], basis[k + 1])
+                                  for k, d in sorted(c._differentials.items())})
 
     def _pair(self, basis_levels: dict[int, list[int]],
               adapted_differentials: dict[int, RationalMatrix]) -> None:
@@ -396,14 +390,17 @@ class FilteredComplex:
 
     @property
     def levels(self) -> list[dict[int, RationalMatrix]]:
-        """The bases of F^1, ..., F^{P-1}; for a coordinate filtration, made
-        on first read from the basis levels."""
+        """The bases of F^1, ..., F^{P-1}, sliced on first read: the columns
+        the passes picked, or for a coordinate filtration the standard basis
+        vectors of each level."""
         if self._levels is None:
-            self._levels = [
-                {k: RationalMatrix.identity(len(ls)).submatrix_columns(
-                    [i for i, level in enumerate(ls) if level >= p])
-                 for k, ls in self.basis_levels.items()}
-                for p in range(1, self.depth)]
+            picked = self._picked or [{k: [i for i, level in enumerate(ls) if level >= p]
+                                       for k, ls in self.basis_levels.items()}
+                                      for p in range(1, self.depth)]
+            self._levels = [{k: (given[k] if k in given else RationalMatrix.identity(len(ls)))
+                             .submatrix_columns(picked[p][k])
+                             for k, ls in self.basis_levels.items()}
+                            for p, given in enumerate(self._given)]
         return self._levels
 
 
@@ -416,7 +413,8 @@ def coordinate_filtration(underlying: CochainComplex, basis_levels: dict[int, li
     subcomplex.  ``basis_levels[k]`` has one level in 0..P-1 per basis
     vector of C^k, for every degree k."""
     fc = object.__new__(FilteredComplex)
-    fc.underlying, fc.depth, fc._levels = underlying, depth, None
+    fc.underlying, fc.depth, fc._picked, fc._levels = underlying, depth, None, None
+    fc._given = [{}] * (depth - 1)
     fc._pair(basis_levels, underlying._differentials)
     return fc
 
@@ -459,36 +457,38 @@ def _persistence_pairs(x: RationalMatrix, col_level: list[int],
 
 def spectral_sequence(fc: FilteredComplex, r_max: int | None = None) -> list[SpectralSequencePage]:
     """Pages E_0 .. E_{r_max} of the filtration spectral sequence, rendered
-    from the persistence pairs of ``fc`` (module docstring).
-
-    d_r^{p,q} is the 0/1 matrix, in the surviving elements of (p, q) and of
+    from the persistence pairs of ``fc`` (module docstring).  d_r^{p,q} is
+    the 0/1 matrix, in the surviving elements of (p, q) and of
     (p + r, q - r + 1) ordered by index, with one 1 per pair of gap r.
-    Default r_max is depth + 1, past which all pages are stable: at most
-    pages 0..depth+1 are computed, and each later page is a copy of page
-    depth + 1 (whose differentials all land outside the grid) relabelled r.
-    """
-    c = fc.underlying
+    Default r_max is depth + 1, past which all pages are stable: each later
+    page is a copy of page depth + 1 (whose differentials all land outside
+    the grid) relabelled r."""
     depth = fc.depth
     if r_max is None:
         r_max = depth + 1
     r_max = max(r_max, 0)
     level = fc.basis_levels
+    members: dict[tuple[int, int], list] = {}  # (index, gap) at each (level, degree)
+    for k, gaps in fc.gaps.items():
+        for x, g in enumerate(gaps):
+            members.setdefault((level[k][x], k), []).append((x, g))
+    count = {key: len(xs) for key, xs in members.items()}
+
+    def place(x: int, key: tuple[int, int], r: int) -> int:  # x among the survivors
+        return sum(1 for y, g in members[key] if y < x and (g is None or g >= r))
+
     pages: list[SpectralSequencePage] = []
     for r in range(0, min(r_max, depth + 1) + 1):
-        survivors: dict[tuple[int, int], list[int]] = {}  # (level, degree) -> indices
-        for k in c.degrees():
-            for x, g in enumerate(fc.gaps[k]):
-                if g is None or g >= r:
-                    survivors.setdefault((level[k][x], k), []).append(x)
-        entries = {(p, k - p): len(survivors[(p, k)])
-                   for k in c.degrees() for p in range(depth) if (p, k) in survivors}
-        ones: dict[tuple[int, int], dict[tuple[int, int], int]] = {pq: {} for pq in entries}
+        entries = {(p, k - p): n for (p, k), n in count.items() if n}
+        ones: dict[tuple[int, int], dict[int, dict[int, int]]] = {pq: {} for pq in entries}
         for k, j, i, g in fc.pairs:
             if g == r:
                 p = level[k][j]
-                ones[(p, k - p)][(survivors[(p + r, k + 1)].index(i),
-                                  survivors[(p, k)].index(j))] = 1
-        diffs = {(p, q): RationalMatrix(entries.get((p + r, q - r + 1), 0), n, ones[(p, q)])
+                ones[(p, k - p)][place(i, (p + r, k + 1), r)] = {place(j, (p, k), r): 1}
+                count[(p, k)] -= 1  # the pair leaves page r + 1
+                count[(p + r, k + 1)] -= 1
+        diffs = {(p, q): RationalMatrix._trusted(entries.get((p + r, q - r + 1), 0), n,
+                                                 ones[(p, q)], {})
                  for (p, q), n in entries.items()}
         pages.append(SpectralSequencePage(r, entries, diffs))
     stable = pages[-1]

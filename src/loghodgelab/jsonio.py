@@ -1,19 +1,22 @@
 """JSON input formats and canonical report serialization.
 
 The six schemas in ``schemas/`` are the input grammar.  A loader first runs
-its document's schema, read once per process and compiled into closures
-that return None or the first fault in document order; a document that
-passes builds no pointer, message or exception.  A schema key outside
-`KEYWORDS` and the annotations raises as its schema compiles.  ``integer``
-is an int, never a bool or ``1.0``.  A fault at a value a ``$ref`` names
-reads "expected a <definition>", such as "expected a rational".  After every
-schema fault, a loader adds only what a schema cannot say: a divisor has one
-coefficient per ray; the nilpotent matrix is square; a complex has at most
-``len(dims) - 1`` differentials, of shape ``dims[k+1] x dims[k]``; a
-filtration level has one basis per degree, of columns ``dims[k]`` long; the
-faults of `conecx.Cell`; and a rational of more digits than ``int()`` reads.
-`_ratio` reads a rational as ints (p, q), and matrices go from those to
-`RationalMatrix.from_ratios` with no Fraction per entry.
+its document's schema, read once per process and compiled into closures,
+in one walk that checks and converts: each node returns the value it
+accepts, a copy of each list and object with every rational read as a pair
+(p, q) of ints, q > 0 and not reduced, and raises at the first fault in
+document order.  ``definitions/rational`` compiles to one node that tests
+``type(v)`` once: an int, never a bool, or a string of the definition's
+pattern.  A schema key outside `KEYWORDS` and the annotations raises as its
+schema compiles.  ``integer`` is an int, never a bool or ``1.0``.  A fault at
+a value a ``$ref`` names reads "expected a <definition>", such as "expected a
+rational".  After every schema fault comes the first rational of more digits
+than ``int()`` reads; then a loader adds only what a schema cannot say: a
+divisor has one coefficient per ray; the nilpotent matrix is square; a
+complex has at most ``len(dims) - 1`` differentials, of shape ``dims[k+1] x
+dims[k]``; a filtration level has one basis per degree, of columns
+``dims[k]`` long; and the faults of `conecx.Cell`.  Matrices go from the
+pairs to `RationalMatrix.from_ratios` with no Fraction per entry.
 
 Reports write every rational as ``str(Fraction)``, never as a float.
 ``canonical_json`` is byte for byte ``json.dumps(doc, sort_keys=True,
@@ -69,20 +72,39 @@ class SchemaError(ValueError):
 
 
 # --- the schema checker -------------------------------------------------------------
-# A check takes a JSON value and returns None or its first fault (path,
-# message), the path being the keys below the value.  Every message is made
-# when the schema compiles; a container adds its key to a fault that comes up.
+# A node takes a JSON value and returns the value it accepts.  At the first
+# fault it raises `_Fault`, whose message was made when the schema compiled;
+# a container adds its key to a fault that comes up.
 
 
-def _compile(root: dict) -> dict:
-    """The checks of the draft-07 schema ``root``: "#" for a document, and
+class _Fault(Exception):
+    def __init__(self, message: str):
+        self.message, self.path = message, []  # the keys down to the value, innermost first
+
+
+def _rule(node):
+    """``node`` as a check: None or the first fault (path, message) of a
+    value; ``accept`` is the node itself."""
+    def check(v):
+        try:
+            node(v)
+        except _Fault as f:
+            return tuple(reversed(f.path)), f.message
+    check.accept = node
+    return check
+
+
+def _compile(root: dict, lenient: bool = False) -> dict:
+    """The rules of the draft-07 schema ``root``: "#" for a document, and
     "#/definitions/<name>" for a value a ``$ref`` to that definition names."""
     definitions = root.get("definitions", {})
 
     def ref(target):
         name = target.removeprefix("#/definitions/")
+        if name == "rational":
+            return _rational(definitions[name], lenient)
         # every fault at the value itself names the definition
-        return compile_(definitions[name], ((), f"expected a {name}"))
+        return compile_(definitions[name], f"expected a {name}")
 
     def compile_(schema, own=None):  # own: the fault of the value itself, if one is named
         keys = schema.keys() - ANNOTATIONS
@@ -90,10 +112,10 @@ def _compile(root: dict) -> dict:
             raise NotImplementedError(f"schema keywords not checked: {sorted(keys)}")
         if "$ref" in keys:
             return ref(schema["$ref"])
-        tests = []  # (the types a test applies to, None for all; test; fault)
+        tests = []  # (the types a test applies to, None for all; test; message)
 
         def need(kinds, ok, message):
-            tests.append((kinds, ok, own or ((), message)))
+            tests.append((kinds, ok, own or message))
 
         for key in schema.get("required", ()):
             need((dict,), lambda v, key=key: key in v, f"missing required field {key!r}")
@@ -101,56 +123,94 @@ def _compile(root: dict) -> dict:
             if word in keys:
                 need(*bound(schema[word]))
         if "oneOf" in keys:
-            branches = [compile_(s) for s in schema["oneOf"]]
+            branches = [_rule(compile_(s)) for s in schema["oneOf"]]
             need(None, lambda v: [b(v) for b in branches].count(None) == 1,
                  f"expected exactly one of {len(branches)} oneOf forms")
         if "not" in keys:
-            inner = compile_(schema["not"])
+            inner = _rule(compile_(schema["not"]))
             need(None, lambda v: inner(v) is not None, "matches the form under not")
-        inside = []  # the checks of the values inside
+        inside = []  # the nodes of the values inside
         if "properties" in keys or "additionalProperties" in keys:
             named = {k: compile_(s) for k, s in schema.get("properties", {}).items()}
             extra = schema.get("additionalProperties", True)
-            inside.append(_fields(named, (lambda v: ((), "unknown field")) if extra is False
-                                  else None if extra is True else compile_(extra)))
+            inside.append(_fields(named, extra if type(extra) is bool else compile_(extra)))
         if "items" in keys:
             inside.append(_items(compile_(schema["items"])))
         kind = fault = None
         if "type" in keys:
             kind, noun = TYPES[schema["type"]]  # a KeyError: a type not checked
-            fault = own or ((), f"expected {noun}")
+            fault = own or f"expected {noun}"
             # past the type check, a test that does not apply to the type is moot
             tests = [(None, ok, f) for kinds, ok, f in tests if kinds is None or kind in kinds]
 
         def check(v):
             if kind is not None and type(v) is not kind:
-                return fault
-            for kinds, ok, f in tests:
+                raise _Fault(fault)
+            for kinds, ok, message in tests:
                 if (kinds is None or type(v) in kinds) and not ok(v):
-                    return f
-            for c in inside:
-                if f := c(v):
-                    return f
+                    raise _Fault(message)
+            for node in inside:
+                v = node(v)
+            return v
         return check
 
-    return {"#": compile_({k: v for k, v in root.items() if k != "definitions"}),
-            **{f"#/definitions/{name}": ref(f"#/definitions/{name}") for name in definitions}}
+    return {"#": _rule(compile_({k: v for k, v in root.items() if k != "definitions"})),
+            **{f"#/definitions/{name}": _rule(ref(f"#/definitions/{name}"))
+               for name in definitions}}
+
+
+def _rational(schema: dict, lenient: bool):
+    """The one node of the ``rational`` definition, an integer or a string of
+    its pattern: one test of ``type(v)``, and (p, q), q > 0, not reduced.  A
+    ``lenient`` node reads a rational of more digits than int() reads as 0."""
+    forms = schema.get("oneOf") or [{}]
+    if schema != {"oneOf": [{"type": "integer"}, {"type": "string", "pattern": forms[-1].get(
+            "pattern")}]}:
+        raise NotImplementedError(f"a rational definition not read: {schema}")
+    match = re.compile(forms[1]["pattern"]).search
+
+    def rational(v):
+        if type(v) is str and match(v):
+            p, _, q = v.partition("/")
+            try:
+                return int(p), int(q) if q else 1
+            except ValueError:
+                if lenient:
+                    return 0, 1
+                raise _Fault(f"{len(v)}-digit rational is too long") from None
+        if type(v) is int:
+            return v, 1
+        raise _Fault("expected a rational")
+    return rational
 
 
 def _fields(named, extra):
-    """Each field by its own check, or else by ``extra`` (None: any passes)."""
+    """Each field by its own node, or else by ``extra`` (True: any passes,
+    False: none)."""
     def check(v):
+        out = {}
         for key, x in v.items() if type(v) is dict else ():
-            if (c := named.get(key, extra)) and (f := c(x)):
-                return (key, *f[0]), f[1]
+            try:
+                if (node := named.get(key, extra)) is False:
+                    raise _Fault("unknown field")
+                out[key] = x if node is True else node(x)
+            except _Fault as f:
+                f.path.append(key)
+                raise
+        return out if type(v) is dict else v
     return check
 
 
 def _items(item):
     def check(v):
-        for i, x in enumerate(v) if type(v) is list else ():
-            if f := item(x):
-                return (i, *f[0]), f[1]
+        out = []
+        try:
+            for x in v if type(v) is list else ():
+                out.append(item(x))
+        except _Fault as f:
+            f.path.append(len(out))
+            raise
+        return out if type(v) is list else v
     return check
 
 
@@ -158,59 +218,34 @@ SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
 
 
 @functools.cache
-def _schema(name: str) -> dict:
-    """The compiled checks of ``schemas/<name>.schema.json``.  A package
+def _schema(name: str, lenient: bool = False) -> dict:
+    """The compiled rules of ``schemas/<name>.schema.json``.  A package
     that lacks the file is broken, not the request: one line on stderr names
     the file, and the process exits 1."""
     path = os.path.join(SCHEMA_DIR, f"{name}.schema.json")
     try:
         with open(path, encoding="utf-8") as handle:
-            return _compile(json.load(handle))
+            return _compile(json.load(handle), lenient)
     except OSError as exc:
         print(f"broken installation: cannot read {path}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(1) from None
 
 
-def _check(doc: object, name: str, ref: str = "#", pointer: str = "") -> None:
-    """Raise the first fault of ``doc`` under ``ref`` of the schema ``name``."""
-    if fault := _schema(name)[ref](doc):
-        raise SchemaError(pointer + "".join(f"/{k}" for k in fault[0]), fault[1])
-
-
-# --- rationals ------------------------------------------------------------------------
-
-
-def _ratio(value: int | str) -> tuple[int, int]:
-    """(p, q), q > 0 and not reduced, of a rational its schema has passed;
-    the one fault left, more digits than int() reads, raises ValueError."""
-    if type(value) is int:
-        return value, 1
-    p, _, q = value.partition("/")
+def _check(doc: object, name: str, ref: str = "#", pointer: str = ""):
+    """``doc`` as ``ref`` of the schema ``name`` accepts it.  Raises its first
+    schema fault, or else its first rational of more digits than int() reads."""
+    rule = _schema(name)[ref]
     try:
-        return int(p), int(q or 1)
-    except ValueError:
-        raise ValueError(f"{len(value)}-digit rational is too long") from None
-
-
-def _ratios(raw: list | dict, pointer: str) -> list[tuple[int, int]]:
-    """The `_ratio` pairs of the list, or the dict's values, ``raw``."""
-    out = []
-    for key, v in (raw.items() if type(raw) is dict else enumerate(raw)):
-        try:
-            out.append(_ratio(v))
-        except ValueError as exc:
-            raise SchemaError(f"{pointer}/{key}", str(exc)) from None
-    return out
+        return rule.accept(doc)
+    except _Fault:
+        fault = _schema(name, True)[ref](doc) or rule(doc)
+    raise SchemaError(pointer + "".join(f"/{k}" for k in fault[0]), fault[1])
 
 
 def parse_rational(value: object, pointer: str) -> Fraction:
     """The rational ``value``, as the schemas' ``rational`` definition
     says; ``pointer`` names it in a fault."""
-    _check(value, "weights", "#/definitions/rational", pointer)
-    try:
-        return Fraction(*_ratio(value))
-    except ValueError as exc:
-        raise SchemaError(pointer, str(exc)) from None
+    return Fraction(*_check(value, "weights", "#/definitions/rational", pointer))
 
 
 # --- intersection data and weights ----------------------------------------------
@@ -233,10 +268,9 @@ def load_intersection_data(doc: object) -> IntersectionData:
 def load_weights(doc: object) -> tuple[WeightFunction | None, dict[str, Fraction] | None]:
     """(ray weights, None) or (None, per-cell weights by cell key)."""
     from .weights import WeightFunction
-    _check(doc, "weights")
+    doc = _check(doc, "weights")
     kind = "rays" if "rays" in doc else "cells"
-    raw = doc[kind]
-    values = {key: Fraction(p, q) for key, (p, q) in zip(raw, _ratios(raw, f"/{kind}"))}
+    values = {key: Fraction(p, q) for key, (p, q) in doc[kind].items()}
     return (WeightFunction(values), None) if kind == "rays" else (None, values)
 
 
@@ -251,35 +285,32 @@ def load_fan(doc: object) -> Fan:
 
 def load_divisor(doc: object, fan: Fan) -> QDivisor:
     from .toric import QDivisor
-    _check(doc, "divisor")
-    raw = doc["coefficients"]
+    raw = _check(doc, "divisor")["coefficients"]
     if len(raw) != len(fan.rays):
         raise SchemaError("/coefficients",
                           f"expected {len(fan.rays)} coefficients, got {len(raw)}")
-    return QDivisor({i: Fraction(p, q) for i, (p, q) in enumerate(_ratios(raw, "/coefficients"))})
+    return QDivisor({i: Fraction(p, q) for i, (p, q) in enumerate(raw)})
 
 
 # --- matrices: nilpotent operators and generic complexes -----------------------------
 
 
 def _ratio_rows(raw: list, rows: int, cols: int, pointer: str) -> list[list[tuple[int, int]]]:
-    """The `_ratio` pairs of ``raw``, which must be ``rows`` lists of ``cols``."""
+    """``raw``, rows of (p, q) pairs, which must be ``rows`` lists of ``cols``."""
     if len(raw) != rows:
         raise SchemaError(pointer, f"expected {rows} rows, got {len(raw)}")
-    out = []
     for i, row in enumerate(raw):
         if len(row) != cols:
             raise SchemaError(f"{pointer}/{i}", f"expected {cols} entries")
-        out.append(_ratios(row, f"{pointer}/{i}"))
-    return out
+    return raw
 
 
 def load_nilpotent_matrix(doc: object) -> RationalMatrix:
     """The square matrix of a nilpotent-operator document, before any power is formed."""
     from .linalg import RationalMatrix
-    _check(doc, "nilpotent-operator")
-    n = len(doc["matrix"])
-    return RationalMatrix.from_ratios(n, n, _ratio_rows(doc["matrix"], n, n, "/matrix"))
+    raw = _check(doc, "nilpotent-operator")["matrix"]
+    n = len(raw)
+    return RationalMatrix.from_ratios(n, n, _ratio_rows(raw, n, n, "/matrix"))
 
 
 def load_generic_complex(doc: object) -> tuple[CochainComplex, list | None]:
@@ -287,7 +318,7 @@ def load_generic_complex(doc: object) -> tuple[CochainComplex, list | None]:
     ...; each lists, per degree, the basis columns of the subspace)."""
     from .complexes import CochainComplex
     from .linalg import RationalMatrix
-    _check(doc, "generic-complex")
+    doc = _check(doc, "generic-complex")
     raw_dims = doc["dims"]
     dims = {doc["min_degree"] + i: d for i, d in enumerate(raw_dims)}
     raw_diffs = doc.get("differentials", [])

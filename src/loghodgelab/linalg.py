@@ -405,6 +405,50 @@ def solve_rational(m: RationalMatrix, b: Sequence) -> tuple[Fraction, ...] | Non
     return tuple(x)
 
 
+def integer_columns(m: RationalMatrix) -> list[dict[int, int]]:
+    """The columns of ``m``, each over its least denominator, as integer
+    columns {row: int}: a column scaling moves no pivot and no pair."""
+    rows = m.transpose()._num
+    return [rows.get(j, {}) for j in range(m.cols)]
+
+
+def independent_columns(columns: Sequence[dict[int, int]]) -> list[int]:
+    """The greedy basis of the integer ``columns``: the index of each column
+    outside the span of those before it, by one `_echelon` that inserts
+    copies of the columns, read as rows, in turn."""
+    return [j for j, lead in enumerate(_echelon([dict(c) for c in columns])[1])
+            if lead is not None]
+
+
+def _column_matrix(columns: Sequence[dict[int, int]], rows: int) -> RationalMatrix:
+    """The integer matrix of ``rows`` rows whose columns are ``columns``."""
+    num: dict[int, dict[int, int]] = {}
+    for j, column in enumerate(columns):
+        for i, v in column.items():
+            num.setdefault(i, {})[j] = v
+    return RationalMatrix._trusted(rows, len(columns), num, {})
+
+
+def matrix_in_bases(d: RationalMatrix, source: Sequence[dict[int, int]],
+                    target: Sequence[dict[int, int]]) -> RationalMatrix:
+    """T^-1 d S for the bases S and T of integer columns ``source`` and
+    ``target``, T invertible: one elimination of the integer rows of
+    [T | d S], row i over the denominator of row i of d S, whose reduced row
+    c is a positive multiple, of content 1, of (e_c, row c of T^-1 d S)."""
+    n, image = len(target), d * _column_matrix(source, d.cols)
+    rows = _column_matrix(target, n)._num  # T is invertible: no row is zero
+    reduced = _reduced(_echelon([{**_scaled(rows[i], image._den.get(i, 1)),
+                                  **{n + j: v for j, v in image._num.get(i, {}).items()}}
+                                 for i in range(n)])[0])
+    num, den = {}, {}
+    for c, row in reduced.items():
+        if x := {j - n: v for j, v in row.items() if j >= n}:
+            num[c] = x
+            if row[c] != 1:
+                den[c] = row[c]
+    return RationalMatrix._trusted(n, len(source), num, den)
+
+
 def column_lows(m: RationalMatrix, cols: Sequence[int], rows: Sequence[int]) -> list[int | None]:
     """The column reduction of ``m`` in the orders ``cols`` and ``rows``, each
     listing every index once: for each column of ``cols``, reduced against

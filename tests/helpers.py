@@ -10,7 +10,7 @@ from loghodgelab.complexes import (ChainMap, CochainComplex, FilteredComplex, Fi
                                    SpectralSequencePage, _total_complex, cohomology_dims)
 from loghodgelab.conecx import ConeComplex, IntersectionData
 from loghodgelab.linalg import (MatrixError, RationalMatrix, column_space_basis, contains_space,
-                                kernel_basis, rank)
+                                kernel_basis, pivot_columns, rank)
 from loghodgelab.localmodel import (FLAVORS, LAURENT, LocalModel, LocalModelError,
                                     ObstructionStalkReport, _cech_arrows, _form_arrows,
                                     _mv_total_block, _quotient_block, _tally, block_basis)
@@ -139,6 +139,55 @@ def reference_filtration_levels(c: CochainComplex,
                     f"level {p} is not a subcomplex: d(F^{p} C^{k}) is not "
                     f"contained in F^{p} C^{k + 1}")
     return norm
+
+
+def pivot_pass_filtration(c: CochainComplex,
+                          levels: list[dict[int, RationalMatrix]]) -> FilteredComplex:
+    """`FilteredComplex(c, levels)` by the route it replaced, the reference
+    for its integer columns: per degree one `pivot_columns` of the
+    `RationalMatrix` [F^{p+1} | F^p] for each p from P - 2 down to 0 (F^0 = C
+    the identity), B_k joined by `hstack` from the picked columns, and X_k
+    solved, even with no levels, as the top block of the kernel basis of
+    [B_{k+1} | -d_k B_k].  The same checks raise the same `FiltrationError`
+    messages, and the level bases are kept as the passes pick them."""
+    fc = object.__new__(FilteredComplex)
+    fc.underlying, fc._given, fc._picked = c, None, None
+    for p, given in enumerate(levels, 1):
+        for k in c.degrees():
+            if k in given and given[k].rows != c.dim(k):
+                raise FiltrationError(
+                    f"level {p} basis at degree {k} has ambient dimension "
+                    f"{given[k].rows}, expected {c.dim(k)}")
+    fc.depth = depth = len(levels) + 1
+    fc._levels = [{} for _ in levels]
+    basis_levels, adapted, not_nested = {}, {}, []
+    for k in c.degrees():
+        empty = RationalMatrix.zeros(c.dim(k), 0)
+        given = [RationalMatrix.identity(c.dim(k))] + [f.get(k, empty) for f in levels]
+        # F^{p+1}, rank(F^{p+2} + F^{p+1}) and B_k, whose first part is F^{P-1}
+        deeper, span, parts = given[-1], None, [given[-1]]
+        for p in range(depth - 2, -1, -1):
+            pivots = pivot_columns(deeper.hstack(given[p]))
+            inner = [j for j in pivots if j < deeper.cols]
+            new = [j - deeper.cols for j in pivots[len(inner):]]
+            fc._levels[p][k] = deeper.submatrix_columns(inner)
+            if span is None:
+                parts[0] = fc._levels[p][k]
+            elif span != len(inner):
+                not_nested.append((p + 2, k))
+            parts.append(given[p].submatrix_columns(new))
+            deeper, span = given[p], len(pivots)
+        adapted[k] = parts[0].hstack(*parts[1:])
+        basis_levels[k] = [p for p, part in zip(range(depth - 1, -1, -1), parts)
+                           for _ in range(part.cols)]
+    if not_nested:
+        p, k = min(not_nested)
+        raise FiltrationError(f"levels not nested at level {p}, degree {k}")
+    fc._pair(basis_levels, {
+        k: kernel_basis(adapted[k + 1].hstack(-(d * adapted[k])))
+        .submatrix_rows(range(c.dim(k + 1)))
+        for k, d in sorted(c._differentials.items())})
+    return fc
 
 
 def mutated_filtration_levels(rng: random.Random, c: CochainComplex,

@@ -25,9 +25,9 @@ from loghodgelab.linalg import RationalMatrix
 
 import ss_oracle
 from helpers import (counting_fractions, identity_chain_map, mutated_filtration_levels,
-                     plus_identity_map, random_chain_map, random_complex, random_filtration_levels,
-                     reference_filtration_levels, stupid_filtration, total_dims,
-                     trivial_filtration, zero_chain_map)
+                     pivot_pass_filtration, plus_identity_map, random_chain_map, random_complex,
+                     random_filtration_levels, reference_filtration_levels, stupid_filtration,
+                     total_dims, trivial_filtration, zero_chain_map)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -249,6 +249,70 @@ def test_filtration_checks_agree_with_one_elimination_per_check():
     assert len(seen) == 4 and min(seen.values()) >= 30  # every message, and acceptance
 
 
+def rescaled(rng: random.Random, c: CochainComplex, levels: list[dict]):
+    """c and its levels moved by D_k, a diagonal of random nonzero rationals per
+    degree, with each level column times a random nonzero rational: d_k becomes
+    D_{k+1} d_k D_k^-1, with denominators, and the level columns are rational.
+    A level of the wrong ambient size is left as it is."""
+    scale = {k: [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+                 for _ in range(c.dim(k))] for k in c.degrees()}
+
+    def diagonal(values):
+        return RationalMatrix(len(values), len(values),
+                              {(i, i): v for i, v in enumerate(values)})
+    moved = CochainComplex(c.dims, {
+        k: diagonal(scale[k + 1]) * d * diagonal([1 / v for v in scale[k]])
+        for k, d in c._differentials.items()})
+    return moved, [
+        {k: diagonal(scale[k]) * m * diagonal([Fraction(rng.choice([-2, 1, 3]),
+                                                        rng.choice([1, 4, 5]))
+                                               for _ in range(m.cols)])
+         if m.rows == c.dim(k) else m for k, m in level.items()} for level in levels]
+
+
+def test_integer_columns_agree_with_the_pivot_pass_route():
+    """`FilteredComplex` on integer columns against the route it replaced
+    (`helpers.pivot_pass_filtration`), on seeded filtrations with zero to three
+    mutations each (levels not nested, not subcomplexes, of the wrong ambient
+    size, with a degree omitted) and rational levels and differentials: the
+    same `FiltrationError` message or none, and when none the same level
+    bases, basis levels, pairs, gaps, E_infinity totals, first nonzero
+    differential and pages.  X_k is formed in the scaled basis, so only its
+    nonzero pattern is compared."""
+    rng = random.Random(4801)
+    seen = {}
+    for n in range(1000):
+        c = random_complex(rng, 10)
+        levels = random_filtration_levels(rng, c, rng.randint(1, 4))
+        for _ in range(rng.randint(0, 3)):
+            levels = mutated_filtration_levels(rng, c, levels)
+        if n % 2:
+            c, levels = rescaled(rng, c, levels)
+        try:
+            expected = pivot_pass_filtration(c, levels)
+        except FiltrationError as exc:
+            with pytest.raises(FiltrationError) as raised:
+                FilteredComplex(c, levels)
+            assert str(raised.value) == str(exc)
+            kind = " ".join(w for w in str(exc).split() if not any(ch.isdigit() for ch in w))
+            seen[kind] = seen.get(kind, 0) + 1
+            continue
+        fc = FilteredComplex(c, levels)
+        assert fc.levels == expected.levels
+        assert fc.basis_levels == expected.basis_levels
+        assert (fc.pairs, fc.gaps) == (expected.pairs, expected.gaps)
+        assert fc.e_infinity_totals == expected.e_infinity_totals
+        assert fc.first_nonzero_differential == expected.first_nonzero_differential
+        assert spectral_sequence(fc) == spectral_sequence(expected)
+        assert {k: set(x.entries) for k, x in fc.adapted_differentials.items()} == \
+               {k: set(x.entries) for k, x in expected.adapted_differentials.items()}
+        first = fc.first_nonzero_differential
+        seen[first] = seen.get(first, 0) + 1
+    assert len([kind for kind in seen if isinstance(kind, str)]) == 3, seen
+    assert min(v for kind, v in seen.items() if isinstance(kind, str)) >= 30, seen
+    assert all(seen.get(key, 0) >= 10 for key in (None, 1, 2)), seen
+
+
 def test_coordinate_filtration_agrees_with_the_pivot_route():
     """Per-vector levels on the standard basis against the same filtration
     given as identity columns, on seeded complexes and levels, half of them
@@ -299,10 +363,10 @@ def test_trivial_filtration_gives_cohomology_at_e1():
     assert fc.first_nonzero_differential is None
 
 
-def test_filtration_with_no_levels_eliminates_only_to_solve_for_x(monkeypatch):
-    """With no levels (F^0 = C, depth 1) B_k is the identity with no pivot
-    pass.  Construction makes three eliminations per nonzero d_k: the solve
-    for X_k = d_k, its persistence pairing and the rank of d_k for the
+def test_filtration_with_no_levels_makes_no_solve(monkeypatch):
+    """With no levels (F^0 = C, depth 1) B_k is the identity: no pivot pass
+    and no solve, X_k = d_k itself.  Construction makes two eliminations per
+    nonzero d_k: its persistence pairing and the rank of d_k for the
     E_infinity check; the pages are then rendered with none."""
     circle, _ = load_generic_complex(json.loads((FIXTURES / "circle_complex.json").read_text()))
     rng = random.Random(941)
@@ -319,7 +383,7 @@ def test_filtration_with_no_levels_eliminates_only_to_solve_for_x(monkeypatch):
     for c in complexes_:
         eliminations.clear()
         fc = FilteredComplex(c, [])
-        assert len(eliminations) == 3 * len(c._differentials)
+        assert len(eliminations) == 2 * len(c._differentials)
         assert fc.basis_levels == {k: [0] * c.dim(k) for k in c.degrees()}
         assert fc.adapted_differentials == c._differentials
         eliminations.clear()

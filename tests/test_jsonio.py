@@ -9,6 +9,7 @@ from loghodgelab.jsonio import (
     SchemaError,
     _compile,
     canonical_json,
+    load_divisor,
     load_fan,
     load_generic_complex,
     load_intersection_data,
@@ -146,6 +147,76 @@ def test_schema_faults_come_first_in_document_order(load, doc, pointer):
     with pytest.raises(SchemaError) as info:
         load(doc)
     assert info.value.pointer == pointer
+
+
+FAN = {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [2, 0]]}
+
+
+def rational_documents(bad):
+    """(loader, document, pointer) with ``bad`` at the pointer, in every
+    document kind that holds rationals; each document loads with "1" there."""
+    return [
+        (load_nilpotent_matrix, {"matrix": [["0", "1/2"], [bad, "0"]]}, "/matrix/1/0"),
+        (load_generic_complex, {"min_degree": 0, "dims": [2, 1],
+                                "differentials": [[["1", bad]]]}, "/differentials/0/0/1"),
+        (load_generic_complex, {"min_degree": 0, "dims": [1, 2],
+                                "differentials": [[["1"], ["0"]]],
+                                "filtration": [[[], [["1", bad]]]]}, "/filtration/0/1/0/1"),
+        (lambda doc: load_divisor(doc, load_fan(FAN)), {"coefficients": [0, bad, "1/2"]},
+         "/coefficients/1"),
+        (load_weights, {"rays": {"a": "1", "b": bad}}, "/rays/b"),
+        (load_weights, {"cells": {"a#0": bad}}, "/cells/a#0"),
+    ]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "expected a rational"),
+    (1.5, "expected a rational"),
+    ("1.0", "expected a rational"),
+    ("1/0", "expected a rational"),
+    ("+1", "expected a rational"),
+    (" 1", "expected a rational"),
+    ("1\n", "expected a rational"),
+    ("1" * 5000, "5000-digit rational is too long"),
+], ids=["true", "float", "decimal-string", "zero-denominator", "plus", "space", "newline",
+        "5000-digits"])
+def test_rational_node_refuses_each_edge_in_every_document(bad, message):
+    # the one rational node refuses with the pointer and message of the oneOf
+    # it replaced, whichever document holds the value and through parse_rational
+    for load, doc, pointer in rational_documents(bad):
+        with pytest.raises(SchemaError) as info:
+            load(doc)
+        assert str(info.value) == f"{pointer}: {message}"
+        load(json.loads(json.dumps(doc).replace(json.dumps(bad), '"1"')))
+    with pytest.raises(SchemaError) as info:
+        parse_rational(bad, "/thresholds")
+    assert str(info.value) == f"/thresholds: {message}"
+
+
+@pytest.mark.parametrize("load, doc, pointer", [
+    (load_nilpotent_matrix, {"matrix": [["1" * 5000, "0"], ["0", "abc"]]}, "/matrix/1/1"),
+    (load_generic_complex, {"min_degree": 0, "dims": [1, 1], "differentials": [[["1" * 5000]]],
+                            "filtration": [[[], [[True]]]]}, "/filtration/0/1/0/0"),
+    (load_weights, {"cells": {"a#0": "1" * 5000, "b#0": "1/0"}}, "/cells/b#0"),
+    (lambda doc: load_divisor(doc, load_fan(FAN)), {"coefficients": ["1" * 5000, 0, 1.5]},
+     "/coefficients/2"),
+], ids=["nilpotent", "generic-complex", "weights", "divisor"])
+def test_a_later_schema_fault_beats_an_earlier_too_long_rational(load, doc, pointer):
+    with pytest.raises(SchemaError) as info:
+        load(doc)
+    assert str(info.value) == f"{pointer}: expected a rational"
+
+
+def test_checker_refuses_a_rational_definition_it_does_not_read():
+    # the rational node reads an integer or a string of the definition's pattern
+    for rational in ({"type": "integer"}, {"oneOf": [{"type": "string", "pattern": "x"},
+                                                     {"type": "integer"}]},
+                     {"oneOf": [{"type": "integer"}, {"type": "string"}]},
+                     {"oneOf": [{"type": "integer"}, {"type": "string", "pattern": "x"}],
+                      "not": {}}):
+        with pytest.raises(NotImplementedError):
+            _compile({"items": {"$ref": "#/definitions/rational"},
+                      "definitions": {"rational": rational}})
 
 
 @pytest.mark.parametrize("schema", [

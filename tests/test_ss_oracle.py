@@ -125,11 +125,13 @@ def test_persistence_pairs_match_fraction_column_reduction():
 def test_elimination_count_pinned(monkeypatch):
     """C = Q^3 -> Q -> Q^2 -> Q^3 in degrees 1..4 with d_1, d_3 nonzero and a
     depth-4 filtration whose first nonzero differential is d_2.  Checking the
-    filtration and reducing it take 18 eliminations: 16 for ranks, kernels
+    filtration and reducing it take 18 eliminations: 16 for ranks, solves
     and pivots, namely 12 pivot passes (depth - 1 = 3 per degree, one per
-    pair [F^{p+1} | F^p] of consecutive levels, F^0 = C included), 2 solves
-    for X_k (one per nonzero d) and the 2 ranks of the E_infinity check (one
-    per nonzero d; a zero d has rank 0 without an elimination); and 2 for the
+    pair [F^{p+1} | F^p] of consecutive levels, F^0 = C included, each one
+    insertion of integer columns into an echelon), 2 eliminations of the
+    integer rows of [B_{k+1} | d_k B_k] for X_k (one per nonzero d) and the
+    2 ranks of the E_infinity check (one per nonzero d; a zero d has rank 0
+    without an elimination); and 2 for the
     persistence pairing, one `column_lows` call per nonzero d.  The pairing
     is counted where it runs, at `column_lows`, which reads X's integer rows
     in filtration order; it was counted at `leading_columns`, which took a
