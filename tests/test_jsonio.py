@@ -207,6 +207,22 @@ def test_a_later_schema_fault_beats_an_earlier_too_long_rational(load, doc, poin
     assert str(info.value) == f"{pointer}: expected a rational"
 
 
+@pytest.mark.parametrize("load, doc, pointer", [
+    (load_nilpotent_matrix, {"matrix": [["1", "0"], ["1" * 5000]]}, "/matrix/1/0"),
+    (load_generic_complex, {"min_degree": 0, "dims": [1, 1],
+                            "differentials": [[["1", "0"]], [["1"]]],
+                            "filtration": [[[], [["1" * 5000]]]]}, "/filtration/0/1/0/0"),
+    (lambda doc: load_divisor(doc, load_fan(FAN)), {"coefficients": ["1" * 5000]},
+     "/coefficients/0"),
+], ids=["nilpotent", "generic-complex", "divisor"])
+def test_a_too_long_rational_comes_before_what_a_loader_adds(load, doc, pointer):
+    # the walk reads every rational, so its first too-long one is named
+    # before a shape, a count or d o d, which only the loader checks
+    with pytest.raises(SchemaError) as info:
+        load(doc)
+    assert str(info.value) == f"{pointer}: 5000-digit rational is too long"
+
+
 def test_checker_refuses_a_rational_definition_it_does_not_read():
     # the rational node reads an integer or a string of the definition's pattern
     for rational in ({"type": "integer"}, {"oneOf": [{"type": "string", "pattern": "x"},
