@@ -473,18 +473,19 @@ def spectral_sequence(fc: FilteredComplex, r_max: int | None = None) -> list[Spe
         for x, g in enumerate(gaps):
             members.setdefault((level[k][x], k), []).append((x, g))
     count = {key: len(xs) for key, xs in members.items()}
-
-    def place(x: int, key: tuple[int, int], r: int) -> int:  # x among the survivors
-        return sum(1 for y, g in members[key] if y < x and (g is None or g >= r))
-
     pages: list[SpectralSequencePage] = []
     for r in range(0, min(r_max, depth + 1) + 1):
         entries = {(p, k - p): n for (p, k), n in count.items() if n}
         ones: dict[tuple[int, int], dict[int, dict[int, int]]] = {pq: {} for pq in entries}
+        place: dict[tuple[int, int], dict[int, int]] = {}  # survivor -> position, per page
         for k, j, i, g in fc.pairs:
             if g == r:
                 p = level[k][j]
-                ones[(p, k - p)][place(i, (p + r, k + 1), r)] = {place(j, (p, k), r): 1}
+                for key in (p, k), (p + r, k + 1):
+                    if key not in place:
+                        place[key] = {x: n for n, x in enumerate(
+                            x for x, gap in members[key] if gap is None or gap >= r)}
+                ones[(p, k - p)][place[(p + r, k + 1)][i]] = {place[(p, k)][j]: 1}
                 count[(p, k)] -= 1  # the pair leaves page r + 1
                 count[(p + r, k + 1)] -= 1
         diffs = {(p, q): RationalMatrix._trusted(entries.get((p + r, q - r + 1), 0), n,
