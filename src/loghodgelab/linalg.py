@@ -420,28 +420,28 @@ def independent_columns(columns: Sequence[dict[int, int]]) -> list[int]:
             if lead is not None]
 
 
-def _column_matrix(columns: Sequence[dict[int, int]], rows: int) -> RationalMatrix:
-    """The integer matrix of ``rows`` rows whose columns are ``columns``."""
-    num: dict[int, dict[int, int]] = {}
-    for j, column in enumerate(columns):
-        for i, v in column.items():
-            num.setdefault(i, {})[j] = v
-    return RationalMatrix._trusted(rows, len(columns), num, {})
-
-
 def matrix_in_bases(d: RationalMatrix, source: Sequence[dict[int, int]],
                     target: Sequence[dict[int, int]]) -> RationalMatrix:
     """T^-1 d S for the bases S and T of integer columns ``source`` and
     ``target``, T invertible: one elimination of the integer rows of
-    [T | d S], row i over the denominator of row i of d S, whose reduced row
+    [T | d S], row i times the denominator of row i of d, whose reduced row
     c is a positive multiple, of content 1, of (e_c, row c of T^-1 d S)."""
-    n, image = len(target), d * _column_matrix(source, d.cols)
-    rows = _column_matrix(target, n)._num  # T is invertible: no row is zero
-    reduced = _reduced(_echelon([{**_scaled(rows[i], image._den.get(i, 1)),
-                                  **{n + j: v for j, v in image._num.get(i, {}).items()}}
-                                 for i in range(n)])[0])
+    n, s_rows = len(target), {}
+    for j, column in enumerate(source):
+        for i, v in column.items():
+            s_rows.setdefault(i, {})[n + j] = v
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for c, column in enumerate(target):
+        for i, v in column.items():
+            rows[i][c] = v * d._den.get(i, 1)
+    for i, d_row in d._num.items():
+        row = rows[i]
+        for k, a in d_row.items():
+            for j, b in s_rows.get(k, {}).items():
+                row[j] = row.get(j, 0) + a * b
+        rows[i] = {j: v for j, v in row.items() if v}
     num, den = {}, {}
-    for c, row in reduced.items():
+    for c, row in _reduced(_echelon(rows)[0]).items():
         if x := {j - n: v for j, v in row.items() if j >= n}:
             num[c] = x
             if row[c] != 1:
