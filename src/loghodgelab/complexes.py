@@ -463,11 +463,8 @@ def spectral_sequence(fc: FilteredComplex, r_max: int | None = None) -> list[Spe
     Default r_max is depth + 1, past which all pages are stable: each later
     page is a copy of page depth + 1 (whose differentials all land outside
     the grid) relabelled r."""
-    depth = fc.depth
-    if r_max is None:
-        r_max = depth + 1
-    r_max = max(r_max, 0)
-    level = fc.basis_levels
+    depth, level = fc.depth, fc.basis_levels
+    r_max = max(depth + 1 if r_max is None else r_max, 0)
     members: dict[tuple[int, int], list] = {}  # (index, gap) at each (level, degree)
     for k, gaps in fc.gaps.items():
         for x, g in enumerate(gaps):
