@@ -338,7 +338,8 @@ class FilteredComplex:
         self.depth = depth = len(levels) + 1
         self._given, self._picked, self._levels = levels, [{} for _ in levels], None
         if not levels:  # B_k = I and X_k = d_k
-            return self._pair({k: [0] * c.dim(k) for k in c.degrees()}, c._differentials)
+            self._pair({k: [0] * c.dim(k) for k in c.degrees()}, c._differentials)
+            return
         basis, basis_levels, not_nested = {}, {}, []
         for k in c.degrees():
             given = [[{i: 1} for i in range(c.dim(k))]] + [

@@ -163,11 +163,10 @@ def _rational(schema: dict, lenient: bool):
     """The one node of the ``rational`` definition, an integer or a string of
     its pattern: one test of ``type(v)``, and (p, q), q > 0, not reduced.  A
     ``lenient`` node reads a rational of more digits than int() reads as 0."""
-    forms = schema.get("oneOf") or [{}]
-    if schema != {"oneOf": [{"type": "integer"}, {"type": "string", "pattern": forms[-1].get(
-            "pattern")}]}:
+    pattern = (schema.get("oneOf") or [{}])[-1].get("pattern")
+    if schema != {"oneOf": [{"type": "integer"}, {"type": "string", "pattern": pattern}]}:
         raise NotImplementedError(f"a rational definition not read: {schema}")
-    match = re.compile(forms[1]["pattern"]).search
+    match = re.compile(pattern).search
 
     def rational(v):
         if type(v) is str and match(v):
