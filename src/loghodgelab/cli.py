@@ -68,7 +68,7 @@ def _read_json(data: bytes, path: str, label: str):
     """The JSON document in ``data``, the bytes of ``path`` given for ``label``."""
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer literal over the digit limit
         raise SchemaError(f"/{label}", f"invalid JSON in {path}: {exc}") from None
     except RecursionError:
         raise SchemaError(f"/{label}", f"invalid JSON in {path}: nested too deeply") from None

@@ -23,7 +23,9 @@ columns, comes from one elimination of the integer rows of
 of each standard basis vector (``coordinate_filtration``, such as a tropical
 sublevel filtration), B_k = I and X_k = d_k: no pass and no solve.  Both
 then run one core.  Every F^p is a subcomplex iff X_k has no entry below the
-level diagonal.  A column reduction of X_k, read off its integer rows in
+level diagonal; the core alone checks this, for both routes, and names the
+least failing level p, then degree k, as ``FiltrationError.at``.  A column
+reduction of X_k, read off its integer rows in
 filtration order by one `column_lows`, pairs elements of C^k with elements
 of C^{k+1}; the gap of a pair is the level of its target minus the level of
 its source.  Over a field a filtered complex splits into one- and
@@ -63,7 +65,11 @@ class ChainMapError(ValueError):
 
 
 class FiltrationError(ValueError):
-    pass
+    """``at`` = (p, k): the least level p, then degree k, not a subcomplex; else None."""
+
+    def __init__(self, message: str, at: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.at = at
 
 
 class CochainComplex:
@@ -376,7 +382,7 @@ class FilteredComplex:
             p, k = min(not_closed)
             raise FiltrationError(
                 f"level {p} is not a subcomplex: d(F^{p} C^{k}) is not "
-                f"contained in F^{p} C^{k + 1}")
+                f"contained in F^{p} C^{k + 1}", at=(p, k))
         self.gaps: dict[int, list[int | None]] = {k: [None] * c.dim(k) for k in c.degrees()}
         self.pairs: list[tuple[int, int, int, int]] = []
         for k, x in adapted_differentials.items():

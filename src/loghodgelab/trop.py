@@ -12,11 +12,11 @@ persistence pairs, gaps, pages, 0/1 differentials d_r and E_infinity are
 the same on d and on D^-1 d D.  The reports therefore run on the cone
 cochains, built and checked once by `ConeComplex`; the weights enter only
 through each cell's level (the number of thresholds at or below its
-weight), the closure check and the default thresholds.  D^-1 d D itself is
-built only when ``WeightedTropComplex.complex`` is read.  One pass over the
-facet/cofacet pairs, comparing their levels, finds the least threshold whose
-sublevel set is not a subcomplex.  The cell basis is adapted to the
-filtration, so the levels enter `coordinate_filtration` as they are.
+weight) and the default thresholds.  D^-1 d D itself is built only when
+``WeightedTropComplex.complex`` is read.  The cell basis is adapted to the
+filtration, so the levels enter `coordinate_filtration` as they are; its
+core alone finds the least threshold whose sublevel set is not a
+subcomplex, and only then is the facet/cofacet pair to name looked up.
 First-page degeneration is reported as an observation, never assumed.
 
 Weights are per cell: each cell carries its own positive rational.  Ray
@@ -35,6 +35,7 @@ from functools import cached_property
 
 from .complexes import (
     CochainComplex,
+    FiltrationError,
     SpectralSequencePage,
     _total_complex,
     cohomology_dims,
@@ -130,36 +131,6 @@ def default_thresholds(t: WeightedTropComplex) -> list[Fraction]:
     return sorted(values)
 
 
-def _check_sublevels_closed(t: WeightedTropComplex, thresholds: list[Fraction],
-                            level: dict[Cell, int]) -> None:
-    """Raise for the least threshold whose sublevel set is not a subcomplex,
-    naming its first facet/cofacet pair in face-map order.  ``level`` is the
-    number of thresholds at or below each cell's weight.  A pair breaks
-    closure at every threshold in (w(cofacet), w(facet)], so at the least
-    threshold above w(cofacet), thresholds[level(cofacet)], iff the facet's
-    level is the greater; one pass over the pairs finds the least of these."""
-    c = t.base
-    first = None  # (threshold index, facet, cofacet)
-    for p in range(1, c.max_dim + 1):
-        for cell in c.cells(p):
-            i = level[cell]
-            if i == len(thresholds) or (first is not None and i >= first[0]):
-                continue
-            for face, sign in c.faces(cell):
-                if sign and level[face] > i:
-                    first = i, face, cell
-                    break
-    if first is not None:
-        i, face, cell = first
-        threshold, wf, wc = thresholds[i], t.cell_weight(face), t.cell_weight(cell)
-        raise TropError(
-            f"sublevel set at threshold {threshold} is not a subcomplex: "
-            f"facet {face.key()} has weight {wf} >= {threshold} but its "
-            f"cofacet {cell.key()} has weight {wc} < {threshold}; weights "
-            f"must not decrease from a cell to its cofacets above the "
-            f"threshold")
-
-
 def weight_filtration_ss(t: WeightedTropComplex,
                          thresholds: Sequence[Fraction] | None = None) -> TropSpectralReport:
     """Filtration by sublevel sets {w >= threshold}, one level per threshold,
@@ -177,9 +148,21 @@ def weight_filtration_ss(t: WeightedTropComplex,
     # a cell lies in the sublevel sets of the thresholds at or below its weight
     c, d = t.base, t.base.cochain_complex()
     level = {cell: bisect_right(thresholds, t.cell_weight(cell)) for cell in c.all_cells()}
-    _check_sublevels_closed(t, thresholds, level)
-    fc = coordinate_filtration(d, {p: [level[cell] for cell in c.cells(p)] for p in d.degrees()},
-                               len(thresholds) + 1)
+    try:
+        fc = coordinate_filtration(d, {k: [level[cell] for cell in c.cells(k)]
+                                       for k in d.degrees()}, len(thresholds) + 1)
+    except FiltrationError as exc:
+        # level p first fails at degree k: name the first pair in face-map
+        # order of a facet at level >= p and a cofacet at level p - 1
+        p, k = exc.at
+        face, cell = next((face, cell) for cell in c.cells(k + 1) if level[cell] == p - 1
+                          for face, _ in c.faces(cell) if level[face] >= p)
+        threshold, wf, wc = thresholds[p - 1], t.cell_weight(face), t.cell_weight(cell)
+        raise TropError(
+            f"sublevel set at threshold {threshold} is not a subcomplex: facet {face.key()} "
+            f"has weight {wf} >= {threshold} but its cofacet {cell.key()} has weight {wc} "
+            f"< {threshold}; weights must not decrease from a cell to its cofacets above "
+            f"the threshold") from None
     # fc has checked its E_infinity totals against the cohomology
     totals = fc.e_infinity_totals
     return TropSpectralReport(

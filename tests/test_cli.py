@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import errno
 import importlib.util
 import json
 import os
@@ -70,6 +71,23 @@ def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
     code, out, err = run(["monodromy", "--in", str(bad)], capsys)
     assert code == 2 and not out
     assert err.startswith("malformed input: /in") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, label, other, document", [
+    ("monodromy", "in", [], '{{"matrix": [[{}]]}}'),
+    ("divisor-cohomology", "divisor", ["--fan", str(FIXTURES / "p2_fan.json")],
+     '{{"coefficients": [{}, 0, 0]}}'),
+], ids=["monodromy", "divisor-cohomology"])
+def test_an_overlong_integer_literal_is_malformed_input(command, label, other, document,
+                                                        tmp_path, capsys):
+    # json.loads refuses an integer literal over the interpreter's digit limit
+    bad, out = tmp_path / "long.json", tmp_path / "report.json"
+    bad.write_text(document.format("7" * (sys.get_int_max_str_digits() + 1)))
+    code, stdout, err = run([command, *other, f"--{label}", str(bad), "--out", str(out)],
+                            capsys)
+    assert code == 2 and not stdout and not out.exists()
+    assert err.startswith(f"malformed input: /{label}: invalid JSON in {bad}")
+    assert "Traceback" not in err
 
 
 def test_cone_complex_schema_violation_pointer(tmp_path, capsys):
@@ -695,6 +713,34 @@ def test_unwritable_out_is_malformed_input(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [existing] and not any(existing.iterdir())
 
 
+def test_a_refused_rename_removes_the_temporary_file(tmp_path, capsys, monkeypatch):
+    def refused(source, target):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refused)
+    out = tmp_path / "report.json"
+    code, _, err = run(["cone-complex", "--in", str(FIXTURES / "ex42.json"),
+                        "--out", str(out)], capsys)
+    assert (code, err) == (2, f"malformed input: /out: cannot write {out}: Permission denied\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_temporary_names_are_retried_until_the_attempts_run_out(tmp_path, capsys,
+                                                                 monkeypatch):
+    # every draw gives the one name, which is taken
+    draws = []
+    monkeypatch.setattr(os, "urandom", lambda n: draws.append(n) or bytes(n))
+    out = tmp_path / "report.json"
+    taken = tmp_path / f"report.json.{bytes(8).hex()}.tmp"
+    taken.write_text("")
+    code, _, err = run(["cone-complex", "--in", str(FIXTURES / "ex42.json"),
+                        "--out", str(out)], capsys)
+    assert (code, err) == (2, f"malformed input: /out: cannot write {out}: "
+                              f"No usable temporary file name found\n")
+    assert draws == [8] * cli.TMP_ATTEMPTS
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == ""
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
 def test_out_onto_a_fifo_writes_in_place(tmp_path):
     # a rename onto a FIFO (or a device) would replace the node with a file
@@ -833,6 +879,108 @@ def test_a_named_command_is_parsed_in_one_pass(monkeypatch, tmp_path):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     assert main(fixture_argv("monodromy") + ["--out", str(tmp_path / "report")]) == 0
     assert passes == ["lhl monodromy"]
+
+
+# --- guards that only a faulty request reaches -------------------------------------------
+
+EX42, WEDGE, W111 = (str(FIXTURES / name) for name in ("ex42.json", "wedge_fan.json", "w111.json"))
+EX42_CELLS = json.loads((FIXTURES / "ex42_cell_weights.json").read_text())["cells"]
+
+
+def wedge(coordinates):
+    """wedge_fan.json with other ray coordinates."""
+    return {**json.loads(Path(WEDGE).read_text()), "ray_coordinates": coordinates}
+
+
+def complex_doc(dims, differentials, **rest):
+    return {"min_degree": 0, "dims": dims, "differentials": differentials, **rest}
+
+
+# argv, the documents it names by placeholder, environment, exit code,
+# stream and a line or part of one that the stream holds
+GUARDS = {
+    "max-dim-not-an-integer": (
+        ["cone-complex", "--in", EX42], {}, {"LHL_MAX_DIM": "abc"},
+        2, "err", "malformed input: LHL_MAX_DIM: not an integer: 'abc'"),
+    "validate-weights-given-cells": (
+        ["validate-weights", "--complex", EX42,
+         "--weights", str(FIXTURES / "ex42_cell_weights.json")], {}, {},
+        2, "err", "malformed input: /weights: validate-weights expects ray weights"),
+    "nonpositive-ray-weight": (
+        ["validate-weights", "--complex", WEDGE, "--weights", "W"],
+        {"W": {"rays": {"a": "1", "b": "-2", "c": "1"}}}, {},
+        1, "out", "    ray b has nonpositive weight -2\n"),
+    "dependent-ray-coordinates": (
+        ["validate-weights", "--complex", "C", "--weights", W111],
+        {"C": wedge({"a": [1, 0], "b": [-1, 0], "c": [0, 1]})}, {},
+        1, "err", "validation failure: non-simplicial maximal cone a,b#0"),
+    "ray-outside-a-cone-span": (
+        ["validate-weights", "--complex", "C", "--weights", W111, "--format", "json"],
+        {"C": wedge({"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]})}, {},
+        0, "out", '"incomparable": [\n        {\n          "cone": "a,b#0",\n'
+                  '          "neighbour": "b,c#0",\n          "ray": "c"'),
+    # c = a + b would break convexity across a shared facet
+    "maximal-cones-sharing-no-facet": (
+        ["validate-weights", "--complex", "C", "--weights", "W"],
+        {"C": {"components": ["a", "b", "c", "d"],
+               "strata": [{"components": list(c)} for c in ("a", "b", "c", "d", "ab", "cd")],
+               "ray_coordinates": {"a": [1, 0], "b": [1, 1], "c": [2, 1], "d": [1, 2]}},
+         "W": {"rays": {"a": "1", "b": "1", "c": "1", "d": "1"}}}, {},
+        0, "out", "  convexity: valid\n"),
+    "equal-thresholds": (
+        ["trop-ss", "--complex", WEDGE, "--weights", W111, "--thresholds", "1,1"], {}, {},
+        1, "err", "validation failure: thresholds must be distinct"),
+    "cells-missing-a-cell": (
+        ["trop-ss", "--complex", EX42, "--weights", "W"],
+        {"W": {"cells": {k: v for k, v in EX42_CELLS.items() if k != "H2#0"}}}, {},
+        1, "err", "validation failure: missing weight for cell H2#0"),
+    "cells-naming-no-cell": (
+        ["trop-cohomology", "--complex", EX42, "--weights", "W"],
+        {"W": {"cells": {**EX42_CELLS, "Q9#0": "1"}}}, {},
+        1, "err", "validation failure: unknown cell 'Q9#0'"),
+    "stalk-at-n-0": (
+        ["obstruction-stalk", "--n", "0", "--r", "0"], {}, {},
+        1, "err", "validation failure: ambient dimension must be at least 1"),
+    "form-degree-above-n": (
+        ["local-cohomology", "--n", "2", "--r", "1", "--subset", "1", "--form-degree", "5"],
+        {}, {}, 1, "err", "validation failure: form degree 5 out of range 0..2"),
+    "too-few-coefficients": (
+        ["divisor-cohomology", "--fan", str(FIXTURES / "p2_fan.json"), "--divisor", "D"],
+        {"D": {"coefficients": [0, 0]}}, {},
+        2, "err", "malformed input: /coefficients: expected 3 coefficients, got 2"),
+    "fan-cone-below-full-rank": (
+        ["divisor-cohomology", "--fan", "F",
+         "--divisor", str(FIXTURES / "p2_canonical_divisor.json")],
+        {"F": {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [2]]}}, {},
+        1, "err", "validation failure: maximal cone (2,) is not simplicial of full rank 2"),
+    "differential-row-count": (
+        ["spectral-sequence", "--in", "G"],
+        {"G": complex_doc([2, 1], [[["1", "0"], ["0", "1"]]])}, {},
+        2, "err", "malformed input: /differentials/0: expected 1 rows, got 2"),
+    "one-differential-too-many": (
+        ["spectral-sequence", "--in", "G"], {"G": complex_doc([1, 1], [[["1"]], [["1"]]])}, {},
+        2, "err", "malformed input: /differentials: expected at most 1 matrices"),
+    "filtration-level-degree-count": (
+        ["spectral-sequence", "--in", "G"],
+        {"G": complex_doc([1, 1], [[["1"]]], filtration=[[[]]])}, {},
+        2, "err", "malformed input: /filtration/0: expected one basis list per degree (2)"),
+}
+
+
+@pytest.mark.parametrize("argv, documents, env, code, stream, text",
+                         list(GUARDS.values()), ids=list(GUARDS))
+def test_a_guard_that_only_a_faulty_request_reaches(argv, documents, env, code, stream, text,
+                                                    tmp_path, capsys, monkeypatch):
+    paths = {}
+    for name, document in documents.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(document))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    got, out, err = run([str(paths.get(arg, arg)) for arg in argv], capsys)
+    assert got == code
+    assert text in (out if stream == "out" else err)
+    assert "Traceback" not in err
 
 
 # --- goldens and the disk-free path ---------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -134,6 +136,12 @@ def test_cell_sorts_hashes_and_compares_as_its_pair():
             assert (cell == other) == (pair == other_pair)
             assert (cell < other) == (pair < other_pair)
     assert len(set(cells)) == len(set(pairs))
+
+
+def test_copy_and_pickle_rebuild_a_cell():
+    cell = Cell(("A", "B"), "1")
+    for rebuilt in copy.copy(cell), copy.deepcopy(cell), pickle.loads(pickle.dumps(cell)):
+        assert type(rebuilt) is Cell and rebuilt == cell and rebuilt.tag == "1"
 
 
 @pytest.mark.parametrize("components, message", [

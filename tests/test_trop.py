@@ -1,5 +1,6 @@
 import json
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -324,10 +325,10 @@ def test_cell_levels_match_the_identity_submatrix_route(monkeypatch):
     assert {first for _, first in seen} >= {None, 1, 2}, seen
 
 
-def test_the_subcomplex_check_runs_on_the_cell_levels(monkeypatch):
-    # with the closure check of trop switched off, the filtered complex
-    # refuses a sublevel set that is not a subcomplex, as the pivot route does
-    monkeypatch.setattr(trop, "_check_sublevels_closed", lambda t, thresholds, level: None)
+def test_the_subcomplex_check_runs_on_the_cell_levels():
+    # on trop's cell levels the filtered complex refuses a sublevel set that
+    # is not a subcomplex as the pivot route does, and ``at`` names the level
+    # and degree; trop then names the pair that the per-threshold walk names
     rng = random.Random(609)
     outcomes = Counter()
     for n in range(200):
@@ -336,15 +337,25 @@ def test_the_subcomplex_check_runs_on_the_cell_levels(monkeypatch):
         t = weighted_complex(c, weights)
         values = sorted({t.cell_weight(cell) for cell in c.all_cells()})
         thresholds = sorted(rng.sample(values, min(len(values), rng.randint(1, 3))))
+        levels = {k: [bisect_right(thresholds, t.cell_weight(cell)) for cell in c.cells(k)]
+                  for k in c.cochain_complex().degrees()}
+        expected = closure_fault(per_threshold_closure, t, thresholds)
+        assert closure_fault(weight_filtration_ss, t, thresholds) == expected
         try:
             identity_submatrix_filtration(t, thresholds)
         except FiltrationError as exc:
             with pytest.raises(FiltrationError) as raised:
-                weight_filtration_ss(t, thresholds)
-            assert str(raised.value) == str(exc)
-            outcomes[str(exc).split(" is ")[0]] += 1
+                complexes.coordinate_filtration(c.cochain_complex(), levels, len(thresholds) + 1)
+            p, k = raised.value.at
+            assert str(raised.value) == str(exc) == (
+                f"level {p} is not a subcomplex: d(F^{p} C^{k}) is not contained in "
+                f"F^{p} C^{k + 1}")
+            assert exc.at == (p, k)
+            assert expected is not None and f"threshold {thresholds[p - 1]} " in expected
+            outcomes[f"level {p}"] += 1
             continue
-        weight_filtration_ss(t, thresholds)
+        complexes.coordinate_filtration(c.cochain_complex(), levels, len(thresholds) + 1)
+        assert expected is None
         outcomes["accepted"] += 1
     assert all(outcomes[key] >= 10 for key in ("level 1", "level 2", "accepted")), outcomes
 
